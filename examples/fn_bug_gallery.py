@@ -25,10 +25,10 @@ import sys
 
 from repro import GccCompiler, LlvmCompiler, UBProgram, UBType
 from repro.analysis import table_reduction_quality
-from repro.core import TestConfig, make_fn_bug_predicate
+from repro.core import TestConfig
 from repro.core.differential import DifferentialTester
 from repro.core.ubgen import UBGenerator
-from repro.reduction import HierarchicalReducer, record_for
+from repro.reduction import HierarchicalReducer, make_fn_bug_predicate, record_for
 from repro.seedgen import CsmithGenerator, GeneratorConfig
 from repro.utils.text import format_table
 

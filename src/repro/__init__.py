@@ -50,7 +50,6 @@ from repro.core import (
     CampaignResult,
     DifferentialTester,
     FuzzingCampaign,
-    ProgramReducer,
     TestConfig,
     UBGenerator,
     UBProgram,
@@ -125,7 +124,7 @@ __all__ = [
     "LlvmCompiler", "make_compiler",
     "ALL_UB_TYPES", "BugReport", "BugTriager", "CampaignConfig",
     "CampaignResult", "DifferentialTester", "FuzzingCampaign",
-    "ProgramReducer", "TestConfig", "UBGenerator", "UBProgram", "UBType",
+    "TestConfig", "UBGenerator", "UBProgram", "UBType",
     "classify_discrepancy", "is_sanitizer_bug", "is_sanitizer_bug_from_results",
     "HierarchicalReducer", "ReductionResult", "make_fn_bug_predicate",
     "make_marker_predicate", "reduce_fn_candidate", "reduce_marker_finding",

@@ -16,7 +16,6 @@ from typing import Optional
 from repro.cdsl import ast_nodes as ast
 from repro.cdsl.sema import SemanticInfo
 from repro.compilers.options import CompileOptions
-from repro.vm.compile import compile_program
 from repro.vm.errors import ExecutionResult
 from repro.vm.interpreter import DEFAULT_MAX_STEPS, Interpreter
 
@@ -41,14 +40,6 @@ class CompiledBinary:
     source: str = ""
     passes_run: tuple = ()
     metadata: dict = field(default_factory=dict)
-    #: Closure-cache attachment (set by the compiler driver when the compile
-    #: went through a :class:`~repro.compilers.cache.CompilationCache`):
-    #: ``closure_key`` identifies this binary's instrumented-unit content, so
-    #: sibling binaries of the same configuration share one compiled program.
-    cache: Optional[object] = field(default=None, repr=False, compare=False)
-    closure_key: Optional[tuple] = field(default=None, repr=False,
-                                         compare=False)
-    _program: Optional[object] = field(default=None, repr=False, compare=False)
 
     @property
     def label(self) -> str:
@@ -62,41 +53,13 @@ class CompiledBinary:
             return None
         return self.sanitizer_pass.build_runtime(self.sanitizer_context)
 
-    def compiled_program(self):
-        """The closure-compiled form of this binary (see
-        :mod:`repro.vm.compile`), memoized per binary and — when the compile
-        went through a :class:`~repro.compilers.cache.CompilationCache` —
-        shared across every binary of the same configuration via the cache's
-        closure layer.  Compiled programs hold no mutable run state, so
-        sharing is safe."""
-        program = self._program
-        if program is None:
-            if self.cache is not None and self.closure_key is not None:
-                program = self.cache.closure(
-                    self.closure_key,
-                    lambda: compile_program(self.unit, self.sema))
-            else:
-                program = compile_program(self.unit, self.sema)
-            self._program = program
-        return program
-
     def run(self, max_steps: int = DEFAULT_MAX_STEPS,
-            profile_collector=None, call_hook=None,
-            vm: str = "compiled") -> ExecutionResult:
+            profile_collector=None, call_hook=None) -> ExecutionResult:
         """Execute the binary on the VM and return the result.
 
         ``call_hook`` (if given) receives the name of every stubbed external
         call the execution reaches — the marker oracle's liveness probe.
-        ``vm`` selects the executor: ``"compiled"`` (the default) runs the
-        closure-compiled program, ``"interp"`` the AST-walking interpreter.
-        Both produce bit-identical results (the dual-executor property suite
-        pins this); the flag exists for differential debugging of the
-        executors themselves.
         """
-        if vm == "compiled":
-            return self.compiled_program().run(
-                runtime=self.build_runtime(), max_steps=max_steps,
-                profile_collector=profile_collector, call_hook=call_hook)
         interpreter = Interpreter(self.unit, self.sema,
                                   runtime=self.build_runtime(),
                                   max_steps=max_steps,

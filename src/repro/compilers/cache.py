@@ -86,7 +86,6 @@ class CompilationCache:
         self._lock = threading.Lock()
         self._frontend = _LRU(max_entries)
         self._optimized = _LRU(max_entries)
-        self._closure = _LRU(max_entries)
         self.hits = 0
         self.misses = 0
 
@@ -141,33 +140,6 @@ class CompilationCache:
         self._note_miss(evicted)
         return entry
 
-    def closure(self, key: tuple, builder: Callable[[], object]) -> object:
-        """The compiled closure program of one fully-determined execution
-        artifact (see :mod:`repro.vm.compile`).
-
-        *key* must capture everything that determines the artifact's
-        content — the compiler driver keys binaries by (source fingerprint,
-        compiler, version, opt level, pipeline signature, sanitizer, defect
-        registry); the marker oracle keys its liveness programs by
-        ``("liveness", fingerprint)``.  Compiled programs hold no mutable
-        run state, so one entry serves any number of concurrent runs.
-        """
-        with self._lock:
-            entry = self._closure.get(key)
-            if entry is not None:
-                self.hits += 1
-                telemetry.inc("cache.hits")
-                return entry
-        with telemetry.stage("closure_compile"):
-            entry = builder()
-        with self._lock:
-            self.misses += 1
-            evictions_before = self._closure.evictions
-            self._closure.put(key, entry)
-            evicted = self._closure.evictions - evictions_before
-        self._note_miss(evicted)
-        return entry
-
     @staticmethod
     def _note_miss(evicted: int) -> None:
         registry = telemetry.metrics()
@@ -181,8 +153,7 @@ class CompilationCache:
     @property
     def evictions(self) -> int:
         with self._lock:
-            return (self._frontend.evictions + self._optimized.evictions
-                    + self._closure.evictions)
+            return self._frontend.evictions + self._optimized.evictions
 
     def stats(self) -> dict:
         with self._lock:
@@ -191,10 +162,8 @@ class CompilationCache:
                 "misses": self.misses,
                 "frontend_entries": len(self._frontend),
                 "optimized_entries": len(self._optimized),
-                "closure_entries": len(self._closure),
                 "evictions": (self._frontend.evictions
-                              + self._optimized.evictions
-                              + self._closure.evictions),
+                              + self._optimized.evictions),
             }
 
     def clear(self) -> None:
@@ -203,6 +172,5 @@ class CompilationCache:
         with self._lock:
             self._frontend = _LRU(self._frontend.max_entries)
             self._optimized = _LRU(self._optimized.max_entries)
-            self._closure = _LRU(self._closure.max_entries)
             self.hits = 0
             self.misses = 0

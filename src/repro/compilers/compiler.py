@@ -110,29 +110,12 @@ class SimulatedCompiler:
                 registry=self.defect_registry, coverage=self.coverage)
             sanitizer_pass.instrument(unit, sema, sanitizer_ctx)
 
-        binary = CompiledBinary(unit=unit, sema=sema, compiler=self.name,
-                                version=self.version, options=options,
-                                sanitizer_pass=sanitizer_pass,
-                                sanitizer_context=sanitizer_ctx,
-                                source=source_text,
-                                passes_run=tuple(passes_run))
-        if (self.cache is not None and self.coverage is None
-                and isinstance(source, str)):
-            # Let sibling binaries of the same configuration share one
-            # compiled closure program through the cache's closure layer.
-            # The key covers everything that determines the instrumented
-            # unit: source, driver identity, effective pipeline, sanitizer
-            # and the seeded-defect registry.
-            registry_token = ("default" if self.defect_registry is None
-                              else tuple(d.defect_id
-                                         for d in self.defect_registry))
-            cache_version, pipeline_sig = self._pipeline_key(options.opt_level)
-            binary.cache = self.cache
-            binary.closure_key = ("closure", source_fingerprint(source),
-                                  self.name, self.version, cache_version,
-                                  options.opt_level, pipeline_sig,
-                                  options.sanitizer or "", registry_token)
-        return binary
+        return CompiledBinary(unit=unit, sema=sema, compiler=self.name,
+                              version=self.version, options=options,
+                              sanitizer_pass=sanitizer_pass,
+                              sanitizer_context=sanitizer_ctx,
+                              source=source_text,
+                              passes_run=tuple(passes_run))
 
     # -- cacheable phases --------------------------------------------------------
 

@@ -1,5 +1,5 @@
 """UBfuzz core: UB generation (Algorithm 1), crash-site mapping (Algorithm 2),
-differential testing, the fuzzing campaign, triage and reduction."""
+differential testing, the fuzzing campaign and triage."""
 
 from repro.core.bugs import (
     STATUS_CONFIRMED,
@@ -29,8 +29,6 @@ from repro.core.fuzzer import (CampaignConfig, CampaignResult, CampaignStats,
 from repro.core.insertion import UBProgram, apply_mutation
 from repro.core.matching import MatchedExpr, get_matched_exprs
 from repro.core.profile import ExecutionProfile, Profiler
-from repro.core.reducer import (HierarchicalReducer, ProgramReducer,
-                                ReductionResult, make_fn_bug_predicate)
 from repro.core.synthesis import ShadowMutation, synthesize
 from repro.core.ub_types import (
     ALL_UB_TYPES,
@@ -56,8 +54,6 @@ __all__ = [
     "UBProgram", "apply_mutation",
     "MatchedExpr", "get_matched_exprs",
     "ExecutionProfile", "Profiler",
-    "HierarchicalReducer", "ProgramReducer", "ReductionResult",
-    "make_fn_bug_predicate",
     "ShadowMutation", "synthesize",
     "ALL_UB_TYPES", "EXPECTED_REPORT_KINDS", "SANITIZERS_FOR_UB", "UBType",
     "detects", "sanitizers_for", "ub_type_of_report", "ub_types_for_sanitizer",

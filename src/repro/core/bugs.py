@@ -90,8 +90,7 @@ class BugTriager:
                  max_steps: int = 200_000,
                  compilation_cache=None,
                  reduce: bool = False,
-                 reduce_jobs: int = 1,
-                 vm: str = "compiled") -> None:
+                 reduce_jobs: int = 1) -> None:
         self.registry = list(registry) if registry is not None else default_defects()
         self.max_steps = max_steps
         # Sharing the campaign's CompilationCache pays off heavily here:
@@ -102,7 +101,6 @@ class BugTriager:
         self.compilation_cache = compilation_cache
         self.reduce = reduce
         self.reduce_jobs = reduce_jobs
-        self.vm = vm
         self._reduction_tester = None
 
     # -- public ------------------------------------------------------------------
@@ -199,8 +197,7 @@ class BugTriager:
             cache = (self.compilation_cache
                      if self.compilation_cache is not None else True)
             self._reduction_tester = DifferentialTester(max_steps=self.max_steps,
-                                                        cache=cache,
-                                                        vm=self.vm)
+                                                        cache=cache)
         return reduce_fn_candidate(candidate, tester=self._reduction_tester,
                                    jobs=self.reduce_jobs)
 
@@ -215,7 +212,7 @@ class BugTriager:
                                                      sanitizer=sanitizer))
         except CompilationError:
             return None
-        return binary.run(max_steps=self.max_steps, vm=self.vm)
+        return binary.run(max_steps=self.max_steps)
 
     def _bisect_defect(self, candidate: FNBugCandidate) -> Optional[Defect]:
         """Disable one defect at a time until the sanitizer detects the UB.

@@ -25,7 +25,6 @@ from repro.core.ub_types import detects, sanitizers_for
 from repro.sanitizers.registry import sanitizers_supported_by
 from repro.telemetry import runtime as telemetry
 from repro.utils.errors import CompilationError
-from repro.vm.batch import run_binaries
 from repro.vm.errors import ExecutionResult
 
 
@@ -130,8 +129,7 @@ class DifferentialTester:
     def __init__(self, compilers: Optional[Dict[str, SimulatedCompiler]] = None,
                  opt_levels: Sequence[str] = ALL_OPT_LEVELS,
                  max_steps: int = 200_000,
-                 cache: Union[CompilationCache, bool] = True,
-                 vm: str = "compiled") -> None:
+                 cache: Union[CompilationCache, bool] = True) -> None:
         explicit_cache = isinstance(cache, CompilationCache)
         if compilers is None:
             if cache is True:
@@ -153,17 +151,10 @@ class DifferentialTester:
         self.compilers = compilers
         self.opt_levels = tuple(opt_levels)
         self.max_steps = max_steps
-        #: Executor selection (``"compiled"`` or ``"interp"``), forwarded to
-        #: every ``CompiledBinary.run``.  Batch deduplication of identical
-        #: executions is only enabled on the compiled path so that
-        #: ``vm="interp"`` stays an honest per-config baseline.
-        self.vm = vm
 
     # -- running --------------------------------------------------------------------
 
-    def compile_config(self, program: UBProgram,
-                       config: TestConfig) -> tuple:
-        """Compile one configuration; returns (binary, outcome-on-error)."""
+    def run_config(self, program: UBProgram, config: TestConfig) -> ConfigOutcome:
         compiler = self.compilers[config.compiler]
         try:
             binary = compiler.compile(program.source,
@@ -171,43 +162,25 @@ class DifferentialTester:
                                                      sanitizer=config.sanitizer))
         except CompilationError as exc:
             telemetry.inc("compile.errors")
-            return None, ConfigOutcome(config, None, error=str(exc))
-        return binary, None
-
-    def run_config(self, program: UBProgram, config: TestConfig) -> ConfigOutcome:
-        outcomes = self.run_configs(program, [config])
-        return outcomes[0]
+            return ConfigOutcome(config, None, error=str(exc))
+        with telemetry.stage("execute", compiler=config.compiler,
+                             opt=config.opt_level,
+                             sanitizer=config.sanitizer):
+            result = binary.run(max_steps=self.max_steps)
+        registry = telemetry.metrics()
+        if registry is not None:
+            if result.crashed and result.report is not None:
+                registry.inc("verdict.report")
+            elif result.exited_normally:
+                registry.inc("verdict.silent")
+            else:
+                registry.inc("verdict.abnormal")
+        return ConfigOutcome(config, result)
 
     def run_configs(self, program: UBProgram,
                     configs: Sequence[TestConfig]) -> List[ConfigOutcome]:
-        """Compile and execute one program's whole configuration batch.
-
-        Execution goes through :func:`repro.vm.batch.run_binaries`, which
-        compiles closures once per effective pipeline and (on the compiled
-        path) runs each distinct execution signature once — configurations
-        whose instrumented units converged share a result.
-        """
-        binaries: List[Optional[object]] = []
-        outcomes: List[Optional[ConfigOutcome]] = []
-        for config in configs:
-            binary, error_outcome = self.compile_config(program, config)
-            binaries.append(binary)
-            outcomes.append(error_outcome)
-        results = run_binaries(binaries, max_steps=self.max_steps, vm=self.vm,
-                               dedupe=(self.vm == "compiled"))
-        registry = telemetry.metrics()
-        for i, (config, result) in enumerate(zip(configs, results)):
-            if outcomes[i] is not None:
-                continue
-            if registry is not None:
-                if result.crashed and result.report is not None:
-                    registry.inc("verdict.report")
-                elif result.exited_normally:
-                    registry.inc("verdict.silent")
-                else:
-                    registry.inc("verdict.abnormal")
-            outcomes[i] = ConfigOutcome(config, result)
-        return outcomes
+        """Compile and execute one program's whole configuration batch."""
+        return [self.run_config(program, config) for config in configs]
 
     def test(self, program: UBProgram,
              configs: Optional[Sequence[TestConfig]] = None) -> DifferentialResult:

@@ -76,9 +76,6 @@ class CampaignConfig:
     reduce_jobs: int = 1
     defect_registry: Optional[Sequence[Defect]] = None
     max_steps: int = 150_000
-    #: VM executor for every run in this campaign (``"compiled"`` closure
-    #: bytecode — the default — or the ``"interp"`` AST walker).
-    vm: str = "compiled"
 
 
 @dataclass
@@ -190,14 +187,12 @@ class FuzzingCampaign:
         self.tester = DifferentialTester(compilers=compilers,
                                          opt_levels=self.config.opt_levels,
                                          max_steps=self.config.max_steps,
-                                         cache=self.compilation_cache,
-                                         vm=self.config.vm)
+                                         cache=self.compilation_cache)
         self.triager = BugTriager(registry=registry,
                                   max_steps=self.config.max_steps,
                                   compilation_cache=self.compilation_cache,
                                   reduce=self.config.reduce,
-                                  reduce_jobs=self.config.reduce_jobs,
-                                  vm=self.config.vm)
+                                  reduce_jobs=self.config.reduce_jobs)
         #: Incremental re-runs: already-surveyed ``(program digest,
         #: compiler, version, pipeline, sanitizer)`` cells to skip.  Set by
         #: the orchestrator (``--resurvey``), never part of the config — the

@@ -95,9 +95,6 @@ class MarkerCampaignConfig:
     versions: Optional[Dict[str, Sequence[int]]] = None
     marker_prefix: str = DEFAULT_MARKER_PREFIX
     max_steps: int = DEFAULT_MAX_STEPS
-    #: Liveness executor for the elimination oracle (``"compiled"`` closure
-    #: bytecode — the default — or the ``"interp"`` AST walker).
-    vm: str = "compiled"
 
     def versions_for(self, compiler: str) -> List[int]:
         if self.versions is not None and compiler in self.versions:
@@ -244,8 +241,7 @@ class MarkerEngine:
         self.seed_generator = CsmithGenerator(
             GeneratorConfig(seed=self.config.rng_seed))
         self.planter = MarkerPlanter(prefix=self.config.marker_prefix)
-        self.oracle = EliminationOracle(max_steps=self.config.max_steps,
-                                        vm=self.config.vm)
+        self.oracle = EliminationOracle(max_steps=self.config.max_steps)
 
     # -- public -----------------------------------------------------------------
 

@@ -33,7 +33,6 @@ from repro.cdsl.visitor import fast_clone
 from repro.markers.instrument import MarkedProgram, marker_calls
 from repro.optim.pipelines import effective_pass_names
 from repro.telemetry import runtime as telemetry
-from repro.vm.compile import compile_program
 from repro.vm.interpreter import run_program
 
 DEFAULT_MAX_STEPS = 150_000
@@ -74,15 +73,9 @@ class EliminationOracle:
     """Compiles marked programs across configs and classifies each marker."""
 
     def __init__(self, cache: Optional[CompilationCache] = None,
-                 max_steps: int = DEFAULT_MAX_STEPS,
-                 vm: str = "compiled") -> None:
+                 max_steps: int = DEFAULT_MAX_STEPS) -> None:
         self.cache = cache if cache is not None else CompilationCache()
         self.max_steps = max_steps
-        #: Liveness executor: ``"compiled"`` runs the closure-compiled
-        #: program (cached per source through the closure layer, so a
-        #: reduction screen's repeated probes pay compilation once),
-        #: ``"interp"`` the AST interpreter.
-        self.vm = vm
         self._compilers: Dict[Tuple[str, int], SimulatedCompiler] = {}
 
     # -- liveness ---------------------------------------------------------------
@@ -111,23 +104,13 @@ class EliminationOracle:
         from :meth:`analyzed_unit`) skips the redundant frontend run when
         the caller already has one — the reduction predicate's hot path.
         """
+        unit, sema = analyzed if analyzed is not None \
+            else self.analyzed_unit(marked.source)
         reached: List[str] = []
-        hook = (lambda name: reached.append(name)
-                if name.startswith(marked.prefix) else None)
         with telemetry.stage("oracle", kind="liveness"):
-            if self.vm == "compiled":
-                def build():
-                    unit, sema = analyzed if analyzed is not None \
-                        else self.analyzed_unit(marked.source)
-                    return compile_program(unit, sema)
-                program = self.cache.closure(
-                    ("liveness", source_fingerprint(marked.source)), build)
-                program.run(max_steps=self.max_steps, call_hook=hook)
-            else:
-                unit, sema = analyzed if analyzed is not None \
-                    else self.analyzed_unit(marked.source)
-                run_program(unit, sema, max_steps=self.max_steps,
-                            call_hook=hook)
+            run_program(unit, sema, max_steps=self.max_steps,
+                        call_hook=lambda name: reached.append(name)
+                        if name.startswith(marked.prefix) else None)
         return tuple(reached)
 
     def live_set(self, marked: MarkedProgram) -> frozenset:

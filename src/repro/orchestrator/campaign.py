@@ -318,7 +318,7 @@ class OrchestratedCampaign:
             for bucket in result.buckets.values():
                 reduced, reduction = reduce_marker_finding(
                     bucket.representative, cache=engine.oracle.cache,
-                    jobs=self.reduce_jobs, vm=self.config.vm)
+                    jobs=self.reduce_jobs)
                 record = marker_record_for(reduced, reduction)
                 bucket.representative = reduced
                 self.reductions.append(record)

@@ -72,12 +72,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help="stop after this many UB programs overall")
     parser.add_argument("--no-triage", action="store_true",
                         help="skip defect triage (candidates only, faster)")
-    parser.add_argument("--vm", choices=("compiled", "interp"),
-                        default="compiled",
-                        help="VM executor: closure-compiled bytecode with "
-                             "batched deduplication (compiled, the default) "
-                             "or the AST-walking interpreter (interp); "
-                             "results are bit-identical")
     parser.add_argument("--reduce", action="store_true",
                         help="reduce one representative crash per dedup "
                              "bucket to a minimal reproducer (written to "
@@ -285,10 +279,6 @@ def build_bisect_parser() -> argparse.ArgumentParser:
                              "unsound-elimination")
     parser.add_argument("--dry-run", action="store_true",
                         help="bisect and print, but record nothing")
-    parser.add_argument("--vm", choices=("interp", "compiled"),
-                        default="compiled",
-                        help="execution backend for crash probes "
-                             "(default: compiled)")
     parser.add_argument("--json", action="store_true", dest="as_json",
                         help="machine-readable output")
     return parser
@@ -394,8 +384,7 @@ def config_from_args(args: argparse.Namespace):
             rng_seed=args.rng_seed,
             compilers=compilers,
             opt_levels=opt_levels,
-            versions=versions,
-            vm=args.vm)
+            versions=versions)
     return CampaignConfig(
         num_seeds=args.seeds,
         rng_seed=args.rng_seed,
@@ -404,8 +393,7 @@ def config_from_args(args: argparse.Namespace):
         compilers=compilers,
         max_programs_per_type=args.max_programs_per_type,
         max_programs_total=args.max_programs_total,
-        triage=not args.no_triage,
-        vm=args.vm)
+        triage=not args.no_triage)
 
 
 def main(argv: Optional[List[str]] = None) -> int:
@@ -1010,7 +998,7 @@ def _bisect_main(argv: List[str]) -> int:
                         rows.append(row)
         for row in rows:
             try:
-                attribution = bisect_bucket(db, row, cache=cache, vm=args.vm)
+                attribution = bisect_bucket(db, row, cache=cache)
             except BisectionError as exc:
                 failures.append({"slug": row["slug"], "error": str(exc)})
                 continue

@@ -46,13 +46,8 @@ from repro.reduction.reducer import (
     token_count,
 )
 
-#: Backward-compatible name: the hierarchical reducer superseded the naive
-#: statement-dropping ``ProgramReducer`` but keeps its call surface
-#: (``ProgramReducer(predicate).reduce(source)``).
-ProgramReducer = HierarchicalReducer
-
 __all__ = [
-    "HierarchicalReducer", "ProgramReducer", "ReductionResult", "token_count",
+    "HierarchicalReducer", "ReductionResult", "token_count",
     "BugSignature", "ReductionRecord", "bug_signature",
     "make_fn_bug_predicate", "make_fn_bug_predicate_factory",
     "make_signature_predicate", "record_for", "reduce_fn_candidate",

@@ -42,8 +42,7 @@ Predicate = Callable[[str], bool]
 
 def make_fn_bug_predicate(program: UBProgram, detecting: TestConfig,
                           missing: TestConfig,
-                          tester: Optional[DifferentialTester] = None,
-                          vm: str = "compiled") -> Predicate:
+                          tester: Optional[DifferentialTester] = None) -> Predicate:
     """Build the pairwise "still triggers this FN bug" predicate.
 
     Args:
@@ -53,10 +52,8 @@ def make_fn_bug_predicate(program: UBProgram, detecting: TestConfig,
         tester: optional shared tester; by default a fresh one (with its own
             compilation cache) is built, which is also what each pool worker
             does when the predicate is constructed through a factory.
-        vm: executor for the default-built tester (a provided *tester*
-            keeps its own ``vm``).
     """
-    tester = tester or DifferentialTester(vm=vm)
+    tester = tester or DifferentialTester()
 
     def predicate(source: str) -> bool:
         candidate = UBProgram(source=source, ub_type=program.ub_type,
@@ -80,11 +77,11 @@ def make_fn_bug_predicate(program: UBProgram, detecting: TestConfig,
 
 
 def make_fn_bug_predicate_factory(program: UBProgram, detecting: TestConfig,
-                                  missing: TestConfig, vm: str = "compiled"):
+                                  missing: TestConfig):
     """A factory for :func:`make_fn_bug_predicate` suitable for ``jobs > 1``:
     every worker builds its own tester and compilation cache."""
     def factory() -> Predicate:
-        return make_fn_bug_predicate(program, detecting, missing, vm=vm)
+        return make_fn_bug_predicate(program, detecting, missing)
     return factory
 
 
@@ -108,13 +105,11 @@ def bug_signature(candidate: FNBugCandidate) -> BugSignature:
 def make_signature_predicate(program: UBProgram,
                              signature: BugSignature,
                              configs: Optional[Sequence[TestConfig]] = None,
-                             tester: Optional[DifferentialTester] = None,
-                             vm: str = "compiled") -> Predicate:
+                             tester: Optional[DifferentialTester] = None) -> Predicate:
     """Build the full-matrix predicate: the candidate must reproduce
     *signature* when differentially tested across *configs* (default: every
-    configuration relevant to the program's UB type).  *vm* selects the
-    executor of the default-built tester."""
-    tester = tester or DifferentialTester(vm=vm)
+    configuration relevant to the program's UB type)."""
+    tester = tester or DifferentialTester()
     if configs is None:
         configs = default_configs(program.ub_type,
                                   compilers=tuple(tester.compilers),
@@ -164,8 +159,7 @@ class ReductionRecord:
 
 def reduce_fn_candidate(candidate: FNBugCandidate,
                         tester: Optional[DifferentialTester] = None,
-                        jobs: int = 1, max_rounds: int = 8,
-                        vm: str = "compiled"
+                        jobs: int = 1, max_rounds: int = 8
                         ) -> Tuple[FNBugCandidate, ReductionResult]:
     """Reduce one FN-bug candidate's program to a minimal reproducer.
 
@@ -177,13 +171,12 @@ def reduce_fn_candidate(candidate: FNBugCandidate,
     program = candidate.program
     detecting = candidate.detecting.config
     missing = candidate.missing.config
-    tester = tester or DifferentialTester(vm=vm)
+    tester = tester or DifferentialTester()
     reducer = HierarchicalReducer(
         predicate=make_fn_bug_predicate(program, detecting, missing,
                                         tester=tester),
         predicate_factory=make_fn_bug_predicate_factory(program, detecting,
-                                                        missing,
-                                                        vm=tester.vm),
+                                                        missing),
         jobs=jobs, max_rounds=max_rounds)
     result = reducer.reduce(program.source)
     if result.reduced_source == program.source:
@@ -228,8 +221,7 @@ def record_for(label: str, candidate: FNBugCandidate,
 # ---------------------------------------------------------------------------
 
 
-def make_marker_predicate(finding, cache=None, max_steps=None,
-                          vm: str = "compiled") -> Predicate:
+def make_marker_predicate(finding, cache=None, max_steps=None) -> Predicate:
     """Build the "still exhibits this marker finding" predicate.
 
     The candidate source (an already-instrumented program — reduction never
@@ -249,7 +241,7 @@ def make_marker_predicate(finding, cache=None, max_steps=None,
     from repro.markers.instrument import MarkedProgram, marker_calls
     from repro.markers.oracle import EliminationOracle, MarkerConfig
 
-    oracle = EliminationOracle(cache=cache, vm=vm,
+    oracle = EliminationOracle(cache=cache,
                                **({} if max_steps is None
                                   else {"max_steps": max_steps}))
     target = MarkerConfig(finding.compiler, finding.version, finding.opt_level)
@@ -291,16 +283,16 @@ def make_marker_predicate(finding, cache=None, max_steps=None,
     return predicate
 
 
-def make_marker_predicate_factory(finding, vm: str = "compiled"):
+def make_marker_predicate_factory(finding):
     """A factory for :func:`make_marker_predicate` suitable for ``jobs > 1``:
     every pool worker builds its own oracle and compilation cache."""
     def factory() -> Predicate:
-        return make_marker_predicate(finding, vm=vm)
+        return make_marker_predicate(finding)
     return factory
 
 
 def reduce_marker_finding(finding, cache=None, jobs: int = 1,
-                          max_rounds: int = 8, vm: str = "compiled"):
+                          max_rounds: int = 8):
     """Reduce one marker finding's program to a minimal reproducer.
 
     Returns ``(reduced_finding, ReductionResult)``; the finding is returned
@@ -310,8 +302,8 @@ def reduce_marker_finding(finding, cache=None, jobs: int = 1,
     import dataclasses
 
     reducer = HierarchicalReducer(
-        predicate=make_marker_predicate(finding, cache=cache, vm=vm),
-        predicate_factory=make_marker_predicate_factory(finding, vm=vm),
+        predicate=make_marker_predicate(finding, cache=cache),
+        predicate_factory=make_marker_predicate_factory(finding),
         jobs=jobs, max_rounds=max_rounds)
     result = reducer.reduce(finding.source)
     if result.reduced_source == finding.source:

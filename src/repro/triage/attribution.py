@@ -76,7 +76,7 @@ def _bucket_source(db: FindingsDB, bucket_id: int) -> str:
 def _bisect_crash_bucket(db: FindingsDB, bucket: dict,
                          registry: Optional[Sequence[Defect]],
                          cache: Optional[CompilationCache],
-                         vm: str, max_steps: int) -> BisectionResult:
+                         max_steps: int) -> BisectionResult:
     _, ub_type, _, sanitizer = json.loads(bucket["signature"])
     config = _bucket_config(db, bucket["id"])
     if not config:
@@ -85,7 +85,7 @@ def _bisect_crash_bucket(db: FindingsDB, bucket: dict,
     compiler, opt_level = config.split()[:2]
     probe = CrashProbe(_bucket_source(db, bucket["id"]), UBType(ub_type),
                        compiler, sanitizer, opt_level, registry=registry,
-                       cache=cache, vm=vm, max_steps=max_steps)
+                       cache=cache, max_steps=max_steps)
     bisector = RevisionBisector(compiler)
     # FN campaigns observe misses on trunk; a finding filed against an
     # older database may no longer reproduce there, so fall back to an
@@ -132,13 +132,11 @@ def _bisect_marker_bucket(db: FindingsDB, bucket: dict,
 def bisect_bucket(db: FindingsDB, bucket: dict,
                   registry: Optional[Sequence[Defect]] = None,
                   cache: Optional[CompilationCache] = None,
-                  vm: str = "compiled",
                   max_steps: int = 200_000) -> Attribution:
     """Bisect one bucket row (as returned by
     :meth:`~repro.corpusdb.FindingsDB.query_buckets`) without recording."""
     if bucket["kind"] == CRASH_KIND:
-        result = _bisect_crash_bucket(db, bucket, registry, cache, vm,
-                                      max_steps)
+        result = _bisect_crash_bucket(db, bucket, registry, cache, max_steps)
     else:
         result = _bisect_marker_bucket(db, bucket, cache)
     return Attribution(kind=bucket["kind"], signature=bucket["signature"],
@@ -170,10 +168,10 @@ def record_attribution(db: FindingsDB, attribution: Attribution,
 def attribute_bucket(db: FindingsDB, bucket: dict,
                      registry: Optional[Sequence[Defect]] = None,
                      cache: Optional[CompilationCache] = None,
-                     vm: str = "compiled", max_steps: int = 200_000,
+                     max_steps: int = 200_000,
                      campaign_id: Optional[int] = None) -> Attribution:
     """Bisect one bucket and record the result; the ``bisect`` CLI's unit."""
     attribution = bisect_bucket(db, bucket, registry=registry, cache=cache,
-                                vm=vm, max_steps=max_steps)
+                                max_steps=max_steps)
     record_attribution(db, attribution, campaign_id=campaign_id)
     return attribution

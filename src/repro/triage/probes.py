@@ -46,7 +46,6 @@ class CrashProbe:
                  sanitizer: str, opt_level: str,
                  registry: Optional[Sequence[Defect]] = None,
                  cache: Optional[CompilationCache] = None,
-                 vm: str = "compiled",
                  max_steps: int = DEFAULT_MAX_STEPS) -> None:
         self.source = source
         self.ub_type = ub_type
@@ -55,7 +54,6 @@ class CrashProbe:
         self.opt_level = opt_level
         self.registry = list(registry) if registry is not None else default_defects()
         self.cache = cache if cache is not None else CompilationCache()
-        self.vm = vm
         self.max_steps = max_steps
 
     def __call__(self, version: int) -> bool:
@@ -68,7 +66,7 @@ class CrashProbe:
                                                      sanitizer=self.sanitizer))
         except CompilationError:
             return False
-        result = binary.run(max_steps=self.max_steps, vm=self.vm)
+        result = binary.run(max_steps=self.max_steps)
         detected = (result.crashed and result.report is not None
                     and detects(self.ub_type, result.report.kind))
         return not detected

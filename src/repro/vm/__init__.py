@@ -1,8 +1,5 @@
-"""The execution substrate: flat memory, interpreter, tracing, profiling,
-closure-bytecode compilation and batched execution."""
+"""The execution substrate: flat memory, interpreter, tracing, profiling."""
 
-from repro.vm.batch import BatchStats, run_binaries, run_many
-from repro.vm.compile import CompiledProgram, compile_program, run_compiled
 from repro.vm.errors import (
     ExecutionResult,
     ExecutionTimeout,
@@ -23,12 +20,6 @@ from repro.vm.trace import Debugger, crash_site_of, get_executed_sites, sites_co
 from repro.vm.values import RuntimeValue, coerce, make_value
 
 __all__ = [
-    "BatchStats",
-    "run_binaries",
-    "run_many",
-    "CompiledProgram",
-    "compile_program",
-    "run_compiled",
     "ExecutionResult",
     "ExecutionTimeout",
     "SanitizerAbort",

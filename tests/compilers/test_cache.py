@@ -72,8 +72,7 @@ def test_cache_clear_resets_state():
     gcc.compile(SOURCE, opt_level="-O1")
     cache.clear()
     assert cache.stats() == {"hits": 0, "misses": 0, "frontend_entries": 0,
-                             "optimized_entries": 0, "closure_entries": 0,
-                             "evictions": 0}
+                             "optimized_entries": 0, "evictions": 0}
 
 
 # -- bit-identical results -----------------------------------------------------

@@ -6,7 +6,6 @@ import pytest
 from repro.compilers import GccCompiler, LlvmCompiler
 from repro.core import (
     DifferentialTester,
-    ProgramReducer,
     TestConfig,
     UBGenerator,
     UBProgram,
@@ -15,9 +14,9 @@ from repro.core import (
     default_configs,
     is_sanitizer_bug,
     is_sanitizer_bug_from_results,
-    make_fn_bug_predicate,
 )
 from repro.core.ub_types import ALL_UB_TYPES, EXPECTED_REPORT_KINDS, sanitizers_for
+from repro.reduction import HierarchicalReducer, make_fn_bug_predicate
 
 
 # -- UBGenerator ---------------------------------------------------------------------
@@ -237,7 +236,7 @@ def test_run_config_returns_outcome(figure1_source):
     assert "gcc -O0" in outcome.config.label
 
 
-# -- reducer (legacy import path; the full suite lives in tests/reduction) ---------------
+# -- reducer (the full suite lives in tests/reduction) ----------------------------------
 
 def test_reducer_shrinks_program_while_preserving_fn_bug(figure1_source):
     program = UBProgram(source=figure1_source, ub_type=UBType.BUFFER_OVERFLOW_POINTER)
@@ -245,7 +244,7 @@ def test_reducer_shrinks_program_while_preserving_fn_bug(figure1_source):
     missing = TestConfig("gcc", "asan", "-O2")
     predicate = make_fn_bug_predicate(program, detecting, missing)
     assert predicate(figure1_source)
-    reducer = ProgramReducer(predicate, max_rounds=3)
+    reducer = HierarchicalReducer(predicate, max_rounds=3)
     result = reducer.reduce(figure1_source)
     assert predicate(result.reduced_source)
     assert result.edits_applied >= 1
@@ -256,7 +255,7 @@ def test_reducer_shrinks_program_while_preserving_fn_bug(figure1_source):
 def test_reducer_rejects_invalid_input():
     from repro.utils.errors import ReductionError
 
-    reducer = ProgramReducer(lambda source: False, max_rounds=1)
+    reducer = HierarchicalReducer(lambda source: False, max_rounds=1)
     with pytest.raises(ReductionError):
         reducer.reduce("int main( {")
     # A predicate that rejects everything leaves valid input untouched.

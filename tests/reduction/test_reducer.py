@@ -8,7 +8,6 @@ from repro.core import TestConfig, UBProgram, UBType
 from repro.core.differential import DifferentialTester
 from repro.reduction import (
     HierarchicalReducer,
-    ProgramReducer,
     make_fn_bug_predicate,
     make_fn_bug_predicate_factory,
     make_signature_predicate,
@@ -100,10 +99,6 @@ def test_parallel_reduction_is_bit_identical_to_serial(figure1_source):
         jobs=2).reduce(figure1_source)
     assert parallel.reduced_source == serial.reduced_source
     assert serial.edits_applied >= 1
-
-
-def test_program_reducer_alias_is_hierarchical():
-    assert ProgramReducer is HierarchicalReducer
 
 
 def test_serial_reduction_uses_the_callers_predicate_object():

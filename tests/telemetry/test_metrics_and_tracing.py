@@ -3,9 +3,11 @@ profile replay and logging configuration."""
 
 from __future__ import annotations
 
+import ast
 import io
 import json
 import logging
+from pathlib import Path
 
 import pytest
 
@@ -237,6 +239,33 @@ def test_stage_records_histogram_and_span():
     (event,) = session.tracer.events
     assert event["name"] == "optimize"
     assert event["attrs"] == {"compiler": "llvm", "opt": "-O2", "note": "x"}
+
+
+def _emitted_stage_names():
+    """Every literal ``telemetry.stage("...")`` name under ``src/repro``."""
+    root = Path(telemetry.__file__).resolve().parents[1]
+    names = {}
+    for path in sorted(root.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if (isinstance(node, ast.Call)
+                    and isinstance(node.func, ast.Attribute)
+                    and node.func.attr == "stage"
+                    and isinstance(node.func.value, ast.Name)
+                    and node.func.value.id == "telemetry"
+                    and node.args and isinstance(node.args[0], ast.Constant)):
+                location = f"{path.relative_to(root)}:{node.lineno}"
+                names.setdefault(node.args[0].value, []).append(location)
+    return names
+
+
+def test_every_emitted_stage_is_registered():
+    """An unregistered stage is neither listed nor subtracted by the stage
+    profile, so its time silently lands in its parent stage."""
+    names = _emitted_stage_names()
+    assert "execute" in names
+    unregistered = {name: sites for name, sites in names.items()
+                    if name not in telemetry.STAGES}
+    assert unregistered == {}
 
 
 # ---------------------------------------------------------------------------

@@ -97,3 +97,141 @@ def test_profile_collector_alloc_hook_sees_allocations():
     Interpreter(unit, info, profile_collector=collector).run()
     assert any(buf.kind == "heap" and buf.size == 12 for buf in collector.allocations)
     assert len(collector.freed_addresses) == 1
+
+
+# -- hook placement -------------------------------------------------------------
+#
+# Literal hook streams of the interpreter: every statement and expression
+# ticks once (``site_callback`` and the site trace), an assignment target
+# ticks again as an lvalue, loop heads re-tick per iteration, and profile
+# hooks and ``call_hook`` fire in execution order.
+
+
+class _RecordingProfile:
+    """Order-sensitive profile collector stub."""
+
+    def __init__(self):
+        self.events = []
+
+    def record_value(self, key, inner, value, memory):
+        self.events.append(("value", key, value.value))
+
+    def record_lvalue(self, key, inner, addr, ctype, memory):
+        self.events.append(("lvalue", key))
+
+    def on_alloc(self, obj):
+        self.events.append(("alloc", obj.name, obj.size))
+
+    def on_free(self, obj):
+        self.events.append(("free", obj.name))
+
+
+def _hooked_run(source, max_steps=10_000, max_trace_len=2_000):
+    """Run *source* with site and call hooks; returns (result, sites, calls)."""
+    unit = parse_program(source)
+    sites, calls = [], []
+    result = Interpreter(unit, analyze(unit), max_steps=max_steps,
+                         max_trace_len=max_trace_len,
+                         site_callback=sites.append,
+                         call_hook=calls.append).run()
+    return result, tuple(sites), tuple(calls)
+
+
+def test_assignment_target_identifier_ticks_twice():
+    """``x = 1``: statement tick, '=' tick, RHS literal, then the target
+    again as an lvalue."""
+    source = "int main() {\n  int x;\n  x = 1;\n  return x;\n}\n"
+    result, sites, _ = _hooked_run(source)
+    assert result.status == "ok" and result.exit_code == 1
+    assert [site for site in sites if site[0] == 3] == \
+        [(3, 3), (3, 5), (3, 7), (3, 3)]
+    assert sites == result.site_trace
+
+
+def test_loop_head_ticks_once_per_iteration_plus_entry():
+    """A 3-iteration while loop: one statement tick on entry, then one head
+    tick per condition evaluation (4: three true, one false)."""
+    source = ("int main() {\n"
+              "  int i = 0;\n"
+              "  while (i < 3) { i = i + 1; }\n"
+              "  return i;\n"
+              "}\n")
+    result, sites, _ = _hooked_run(source)
+    assert result.exit_code == 3
+    head = next(site for site in result.site_trace if site[0] == 3)
+    # Statement tick + 4 head ticks (the head loc is the stmt loc).
+    assert sites.count(head) == 5
+
+
+def test_for_head_reticks_and_step_runs_after_body():
+    source = ("int g = 0;\n"
+              "int main() {\n"
+              "  for (int i = 0; i < 2; i = i + 1) { g = g + i; }\n"
+              "  return g;\n"
+              "}\n")
+    result, sites, _ = _hooked_run(source)
+    assert result.exit_code == 1
+    assert sites == result.site_trace
+
+
+def test_site_callback_outruns_truncated_trace():
+    source = ("int main() {\n"
+              "  int t = 0;\n"
+              "  for (int i = 0; i < 20; i = i + 1) { t = t + i; }\n"
+              "  return t;\n"
+              "}\n")
+    result, sites, _ = _hooked_run(source, max_trace_len=10)
+    assert result.trace_truncated
+    assert len(result.site_trace) == 10
+    assert len(sites) > 10
+    assert sites[:10] == result.site_trace
+
+
+def test_timeout_step_is_counted_but_its_site_is_not_recorded():
+    source = ("int main() {\n"
+              "  int t = 0;\n"
+              "  for (int i = 0; i < 1000; i = i + 1) { t = t + 1; }\n"
+              "  return t;\n"
+              "}\n")
+    budget = 57
+    result, sites, _ = _hooked_run(source, max_steps=budget)
+    assert result.status == "timeout"
+    assert result.steps == budget + 1
+    assert len(sites) == budget  # the raising tick never reaches its hooks
+    assert len(result.site_trace) == budget
+
+
+def test_profile_hooks_fire_in_order():
+    source = ("int arr[4] = {5, 6, 7, 8};\n"
+              "int main() {\n"
+              "  int i = 2;\n"
+              "  int v = arr[i];\n"
+              "  int *p = malloc(8);\n"
+              "  free(p);\n"
+              "  return v;\n"
+              "}\n")
+    unit = parse_program(source)
+    analyze(unit)
+    index = find_nodes(unit, ast.Identifier, lambda n: n.name == "i")[-1]
+    replace_node(unit, index, ast.ProfileHook("idx", index, loc=index.loc))
+    profile = _RecordingProfile()
+    result = Interpreter(unit, analyze(unit), profile_collector=profile).run()
+    assert result.status == "ok" and result.exit_code == 7
+    assert profile.events == [
+        ("alloc", "arr", 16), ("alloc", "i", 4), ("alloc", "v", 4),
+        ("value", "idx", 2), ("alloc", "p", 8), ("alloc", "malloc", 8),
+        ("free", "malloc")]
+
+
+def test_call_hook_sees_stubbed_externals_in_call_order():
+    source = ("void probe_a(void);\n"
+              "void probe_b(void);\n"
+              "int main() {\n"
+              "  probe_a();\n"
+              "  probe_b();\n"
+              "  probe_a();\n"
+              "  return 0;\n"
+              "}\n")
+    result, _, calls = _hooked_run(source)
+    assert result.status == "ok"
+    assert calls == ("probe_a", "probe_b", "probe_a")
