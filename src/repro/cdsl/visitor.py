@@ -56,10 +56,12 @@ def fast_clone(node: N) -> N:
     aliasing respected via a memo); every other attribute value — source
     locations, types, resolved symbols, detail dicts — is *shared* with the
     original, except plain dicts which get a shallow copy.  The result is
-    meant for the compilation pipeline, which re-runs semantic analysis on
-    the copy before anything consults symbols or types, so sharing the
-    stale annotations is safe.  Prefer :func:`clone` when the copy must be
-    fully independent (e.g. seed mutation).
+    meant for code that re-runs semantic analysis on the copy before
+    anything consults symbols or types (the compilation pipeline, the UB
+    generator's profiler), or that only rewrites node fields and prints
+    the copy (shadow statement insertion), so sharing the stale
+    annotations is safe.  Prefer :func:`clone` when the copy's non-node
+    attributes must be independent too.
     """
     return _fast_clone(node, {})
 
@@ -205,9 +207,16 @@ def insert_before(root: ast.Node, anchor_stmt: ast.Stmt,
     return False
 
 
-def enclosing_statement(root: ast.Node, expr: ast.Expr) -> Optional[ast.Stmt]:
-    """Return the innermost statement that contains *expr* (by identity)."""
-    parents = parent_map(root)
+def enclosing_statement(root: ast.Node, expr: ast.Expr,
+                        parents: Optional[Dict[int, ast.Node]] = None
+                        ) -> Optional[ast.Stmt]:
+    """Return the innermost statement that contains *expr* (by identity).
+
+    *parents* is ``parent_map(root)``; callers looking up many expressions
+    of one unchanged tree pass it in so the map is built once, not per call.
+    """
+    if parents is None:
+        parents = parent_map(root)
     node: ast.Node = expr
     while node.node_id in parents:
         node = parents[node.node_id]

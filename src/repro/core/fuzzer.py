@@ -174,13 +174,15 @@ class FuzzingCampaign:
         self.registry = registry
         self.seed_generator = CsmithGenerator(
             GeneratorConfig(seed=self.config.rng_seed))
-        self.ub_generator = UBGenerator(
-            seed=self.config.rng_seed,
-            max_programs_per_type=self.config.max_programs_per_type)
         # One compilation cache per campaign (per orchestrator worker
         # process): every (compiler, sanitizer, opt level) configuration of
-        # one generated program shares the parse and optimizer artifacts.
+        # one generated program shares the parse and optimizer artifacts,
+        # and the generator's validation parse is that shared parse.
         self.compilation_cache = CompilationCache()
+        self.ub_generator = UBGenerator(
+            seed=self.config.rng_seed,
+            max_programs_per_type=self.config.max_programs_per_type,
+            cache=self.compilation_cache)
         compilers = {name: make_compiler(name, defect_registry=registry,
                                          cache=self.compilation_cache)
                      for name in self.config.compilers}

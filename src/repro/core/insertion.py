@@ -3,25 +3,32 @@
 Takes a seed program and one :class:`~repro.core.synthesis.ShadowMutation`
 and produces a new, self-contained UB program:
 
-1. clone the seed AST (node ids are preserved by the clone),
+1. clone the seed AST with :func:`~repro.cdsl.visitor.fast_clone` (node
+   ids are preserved by the clone),
 2. locate the matched expression and its enclosing statement in the clone,
 3. apply the expression rewrite (``a[x]`` → ``a[x + hat]`` ...),
 4. insert the shadow statements immediately before the enclosing statement
    (or append them to a named block for use-after-scope), and
 5. print the mutated AST back to C source, which the compilers under test
    re-parse — exactly like the real tool writes out a mutated ``.c`` file.
+
+The printed source is parsed once more to check it is still valid C.  Given
+the campaign's :class:`~repro.compilers.cache.CompilationCache`, that parse
+goes through the cache's frontend layer, so it is the very artifact the
+compiles of the program start from instead of a second parse.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Dict, Optional
 
 from repro.cdsl import ast_nodes as ast
 from repro.cdsl.parser import parse_program
 from repro.cdsl.printer import print_program
 from repro.cdsl.sema import analyze
-from repro.cdsl.visitor import clone, insert_before, replace_node, walk
+from repro.cdsl.visitor import fast_clone, insert_before, replace_node, walk
+from repro.compilers.cache import CompilationCache, source_fingerprint
 from repro.core.synthesis import ShadowMutation
 from repro.core.ub_types import UBType, sanitizers_for
 from repro.utils.errors import GenerationError
@@ -48,9 +55,14 @@ class UBProgram:
 
 
 def apply_mutation(unit: ast.TranslationUnit, mutation: ShadowMutation,
-                   seed_index: int = -1, validate: bool = True) -> UBProgram:
-    """Apply *mutation* to a clone of *unit* and return the UB program."""
-    mutated = clone(unit)
+                   seed_index: int = -1,
+                   cache: Optional[CompilationCache] = None) -> UBProgram:
+    """Apply *mutation* to a clone of *unit* and return the UB program.
+
+    The program is validated by parsing its source, through *cache* when
+    one is given (see the module docstring).
+    """
+    mutated = fast_clone(unit)
     by_id: Dict[int, ast.Node] = {node.node_id: node for node in walk(mutated)}
 
     expr = by_id.get(mutation.match.expr.node_id)
@@ -73,11 +85,9 @@ def apply_mutation(unit: ast.TranslationUnit, mutation: ShadowMutation,
         block.stmts.extend(stmts)
 
     source = print_program(mutated)
-    if validate:
-        _check_still_valid(source)
+    _check_still_valid(source, cache)
     return UBProgram(source=source, ub_type=mutation.ub_type,
-                     seed_index=seed_index, description=mutation.description,
-                     metadata={"match_node": mutation.match.expr.node_id})
+                     seed_index=seed_index, description=mutation.description)
 
 
 def _apply_augmentations(root: ast.Node, expr: ast.Expr,
@@ -98,11 +108,20 @@ def _apply_augmentations(root: ast.Node, expr: ast.Expr,
                 ast.BinaryOp("+", current, aux_ref, loc=current.loc))
 
 
-def _check_still_valid(source: str) -> None:
+def _check_still_valid(source: str,
+                       cache: Optional[CompilationCache] = None) -> None:
     """The mutated program must still be statically valid C (it only has
-    *runtime* undefined behaviour)."""
+    *runtime* undefined behaviour).
+
+    With a cache, the parse is the cache's frontend artifact for *source*;
+    semantic analysis runs on a clone so the cached master stays pristine.
+    """
     try:
-        unit = parse_program(source)
+        if cache is None:
+            unit = parse_program(source)
+        else:
+            unit = fast_clone(cache.frontend(source_fingerprint(source),
+                                             lambda: parse_program(source)))
         analyze(unit)
     except Exception as exc:
         raise GenerationError(f"mutation produced an invalid program: {exc}") from exc

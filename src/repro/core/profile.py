@@ -18,11 +18,11 @@ One profiling run serves every UB type (the paper's implementation note:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional
+from typing import Dict, Iterable, List, Optional, Tuple
 
 from repro.cdsl import ast_nodes as ast
 from repro.cdsl.sema import analyze
-from repro.cdsl.visitor import clone, replace_node, walk
+from repro.cdsl.visitor import fast_clone, walk
 from repro.core.matching import MatchedExpr
 from repro.utils.errors import ProfilingError
 from repro.vm.errors import ExecutionResult
@@ -94,12 +94,14 @@ class Profiler:
 
         The unit is cloned before instrumentation, so the caller's AST is
         untouched; node ids are preserved by the clone, which is how hooks
-        attached in the clone map back to the caller's matches.
+        attached in the clone map back to the caller's matches.  The clone
+        is a :func:`fast_clone` (semantic analysis re-runs on it below), and
+        one slot index over it makes every hook a single slot write.
         """
         matches = list(matches)
-        instrumented = clone(unit)
+        instrumented = fast_clone(unit)
         hooked_keys: Dict[str, List[str]] = {}
-        by_id = {node.node_id: node for node in walk(instrumented)}
+        by_id, slots = _index(instrumented)
 
         for match in matches:
             keys: List[str] = []
@@ -107,13 +109,23 @@ class Profiler:
                 if not isinstance(operand, ast.Expr):
                     continue
                 target = by_id.get(operand.node_id)
-                if target is None:
+                if target is None or id(target) not in slots:
                     continue
                 key = f"{match.key}:{role}"
                 hook = ast.ProfileHook(key, target, loc=target.loc)
-                if replace_node(instrumented, target, hook):
-                    by_id[operand.node_id] = hook
-                    keys.append(key)
+                slot = slots[id(target)]
+                parent, field_name, position = slot
+                if position is None:
+                    setattr(parent, field_name, hook)
+                else:
+                    getattr(parent, field_name)[position] = hook
+                # The hook takes the operand's slot and the operand moves
+                # under the hook, so a second match on the same operand
+                # wraps this hook, not the bare operand.
+                slots[id(hook)] = slot
+                slots[id(target)] = (hook, "inner", None)
+                by_id[operand.node_id] = hook
+                keys.append(key)
             hooked_keys[match.key] = keys
 
         try:
@@ -129,3 +141,27 @@ class Profiler:
             raise ProfilingError(f"profiling run failed: {result.error}")
         return ExecutionProfile(collector=collector, result=result,
                                 hooked_keys=hooked_keys)
+
+
+#: Where a node is held: (parent, field name, list position or None).
+_Slot = Tuple[ast.Node, str, Optional[int]]
+
+
+def _index(root: ast.Node) -> Tuple[Dict[int, ast.Node], Dict[int, _Slot]]:
+    """One preorder pass over *root*: node id → node (the last node seen
+    per id), and ``id(node)`` → the first slot holding it in preorder over
+    ``_fields`` — the slot :func:`~repro.cdsl.visitor.replace_node` would
+    rewrite."""
+    by_id: Dict[int, ast.Node] = {}
+    slots: Dict[int, _Slot] = {}
+    for node in walk(root):
+        by_id[node.node_id] = node
+        for field_name in node._fields:
+            value = getattr(node, field_name, None)
+            if isinstance(value, ast.Node):
+                slots.setdefault(id(value), (node, field_name, None))
+            elif isinstance(value, list):
+                for position, item in enumerate(value):
+                    if isinstance(item, ast.Node):
+                        slots.setdefault(id(item), (node, field_name, position))
+    return by_id, slots

@@ -22,12 +22,14 @@ from typing import Dict, Iterable, List, Optional, Sequence, Union
 from repro.cdsl import ast_nodes as ast
 from repro.cdsl.parser import parse_program
 from repro.cdsl.sema import analyze
+from repro.compilers.cache import CompilationCache
 from repro.core.insertion import UBProgram, apply_mutation
 from repro.core.matching import MatchedExpr, get_matched_exprs
 from repro.core.profile import ExecutionProfile, Profiler
 from repro.core.synthesis import synthesize
 from repro.core.ub_types import ALL_UB_TYPES, UBType
 from repro.seedgen.csmith import SeedProgram
+from repro.telemetry import runtime as telemetry
 from repro.utils.errors import GenerationError, ProfilingError
 from repro.utils.rng import RandomSource, derive_seed
 
@@ -52,6 +54,10 @@ class UBGenerator:
             ``(seed, seed program, UB types)``.
         max_programs_per_type: cap on UB programs per (seed, UB type).
         profiler: execution profiler used to pick mutation sites.
+        cache: compilation cache to validate generated programs through;
+            a campaign passes the cache its compilers share, so each
+            program's validation parse is the frontend artifact its
+            compiles reuse.
 
     Example::
 
@@ -60,10 +66,12 @@ class UBGenerator:
     """
 
     def __init__(self, seed: int = 0, max_programs_per_type: Optional[int] = None,
-                 profiler: Optional[Profiler] = None) -> None:
+                 profiler: Optional[Profiler] = None,
+                 cache: Optional[CompilationCache] = None) -> None:
         self.seed = seed
         self.max_programs_per_type = max_programs_per_type
         self.profiler = profiler or Profiler()
+        self.cache = cache
 
     # -- public API ------------------------------------------------------------------
 
@@ -110,6 +118,7 @@ class UBGenerator:
         try:
             profile = self.profiler.profile(unit, all_matches)
         except ProfilingError:
+            telemetry.inc("ubgen.profile_failures")
             stats.profile_failed = True
             return programs, stats
 
@@ -132,8 +141,11 @@ class UBGenerator:
                 if mutation is None:
                     continue
                 try:
-                    program = apply_mutation(unit, mutation, seed_index=resolved_index)
+                    program = apply_mutation(unit, mutation,
+                                             seed_index=resolved_index,
+                                             cache=self.cache)
                 except GenerationError:
+                    telemetry.inc("ubgen.invalid_mutations")
                     continue
                 programs[ub_type].append(program)
             stats.live_matches[ub_type] = live

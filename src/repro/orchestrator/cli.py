@@ -735,6 +735,10 @@ def _stats_main(argv: List[str]) -> int:
     if counters.get("vm.runs"):
         print(f"vm                    : {counters['vm.runs']} runs, "
               f"{counters.get('vm.steps', 0)} steps")
+    print(f"swallowed errors      : "
+          f"{counters.get('compile.errors', 0)} compile errors, "
+          f"{counters.get('ubgen.invalid_mutations', 0)} invalid mutations, "
+          f"{counters.get('ubgen.profile_failures', 0)} profile failures")
     return 0
 
 

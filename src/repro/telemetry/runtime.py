@@ -303,9 +303,15 @@ def stage(name: str, **attrs: Any):
     Records a ``stage.<name>.seconds`` histogram observation and, when
     tracing, a span of the same name.  Disabled: returns the shared null
     context — one global check, no allocation beyond the kwargs dict.
+    Enabled, a *name* outside :data:`STAGES` raises ``ValueError``: the
+    stage profile neither lists nor subtracts an unregistered stage, so its
+    time would silently land in its parent stage.
     """
     if _STATE is None:
         return _NULL
+    if name not in STAGES:
+        raise ValueError(f"unregistered telemetry stage {name!r} "
+                         f"(registered: {', '.join(STAGES)})")
     return _StageContext(name, attrs)
 
 

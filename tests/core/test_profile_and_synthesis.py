@@ -1,14 +1,25 @@
 """Tests for execution profiling (dprof), shadow synthesis and insertion."""
 
+import dataclasses
+import sys
+from collections import Counter
+
 import pytest
 
 from repro.cdsl import analyze, ast_nodes as ast, parse_program
+from repro.cdsl import parser as parser_module
+from repro.cdsl.visitor import clone, replace_node, walk
+from repro.compilers import CompilationCache
+from repro.compilers.cache import source_fingerprint
+from repro.core import DifferentialTester, UBGenerator
 from repro.core.insertion import apply_mutation
 from repro.core.matching import get_matched_exprs
 from repro.core.profile import Profiler
 from repro.core.synthesis import synthesize
 from repro.core.ub_types import UBType
 from repro.utils.rng import RandomSource
+from repro.vm.interpreter import Interpreter
+from repro.vm.profiler import ProfileCollector
 
 PROFILE_SOURCE = """
 int arr[6] = {1, 2, 3, 4, 5, 6};
@@ -77,6 +88,82 @@ def test_profile_missing_key_gives_none(profiled):
     _unit, matches, profile = profiled
     match = matches[UBType.BUFFER_OVERFLOW_ARRAY][0]
     assert profile.q_val(match, "nonexistent-role") is None
+
+
+def _reference_profile(unit, matches, max_steps=200_000):
+    """The hook insertion ``Profiler.profile`` used before its slot index:
+    deep-copy the unit, then one whole-tree ``replace_node`` walk per
+    hooked operand.  Returns (hooked keys, collector, execution result)."""
+    instrumented = clone(unit)
+    hooked_keys = {}
+    by_id = {node.node_id: node for node in walk(instrumented)}
+    for match in matches:
+        keys = []
+        for role, operand in match.operands.items():
+            if not isinstance(operand, ast.Expr):
+                continue
+            target = by_id.get(operand.node_id)
+            if target is None:
+                continue
+            key = f"{match.key}:{role}"
+            hook = ast.ProfileHook(key, target, loc=target.loc)
+            if replace_node(instrumented, target, hook):
+                by_id[operand.node_id] = hook
+                keys.append(key)
+        hooked_keys[match.key] = keys
+    collector = ProfileCollector()
+    result = Interpreter(instrumented, analyze(instrumented),
+                         max_steps=max_steps,
+                         profile_collector=collector).run()
+    return hooked_keys, collector, result
+
+
+def _renumbered(values):
+    """Observations with buffer scope ids renumbered by first appearance:
+    scope ids come from a process-wide counter, so two analyses of the
+    same program number their scopes differently."""
+    numbers = {}
+    renumbered = {}
+    for key in sorted(values):
+        rows = []
+        for observation in values[key]:
+            buffer = observation.buffer
+            if buffer is not None and buffer.scope_id is not None:
+                buffer = dataclasses.replace(
+                    buffer, scope_id=numbers.setdefault(buffer.scope_id,
+                                                        len(numbers)))
+            rows.append(dataclasses.replace(observation, buffer=buffer))
+        renumbered[key] = rows
+    return renumbered
+
+
+def test_profile_hooks_match_the_replace_node_reference(sample_seeds):
+    """The slot-indexed hook insertion instruments exactly like one
+    ``replace_node`` walk per operand, including operands shared by several
+    matches, whose later hooks wrap the earlier ones."""
+    matched_types = set()
+    shared_operands = 0
+    for seed in sample_seeds:
+        unit = parse_program(seed.source)
+        analyze(unit)
+        matches = []
+        for ub_type in UBType:
+            found = get_matched_exprs(unit, ub_type)
+            matched_types.update(match.ub_type for match in found)
+            matches.extend(found)
+        uses = Counter(operand.node_id for match in matches
+                       for operand in match.operands.values()
+                       if isinstance(operand, ast.Expr))
+        shared_operands += sum(1 for count in uses.values() if count > 1)
+
+        profile = Profiler().profile(unit, matches)
+        hooked_keys, collector, result = _reference_profile(unit, matches)
+        assert profile.hooked_keys == hooked_keys
+        assert _renumbered(profile.collector.values) == _renumbered(collector.values)
+        assert profile.result.site_trace == result.site_trace
+        assert profile.result.steps == result.steps
+    assert matched_types == set(UBType)
+    assert shared_operands > 0
 
 
 # -- synthesis ------------------------------------------------------------------------
@@ -181,6 +268,40 @@ def test_apply_mutation_does_not_modify_the_seed(profiled):
     before = print_program(unit)
     apply_mutation(unit, mutation)
     assert print_program(unit) == before
+
+
+def test_shared_cache_parses_each_ub_program_once(sample_seed, monkeypatch):
+    """Generating and testing through one cache parses every UB source once:
+    the validation parse is the frontend artifact every compile reuses."""
+    parses = Counter()
+    real_parse = parser_module.parse_program
+
+    def counting_parse(source):
+        parses[source] += 1
+        return real_parse(source)
+
+    for module in list(sys.modules.values()):
+        if (module is not None and module.__name__.startswith("repro")
+                and getattr(module, "parse_program", None) is real_parse):
+            monkeypatch.setattr(module, "parse_program", counting_parse)
+
+    cache = CompilationCache()
+    generator = UBGenerator(seed=9, max_programs_per_type=1, cache=cache)
+    programs = [program
+                for generated in generator.generate_all(sample_seed).values()
+                for program in generated]
+    tester = DifferentialTester(opt_levels=("-O0", "-O2"), cache=cache)
+    for program in programs:
+        tester.test(program)
+    assert len(programs) >= 7
+    assert {program.source: parses[program.source] for program in programs} \
+        == {program.source: 1 for program in programs}
+    # Validation analysed a clone: the cached masters are still unanalysed.
+    for program in programs:
+        master = cache.frontend(source_fingerprint(program.source),
+                                lambda: pytest.fail("frontend entry evicted"))
+        assert all(node.ctype is None for node in walk(master)
+                   if isinstance(node, ast.Expr))
 
 
 def test_ub_program_metadata(profiled):

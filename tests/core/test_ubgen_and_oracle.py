@@ -1,6 +1,9 @@
 """Tests for the UB generator (Algorithm 1), crash-site mapping (Algorithm 2),
 differential testing and the reducer."""
 
+import hashlib
+import json
+
 import pytest
 
 from repro.compilers import GccCompiler, LlvmCompiler
@@ -15,8 +18,18 @@ from repro.core import (
     is_sanitizer_bug,
     is_sanitizer_bug_from_results,
 )
+from repro.core import ubgen
+from repro.core.profile import Profiler
 from repro.core.ub_types import ALL_UB_TYPES, EXPECTED_REPORT_KINDS, sanitizers_for
 from repro.reduction import HierarchicalReducer, make_fn_bug_predicate
+from repro.telemetry import runtime as telemetry
+from repro.utils.errors import ProfilingError
+
+#: SHA-256 of ``UBGenerator(seed=99, max_programs_per_type=2)`` over the three
+#: ``sample_seeds``: every program's UB type, source and description, then
+#: each seed's match, live-match and generated counts
+#: (:func:`_generation_digest`).
+GENERATION_DIGEST = "e3435f3169ea65559640354007a757043388f83e59a8be76636aebafb531dce1"
 
 
 # -- UBGenerator ---------------------------------------------------------------------
@@ -82,8 +95,70 @@ int main() {
 def test_generator_is_deterministic(sample_seed):
     first = UBGenerator(seed=9, max_programs_per_type=1).generate_all(sample_seed)
     second = UBGenerator(seed=9, max_programs_per_type=1).generate_all(sample_seed)
-    for ub in first:
-        assert [p.source for p in first[ub]] == [p.source for p in second[ub]]
+    # Whole programs, metadata included: nothing in a program may depend on
+    # process state such as AST node ids.
+    assert any(first.values())
+    assert first == second
+
+
+def _generation_digest(generator, seeds):
+    digest = hashlib.sha256()
+    for seed in seeds:
+        programs, stats = generator.generate_with_stats(seed)
+        for generated in programs.values():
+            for program in generated:
+                digest.update(json.dumps([program.ub_type.value, program.source,
+                                          program.description]).encode())
+        for counts in (stats.matches, stats.live_matches, stats.generated):
+            digest.update(json.dumps({ub.value: n for ub, n in counts.items()},
+                                     sort_keys=True).encode())
+    return digest.hexdigest()
+
+
+def test_generation_output_is_pinned(sample_seeds):
+    """Generated programs and match statistics, byte for byte."""
+    generator = UBGenerator(seed=99, max_programs_per_type=2)
+    assert _generation_digest(generator, sample_seeds) == GENERATION_DIGEST
+
+
+def test_generator_counts_invalid_mutations(sample_seed, monkeypatch):
+    attempted = []
+
+    def invalid_synthesize(*args, **kwargs):
+        mutation = real_synthesize(*args, **kwargs)
+        if mutation is not None:
+            # An undeclared auxiliary variable: semantic analysis rejects
+            # the mutated program.
+            mutation.augment.append(("__self__", "__ub_undeclared"))
+            attempted.append(mutation)
+        return mutation
+
+    real_synthesize = ubgen.synthesize
+    monkeypatch.setattr(ubgen, "synthesize", invalid_synthesize)
+    session = telemetry.enable(campaign="t-invalid-mutations")
+    try:
+        programs = UBGenerator(seed=9).generate_all(
+            sample_seed, [UBType.DIVIDE_BY_ZERO, UBType.SHIFT_OVERFLOW])
+    finally:
+        telemetry.disable()
+    assert attempted and not any(programs.values())
+    assert session.metrics.counter_value("ubgen.invalid_mutations") == len(attempted)
+    assert session.metrics.counter_value("ubgen.profile_failures") == 0
+
+
+def test_generator_counts_profile_failures(sample_seed, monkeypatch):
+    def failing_profile(self, unit, matches):
+        raise ProfilingError("forced profiling failure")
+
+    monkeypatch.setattr(Profiler, "profile", failing_profile)
+    session = telemetry.enable(campaign="t-profile-failures")
+    try:
+        programs, stats = UBGenerator(seed=9).generate_with_stats(sample_seed)
+    finally:
+        telemetry.disable()
+    assert stats.profile_failed and not any(programs.values())
+    assert session.metrics.counter_value("ubgen.profile_failures") == 1
+    assert session.metrics.counter_value("ubgen.invalid_mutations") == 0
 
 
 # -- crash-site mapping ----------------------------------------------------------------

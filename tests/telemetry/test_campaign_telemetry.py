@@ -9,7 +9,7 @@ import os
 
 import pytest
 
-from repro.core import CampaignConfig
+from repro.core import CampaignConfig, UBType, ubgen
 from repro.orchestrator import OrchestratedCampaign
 from repro.orchestrator.cli import main as cli_main
 from repro.telemetry import MetricsRegistry, load_profile, read_trace
@@ -116,6 +116,33 @@ def test_stats_cli_renders_profile(traced_runs, capsys):
     report = json.loads(capsys.readouterr().out)
     assert report["seeds"] == 3
     assert {stage["name"] for stage in report["stages"]} == set(telemetry.STAGES)
+
+
+def test_stats_cli_counts_swallowed_errors(tmp_path, capsys, monkeypatch):
+    """Mutations forced invalid are dropped, counted, and replayed."""
+    attempted = []
+
+    def invalid_synthesize(*args, **kwargs):
+        mutation = real_synthesize(*args, **kwargs)
+        if mutation is not None:
+            # An undeclared auxiliary variable fails validation.
+            mutation.augment.append(("__self__", "__ub_undeclared"))
+            attempted.append(mutation)
+        return mutation
+
+    real_synthesize = ubgen.synthesize
+    monkeypatch.setattr(ubgen, "synthesize", invalid_synthesize)
+    root = str(tmp_path / "corpus")
+    OrchestratedCampaign(
+        CampaignConfig(num_seeds=1, rng_seed=5, max_programs_per_type=1,
+                       opt_levels=("-O0",), ub_types=(UBType.DIVIDE_BY_ZERO,),
+                       triage=False),
+        corpus=root, trace=True).run()
+    assert attempted
+    assert cli_main(["stats", root]) == 0
+    assert (f"swallowed errors      : 0 compile errors, {len(attempted)} "
+            f"invalid mutations, 0 profile failures"
+            in capsys.readouterr().out)
 
 
 def test_stats_cli_untraced_dir_exits_clean(tmp_path, capsys):

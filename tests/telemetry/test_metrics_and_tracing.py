@@ -241,6 +241,20 @@ def test_stage_records_histogram_and_span():
     assert event["attrs"] == {"compiler": "llvm", "opt": "-O2", "note": "x"}
 
 
+def test_stage_rejects_unregistered_names_when_enabled():
+    # Disabled, the fast path returns before any check.
+    with telemetry.stage("no-such-stage"):
+        pass
+    session = telemetry.enable(campaign="t-unregistered")
+    with pytest.raises(ValueError, match="no-such-stage"):
+        telemetry.stage("no-such-stage")
+    for name in telemetry.STAGES:
+        with telemetry.stage(name):
+            pass
+    assert session.metrics.histogram("stage.generate.seconds").count == 1
+    assert session.metrics.histogram("stage.no-such-stage.seconds").count == 0
+
+
 def _emitted_stage_names():
     """Every literal ``telemetry.stage("...")`` name under ``src/repro``."""
     root = Path(telemetry.__file__).resolve().parents[1]
