@@ -55,13 +55,23 @@ def fast_clone(node: N) -> N:
     Node objects and the lists holding them are copied (ids preserved,
     aliasing respected via a memo); every other attribute value — source
     locations, types, resolved symbols, detail dicts — is *shared* with the
-    original, except plain dicts which get a shallow copy.  The result is
-    meant for code that re-runs semantic analysis on the copy before
-    anything consults symbols or types (the compilation pipeline, the UB
-    generator's profiler), or that only rewrites node fields and prints
-    the copy (shadow statement insertion), so sharing the stale
-    annotations is safe.  Prefer :func:`clone` when the copy's non-node
-    attributes must be independent too.
+    original, except plain dicts which get a shallow copy.  Its users:
+
+    * code that re-runs semantic analysis on the copy before anything
+      consults symbols or types (the optimizer's working copy of a cached
+      frontend master, the UB generator's profiler and validation), so
+      sharing the stale annotations is safe;
+    * code that only rewrites node fields and prints the copy (shadow
+      statement insertion);
+    * the sanitizer overlay of a compile, which instruments a copy of a
+      cached optimized master that was analyzed when it was built.  Those
+      annotations are fresh, so the copy needs no re-analysis: the
+      overlay and the VM only read the shared symbols, scopes and types
+      (the VM keys storage by ``symbol.uid``), and new nodes get their
+      own ``ctype``.
+
+    Prefer :func:`clone` when the copy's non-node attributes must be
+    independent too.
     """
     return _fast_clone(node, {})
 

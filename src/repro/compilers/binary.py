@@ -28,6 +28,11 @@ class CompiledBinary:
     interprets the instrumented AST on the VM and returns an
     :class:`~repro.vm.errors.ExecutionResult` (exit code or sanitizer
     report plus execution trace).
+
+    A binary compiled through a
+    :class:`~repro.compilers.cache.CompilationCache` without a sanitizer
+    holds the cache's optimized master as ``unit`` and ``sema``: read them
+    (as :meth:`run` and the marker scan do), never mutate them.
     """
 
     unit: ast.TranslationUnit

@@ -4,19 +4,24 @@ Differential testing compiles the *same* source text under many
 (compiler, sanitizer, optimization level) configurations, but only two of
 the pipeline's phases actually depend on the configuration:
 
-* the **frontend** (parse + first semantic analysis) depends only on the
-  source text;
-* the **optimizer pipeline** depends on (source, compiler, version,
-  opt level);
+* the **frontend** (parse) depends only on the source text;
+* the **optimizer pipeline** depends on (source, compiler, opt level,
+  effective pass list) — releases running the same passes share one
+  artifact, flat and version-aware pipelines alike;
 * the **sanitizer instrumentation** is a per-configuration overlay applied
   to a copy of the optimized unit.
 
 :class:`CompilationCache` memoizes the first two phases in two bounded LRU
 layers keyed by a source fingerprint, so an N-config differential matrix
 costs 1 parse + O(opt levels) optimizations instead of N full compiles.
-Cached units are immutable masters: consumers receive
-:func:`~repro.cdsl.visitor.fast_clone` copies and re-run semantic analysis,
-which keeps every produced binary bit-identical to an uncached compile.
+Cached units are immutable masters.  Frontend masters stay pristine
+(unanalysed); consumers optimize or analyze a
+:func:`~repro.cdsl.visitor.fast_clone`.  An optimized master is analyzed
+once, when it is built, and stored with its
+:class:`~repro.cdsl.sema.SemanticInfo`: sanitizer-free binaries share it
+read-only, and a sanitizer overlay instruments a ``fast_clone`` that shares
+the master's annotations.  Every produced binary behaves bit-identically
+to an uncached compile.
 
 The cache is shared per process: :class:`~repro.core.differential.DifferentialTester`
 and the campaign attach one cache to all their compilers, and each
@@ -30,9 +35,10 @@ import hashlib
 import logging
 import threading
 from collections import OrderedDict
-from typing import Callable, Optional, Tuple
+from typing import Callable, Tuple
 
 from repro.cdsl import ast_nodes as ast
+from repro.cdsl.sema import SemanticInfo
 from repro.telemetry import runtime as telemetry
 
 logger = logging.getLogger(__name__)
@@ -41,6 +47,10 @@ logger = logging.getLogger(__name__)
 #: (a few hundred KB for csmith-sized programs), so the default keeps the
 #: cache within tens of MB even for long-running campaign workers.
 DEFAULT_MAX_ENTRIES = 128
+
+#: An optimized-layer entry: the analyzed master unit, its semantic
+#: information and the names of the passes that changed it.
+OptimizedArtifact = Tuple[ast.TranslationUnit, SemanticInfo, tuple]
 
 
 def source_fingerprint(source_text: str) -> str:
@@ -79,7 +89,7 @@ class CompilationCache:
     ``frontend(...)`` and ``optimized(...)`` both take a *builder* callable
     producing the artifact on a miss; the artifact is stored as an immutable
     master and returned as-is — callers must :func:`fast_clone` it before
-    mutating (the compiler driver does).
+    mutating or analyzing it (``SimulatedCompiler`` does).
     """
 
     def __init__(self, max_entries: int = DEFAULT_MAX_ENTRIES) -> None:
@@ -110,20 +120,20 @@ class CompilationCache:
         self._note_miss(evicted)
         return unit
 
-    def optimized(self, fingerprint: str, compiler: str, version: int,
-                  opt_level: str,
-                  builder: Callable[[], Tuple[ast.TranslationUnit, tuple]],
-                  pipeline: str = "flat"
-                  ) -> Tuple[ast.TranslationUnit, tuple]:
-        """The optimized unit + names of the passes that ran, for one
-        (source, compiler, version, opt level, pipeline mode).
+    def optimized(self, fingerprint: str, compiler: str, opt_level: str,
+                  pass_names: Tuple[str, ...],
+                  builder: Callable[[], OptimizedArtifact]
+                  ) -> OptimizedArtifact:
+        """The analyzed optimized master of one (source, compiler, opt
+        level, effective pass list): ``(unit, sema, passes_run)``.
 
-        ``pipeline`` distinguishes the flat (release-independent) pipelines
-        from the version-aware ones the marker engine compiles under —
-        without it a shared cache would hand a flat-pipeline artifact to a
-        versioned-pipeline compiler of the same version.
+        The key is the pass list, not the release: no pass reads the
+        release and the iteration count depends only on compiler and level,
+        so every release running the same passes — flat pipelines always,
+        version-aware ones between pass introductions and defect windows —
+        shares one artifact.
         """
-        key = (fingerprint, compiler, version, opt_level, pipeline)
+        key = (fingerprint, compiler, opt_level, pass_names)
         with self._lock:
             entry = self._optimized.get(key)
             if entry is not None:

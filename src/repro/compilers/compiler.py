@@ -39,7 +39,8 @@ class SimulatedCompiler:
     When a :class:`~repro.compilers.cache.CompilationCache` is attached, the
     configuration-independent phases are shared across compiles of the same
     source text: the frontend runs once per source, the optimizer pipeline
-    once per (source, opt level), and only the sanitizer overlay runs per
+    and the semantic analysis after it once per (source, opt level,
+    effective pass list), and only the sanitizer overlay runs per
     configuration — producing binaries bit-identical to uncached compiles.
     """
 
@@ -76,6 +77,11 @@ class SimulatedCompiler:
         is cloned, never mutated).  Either pass a full
         :class:`CompileOptions` or the ``opt_level`` / ``sanitizer``
         shorthand arguments.
+
+        With a cache attached, a sanitizer-free compile of C text returns a
+        binary over the cache's optimized master itself: its ``unit`` and
+        ``sema`` are shared with every other such binary and must not be
+        mutated.  A sanitizer compile instruments a private copy.
         """
         if options is None:
             options = CompileOptions(opt_level=opt_level or "-O0",
@@ -90,8 +96,14 @@ class SimulatedCompiler:
             # Coverage-collecting compiles bypass the cache: a hit would skip
             # the pipeline and under-record branch coverage.  AST input also
             # bypasses it, since callers rely on their node ids surviving.
-            unit, sema, source_text, passes_run = self._cached_phases(
+            source_text = source
+            unit, sema, passes_run = self._cached_phases(
                 source, options.opt_level)
+            if options.sanitizer is not None:
+                # The overlay rewrites node fields, so it instruments a
+                # copy.  The copy shares the master's annotations, which
+                # are fresh, so no re-analysis is needed.
+                unit = fast_clone(unit)
         else:
             unit, source_text = self._frontend(source)
             sema = self._analyze(unit, source_text)
@@ -119,25 +131,26 @@ class SimulatedCompiler:
 
     # -- cacheable phases --------------------------------------------------------
 
+    def _pipeline_version(self) -> Optional[int]:
+        """The release the optimizer pipeline models (``None``: flat)."""
+        return self.version if self.versioned_pipelines else None
+
     def _optimize(self, unit: ast.TranslationUnit, sema,
                   opt_level: str) -> list:
         """Run the optimizer pipeline (Figure 2: before the sanitizer pass)."""
         opt_ctx = OptimizationContext(compiler=self.name, version=self.version,
                                       opt_level=opt_level,
                                       coverage=self.coverage)
-        pipeline = pipeline_for(self.name, opt_level,
-                                self.version if self.versioned_pipelines
-                                else None)
+        pipeline = pipeline_for(self.name, opt_level, self._pipeline_version())
         return pipeline.run(unit, sema, opt_ctx)
 
     def _cached_phases(self, source_text: str, opt_level: str):
         """Frontend + optimizer with artifact sharing through the cache.
 
-        The cache stores immutable master units; every consumer (the
-        optimizer on a frontend master, the sanitizer overlay on an
-        optimized master) works on a :func:`fast_clone` and re-runs semantic
-        analysis, so the binaries handed out are bit-identical to the
-        uncached path's.
+        Returns the cache's optimized master as ``(unit, sema,
+        passes_run)``.  The frontend master stays pristine: the optimizer
+        works on a :func:`fast_clone` of it, which is analyzed before the
+        pipeline and once more after it, as on the uncached path.
         """
         fingerprint = source_fingerprint(source_text)
 
@@ -151,34 +164,14 @@ class SimulatedCompiler:
         def build_optimized():
             pristine = self.cache.frontend(fingerprint, build_frontend)
             work = fast_clone(pristine)
-            sema = self._analyze(work, source_text)
-            passes_run = self._optimize(work, sema, opt_level)
-            return work, tuple(passes_run)
+            passes_run = self._optimize(
+                work, self._analyze(work, source_text), opt_level)
+            return work, self._analyze(work, source_text), tuple(passes_run)
 
-        cache_version, pipeline_sig = self._pipeline_key(opt_level)
-        master, passes_run = self.cache.optimized(
-            fingerprint, self.name, cache_version, opt_level, build_optimized,
-            pipeline=pipeline_sig)
-        unit = fast_clone(master)
-        sema = self._analyze(unit, source_text)
-        return unit, sema, source_text, passes_run
-
-    def _pipeline_key(self, opt_level: str) -> tuple[int, str]:
-        """The (version, pipeline) components of the optimized-cache key.
-
-        Flat pipelines are version-independent in behaviour but keyed by
-        version for historical compatibility.  Versioned pipelines are keyed
-        by their *effective pass list* instead: releases whose pipelines are
-        identical (no pass introduction or defect window between them)
-        share one optimizer artifact, which is most of the marker engine's
-        config-matrix speedup.  No pass consults the context version, so
-        the shared artifact is bit-identical for every release mapping to
-        the same signature.
-        """
-        if not self.versioned_pipelines:
-            return self.version, "flat"
-        names = effective_pass_names(self.name, opt_level, self.version)
-        return 0, "versioned:" + ",".join(names)
+        pass_names = tuple(effective_pass_names(self.name, opt_level,
+                                                self._pipeline_version()))
+        return self.cache.optimized(fingerprint, self.name, opt_level,
+                                    pass_names, build_optimized)
 
     # -- helpers ----------------------------------------------------------------
 

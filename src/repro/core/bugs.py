@@ -95,9 +95,9 @@ class BugTriager:
         self.max_steps = max_steps
         # Sharing the campaign's CompilationCache pays off heavily here:
         # bisection probes the same program once per (version, opt level,
-        # disabled defect), and the cached phases are keyed on exactly
-        # (source, compiler, version, opt level) — defect registries only
-        # affect the uncached sanitizer overlay.
+        # disabled defect), and the cached phases are keyed on (source,
+        # compiler, opt level, pass list), which every flat release shares
+        # — defect registries only affect the uncached sanitizer overlay.
         self.compilation_cache = compilation_cache
         self.reduce = reduce
         self.reduce_jobs = reduce_jobs

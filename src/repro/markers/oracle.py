@@ -12,16 +12,19 @@ Two questions are answered about a :class:`~repro.markers.instrument.MarkedProgr
   through the normal driver with version-aware pipelines, and the emitted
   unit is scanned for surviving marker calls.
 
-All compiles of one oracle share a
-:class:`~repro.compilers.cache.CompilationCache`: the frontend runs once
-per program and each optimizer pipeline once per (program, compiler,
-version, opt level), which is what makes full config matrices affordable
-(see ``benchmarks/test_marker_throughput.py``).
+A survey compiles and scans once per distinct *effective pipeline* —
+(compiler, opt level, pass list) — and hands every other config of that
+pipeline the same outcome: releases between which no pass was introduced
+and no defect window opened or closed emit the same unit.  All compiles of
+one oracle share a :class:`~repro.compilers.cache.CompilationCache`, so the
+frontend runs once per program and the optimizer once per effective
+pipeline, which is what makes full config matrices affordable (see
+``benchmarks/test_marker_throughput.py``).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.compilers.cache import CompilationCache, source_fingerprint
@@ -121,11 +124,25 @@ class EliminationOracle:
 
     def survey(self, marked: MarkedProgram,
                configs: Sequence[MarkerConfig]) -> Dict[MarkerConfig, MarkerOutcome]:
-        """Compile *marked* under every config; map each to its outcome."""
+        """Compile *marked* under every config; map each to its outcome.
+
+        One :meth:`compile_one` per distinct (compiler, opt level,
+        effective pass list); the other configs of that pipeline get its
+        outcome under their own config.  The number of compiles is added
+        to the ``marker.compiles`` counter.
+        """
         outcomes: Dict[MarkerConfig, MarkerOutcome] = {}
+        compiled: Dict[tuple, MarkerOutcome] = {}
         with telemetry.stage("oracle", kind="survey", configs=len(configs)):
             for config in configs:
-                outcomes[config] = self.compile_one(marked, config)
+                key = (config.compiler, config.opt_level, _pipeline(config))
+                outcome = compiled.get(key)
+                if outcome is None:
+                    outcome = compiled[key] = self.compile_one(marked, config)
+                else:
+                    outcome = replace(outcome, config=config)
+                outcomes[config] = outcome
+        telemetry.inc("marker.compiles", len(compiled))
         return outcomes
 
     def compile_one(self, marked: MarkedProgram,
@@ -134,11 +151,8 @@ class EliminationOracle:
         compiler = self._compiler_for(config.compiler, config.version)
         binary = compiler.compile(marked.source, opt_level=config.opt_level)
         retained = frozenset(marker_calls(binary.unit, marked.prefix))
-        pipeline = tuple(effective_pass_names(config.compiler,
-                                              config.opt_level,
-                                              config.version))
         return MarkerOutcome(config=config, retained=retained,
-                             pipeline=pipeline,
+                             pipeline=_pipeline(config),
                              passes_run=tuple(binary.passes_run))
 
     # -- internals --------------------------------------------------------------
@@ -152,3 +166,10 @@ class EliminationOracle:
                                      versioned_pipelines=True)
             self._compilers[key] = compiler
         return compiler
+
+
+def _pipeline(config: MarkerConfig) -> Tuple[str, ...]:
+    """The effective (version-aware) pass names of *config*: the pipeline
+    the compiler keys its optimized artifact on."""
+    return tuple(effective_pass_names(config.compiler, config.opt_level,
+                                      config.version))

@@ -635,6 +635,9 @@ def _run_markers(args: argparse.Namespace, config, progress) -> int:
     }
     if orchestrated.telemetry_summary is not None:
         summary["cache"] = orchestrated.telemetry_summary["cache"]
+        totals = orchestrated.telemetry_summary["totals"]
+        if "marker.compiles" in totals:
+            summary["compiles"] = totals["marker.compiles"]
     if args.db_path is not None:
         summary["db"] = {"path": args.db_path}
     if orchestrated.marker_suppressions:
@@ -654,7 +657,9 @@ def _run_markers(args: argparse.Namespace, config, progress) -> int:
     print(f"seeds used            : {summary['seeds_used']}")
     print(f"markers planted       : {summary['markers_planted']} "
           f"({summary['live_markers']} live)")
-    print(f"configs surveyed      : {summary['configs_surveyed']}")
+    compiles = (f" ({summary['compiles']} compiles)"
+                if "compiles" in summary else "")
+    print(f"configs surveyed      : {summary['configs_surveyed']}{compiles}")
     if "cache" in summary:
         print(f"compilation cache     : {_cache_line(summary['cache'])}")
     print(f"raw findings          : {summary['raw_findings']} "

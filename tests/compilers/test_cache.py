@@ -6,7 +6,17 @@ from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
-from repro.compilers import CompilationCache, GccCompiler, LlvmCompiler
+import repro.compilers.compiler as compiler_module
+from repro.cdsl import ast_nodes as ast
+from repro.cdsl.printer import print_program
+from repro.cdsl.visitor import find_nodes
+from repro.compilers import (
+    CompilationCache,
+    GccCompiler,
+    LlvmCompiler,
+    all_versions,
+    make_compiler,
+)
 from repro.core import CampaignConfig, FuzzingCampaign
 from repro.core.differential import DifferentialTester, TestConfig
 from repro.core.ub_types import ALL_UB_TYPES
@@ -89,7 +99,59 @@ def test_cached_compiles_are_bit_identical_to_uncached(compiler_cls, sanitizers)
             a = cached.compile(SOURCE, opt_level=level, sanitizer=sanitizer)
             b = uncached.compile(SOURCE, opt_level=level, sanitizer=sanitizer)
             assert a.passes_run == b.passes_run
+            assert print_program(a.unit) == print_program(b.unit)
             assert a.run() == b.run(), (sanitizer, level)
+
+
+# -- analyzed, shared masters --------------------------------------------------
+
+
+@pytest.mark.parametrize("compiler_cls", [GccCompiler, LlvmCompiler])
+def test_sanitizer_free_compiles_share_the_analyzed_master(compiler_cls,
+                                                           monkeypatch):
+    compiler = compiler_cls(cache=CompilationCache())
+    first = compiler.compile(SOURCE, opt_level="-O2")
+    calls = []
+    for name in ("fast_clone", "analyze"):
+        def counted(*args, _name=name, _original=getattr(compiler_module, name)):
+            calls.append(_name)
+            return _original(*args)
+        monkeypatch.setattr(compiler_module, name, counted)
+    second = compiler.compile(SOURCE, opt_level="-O2")
+    assert second.unit is first.unit
+    assert second.sema is first.sema
+    assert calls == []
+    assert second.run() == first.run()
+
+
+@pytest.mark.parametrize("compiler_cls,sanitizers",
+                         [(GccCompiler, ("asan", "ubsan")),
+                          (LlvmCompiler, ("asan", "ubsan", "msan"))])
+def test_sanitizer_overlays_never_instrument_the_master(compiler_cls,
+                                                        sanitizers):
+    compiler = compiler_cls(cache=CompilationCache())
+    master = compiler.compile(SOURCE, opt_level="-O2").unit
+    text = print_program(master)
+    for sanitizer in sanitizers:
+        binary = compiler.compile(SOURCE, opt_level="-O2", sanitizer=sanitizer)
+        assert binary.unit is not master
+        assert find_nodes(binary.unit, ast.SanitizerCheck), sanitizer
+    assert not find_nodes(master, ast.SanitizerCheck)
+    assert print_program(master) == text
+
+
+@pytest.mark.parametrize("level", ["-O0", "-O1", "-Os", "-O2", "-O3"])
+@pytest.mark.parametrize("name", ["gcc", "llvm"])
+def test_flat_compilers_of_different_releases_share_one_artifact(name, level):
+    cache = CompilationCache()
+    oldest, newest = all_versions(name)[0], all_versions(name)[-1]
+    a = make_compiler(name, version=oldest, cache=cache).compile(
+        SOURCE, opt_level=level)
+    b = make_compiler(name, version=newest, cache=cache).compile(
+        SOURCE, opt_level=level)
+    assert cache.stats()["optimized_entries"] == 1
+    assert print_program(a.unit) == print_program(b.unit)
+    assert a.passes_run == b.passes_run
 
 
 def test_cached_differential_matrix_matches_uncached_on_ub_program():

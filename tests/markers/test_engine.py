@@ -11,6 +11,7 @@ from repro.markers import (
     MarkerCampaignConfig,
     MarkerEngine,
 )
+from repro.optim.pipelines import effective_pass_names
 from repro.orchestrator import OrchestratedCampaign, PoolExecutor, SerialExecutor
 from repro.orchestrator.cli import main as cli_main
 
@@ -113,6 +114,28 @@ def test_cli_markers_mode_json(capsys):
     assert summary["seeds_used"] == 1
     assert summary["markers_planted"] > 0
     assert "buckets" in summary
+
+
+def test_cli_markers_summary_counts_compiles(capsys):
+    """The survey compiles once per distinct effective pipeline, and the
+    summary says how many compiles served the surveyed configs."""
+    args = ["--mode", "markers", "--seeds", "1", "--rng-seed", "7",
+            "--versions", "gcc=10-12,llvm=15-16", "--quiet"]
+    config = MarkerCampaignConfig(
+        rng_seed=7, versions={"gcc": [10, 11, 12], "llvm": [15, 16]})
+    configs = [c for name in config.compilers for c in config.configs_for(name)]
+    pipelines = {(c.compiler, c.opt_level,
+                  tuple(effective_pass_names(c.compiler, c.opt_level,
+                                             c.version)))
+                 for c in configs}
+    assert len(configs) == 10 and len(pipelines) == 7
+    assert cli_main(args + ["--json"]) == 0
+    import json
+    summary = json.loads(capsys.readouterr().out)
+    assert summary["configs_surveyed"] == len(configs)
+    assert summary["compiles"] == len(pipelines)
+    assert cli_main(args) == 0
+    assert "configs surveyed      : 10 (7 compiles)" in capsys.readouterr().out
 
 
 def test_cli_markers_mode_rejects_checkpoint(capsys):

@@ -4,8 +4,10 @@ from __future__ import annotations
 
 import pytest
 
-from repro.compilers import CompilationCache
+from repro.compilers import CompilationCache, all_versions
+from repro.compilers.compiler import SimulatedCompiler
 from repro.markers import EliminationOracle, MarkerConfig, MarkerPlanter
+from repro.optim.pipelines import effective_pass_names
 
 SOURCE = """\
 int main() {
@@ -53,6 +55,34 @@ def test_survey_covers_every_config(marked):
         assert outcome.config == config
         assert outcome.retained <= set(marked.marker_names)
         assert outcome.pipeline == tuple(outcome.pipeline)
+
+
+def test_survey_compiles_each_distinct_pipeline_once(marked, monkeypatch):
+    configs = [MarkerConfig(compiler, version, level)
+               for compiler in ("gcc", "llvm")
+               for version in all_versions(compiler)
+               for level in ("-O2", "-O3")]
+    pipelines = {(c.compiler, c.opt_level,
+                  tuple(effective_pass_names(c.compiler, c.opt_level,
+                                             c.version)))
+                 for c in configs}
+    assert (len(configs), len(pipelines)) == (48, 16)
+    reference = {config: EliminationOracle(cache=CompilationCache())
+                 .compile_one(marked, config) for config in configs}
+
+    compiles = []
+    original = SimulatedCompiler.compile
+
+    def counted(self, *args, **kwargs):
+        compiles.append((self.name, self.version))
+        return original(self, *args, **kwargs)
+
+    monkeypatch.setattr(SimulatedCompiler, "compile", counted)
+    outcomes = EliminationOracle().survey(marked, configs)
+    assert len(compiles) == len(pipelines)
+    assert list(outcomes) == configs
+    for config in configs:
+        assert outcomes[config] == reference[config], config
 
 
 def test_versioned_pipelines_differ_across_releases(marked):
