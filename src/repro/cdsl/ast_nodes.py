@@ -1,6 +1,10 @@
 """AST node definitions for the C subset.
 
-Nodes are plain mutable Python objects.  Every node records:
+Nodes are mutable objects with a declared layout: every class lists in
+``__slots__`` exactly the attributes its ``__init__`` sets, so a node has
+no ``__dict__`` and writing an undeclared attribute raises
+``AttributeError``.  :func:`repro.cdsl.visitor.fast_clone` generates its
+per-class copiers from these declarations.  Every node records:
 
 * ``loc`` — the :class:`~repro.cdsl.source.SourceLocation` it was parsed
   from (or attached to by a transformation), used by debug info and the
@@ -31,6 +35,7 @@ _node_counter = itertools.count(1)
 class Node:
     """Base class of all AST nodes."""
 
+    __slots__ = ("loc", "node_id")
     _fields: tuple[str, ...] = ()
 
     def __init__(self, loc: SourceLocation = UNKNOWN_LOCATION) -> None:
@@ -64,12 +69,15 @@ class Expr(Node):
     identifiers after name resolution.
     """
 
+    __slots__ = ("ctype",)
+
     def __init__(self, loc: SourceLocation = UNKNOWN_LOCATION) -> None:
         super().__init__(loc)
         self.ctype: Optional[CType] = None
 
 
 class IntLiteral(Expr):
+    __slots__ = ("value", "suffix")
     _fields = ()
 
     def __init__(self, value: int, suffix: str = "",
@@ -80,6 +88,7 @@ class IntLiteral(Expr):
 
 
 class StringLiteral(Expr):
+    __slots__ = ("value",)
     _fields = ()
 
     def __init__(self, value: str, loc: SourceLocation = UNKNOWN_LOCATION) -> None:
@@ -88,6 +97,7 @@ class StringLiteral(Expr):
 
 
 class Identifier(Expr):
+    __slots__ = ("name", "symbol")
     _fields = ()
 
     def __init__(self, name: str, loc: SourceLocation = UNKNOWN_LOCATION) -> None:
@@ -99,6 +109,7 @@ class Identifier(Expr):
 class BinaryOp(Expr):
     """A binary operation.  ``op`` is the C spelling, e.g. ``"+"``, ``"<<"``."""
 
+    __slots__ = ("op", "lhs", "rhs")
     _fields = ("lhs", "rhs")
 
     ARITHMETIC_OPS = ("+", "-", "*", "/", "%")
@@ -118,6 +129,7 @@ class BinaryOp(Expr):
 class UnaryOp(Expr):
     """Prefix unary operators: ``-``, ``+``, ``!``, ``~``."""
 
+    __slots__ = ("op", "operand")
     _fields = ("operand",)
 
     def __init__(self, op: str, operand: Expr,
@@ -130,6 +142,7 @@ class UnaryOp(Expr):
 class IncDec(Expr):
     """Pre/post increment and decrement (``++x``, ``x--`` ...)."""
 
+    __slots__ = ("op", "operand", "is_prefix")
     _fields = ("operand",)
 
     def __init__(self, op: str, operand: Expr, is_prefix: bool,
@@ -143,6 +156,7 @@ class IncDec(Expr):
 class Assignment(Expr):
     """Simple and compound assignment (``=``, ``+=``, ``<<=`` ...)."""
 
+    __slots__ = ("op", "target", "value")
     _fields = ("target", "value")
 
     def __init__(self, op: str, target: Expr, value: Expr,
@@ -154,6 +168,7 @@ class Assignment(Expr):
 
 
 class ArraySubscript(Expr):
+    __slots__ = ("base", "index")
     _fields = ("base", "index")
 
     def __init__(self, base: Expr, index: Expr,
@@ -166,6 +181,7 @@ class ArraySubscript(Expr):
 class Deref(Expr):
     """Pointer dereference ``*p``."""
 
+    __slots__ = ("pointer",)
     _fields = ("pointer",)
 
     def __init__(self, pointer: Expr, loc: SourceLocation = UNKNOWN_LOCATION) -> None:
@@ -174,6 +190,7 @@ class Deref(Expr):
 
 
 class AddressOf(Expr):
+    __slots__ = ("operand",)
     _fields = ("operand",)
 
     def __init__(self, operand: Expr, loc: SourceLocation = UNKNOWN_LOCATION) -> None:
@@ -184,6 +201,7 @@ class AddressOf(Expr):
 class MemberAccess(Expr):
     """``base.field`` (``arrow=False``) or ``base->field`` (``arrow=True``)."""
 
+    __slots__ = ("base", "field", "arrow")
     _fields = ("base",)
 
     def __init__(self, base: Expr, field: str, arrow: bool,
@@ -195,6 +213,7 @@ class MemberAccess(Expr):
 
 
 class Cast(Expr):
+    __slots__ = ("target_type", "operand")
     _fields = ("operand",)
 
     def __init__(self, target_type: CType, operand: Expr,
@@ -205,6 +224,7 @@ class Cast(Expr):
 
 
 class Call(Expr):
+    __slots__ = ("name", "args")
     _fields = ("args",)
 
     def __init__(self, name: str, args: Sequence[Expr],
@@ -217,6 +237,7 @@ class Call(Expr):
 class Conditional(Expr):
     """The ternary operator ``cond ? then : otherwise``."""
 
+    __slots__ = ("cond", "then", "otherwise")
     _fields = ("cond", "then", "otherwise")
 
     def __init__(self, cond: Expr, then: Expr, otherwise: Expr,
@@ -228,6 +249,7 @@ class Conditional(Expr):
 
 
 class CommaExpr(Expr):
+    __slots__ = ("parts",)
     _fields = ("parts",)
 
     def __init__(self, parts: Sequence[Expr],
@@ -239,6 +261,7 @@ class CommaExpr(Expr):
 class SizeofExpr(Expr):
     """``sizeof(type)`` or ``sizeof expr`` — always folded to a constant."""
 
+    __slots__ = ("operand", "target_type")
     _fields = ("operand",)
 
     def __init__(self, operand: Optional[Expr] = None,
@@ -264,6 +287,7 @@ class SanitizerCheck(Expr):
     ``detail`` carries check-specific data (access size, operator, ...).
     """
 
+    __slots__ = ("kind", "inner", "sanitizer", "detail")
     _fields = ("inner",)
 
     def __init__(self, kind: str, inner: Expr, sanitizer: str,
@@ -284,6 +308,7 @@ class ProfileHook(Expr):
     The hook is transparent: it evaluates to the value of ``inner``.
     """
 
+    __slots__ = ("key", "inner")
     _fields = ("inner",)
 
     def __init__(self, key: str, inner: Expr,
@@ -299,12 +324,13 @@ class ProfileHook(Expr):
 
 
 class Stmt(Node):
-    pass
+    __slots__ = ()
 
 
 class VarDecl(Node):
     """A single declarator.  ``init`` is an expression or :class:`InitList`."""
 
+    __slots__ = ("name", "ctype", "init", "is_global", "qualifiers", "symbol")
     _fields = ("init",)
 
     def __init__(self, name: str, ctype: CType, init: Optional[Node] = None,
@@ -320,6 +346,7 @@ class VarDecl(Node):
 
 
 class InitList(Node):
+    __slots__ = ("items",)
     _fields = ("items",)
 
     def __init__(self, items: Sequence[Node],
@@ -329,6 +356,7 @@ class InitList(Node):
 
 
 class DeclStmt(Stmt):
+    __slots__ = ("decls",)
     _fields = ("decls",)
 
     def __init__(self, decls: Sequence[VarDecl],
@@ -338,6 +366,7 @@ class DeclStmt(Stmt):
 
 
 class ExprStmt(Stmt):
+    __slots__ = ("expr",)
     _fields = ("expr",)
 
     def __init__(self, expr: Expr, loc: SourceLocation = UNKNOWN_LOCATION) -> None:
@@ -346,6 +375,7 @@ class ExprStmt(Stmt):
 
 
 class CompoundStmt(Stmt):
+    __slots__ = ("stmts", "scope_id")
     _fields = ("stmts",)
 
     def __init__(self, stmts: Sequence[Stmt],
@@ -356,6 +386,7 @@ class CompoundStmt(Stmt):
 
 
 class IfStmt(Stmt):
+    __slots__ = ("cond", "then", "otherwise")
     _fields = ("cond", "then", "otherwise")
 
     def __init__(self, cond: Expr, then: Stmt, otherwise: Optional[Stmt] = None,
@@ -367,6 +398,7 @@ class IfStmt(Stmt):
 
 
 class WhileStmt(Stmt):
+    __slots__ = ("cond", "body")
     _fields = ("cond", "body")
 
     def __init__(self, cond: Expr, body: Stmt,
@@ -379,6 +411,7 @@ class WhileStmt(Stmt):
 class ForStmt(Stmt):
     """``for (init; cond; step) body``; any of the three heads may be None."""
 
+    __slots__ = ("init", "cond", "step", "body")
     _fields = ("init", "cond", "step", "body")
 
     def __init__(self, init: Optional[Node], cond: Optional[Expr],
@@ -392,6 +425,7 @@ class ForStmt(Stmt):
 
 
 class ReturnStmt(Stmt):
+    __slots__ = ("value",)
     _fields = ("value",)
 
     def __init__(self, value: Optional[Expr] = None,
@@ -401,14 +435,17 @@ class ReturnStmt(Stmt):
 
 
 class BreakStmt(Stmt):
+    __slots__ = ()
     _fields = ()
 
 
 class ContinueStmt(Stmt):
+    __slots__ = ()
     _fields = ()
 
 
 class EmptyStmt(Stmt):
+    __slots__ = ()
     _fields = ()
 
 
@@ -418,6 +455,7 @@ class EmptyStmt(Stmt):
 
 
 class ParamDecl(Node):
+    __slots__ = ("name", "ctype", "symbol")
     _fields = ()
 
     def __init__(self, name: str, ctype: CType,
@@ -429,6 +467,7 @@ class ParamDecl(Node):
 
 
 class FunctionDecl(Node):
+    __slots__ = ("name", "return_type", "params", "body")
     _fields = ("params", "body")
 
     def __init__(self, name: str, return_type: CType,
@@ -442,6 +481,7 @@ class FunctionDecl(Node):
 
 
 class StructDef(Node):
+    __slots__ = ("struct_type",)
     _fields = ()
 
     def __init__(self, struct_type, loc: SourceLocation = UNKNOWN_LOCATION) -> None:
@@ -452,6 +492,7 @@ class StructDef(Node):
 class TranslationUnit(Node):
     """A whole program: struct definitions, globals and functions in order."""
 
+    __slots__ = ("decls",)
     _fields = ("decls",)
 
     def __init__(self, decls: Sequence[Node],

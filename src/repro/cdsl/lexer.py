@@ -1,14 +1,23 @@
-"""A hand-written lexer for the C subset.
+"""A regular-expression lexer for the C subset.
 
-The lexer tracks 1-based line and column numbers for every token; those
-positions become the ``(line, offset)`` sites that debug information and the
-crash-site mapping oracle work with.
+One master pattern is matched at the current position.  It skips trivia
+(whitespace, ``//`` and ``/* */`` comments, ``#`` lines) and then matches
+exactly one token alternative: an identifier, a number, a string or
+character literal, an operator (longest first, so maximal munch holds),
+the end of input, or one of the error alternatives that name what went
+wrong.  The token language is ASCII: outside string and character literals
+and comments, any other character is an unexpected character.
+
+The lexer tracks 1-based line and column numbers for every token, computed
+from the newline offsets it passes; those positions become the ``(line,
+offset)`` sites that debug information and the crash-site mapping oracle
+work with.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import List
+import re
+from typing import List, NamedTuple
 
 from repro.utils.errors import LexError
 
@@ -27,10 +36,40 @@ _OPERATORS = [
     "?", ":", ";", ",", ".", "(", ")", "[", "]", "{", "}",
 ]
 
+# Trivia is possessive: the token alternatives after it always match (the
+# last one takes any character), so nothing ever backtracks into it.  An
+# unclosed "/*" fails the comment alternative and is caught by
+# ``open_comment`` before it can lex as the "/" operator.
+_TOKEN_RE = re.compile(r"""
+    (?: [ \t\r\n]+ | //[^\n]* | /\*[\s\S]*?\*/ | \#[^\n]* )*+
+    (?:
+        (?P<ident> [A-Za-z_][A-Za-z0-9_]* )
+      | (?P<number> 0[xX][0-9a-fA-F]*[uUlL]* | [0-9]+[uUlL]* )
+      | (?P<string> "(?:[^"\\]|\\[\s\S])*" )
+      | (?P<char> '(?:[^'\\]|\\[\s\S])*' )
+      | (?P<open_comment> /\* )
+      | (?P<op> """ + "|".join(map(re.escape, _OPERATORS)) + r""" )
+      | (?P<eof> \Z )
+      | (?P<open_string> " )
+      | (?P<open_char> ' )
+      | (?P<unexpected> [\s\S] )
+    )
+""", re.VERBOSE)
 
-@dataclass(frozen=True)
-class Token:
-    kind: str        # "ident", "keyword", "number", "string", "char", "op", "eof"
+_UNTERMINATED = {"open_string": "unterminated string literal",
+                 "open_char": "unterminated character literal"}
+
+
+class Token(NamedTuple):
+    """One lexeme with the 1-based line and column where it starts.
+
+    ``kind`` is one of ``"ident"``, ``"keyword"``, ``"number"``,
+    ``"string"``, ``"char"``, ``"op"`` and ``"eof"``; ``text`` is the
+    lexeme as written (string and character literals keep their quotes).
+    An immutable named tuple, because the lexer builds one per lexeme.
+    """
+
+    kind: str
     text: str
     line: int
     col: int
@@ -48,126 +87,62 @@ class Lexer:
 
     def __init__(self, source: str) -> None:
         self.source = source
-        self.pos = 0
-        self.line = 1
-        self.col = 1
 
     def tokenize(self) -> List[Token]:
+        """Return every token of the source, ending with one ``eof`` token.
+
+        Raises :class:`~repro.utils.errors.LexError` at an unexpected
+        character, at the opening quote of an unterminated string or
+        character literal, and at the end of input for an unterminated
+        block comment.
+        """
+        source = self.source
+        match = _TOKEN_RE.match
+        count = source.count
         tokens: List[Token] = []
+        append = tokens.append
+        # ``tuple.__new__`` skips the Python-level ``__new__`` that
+        # NamedTuple generates; the lexer builds one token per lexeme.
+        make = tuple.__new__
+        pos = 0
+        line = 1
+        line_start = 0
+        # Newlines before ``scanned`` are counted in ``line``; ``scanned``
+        # is the start of the last token, so newlines inside string and
+        # character literals are counted when the next token is found.
+        scanned = 0
         while True:
-            tok = self._next_token()
-            tokens.append(tok)
-            if tok.is_eof:
+            m = match(source, pos)
+            kind = m.lastgroup
+            start = m.start(kind)
+            newlines = count("\n", scanned, start)
+            if newlines:
+                line += newlines
+                line_start = source.rindex("\n", scanned, start) + 1
+            scanned = start
+            pos = m.end()
+            text = m.group(kind)
+            if kind == "ident":
+                if text in KEYWORDS:
+                    kind = "keyword"
+            elif kind == "eof":
+                append(Token("eof", "", line, start - line_start + 1))
                 return tokens
-
-    # -- internals ---------------------------------------------------------
-
-    def _peek(self, offset: int = 0) -> str:
-        idx = self.pos + offset
-        return self.source[idx] if idx < len(self.source) else ""
-
-    def _advance(self, count: int = 1) -> str:
-        text = self.source[self.pos:self.pos + count]
-        for ch in text:
-            if ch == "\n":
-                self.line += 1
-                self.col = 1
-            else:
-                self.col += 1
-        self.pos += count
-        return text
-
-    def _skip_trivia(self) -> None:
-        while self.pos < len(self.source):
-            ch = self._peek()
-            if ch in " \t\r\n":
-                self._advance()
-            elif ch == "/" and self._peek(1) == "/":
-                while self.pos < len(self.source) and self._peek() != "\n":
-                    self._advance()
-            elif ch == "/" and self._peek(1) == "*":
-                self._advance(2)
-                while self.pos < len(self.source):
-                    if self._peek() == "*" and self._peek(1) == "/":
-                        self._advance(2)
-                        break
-                    self._advance()
-                else:
-                    raise LexError("unterminated block comment", self.line, self.col)
-            elif ch == "#":
-                # Preprocessor-style lines (e.g. "#include") are skipped whole;
-                # generated programs do not rely on the preprocessor.
-                while self.pos < len(self.source) and self._peek() != "\n":
-                    self._advance()
-            else:
-                return
-
-    def _next_token(self) -> Token:
-        self._skip_trivia()
-        if self.pos >= len(self.source):
-            return Token("eof", "", self.line, self.col)
-        line, col = self.line, self.col
-        ch = self._peek()
-        if ch.isalpha() or ch == "_":
-            return self._lex_ident(line, col)
-        if ch.isdigit():
-            return self._lex_number(line, col)
-        if ch == '"':
-            return self._lex_string(line, col)
-        if ch == "'":
-            return self._lex_char(line, col)
-        for op in _OPERATORS:
-            if self.source.startswith(op, self.pos):
-                self._advance(len(op))
-                return Token("op", op, line, col)
-        raise LexError(f"unexpected character {ch!r}", line, col)
-
-    def _lex_ident(self, line: int, col: int) -> Token:
-        start = self.pos
-        while self.pos < len(self.source) and (self._peek().isalnum() or self._peek() == "_"):
-            self._advance()
-        text = self.source[start:self.pos]
-        kind = "keyword" if text in KEYWORDS else "ident"
-        return Token(kind, text, line, col)
-
-    def _lex_number(self, line: int, col: int) -> Token:
-        start = self.pos
-        if self._peek() == "0" and self._peek(1) in ("x", "X"):
-            self._advance(2)
-            while self.pos < len(self.source) and self._peek() in "0123456789abcdefABCDEF":
-                self._advance()
-        else:
-            while self.pos < len(self.source) and self._peek().isdigit():
-                self._advance()
-        # Integer suffixes (u, l, ul, ull, ...)
-        while self.pos < len(self.source) and self._peek() in "uUlL":
-            self._advance()
-        text = self.source[start:self.pos]
-        return Token("number", text, line, col)
-
-    def _lex_string(self, line: int, col: int) -> Token:
-        start = self.pos
-        self._advance()  # opening quote
-        while self.pos < len(self.source) and self._peek() != '"':
-            if self._peek() == "\\":
-                self._advance()
-            self._advance()
-        if self.pos >= len(self.source):
-            raise LexError("unterminated string literal", line, col)
-        self._advance()  # closing quote
-        return Token("string", self.source[start:self.pos], line, col)
-
-    def _lex_char(self, line: int, col: int) -> Token:
-        start = self.pos
-        self._advance()  # opening quote
-        while self.pos < len(self.source) and self._peek() != "'":
-            if self._peek() == "\\":
-                self._advance()
-            self._advance()
-        if self.pos >= len(self.source):
-            raise LexError("unterminated character literal", line, col)
-        self._advance()
-        return Token("char", self.source[start:self.pos], line, col)
+            elif kind in _UNTERMINATED:
+                raise LexError(_UNTERMINATED[kind], line,
+                               start - line_start + 1)
+            elif kind == "unexpected":
+                raise LexError(f"unexpected character {text!r}", line,
+                               start - line_start + 1)
+            elif kind == "open_comment":
+                end = len(source)
+                newlines = count("\n", start, end)
+                if newlines:
+                    line += newlines
+                    line_start = source.rindex("\n", start, end) + 1
+                raise LexError("unterminated block comment", line,
+                               end - line_start + 1)
+            append(make(Token, (kind, text, line, start - line_start + 1)))
 
 
 def tokenize(source: str) -> List[Token]:

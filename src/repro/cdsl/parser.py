@@ -1,5 +1,9 @@
 """Recursive-descent parser for the C subset.
 
+Binary expressions are parsed by precedence climbing: one loop iteration
+per operator over an operator-to-level table, rather than one recursive
+call per precedence level per operand.
+
 The grammar covers the language produced by the seed generator and used by
 the paper's example programs: global and local variable declarations (with
 initializer lists), struct definitions, functions, the usual statements, and
@@ -12,6 +16,7 @@ afterwards.
 
 from __future__ import annotations
 
+import re
 from typing import List, Optional
 
 from repro.cdsl import ast_nodes as ast
@@ -25,6 +30,29 @@ _QUALIFIER_KEYWORDS = {"const", "volatile", "static", "extern"}
 
 _ASSIGN_OPS = {"=", "+=", "-=", "*=", "/=", "%=", "&=", "|=", "^=", "<<=", ">>="}
 
+# Binary operator -> precedence level, lowest first.  Every binary operator
+# of the subset is left-associative.
+_BINARY_LEVELS = {op: level for level, ops in enumerate((
+    ("||",),
+    ("&&",),
+    ("|",),
+    ("^",),
+    ("&",),
+    ("==", "!="),
+    ("<", ">", "<=", ">="),
+    ("<<", ">>"),
+    ("+", "-"),
+    ("*", "/", "%"),
+)) for op in ops}
+
+# A character literal holds one character or one escape sequence: up to
+# three octal digits, "x" and hex digits, or one escaped character, which
+# is a simple escape (``_SIMPLE_ESCAPES``) or else stands for itself.
+_CHAR_LITERAL = re.compile(
+    r"'(?:([^\\])|\\([0-7]{1,3})|\\x([0-9a-fA-F]+)|\\([^x]))'")
+_SIMPLE_ESCAPES = {"a": 7, "b": 8, "f": 12, "n": 10, "r": 13, "t": 9,
+                   "v": 11}
+
 
 class Parser:
     def __init__(self, source: str) -> None:
@@ -34,9 +62,12 @@ class Parser:
 
     # -- token helpers -------------------------------------------------------
 
+    # The token list ends in "eof", which ``_advance`` never passes, and
+    # lookahead (``offset=1``) happens only at a non-eof token, so the
+    # helpers index the list directly.
+
     def _peek(self, offset: int = 0) -> Token:
-        idx = min(self.index + offset, len(self.tokens) - 1)
-        return self.tokens[idx]
+        return self.tokens[self.index + offset]
 
     def _advance(self) -> Token:
         tok = self.tokens[self.index]
@@ -45,10 +76,8 @@ class Parser:
         return tok
 
     def _check(self, kind: str, text: Optional[str] = None, offset: int = 0) -> bool:
-        tok = self._peek(offset)
-        if tok.kind != kind:
-            return False
-        return text is None or tok.text == text
+        tok = self.tokens[self.index + offset]
+        return tok.kind == kind and (text is None or tok.text == text)
 
     def _match(self, kind: str, text: Optional[str] = None) -> Optional[Token]:
         if self._check(kind, text):
@@ -197,7 +226,7 @@ class Parser:
         dims: List[int] = []
         while self._match("op", "["):
             size_tok = self._expect("number")
-            dims.append(_parse_int_text(size_tok.text)[0])
+            dims.append(_int_literal(size_tok)[0])
             self._expect("op", "]")
         for dim in reversed(dims):
             ctype = ct.ArrayType(ctype, dim)
@@ -382,33 +411,29 @@ class Parser:
             return ast.Conditional(cond, then, otherwise, loc=self._loc(q))
         return cond
 
-    # Binary operator precedence, lowest first.
-    _PRECEDENCE: List[List[str]] = [
-        ["||"],
-        ["&&"],
-        ["|"],
-        ["^"],
-        ["&"],
-        ["==", "!="],
-        ["<", ">", "<=", ">="],
-        ["<<", ">>"],
-        ["+", "-"],
-        ["*", "/", "%"],
-    ]
+    def _parse_binary(self, min_level: int) -> ast.Expr:
+        """Precedence climbing: parse an operand followed by any binary
+        operators of level *min_level* or higher (see ``_BINARY_LEVELS``).
 
-    def _parse_binary(self, level: int) -> ast.Expr:
-        if level >= len(self._PRECEDENCE):
-            return self._parse_unary()
-        ops = self._PRECEDENCE[level]
-        lhs = self._parse_binary(level + 1)
-        while self._peek().kind == "op" and self._peek().text in ops:
-            tok = self._advance()
+        One loop iteration per operator; its right operand binds only
+        operators of a higher level, which makes every level
+        left-associative.
+        """
+        lhs = self._parse_unary()
+        tokens = self.tokens
+        while True:
+            tok = tokens[self.index]
+            if tok.kind != "op":
+                return lhs
+            level = _BINARY_LEVELS.get(tok.text, -1)
+            if level < min_level:
+                return lhs
+            self.index += 1
             rhs = self._parse_binary(level + 1)
             lhs = ast.BinaryOp(tok.text, lhs, rhs, loc=self._loc(tok))
-        return lhs
 
     def _parse_unary(self) -> ast.Expr:
-        tok = self._peek()
+        tok = self.tokens[self.index]
         if tok.kind == "op" and tok.text in ("++", "--"):
             self._advance()
             operand = self._parse_unary()
@@ -458,14 +483,16 @@ class Parser:
     def _parse_postfix(self) -> ast.Expr:
         expr = self._parse_primary()
         while True:
-            tok = self._peek()
-            if self._check("op", "["):
+            tok = self.tokens[self.index]
+            if tok.kind != "op":
+                return expr
+            text = tok.text
+            if text == "[":
                 self._advance()
                 index = self._parse_expr()
-                close = self._expect("op", "]")
-                expr = ast.ArraySubscript(expr, index, loc=expr.loc or self._loc(tok))
-                expr.loc = self._loc(tok)
-            elif self._check("op", "("):
+                self._expect("op", "]")
+                expr = ast.ArraySubscript(expr, index, loc=self._loc(tok))
+            elif text == "(":
                 if not isinstance(expr, ast.Identifier):
                     raise ParseError("only direct calls are supported", tok.line, tok.col)
                 self._advance()
@@ -476,32 +503,32 @@ class Parser:
                         args.append(self._parse_assignment())
                 self._expect("op", ")")
                 expr = ast.Call(expr.name, args, loc=expr.loc)
-            elif self._check("op", "."):
+            elif text == ".":
                 self._advance()
                 field = self._expect("ident")
                 expr = ast.MemberAccess(expr, field.text, arrow=False, loc=self._loc(field))
-            elif self._check("op", "->"):
+            elif text == "->":
                 self._advance()
                 field = self._expect("ident")
                 expr = ast.MemberAccess(expr, field.text, arrow=True, loc=self._loc(field))
-            elif tok.kind == "op" and tok.text in ("++", "--"):
+            elif text in ("++", "--"):
                 self._advance()
                 expr = ast.IncDec(tok.text, expr, is_prefix=False, loc=self._loc(tok))
             else:
                 return expr
 
     def _parse_primary(self) -> ast.Expr:
-        tok = self._peek()
+        tok = self.tokens[self.index]
         if tok.kind == "number":
             self._advance()
-            value, suffix = _parse_int_text(tok.text)
+            value, suffix = _int_literal(tok)
             return ast.IntLiteral(value, suffix, loc=self._loc(tok))
         if tok.kind == "string":
             self._advance()
             return ast.StringLiteral(tok.text[1:-1], loc=self._loc(tok))
         if tok.kind == "char":
             self._advance()
-            return ast.IntLiteral(_char_value(tok.text), loc=self._loc(tok))
+            return ast.IntLiteral(_char_value(tok), loc=self._loc(tok))
         if tok.kind == "ident":
             self._advance()
             return ast.Identifier(tok.text, loc=self._loc(tok))
@@ -513,23 +540,43 @@ class Parser:
         raise ParseError(f"unexpected token {tok.text!r}", tok.line, tok.col)
 
 
-def _parse_int_text(text: str) -> tuple[int, str]:
-    """Split an integer literal into (value, suffix)."""
-    body = text
-    suffix = ""
-    while body and body[-1] in "uUlL":
-        suffix = body[-1] + suffix
-        body = body[:-1]
-    value = int(body, 0)
-    return value, suffix
+def _int_literal(tok: Token) -> tuple[int, str]:
+    """Split an integer literal into (value, suffix), reading it as C does:
+    ``0x``/``0X`` starts a hexadecimal literal, any other leading ``0`` an
+    octal one.  A malformed literal raises ``ParseError`` at its token."""
+    body = tok.text.rstrip("uUlL")
+    suffix = tok.text[len(body):]
+    try:
+        if body[:2] in ("0x", "0X"):
+            return int(body[2:], 16), suffix
+        if body.startswith("0"):
+            return int(body, 8), suffix
+        return int(body, 10), suffix
+    except ValueError:
+        raise ParseError(f"malformed integer literal {tok.text!r}",
+                         tok.line, tok.col) from None
 
 
-def _char_value(text: str) -> int:
-    inner = text[1:-1]
-    if inner.startswith("\\"):
-        escapes = {"n": 10, "t": 9, "0": 0, "r": 13, "\\": 92, "'": 39}
-        return escapes.get(inner[1], ord(inner[1]))
-    return ord(inner) if inner else 0
+def _char_value(tok: Token) -> int:
+    """The C value of a character literal: its one character or escape
+    sequence, which must fit an ``unsigned char``, converted to ``char``
+    and then to ``int``.  Anything else raises ``ParseError`` at the
+    token."""
+    m = _CHAR_LITERAL.fullmatch(tok.text)
+    if m is not None:
+        plain, octal, hexadecimal, escaped = m.groups()
+        if plain is not None:
+            code = ord(plain)
+        elif octal is not None:
+            code = int(octal, 8)
+        elif hexadecimal is not None:
+            code = int(hexadecimal, 16)
+        else:
+            code = _SIMPLE_ESCAPES.get(escaped, ord(escaped))
+        if ct.UCHAR.contains(code):
+            return ct.CHAR.wrap(code)
+    raise ParseError(f"malformed character literal {tok.text!r}",
+                     tok.line, tok.col)
 
 
 def parse_program(source: str) -> ast.TranslationUnit:
@@ -538,16 +585,31 @@ def parse_program(source: str) -> ast.TranslationUnit:
     Only syntax is checked; run :func:`~repro.cdsl.sema.analyze` on the
     result to resolve names and types.  Raises
     :class:`~repro.utils.errors.ParseError` (or ``LexError``) on malformed
-    input.
+    input, including expressions nested deeper than the interpreter's
+    recursion limit allows: C11 requires 63 levels of parenthesized
+    expressions, and about 140 parse at the default limit.
 
     Example::
 
         unit = parse_program("int main() { return 0; }")
         unit.function_named("main")  # -> FunctionDecl
     """
-    return Parser(source).parse_translation_unit()
+    parser = Parser(source)
+    try:
+        return parser.parse_translation_unit()
+    except RecursionError:
+        raise _too_deep(parser) from None
 
 
 def parse_expression(source: str) -> ast.Expr:
     """Parse a single expression, mainly for tests and synthesis helpers."""
-    return Parser(source).parse_expression()
+    parser = Parser(source)
+    try:
+        return parser.parse_expression()
+    except RecursionError:
+        raise _too_deep(parser) from None
+
+
+def _too_deep(parser: Parser) -> ParseError:
+    tok = parser._peek()
+    return ParseError("expression nested too deeply", tok.line, tok.col)

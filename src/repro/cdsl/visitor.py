@@ -24,10 +24,27 @@ N = TypeVar("N", bound=ast.Node)
 
 
 def walk(node: ast.Node) -> Iterator[ast.Node]:
-    """Yield *node* and all of its descendants in preorder."""
-    yield node
-    for child in node.children():
-        yield from walk(child)
+    """Yield *node* and all of its descendants in preorder.
+
+    The walk keeps an explicit stack instead of recursing.  A node's
+    children are read when the walk resumes after yielding that node, so a
+    caller may replace the node's child lists while the walk is at it (the
+    reducer's ``drop_nodes`` does) and the walk descends into the new ones.
+    """
+    stack = [node]
+    pop, push = stack.pop, stack.append
+    node_type = ast.Node
+    while stack:
+        node = pop()
+        yield node
+        for name in reversed(node._fields):
+            value = getattr(node, name, None)
+            if isinstance(value, node_type):
+                push(value)
+            elif isinstance(value, (list, tuple)):
+                for item in reversed(value):
+                    if isinstance(item, node_type):
+                        push(item)
 
 
 def find_nodes(root: ast.Node, node_type: Type[N],
@@ -52,10 +69,14 @@ def clone(node: N) -> N:
 def fast_clone(node: N) -> N:
     """Structurally copy a subtree without ``copy.deepcopy`` overhead.
 
-    Node objects and the lists holding them are copied (ids preserved,
-    aliasing respected via a memo); every other attribute value — source
-    locations, types, resolved symbols, detail dicts — is *shared* with the
-    original, except plain dicts which get a shallow copy.  Its users:
+    The copy follows the declared node layout: a slot named in a class's
+    ``_fields`` holds its children, and those nodes and the lists holding
+    them are copied (ids preserved, aliasing respected via a memo, so a
+    node referenced twice is copied once).  Every other slot value —
+    source locations, types, resolved symbols — is *shared* with the
+    original, except plain dicts such as ``SanitizerCheck.detail``, which
+    get a shallow copy.  Each node class gets one copier, generated from
+    its ``__slots__`` on first use.  Its users:
 
     * code that re-runs semantic analysis on the copy before anything
       consults symbols or types (the optimizer's working copy of a cached
@@ -73,28 +94,58 @@ def fast_clone(node: N) -> N:
     Prefer :func:`clone` when the copy's non-node attributes must be
     independent too.
     """
-    return _fast_clone(node, {})
+    return _CLONERS[node.__class__](node, {})
 
 
-def _fast_clone(node: ast.Node, memo: Dict[int, ast.Node]) -> ast.Node:
-    existing = memo.get(id(node))
-    if existing is not None:
-        return existing
-    new = object.__new__(type(node))
-    memo[id(node)] = new
-    target = new.__dict__
-    for key, value in node.__dict__.items():
-        if isinstance(value, ast.Node):
-            target[key] = _fast_clone(value, memo)
-        elif type(value) is list:
-            target[key] = [_fast_clone(item, memo)
-                           if isinstance(item, ast.Node) else item
-                           for item in value]
-        elif type(value) is dict:
-            target[key] = dict(value)
-        else:
-            target[key] = value
-    return new
+class _Cloners(dict):
+    """Node class -> its copier, generated on first lookup.  Any other
+    class maps to :func:`_share`, so copiers dispatch on every child value
+    without testing its type first.  Copiers call each other through this
+    table, never through :func:`fast_clone`, so that wrapping
+    ``fast_clone`` sees top-level copies only."""
+
+    def __missing__(self, cls: type):
+        cloner = _make_cloner(cls) if issubclass(cls, ast.Node) else _share
+        self[cls] = cloner
+        return cloner
+
+
+def _share(value, memo):
+    return value
+
+
+def _make_cloner(cls: type):
+    """Generate the copier of node class *cls* from its slots, the way
+    ``dataclasses`` generates ``__init__``."""
+    children = set(cls._fields)
+    name = f"clone_{cls.__name__}"
+    lines = [f"def {name}(node, memo):",
+             "    key = id(node)",
+             "    new = memo.get(key)",
+             "    if new is not None:",
+             "        return new",
+             "    new = new_node(cls)",
+             "    memo[key] = new"]
+    for klass in reversed(cls.__mro__):
+        for slot in vars(klass).get("__slots__", ()):
+            lines.append(f"    value = node.{slot}")
+            if slot in children:
+                lines += [
+                    "    if value.__class__ is list:",
+                    f"        new.{slot} = [cloners[item.__class__](item, memo)"
+                    " for item in value]",
+                    "    else:",
+                    f"        new.{slot} = cloners[value.__class__](value, memo)"]
+            else:
+                lines.append(f"    new.{slot} = dict(value)"
+                             " if value.__class__ is dict else value")
+    lines.append("    return new")
+    namespace = {"cls": cls, "cloners": _CLONERS, "new_node": object.__new__}
+    exec("\n".join(lines), namespace)
+    return namespace[name]
+
+
+_CLONERS = _Cloners()
 
 
 def clone_fresh(node: N) -> N:

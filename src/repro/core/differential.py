@@ -32,6 +32,9 @@ from repro.vm.errors import ExecutionResult
 class TestConfig:
     """One tested configuration: compiler name, sanitizer, opt level."""
 
+    # Not a test class, although pytest collects classes named Test*.
+    __test__ = False
+
     compiler: str
     sanitizer: str
     opt_level: str

@@ -76,8 +76,11 @@ def test_block_comment_is_skipped():
 
 
 def test_unterminated_block_comment_raises():
-    with pytest.raises(LexError):
-        tokenize("a /* never closed")
+    with pytest.raises(LexError) as excinfo:
+        tokenize("a /* never\nclosed")
+    # Reported at the end of input, not lexed as a "/" operator.
+    assert str(excinfo.value).endswith("unterminated block comment")
+    assert (excinfo.value.line, excinfo.value.col) == (2, 7)
 
 
 def test_preprocessor_lines_are_skipped():
@@ -91,11 +94,19 @@ def test_unexpected_character_raises_with_location():
 
 
 def test_unterminated_string_raises():
-    with pytest.raises(LexError):
-        tokenize('"never closed')
+    with pytest.raises(LexError) as excinfo:
+        tokenize('int a;\n  "never closed')
+    assert (excinfo.value.line, excinfo.value.col) == (2, 3)
 
 
 def test_lexer_is_reusable_per_instance():
     lexer = Lexer("a + b")
     tokens = lexer.tokenize()
     assert [t.text for t in tokens[:-1]] == ["a", "+", "b"]
+
+
+def test_tokens_are_immutable_tuples():
+    token = tokenize("x")[0]
+    assert token == ("ident", "x", 1, 1)
+    with pytest.raises(AttributeError):
+        token.text = "y"

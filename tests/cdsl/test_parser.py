@@ -5,7 +5,8 @@ import pytest
 from repro.cdsl import ast_nodes as ast
 from repro.cdsl import ctypes_ as ct
 from repro.cdsl.parser import parse_expression, parse_program
-from repro.utils.errors import ParseError
+from repro.cdsl.printer import print_expr
+from repro.utils.errors import LexError, ParseError, ReproError
 
 
 def test_parse_global_scalar_with_init():
@@ -218,3 +219,73 @@ def test_volatile_and_static_qualifiers_accepted():
     unit = parse_program("volatile int a[5];\nstatic int b = 2;")
     assert unit.globals[0].name == "a"
     assert "volatile" in unit.globals[0].qualifiers
+
+
+@pytest.mark.parametrize("literal, value", [
+    ("0", 0), ("00", 0), ("7", 7), ("010", 8), ("0777", 511), ("0x1F", 31),
+    ("0Xff", 255), ("010u", 8), ("0x10UL", 16), ("123l", 123),
+])
+def test_integer_literals_read_as_c_does(literal, value):
+    assert parse_program(f"int g = {literal};").globals[0].init.value == value
+    if value:
+        array = parse_program(f"int a[{literal}];").globals[0]
+        assert array.ctype.length == value
+
+
+@pytest.mark.parametrize("source, error, line, col", [
+    ("int main() {\n  return 08;\n}", ParseError, 2, 10),
+    ("int main() { return 0x; }", ParseError, 1, 21),
+    ("int a[09];", ParseError, 1, 7),
+    ("int g = 0xu;", ParseError, 1, 9),
+    ("int g = ²;", LexError, 1, 9),
+    ("int été = 1;", LexError, 1, 5),
+    ("int g = 1;\nint h = 2\u00a0;", LexError, 2, 10),
+    ("int main() { return '\\x'; }", ParseError, 1, 21),
+    ("int main() { return '\\400'; }", ParseError, 1, 21),
+    ("int main() { return 'ab'; }", ParseError, 1, 21),
+    ("int main() { return ''; }", ParseError, 1, 21),
+])
+def test_malformed_literals_raise_at_their_token(source, error, line, col):
+    with pytest.raises(ReproError) as excinfo:
+        parse_program(source)
+    assert type(excinfo.value) is error
+    assert (excinfo.value.line, excinfo.value.col) == (line, col)
+
+
+def test_non_ascii_is_allowed_in_strings_and_comments():
+    unit = parse_program('/* café */ int main() { printf("é\\n"); return 0; }'
+                         "  // ²\n")
+    assert unit.function_named("main") is not None
+
+
+@pytest.mark.parametrize("literal, value", [
+    ("'a'", 97), ("'\\n'", 10), ("'\\t'", 9), ("'\\0'", 0), ("'\\r'", 13),
+    ("'\\\\'", 92), ("'\\''", 39), ("'\\\"'", 34), ("'\\?'", 63),
+    ("'\\a'", 7), ("'\\b'", 8), ("'\\f'", 12), ("'\\v'", 11),
+    ("'\\x41'", 65), ("'\\101'", 65), ("'\\012'", 10), ("'\\7'", 7),
+    ("'\\x7f'", 127), ("'\\xff'", -1), ("'\\200'", -128),
+])
+def test_character_literals_have_their_c_values(literal, value):
+    expr = parse_expression(literal)
+    assert isinstance(expr, ast.IntLiteral) and expr.value == value
+
+
+def _nested(depth):
+    return "(" * depth + "1" + " + 1)" * depth
+
+
+def test_c11_nesting_depth_parses_and_prints_back():
+    expr = parse_expression(_nested(63))
+    printed = print_expr(expr)
+    assert printed.count("+") == 63
+    assert print_expr(parse_expression(printed)) == printed
+    unit = parse_program(f"int main() {{ return {_nested(63)}; }}")
+    assert unit.function_named("main") is not None
+
+
+def test_deeper_nesting_is_a_parse_error():
+    with pytest.raises(ParseError, match="nested too deeply"):
+        parse_expression(_nested(1000))
+    with pytest.raises(ParseError, match="nested too deeply") as excinfo:
+        parse_program(f"int main() {{\n  return {_nested(1000)};\n}}")
+    assert excinfo.value.line == 2
