@@ -16,7 +16,6 @@ The same machinery is available from the shell:
     python -m repro.orchestrator --seeds 5 --corpus a/ --db findings.sqlite
     python -m repro.orchestrator --seeds 8 --corpus b/ --db findings.sqlite
     python -m repro.orchestrator query --db findings.sqlite --compiler gcc
-    python -m repro.orchestrator migrate old-corpus/ --db findings.sqlite
 """
 
 import sys

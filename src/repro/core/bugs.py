@@ -49,7 +49,7 @@ class BugReport:
     ``unexplained-…`` placeholder); ``status`` is one of the ``STATUS_*``
     constants; ``affected_opt_levels`` / ``affected_versions`` reproduce
     Figures 10-11; ``metadata`` carries the detecting/missing configuration
-    labels and, when reduction ran, its quality stats.
+    labels and, on a report that absorbed duplicates, ``merged_duplicates``.
     """
 
     bug_id: str
@@ -79,18 +79,11 @@ class BugTriager:
         max_steps: VM step budget per probe execution.
         compilation_cache: optional shared
             :class:`~repro.compilers.cache.CompilationCache`.
-        reduce: reduce every FN candidate's program to a minimal reproducer
-            (via :func:`repro.reduction.reduce_fn_candidate`) before
-            bisection and deduplication — smaller programs make every
-            bisection probe cheaper and the filed report minimal.
-        reduce_jobs: worker processes for reduction candidate evaluation.
     """
 
     def __init__(self, registry: Optional[Sequence[Defect]] = None,
                  max_steps: int = 200_000,
-                 compilation_cache=None,
-                 reduce: bool = False,
-                 reduce_jobs: int = 1) -> None:
+                 compilation_cache=None) -> None:
         self.registry = list(registry) if registry is not None else default_defects()
         self.max_steps = max_steps
         # Sharing the campaign's CompilationCache pays off heavily here:
@@ -99,16 +92,10 @@ class BugTriager:
         # compiler, opt level, pass list), which every flat release shares
         # — defect registries only affect the uncached sanitizer overlay.
         self.compilation_cache = compilation_cache
-        self.reduce = reduce
-        self.reduce_jobs = reduce_jobs
-        self._reduction_tester = None
 
     # -- public ------------------------------------------------------------------
 
     def triage_fn_candidate(self, candidate: FNBugCandidate) -> BugReport:
-        reduction = None
-        if self.reduce:
-            candidate, reduction = self._reduce_candidate(candidate)
         config = candidate.missing.config
         defect = self._bisect_defect(candidate)
         status = STATUS_INVALID
@@ -126,13 +113,6 @@ class BugTriager:
             category=category, is_false_negative=True,
             metadata={"missing_config": config.label,
                       "detecting_config": candidate.detecting.config.label})
-        if reduction is not None:
-            report.metadata["reduction"] = {
-                "original_tokens": reduction.original_tokens,
-                "reduced_tokens": reduction.reduced_tokens,
-                "token_reduction": round(reduction.token_reduction, 4),
-                "predicate_evaluations": reduction.predicate_evaluations,
-                "duration_seconds": round(reduction.duration_seconds, 3)}
         report.affected_opt_levels = self._affected_opt_levels(report)
         report.affected_versions = self._affected_versions(report)
         return report
@@ -168,38 +148,11 @@ class BugTriager:
                 key=ALL_OPT_LEVELS.index)
             existing.affected_versions = sorted(
                 set(existing.affected_versions) | set(report.affected_versions))
-            self._merge_metadata(existing, report)
+            existing.metadata["merged_duplicates"] = (
+                existing.metadata.get("merged_duplicates", 0) + 1)
         return list(unique.values())
 
-    @staticmethod
-    def _merge_metadata(existing: BugReport, report: BugReport) -> None:
-        """Fold a duplicate's metadata into the kept report: count the
-        merge and keep the best (smallest) reduced reproducer, so reduction
-        work done on any duplicate survives deduplication."""
-        existing.metadata["merged_duplicates"] = (
-            existing.metadata.get("merged_duplicates", 0) + 1)
-        theirs = report.metadata.get("reduction")
-        if theirs is not None:
-            ours = existing.metadata.get("reduction")
-            if ours is None or (theirs.get("reduced_tokens", float("inf"))
-                                < ours.get("reduced_tokens", float("inf"))):
-                existing.metadata["reduction"] = dict(theirs)
-
     # -- internals ---------------------------------------------------------------
-
-    def _reduce_candidate(self, candidate: FNBugCandidate):
-        """Shrink the candidate's program before bisection (lazy import:
-        :mod:`repro.reduction` sits above :mod:`repro.core`)."""
-        from repro.core.differential import DifferentialTester
-        from repro.reduction import reduce_fn_candidate
-
-        if self._reduction_tester is None:
-            cache = (self.compilation_cache
-                     if self.compilation_cache is not None else True)
-            self._reduction_tester = DifferentialTester(max_steps=self.max_steps,
-                                                        cache=cache)
-        return reduce_fn_candidate(candidate, tester=self._reduction_tester,
-                                   jobs=self.reduce_jobs)
 
     def _run(self, program: UBProgram, compiler_name: str, version: int,
              sanitizer: str, opt_level: str, registry: Sequence[Defect]):

@@ -54,8 +54,10 @@ class CampaignConfig:
     derived from ``rng_seed``, mutated into at most
     ``max_programs_per_type`` UB programs per type, differentially tested
     over ``compilers`` × ``opt_levels``, and (with ``triage=True``) the
-    resulting candidates are triaged and deduplicated into bug reports —
-    after reduction to minimal reproducers when ``reduce=True``.
+    resulting candidates are triaged and deduplicated into bug reports.
+    Reduction to minimal reproducers is the orchestrator's job
+    (``OrchestratedCampaign(reduce=True)``), one representative per crash
+    bucket.
     """
 
     num_seeds: int = 10
@@ -66,14 +68,6 @@ class CampaignConfig:
     max_programs_per_type: Optional[int] = 2
     max_programs_total: Optional[int] = None
     triage: bool = True
-    #: Reduce each triaged FN candidate to a minimal reproducer before
-    #: bisection/dedup (see :mod:`repro.reduction`); ``reduce_jobs`` fans
-    #: candidate evaluation out over worker processes.  This triage-time
-    #: knob is independent of ``OrchestratedCampaign(reduce=True)``, which
-    #: instead reduces one representative per corpus crash bucket after the
-    #: merge; enabling both reduces bucket representatives twice.
-    reduce: bool = False
-    reduce_jobs: int = 1
     defect_registry: Optional[Sequence[Defect]] = None
     max_steps: int = 150_000
 
@@ -192,9 +186,7 @@ class FuzzingCampaign:
                                          cache=self.compilation_cache)
         self.triager = BugTriager(registry=registry,
                                   max_steps=self.config.max_steps,
-                                  compilation_cache=self.compilation_cache,
-                                  reduce=self.config.reduce,
-                                  reduce_jobs=self.config.reduce_jobs)
+                                  compilation_cache=self.compilation_cache)
         #: Incremental re-runs: already-surveyed ``(program digest,
         #: compiler, version, pipeline, sanitizer)`` cells to skip.  Set by
         #: the orchestrator (``--resurvey``), never part of the config — the

@@ -6,18 +6,17 @@ buckets (crash and marker kinds under their canonical signatures, with
 first-/last-seen recurrence tracking), surveyed outcome cells (what
 ``--resurvey`` skips) and reduced reproducers.  The orchestrator's
 :class:`~repro.orchestrator.corpus.CorpusStore` is a façade over
-:class:`FindingsDB`; the ``query`` and ``migrate`` CLI subcommands read
-and populate it directly.  Connection plumbing (WAL, busy timeouts,
-``BEGIN IMMEDIATE`` retry transactions) lives in
-:mod:`repro.corpusdb.connection` and is shared with the telemetry store,
-so one ``--db`` file can hold both schemas.
+:class:`FindingsDB`, which holds the only persisted copy of a fuzz
+campaign's corpus; the ``query`` CLI subcommand reads it directly.
+Connection plumbing (WAL, busy timeouts, ``BEGIN IMMEDIATE`` retry
+transactions) lives in :mod:`repro.corpusdb.connection` and is shared with
+the telemetry store, so one ``--db`` file can hold both schemas.
 """
 
 from repro.corpusdb.connection import connect, immediate
 from repro.corpusdb.db import (CRASH_KIND, FindingsDB, crash_signature,
                                decompress_source, marker_signature,
                                outcome_cell, program_digest, signature_json)
-from repro.corpusdb.migrate import migrate_campaign_dir
 
 __all__ = [
     "CRASH_KIND",
@@ -27,7 +26,6 @@ __all__ = [
     "decompress_source",
     "immediate",
     "marker_signature",
-    "migrate_campaign_dir",
     "outcome_cell",
     "program_digest",
     "signature_json",

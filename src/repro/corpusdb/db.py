@@ -19,7 +19,8 @@ telemetry store) accumulates what every campaign ever found:
 * ``corpus_outcomes``  — one row per surveyed ``(program, compiler,
   version, pipeline, sanitizer)`` cell, the unit ``--resurvey`` skips;
 * ``corpus_reductions``/``corpus_seeds`` — reduced reproducers per bucket
-  and per-campaign ingested-seed bookkeeping for checkpoint/resume;
+  and the seeds each campaign committed, which a resumed campaign replays
+  without writing them again;
 * ``corpus_known_bugs`` / ``corpus_attributions`` — the known-bug patch
   database (schema v2): one row per attributed finding, keyed by the
   canonical bucket signature plus the responsible release-timeline event
@@ -330,11 +331,11 @@ class FindingsDB:
                      now: Optional[float] = None) -> int:
         """Apply one flush delta in a single ``BEGIN IMMEDIATE`` transaction.
 
-        Everything is idempotent (``INSERT OR IGNORE`` keyed rows), so a
-        crash between the corpus flush and the checkpoint flush merely
-        re-applies the delta on resume.  Returns the number of rows
-        touched — the figure the flush-cost benchmark gates on, which must
-        scale with the *delta*, never the corpus.
+        Everything is idempotent (``INSERT OR IGNORE`` keyed rows, an
+        explicit hit-dedup guard), so re-applying a delta never
+        double-counts.  Returns the number of rows touched — the figure
+        the flush-cost benchmark gates on, which must scale with the
+        *delta*, never the corpus.
         """
         stamp = time.time() if now is None else now
         ops = 0
@@ -496,31 +497,6 @@ class FindingsDB:
             (digest,)).fetchone()
         return decompress_source(row["source"]) if row is not None else None
 
-    def campaign_programs(self, campaign_id: int) -> List[dict]:
-        """One row per program a campaign recorded, in campaign order."""
-        rows = self._conn.execute(
-            "SELECT cp.program_id, cp.seed_index, cp.position, cp.digest, "
-            "cp.fn_candidates, cp.wrong_reports, p.ub_type, p.generator, "
-            "p.size FROM corpus_campaign_programs cp "
-            "JOIN corpus_programs p ON p.digest = cp.digest "
-            "WHERE cp.campaign_id = ? ORDER BY cp.seed_index, cp.position",
-            (campaign_id,))
-        return [dict(row) for row in rows]
-
-    def campaign_hits(self, campaign_id: int) -> List[dict]:
-        """One campaign's bucket hits joined with their bucket columns, in
-        ingestion order — what the corpus façade rebuilds its in-memory
-        bucket mirrors from on resume."""
-        rows = self._conn.execute(
-            "SELECT h.rowid AS seq, h.program_id, h.program_digest, "
-            "h.config, b.id AS bucket_id, b.kind, b.signature, b.subject, "
-            "b.crash_site, b.sanitizer, b.responsible_pass, b.compiler, "
-            "b.slug, b.first_campaign, b.first_seen_at "
-            "FROM corpus_bucket_hits h "
-            "JOIN corpus_buckets b ON b.id = h.bucket_id "
-            "WHERE h.campaign_id = ? ORDER BY h.rowid", (campaign_id,))
-        return [dict(row) for row in rows]
-
     def bucket_digests(self, bucket_id: int) -> List[str]:
         """Distinct program digests hitting one bucket, first-hit order —
         the query CLI's ``--programs`` listing."""
@@ -531,16 +507,18 @@ class FindingsDB:
         return [row["program_digest"] for row in rows]
 
     def reduction_for(self, kind: str, signature: str) -> Optional[dict]:
-        """The stored reduction of one bucket: ``{"source", "stats"}``."""
+        """The stored reduction of one bucket: ``{"source", "stats",
+        "campaign_id"}``, the last naming the campaign that recorded it."""
         row = self._conn.execute(
-            "SELECT r.source, r.stats FROM corpus_reductions r "
+            "SELECT r.source, r.stats, r.campaign_id FROM corpus_reductions r "
             "JOIN corpus_buckets b ON b.id = r.bucket_id "
             "WHERE b.kind = ? AND b.signature = ?",
             (kind, signature)).fetchone()
         if row is None:
             return None
         return {"source": decompress_source(row["source"]),
-                "stats": json.loads(row["stats"])}
+                "stats": json.loads(row["stats"]),
+                "campaign_id": row["campaign_id"]}
 
     def query_buckets(self, kind: Optional[str] = None,
                       compiler: Optional[str] = None,

@@ -10,14 +10,16 @@ with the production machinery the serial loop lacks:
   batch, so a killed campaign resumes from where it stopped and finishes with
   the same deduplicated bug reports as an uninterrupted one;
 * **corpus store + crash dedup** — every tested program and every FN-bug
-  candidate is recorded, bucketed by (UB type, crash site, sanitizer);
+  candidate is recorded, bucketed by (UB type, crash site, sanitizer).  A
+  fresh seed is committed to the findings database *before* the checkpoint
+  records it, and a resumed campaign rebuilds the corpus view by replaying
+  its restored seeds, so killed-and-resumed equals uninterrupted;
 * **crash reduction** — with ``reduce=True`` each dedup bucket's
   representative program is shrunk to a minimal reproducer after the merge
-  (``reduce_jobs`` fans candidate evaluation out over processes) and the
-  result is persisted as ``reduced/<bucket>.c`` in the corpus; resumed
-  campaigns restore already-reduced buckets instead of re-reducing them.
-  (The separate triage-time knob ``CampaignConfig.reduce`` shrinks every
-  candidate before defect bisection — see its docstring.);
+  (``reduce_jobs`` fans candidate evaluation out over processes), stored in
+  the findings database and exported as ``reduced/<bucket>.c``; resumed
+  campaigns restore the reductions they already recorded instead of
+  re-reducing them;
 * **live stats** — throughput and ETA stream through a
   :class:`~repro.orchestrator.stats.ThroughputMonitor`.
 """
@@ -25,7 +27,6 @@ with the production machinery the serial loop lacks:
 from __future__ import annotations
 
 import logging
-import os
 import time
 from typing import Callable, Dict, Iterator, List, Optional, Union
 
@@ -35,12 +36,14 @@ from repro.core.fuzzer import (
     FuzzingCampaign,
     SeedBatch,
 )
+from repro.corpusdb import CRASH_KIND
 from repro.orchestrator.checkpoint import CampaignCheckpoint
 from repro.orchestrator.corpus import (
     BucketKey,
     CorpusStore,
     bucket_key_for,
     bucket_slug,
+    signature_for,
 )
 from repro.orchestrator.executor import Executor, make_executor
 from repro.orchestrator.records import config_fingerprint
@@ -135,7 +138,7 @@ class OrchestratedCampaign:
         #: Populated by run(); exposes live throughput/ETA while running.
         self.monitor: Optional[ThroughputMonitor] = None
         #: Stall/straggler detection over freshly executed batches; the
-        #: summary lands in checkpoint metadata and the corpus index.
+        #: summary lands in ``telemetry_summary`` and ``metrics.json``.
         self.health = (health_monitor if health_monitor is not None
                        else HealthMonitor())
         #: Run id assigned by the telemetry store when ``db_path`` is set.
@@ -204,8 +207,8 @@ class OrchestratedCampaign:
         result = campaign.collect(self._merged_batches(completed, pending))
         if self.reduce:
             self.reductions = self._reduce_buckets(campaign, result)
-            if self.corpus is not None:
-                self.corpus.flush()
+        if self.corpus is not None:
+            self.corpus.flush()
         logger.info("campaign finished: %d seeds, %d programs, %d reports "
                     "in %.1fs", result.stats.seeds_used,
                     result.stats.programs_tested, len(result.bug_reports),
@@ -242,7 +245,7 @@ class OrchestratedCampaign:
         return session, True
 
     def _finish_telemetry(self, session) -> None:
-        """Summarize merged metrics; persist them with the campaign state."""
+        """Summarize merged metrics; persist them next to the corpus."""
         if session is None:
             return
         registry = session.metrics
@@ -257,21 +260,14 @@ class OrchestratedCampaign:
             "health": self.health.summary(),
         }
         self.telemetry_summary = summary
-        if self.checkpoint is not None:
-            self.checkpoint.set_metadata({"telemetry": summary})
-            self.checkpoint.flush()
-        if isinstance(self.config, CampaignConfig) and self.corpus is not None:
-            self.corpus.telemetry = summary
-            if self.corpus.root is not None:
-                metrics_path = telemetry_paths(self.corpus.root)[1]
-                atomic_write_json(metrics_path, {
-                    "version": 1,
-                    "campaign": session.campaign,
-                    "metrics": registry.to_json(),
-                })
-            # End of run: commit the remaining delta and write the
-            # human-readable corpus.json summary next to the database.
-            self.corpus.finalize()
+        # Marker campaigns never have a corpus (rejected at construction).
+        if self.corpus is not None and self.corpus.root is not None:
+            atomic_write_json(telemetry_paths(self.corpus.root)[1], {
+                "version": 1,
+                "campaign": session.campaign,
+                "metrics": registry.to_json(),
+                "health": summary["health"],
+            })
 
     def _ingest_into_store(self) -> None:
         """Auto-ingest the finished campaign into the telemetry store.
@@ -354,8 +350,8 @@ class OrchestratedCampaign:
         reduced reproducer — is identical for serial and parallel runs.
         The campaign's own differential tester (and compilation cache)
         evaluates candidates when ``reduce_jobs == 1``; pool workers build
-        their own caches.  Buckets whose corpus record already carries a
-        reduction (a resumed or session-batched campaign) are restored, not
+        their own caches.  Buckets this campaign already reduced in an
+        earlier session are restored from the findings database, not
         re-reduced — reduction is the dominant per-bucket cost.
         """
         records: List[ReductionRecord] = []
@@ -385,32 +381,25 @@ class OrchestratedCampaign:
         return records
 
     def _restored_reduction(self, key: BucketKey) -> Optional[ReductionRecord]:
-        """Rebuild the record of an already-reduced bucket from the corpus."""
+        """Rebuild the record of a bucket this campaign already reduced.
+
+        A reduction another campaign recorded in a shared database is not
+        restored: this campaign reduces its own representative."""
         if self.corpus is None:
             return None
-        bucket = self.corpus.buckets.get(key)
-        if bucket is None or not bucket.reduction:
+        stored = self.corpus.db.reduction_for(CRASH_KIND, signature_for(key))
+        if stored is None or stored["campaign_id"] != self.corpus.campaign_id:
             return None
-        stats = bucket.reduction
-        source = stats.get("source")
-        if source is None and self.corpus.root is not None \
-                and stats.get("path"):
-            try:
-                with open(os.path.join(self.corpus.root, stats["path"]),
-                          encoding="utf-8") as handle:
-                    source = handle.read()
-            except OSError:
-                return None
+        stats = stored["stats"]
         try:
             return ReductionRecord(
-                label=stats.get("label", bucket.slug),
-                ub_type=bucket.ub_type, crash_site=bucket.crash_site,
-                sanitizer=bucket.sanitizer,
+                label=stats.get("label", bucket_slug(key)),
+                ub_type=key[0], crash_site=key[1], sanitizer=key[2],
                 original_tokens=stats["original_tokens"],
                 reduced_tokens=stats["reduced_tokens"],
                 predicate_evaluations=stats["predicate_evaluations"],
                 duration_seconds=stats["duration_seconds"],
-                reduced_source=source if source is not None else "")
+                reduced_source=stored["source"])
         except KeyError:
             return None
 
@@ -426,6 +415,10 @@ class OrchestratedCampaign:
                     # Restored work advances the campaign position but not
                     # the throughput/ETA figures — no work happened.
                     self.monitor.note_restored(batch)
+                    if self.corpus is not None:
+                        # Replay rebuilds the corpus view; a seed the
+                        # database already holds queues no rows.
+                        self.corpus.ingest(batch)
                 else:
                     try:
                         batch = next(fresh)
@@ -437,14 +430,17 @@ class OrchestratedCampaign:
                         raise RuntimeError(
                             f"executor yielded seed {batch.seed_index}, "
                             f"expected {index}")
+                    if self.corpus is not None:
+                        # Database before checkpoint: every seed the
+                        # checkpoint calls done is already committed.
+                        self.corpus.ingest(batch)
+                        self.corpus.flush()
                     if self.checkpoint is not None:
                         self.checkpoint.record(batch)
                     self.monitor.observe(batch)
                     self.health.observe(batch.duration_seconds)
                     self.surveyed_cells += batch.surveyed_cells
                     self.skipped_cells += batch.skipped_cells
-                if self.corpus is not None:
-                    self.corpus.ingest(batch)
                 yield batch
         finally:
             if hasattr(fresh, "close"):

@@ -16,7 +16,7 @@ from __future__ import annotations
 import json
 import logging
 import os
-from typing import Dict, Optional
+from typing import Dict
 
 logger = logging.getLogger(__name__)
 
@@ -54,10 +54,6 @@ class CampaignCheckpoint:
         self._records: Dict[int, dict] = {}
         self._loaded = False
         self._unflushed = 0
-        #: Free-form campaign metadata persisted alongside the seeds — the
-        #: orchestrator records the merged telemetry summary (cache
-        #: hit/miss/eviction counters) here at the end of each session.
-        self.metadata: Dict[str, object] = {}
 
     # -- reading ---------------------------------------------------------------
 
@@ -65,7 +61,9 @@ class CampaignCheckpoint:
         """Return the completed batches recorded on disk, keyed by seed index.
 
         Missing file → empty dict (a fresh campaign).  A snapshot written by
-        a different configuration raises :class:`CheckpointMismatch`.
+        a different configuration raises :class:`CheckpointMismatch`.  Keys
+        other than the version, fingerprint and seeds (such as the
+        ``metadata`` older snapshots carried) are ignored.
         """
         self._records = {}
         self._loaded = True
@@ -82,7 +80,6 @@ class CampaignCheckpoint:
                 f"{snapshot.get('fingerprint')!r}, not {self.fingerprint!r}")
         self._records = {int(key): value
                          for key, value in snapshot.get("seeds", {}).items()}
-        self.metadata = dict(snapshot.get("metadata", {}))
         logger.info("loaded checkpoint %s: %d completed seeds",
                     self.path, len(self._records))
         return {index: batch_from_record(record)
@@ -104,14 +101,6 @@ class CampaignCheckpoint:
         if self._unflushed >= self.flush_interval:
             self.flush()
 
-    def set_metadata(self, metadata: Dict[str, object]) -> None:
-        """Merge campaign metadata into the snapshot; flushed on next write.
-
-        Metadata never participates in the fingerprint check — it is
-        observability (telemetry summaries), not campaign state."""
-        self.metadata.update(metadata)
-        self._unflushed = max(self._unflushed, 1)
-
     def flush(self) -> None:
         """Write the snapshot now, if there is anything unflushed."""
         if self._unflushed == 0:
@@ -126,8 +115,6 @@ class CampaignCheckpoint:
             "seeds": {str(index): record
                       for index, record in sorted(self._records.items())},
         }
-        if self.metadata:
-            snapshot["metadata"] = self.metadata
         logger.debug("flushing checkpoint %s (%d seeds)", self.path,
                      len(self._records))
         atomic_write_json(self.path, snapshot)

@@ -239,23 +239,6 @@ def build_query_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def build_migrate_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="python -m repro.orchestrator migrate",
-        description="Import legacy flat campaign directories (corpus.json "
-                    "+ programs/ + reduced/) into a findings database; "
-                    "re-running is idempotent, and migrated buckets "
-                    "deduplicate against future campaigns.")
-    parser.add_argument("campaign_dirs", nargs="+", metavar="CAMPAIGN_DIR",
-                        help="legacy campaign corpus directories")
-    parser.add_argument("--db", required=True, metavar="PATH", dest="db_path",
-                        help="findings database to import into (created on "
-                             "first use)")
-    parser.add_argument("--json", action="store_true", dest="as_json",
-                        help="machine-readable output")
-    return parser
-
-
 def build_bisect_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="python -m repro.orchestrator bisect",
@@ -408,8 +391,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         return _db_main(argv[1:])
     if argv[:1] == ["query"]:
         return _query_main(argv[1:])
-    if argv[:1] == ["migrate"]:
-        return _migrate_main(argv[1:])
     if argv[:1] == ["bisect"]:
         return _bisect_main(argv[1:])
     if argv[:1] == ["known-bugs"]:
@@ -933,8 +914,7 @@ def _query_main(argv: List[str]) -> int:
     args = build_query_parser().parse_args(argv)
     if not os.path.exists(args.db_path):
         print(f"error: findings database {args.db_path!r} does not exist "
-              f"(run a campaign with --corpus, or import legacy dirs with "
-              f"'migrate')", file=sys.stderr)
+              f"(run a campaign with --corpus first)", file=sys.stderr)
         return 2
     try:
         since = _parse_since(args.since) if args.since is not None else None
@@ -1074,42 +1054,6 @@ def _known_bugs_main(argv: List[str]) -> int:
                   f"{(line['campaign_key'] or '?')[-40:]}")
     print(f"known bugs: {len(bugs)} attributed, "
           f"{counts['suppressions']} suppression ledger line(s) across "
-          f"{counts['campaigns']} campaigns")
-    return 0
-
-
-def _migrate_main(argv: List[str]) -> int:
-    """The ``migrate`` subcommand: import legacy flat campaign dirs."""
-    from repro.corpusdb import FindingsDB, migrate_campaign_dir
-    args = build_migrate_parser().parse_args(argv)
-    reports = []
-    with FindingsDB(args.db_path) as db:
-        for campaign_dir in args.campaign_dirs:
-            try:
-                report = migrate_campaign_dir(db, campaign_dir)
-            except FileNotFoundError as exc:
-                print(f"error: {exc}", file=sys.stderr)
-                return 2
-            except (json.JSONDecodeError, KeyError, TypeError,
-                    ValueError) as exc:
-                print(f"error: corpus index under {campaign_dir!r} is "
-                      f"unreadable ({exc})", file=sys.stderr)
-                return 2
-            reports.append(report)
-        counts = db.summary()
-    if args.as_json:
-        print(json.dumps({"migrated": reports, "summary": counts}, indent=2))
-        return 0
-    for report in reports:
-        missing = (f", {report['missing_sources']} missing source(s) skipped"
-                   if report.get("missing_sources") else "")
-        print(f"migrated {report['campaign_dir']} as campaign "
-              f"{report['campaign_key']}: {report['programs']} programs, "
-              f"{report['buckets']} buckets, "
-              f"{report['reductions']} reductions{missing}")
-    print(f"database: {counts['buckets']} buckets, {counts['hits']} hits, "
-          f"{counts['programs']} programs, {counts['outcomes']} outcomes, "
-          f"{counts['reductions']} reductions across "
           f"{counts['campaigns']} campaigns")
     return 0
 

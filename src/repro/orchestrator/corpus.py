@@ -7,17 +7,21 @@ signature the paper's authors used to avoid re-triaging duplicates: two
 candidates whose UB, mapped crash location and missing sanitizer all agree
 almost always share a root cause.
 
-Since the corpus-database refactor the store is a façade over
-:class:`repro.corpusdb.FindingsDB`: programs (zlib-compressed,
+The store is a façade over :class:`repro.corpusdb.FindingsDB`, the only
+persisted copy of a campaign's corpus: programs (zlib-compressed,
 content-addressed), buckets, surveyed outcome cells and reductions all
 land in SQLite (``<root>/corpus.sqlite`` by default, or a shared
-``db_path``), while the in-memory mirrors keep the original dict API that
-the campaign, reduction wiring and tests consume.  ``flush()`` commits
+``db_path``).  The in-memory view (``programs``, ``buckets`` and the
+counters) keeps the dict API that the campaign, reduction wiring and tests
+consume, and it is rebuilt one way only: by replaying seed batches through
+:meth:`CorpusStore.ingest`.  A store opened over an existing database
+starts empty; a resumed campaign replays its checkpointed seeds into it,
+and seeds the database already holds queue no rows.  ``flush()`` commits
 only the *delta* accumulated since the previous flush — one ``BEGIN
-IMMEDIATE`` transaction whose cost scales with new work, never with
-corpus size — and ``finalize()`` writes the human-readable ``corpus.json``
-summary once at the end of a run.  A legacy flat-JSON campaign directory
-is migrated into the database transparently on first open.
+IMMEDIATE`` transaction whose cost scales with new work, never with corpus
+size.  The orchestrator flushes every fresh seed before its checkpoint
+records it, so each seed the checkpoint calls done is already in the
+database.
 
 Because the database outlives any one campaign, the store also answers
 the cross-campaign question at ingestion time: a bucket whose signature
@@ -39,14 +43,8 @@ from typing import Dict, List, Optional, Tuple
 
 from repro.core.crash_site import format_crash_site
 from repro.core.fuzzer import SeedBatch
-from repro.corpusdb import (
-    CRASH_KIND,
-    FindingsDB,
-    crash_signature,
-    migrate_campaign_dir,
-    program_digest,
-)
-from repro.utils.io import atomic_write_json
+from repro.corpusdb import (CRASH_KIND, FindingsDB, crash_signature,
+                             program_digest)
 
 logger = logging.getLogger(__name__)
 
@@ -91,10 +89,6 @@ class CrashBucket:
     count: int = 0
     program_ids: List[str] = field(default_factory=list)
     configs: List[str] = field(default_factory=list)
-    #: Reduction stats (original/reduced token counts, predicate
-    #: evaluations, wall-clock) once the bucket's representative program has
-    #: been shrunk to a minimal reproducer.
-    reduction: Optional[dict] = None
     #: Cross-campaign provenance: ``{"campaign": key, "at": timestamp}`` of
     #: the campaign that first recorded this signature, set when the bucket
     #: is a *recurrence* (first seen by an earlier campaign in the shared
@@ -120,30 +114,6 @@ class CrashBucket:
         """True when an earlier campaign already recorded this signature."""
         return self.first_seen is not None
 
-    def to_json(self) -> dict:
-        record = {"ub_type": self.ub_type, "crash_site": self.crash_site,
-                  "sanitizer": self.sanitizer, "count": self.count,
-                  "program_ids": self.program_ids, "configs": self.configs}
-        if self.reduction is not None:
-            record["reduction"] = self.reduction
-        if self.first_seen is not None:
-            record["first_seen"] = self.first_seen
-        if self.suppressed_by is not None:
-            record["suppressed_by"] = self.suppressed_by
-        return record
-
-    @staticmethod
-    def from_json(record: dict) -> "CrashBucket":
-        return CrashBucket(ub_type=record["ub_type"],
-                           crash_site=record["crash_site"],
-                           sanitizer=record["sanitizer"],
-                           count=record["count"],
-                           program_ids=list(record["program_ids"]),
-                           configs=list(record["configs"]),
-                           reduction=record.get("reduction"),
-                           first_seen=record.get("first_seen"),
-                           suppressed_by=record.get("suppressed_by"))
-
 
 def _outcome_status(outcome) -> str:
     """Classify one per-config outcome for its database cell."""
@@ -158,15 +128,15 @@ class CorpusStore:
     """Stores tested programs and deduplicates their crashes.
 
     With ``root=None`` everything lives in an in-memory database; with a
-    directory, program sources land under ``<root>/programs/``, the
+    directory, program sources land under ``<root>/programs/`` and the
     findings database at ``<root>/corpus.sqlite`` (or the shared
-    ``db_path``, letting many campaigns accumulate into one file) and a
-    summary index in ``<root>/corpus.json`` on :meth:`finalize`.
-    ``ingest`` is idempotent per seed index, so re-running a resumed
-    campaign over already-recorded seeds cannot double-count.
+    ``db_path``, letting many campaigns accumulate into one file).  The
+    in-memory view starts empty and fills only through :meth:`ingest`,
+    which is idempotent per seed index; a seed this campaign already
+    persisted updates the view without queueing rows, so replaying a
+    resumed campaign's seeds cannot double-count.
     """
 
-    INDEX_NAME = "corpus.json"
     DB_NAME = "corpus.sqlite"
 
     def __init__(self, root: Optional[str] = None,
@@ -176,10 +146,6 @@ class CorpusStore:
         self.programs: Dict[str, dict] = {}
         self.buckets: Dict[BucketKey, CrashBucket] = {}
         self._ingested_seeds: set = set()
-        #: Merged telemetry summary of the campaign that produced this
-        #: corpus (deterministic metric totals + cache counters); written
-        #: into the index by the orchestrator at the end of a traced run.
-        self.telemetry: Optional[dict] = None
         #: Buckets this campaign opened that no earlier campaign in the
         #: shared database had recorded / had already recorded.
         self.new_global_buckets = 0
@@ -204,17 +170,15 @@ class CorpusStore:
         self.campaign_key = campaign_key or (
             os.path.abspath(self.root) if self.root is not None else "<memory>")
         self.db = FindingsDB(self.db_path)
-        if (self.root is not None and os.path.exists(self._index_path())
-                and self.db.campaign_id(self.campaign_key) is None):
-            # A pre-database flat campaign directory: import it once, then
-            # serve every later open from the database.
-            migrate_campaign_dir(self.db, self.root, key=self.campaign_key)
         self.campaign_id = self.db.open_campaign(self.campaign_key,
                                                  root=self.root)
+        #: Seeds an earlier session of this campaign already committed:
+        #: replaying them rebuilds the view but writes nothing.
+        self._persisted_seeds = frozenset(
+            self.db.ingested_seeds(self.campaign_id))
         #: The known-bug patch database's attributed signatures, loaded
         #: once at campaign start — the auto-suppression lookup.
         self._known_bugs = self.db.known_bug_index()
-        self._load_from_db()
 
     def close(self) -> None:
         self.db.close()
@@ -222,17 +186,21 @@ class CorpusStore:
     # -- ingestion -------------------------------------------------------------
 
     def ingest(self, batch: SeedBatch) -> int:
-        """Record one seed batch; returns how many *new* crash buckets opened."""
+        """Record one seed batch; returns how many *new* crash buckets opened.
+
+        The view (programs, buckets, counters) always updates.  Database
+        rows and ``programs/*.c`` files are queued only for a seed this
+        campaign has not persisted yet, so a flush stays O(delta)."""
         if batch.seed_index in self._ingested_seeds:
             return 0
         self._ingested_seeds.add(batch.seed_index)
-        self._pending_seeds.append(batch.seed_index)
+        persist = batch.seed_index not in self._persisted_seeds
+        if persist:
+            self._pending_seeds.append(batch.seed_index)
         new_buckets = 0
         for position, diff in enumerate(batch.diff_results):
             program_id = f"s{batch.seed_index:05d}-p{position:03d}"
-            source = diff.program.source
-            digest = program_digest(source)
-            self.programs[program_id] = {
+            program = {
                 "seed_index": batch.seed_index,
                 "position": position,
                 "ub_type": diff.program.ub_type.value,
@@ -240,48 +208,43 @@ class CorpusStore:
                 "fn_candidates": len(diff.fn_candidates),
                 "wrong_reports": len(diff.wrong_report_candidates),
             }
-            if self.root is not None:
-                self._write_program(program_id, source)
-            self._pending_programs.append({
-                "program_id": program_id,
-                "seed_index": batch.seed_index,
-                "position": position,
-                "source": source,
-                "ub_type": diff.program.ub_type.value,
-                "generator": diff.program.generator,
-                "fn_candidates": len(diff.fn_candidates),
-                "wrong_reports": len(diff.wrong_report_candidates),
-            })
-            # Every surveyed (program, config) cell becomes an outcome row —
-            # the unit --resurvey skips on the next campaign.  Restored thin
-            # batches have no outcomes (their cells were recorded when the
-            # seed originally ran).
-            for outcome in diff.outcomes:
-                config = outcome.config
-                self._pending_outcomes.append({
-                    "program_digest": digest,
-                    "compiler": config.compiler,
-                    "version": "",
-                    "pipeline": config.opt_level,
-                    "sanitizer": config.sanitizer,
-                    "status": _outcome_status(outcome),
-                    "detail": outcome.error or "",
-                })
+            self.programs[program_id] = program
+            if persist:
+                source = diff.program.source
+                digest = program_digest(source)
+                if self.root is not None:
+                    self._write_program(program_id, source)
+                self._pending_programs.append(
+                    {"program_id": program_id, "source": source, **program})
+                # Every surveyed (program, config) cell becomes an outcome
+                # row — the unit --resurvey skips on the next campaign.
+                for outcome in diff.outcomes:
+                    config = outcome.config
+                    self._pending_outcomes.append({
+                        "program_digest": digest,
+                        "compiler": config.compiler,
+                        "version": "",
+                        "pipeline": config.opt_level,
+                        "sanitizer": config.sanitizer,
+                        "status": _outcome_status(outcome),
+                        "detail": outcome.error or "",
+                    })
             for candidate in diff.fn_candidates:
                 key = bucket_key_for(candidate)
                 if self._add_crash(program_id, key, candidate.missing.config):
                     new_buckets += 1
-                self._pending_hits.append({
-                    "kind": CRASH_KIND,
-                    "signature": signature_for(key),
-                    "subject": key[0],
-                    "crash_site": key[1],
-                    "sanitizer": key[2],
-                    "slug": bucket_slug(key),
-                    "program_id": program_id,
-                    "program_digest": digest,
-                    "config": candidate.missing.config.label,
-                })
+                if persist:
+                    self._pending_hits.append({
+                        "kind": CRASH_KIND,
+                        "signature": signature_for(key),
+                        "subject": key[0],
+                        "crash_site": key[1],
+                        "sanitizer": key[2],
+                        "slug": bucket_slug(key),
+                        "program_id": program_id,
+                        "program_digest": digest,
+                        "config": candidate.missing.config.label,
+                    })
         return new_buckets
 
     def _add_crash(self, program_id: str, key: BucketKey,
@@ -331,15 +294,12 @@ class CorpusStore:
                          stats: Optional[dict] = None) -> Optional[str]:
         """Attach a reduced reproducer to one crash bucket.
 
-        Persistent stores write it as ``<root>/reduced/<bucket-slug>.c``
-        next to the bucket's programs; the stats land in the bucket's index
-        record either way, and the reduction persists into the findings
-        database on the next flush.  Returns the written path (None in
+        The source and stats persist into the findings database on the
+        next flush.  Persistent stores also export the source as
+        ``<root>/reduced/<bucket-slug>.c`` and return that path (None in
         memory)."""
-        bucket = self.buckets.get(key)
-        if bucket is None:
+        if key not in self.buckets:
             raise KeyError(f"no crash bucket {key!r}")
-        bucket.reduction = dict(stats or {})
         self._pending_reductions.append({
             "kind": CRASH_KIND,
             "signature": signature_for(key),
@@ -347,15 +307,12 @@ class CorpusStore:
             "stats": dict(stats or {}),
         })
         if self.root is None:
-            bucket.reduction.setdefault("source", reduced_source)
             return None
         directory = os.path.join(self.root, "reduced")
         os.makedirs(directory, exist_ok=True)
-        path = os.path.join(directory, bucket.slug + ".c")
+        path = os.path.join(directory, bucket_slug(key) + ".c")
         with open(path, "w", encoding="utf-8") as handle:
             handle.write(reduced_source)
-        bucket.reduction.setdefault("path", os.path.join("reduced",
-                                                         bucket.slug + ".c"))
         return path
 
     # -- queries ---------------------------------------------------------------
@@ -382,7 +339,6 @@ class CorpusStore:
             "new_buckets": self.new_global_buckets,
             "recurrent_buckets": self.recurrent_buckets,
             "suppressed_buckets": self.suppressed_buckets,
-            "buckets": [bucket.to_json() for _, bucket in sorted(self.buckets.items())],
         }
 
     def suppressions(self) -> List[dict]:
@@ -398,10 +354,6 @@ class CorpusStore:
         return lines
 
     # -- persistence -----------------------------------------------------------
-
-    def _index_path(self) -> str:
-        assert self.root is not None
-        return os.path.join(self.root, self.INDEX_NAME)
 
     def _programs_dir(self) -> str:
         assert self.root is not None
@@ -443,76 +395,3 @@ class CorpusStore:
         self._pending_hits = []
         self._pending_outcomes = []
         self._pending_reductions = []
-
-    def finalize(self) -> None:
-        """Flush, then write the human-readable ``corpus.json`` summary.
-
-        Called once at the end of a campaign (cheap relative to the run);
-        the JSON index is a convenience view — the database is the source
-        of truth."""
-        self.flush()
-        if self.root is None:
-            return
-        index = {
-            "programs": self.programs,
-            "ingested_seeds": sorted(self._ingested_seeds),
-            "buckets": [bucket.to_json() for _, bucket in sorted(self.buckets.items())],
-        }
-        if self.telemetry is not None:
-            index["telemetry"] = self.telemetry
-        logger.debug("writing corpus index %s (%d programs, %d buckets)",
-                     self._index_path(), len(self.programs), len(self.buckets))
-        atomic_write_json(self._index_path(), index)
-
-    def _load_from_db(self) -> None:
-        """Rebuild the in-memory mirrors from this campaign's database rows."""
-        for row in self.db.campaign_programs(self.campaign_id):
-            self.programs[row["program_id"]] = {
-                "seed_index": row["seed_index"],
-                "position": row["position"],
-                "ub_type": row["ub_type"],
-                "generator": row["generator"],
-                "fn_candidates": row["fn_candidates"],
-                "wrong_reports": row["wrong_reports"],
-            }
-        self._ingested_seeds = set(self.db.ingested_seeds(self.campaign_id))
-        counts = self._campaign_bucket_counts()
-        for hit in self.db.campaign_hits(self.campaign_id):
-            if hit["kind"] != CRASH_KIND:
-                continue
-            key = (hit["subject"], hit["crash_site"], hit["sanitizer"])
-            bucket = self.buckets.get(key)
-            if bucket is None:
-                bucket = CrashBucket(ub_type=key[0], crash_site=key[1],
-                                     sanitizer=key[2],
-                                     count=counts.get(hit["bucket_id"], 0))
-                known = self._known_bugs.get((CRASH_KIND, hit["signature"]))
-                if known is not None:
-                    bucket.suppressed_by = known["responsible"]
-                    self.suppressed_buckets += 1
-                if hit["first_campaign"] != self.campaign_id:
-                    row = self.db.find_bucket(CRASH_KIND, hit["signature"])
-                    bucket.first_seen = {
-                        "campaign": row["first_campaign_key"],
-                        "at": row["first_seen_at"]}
-                self.buckets[key] = bucket
-            if hit["program_id"] and hit["program_id"] not in bucket.program_ids:
-                bucket.program_ids.append(hit["program_id"])
-            if hit["config"] and hit["config"] not in bucket.configs:
-                bucket.configs.append(hit["config"])
-        for key, bucket in self.buckets.items():
-            stored = self.db.reduction_for(CRASH_KIND, signature_for(key))
-            if stored is None:
-                continue
-            bucket.reduction = dict(stored["stats"])
-            if self.root is not None:
-                bucket.reduction.setdefault(
-                    "path", os.path.join("reduced", bucket.slug + ".c"))
-            else:
-                bucket.reduction.setdefault("source", stored["source"])
-
-    def _campaign_bucket_counts(self) -> Dict[int, int]:
-        rows = self.db.connection.execute(
-            "SELECT bucket_id, hits FROM corpus_bucket_campaigns "
-            "WHERE campaign_id = ?", (self.campaign_id,))
-        return {row["bucket_id"]: row["hits"] for row in rows}

@@ -6,8 +6,8 @@ Two consumers share this module:
   executed batch.  The monitor keeps a rolling median of per-seed wall
   times; a gap between batches exceeding ``stall_factor`` × that median is
   flagged as a stall (one WARN log per incident) and the final summary —
-  status, stall count, worst gap — lands in the checkpoint metadata and
-  corpus index under ``telemetry.health``;
+  status, stall count, worst gap — lands under ``health`` in the
+  campaign's ``telemetry/metrics.json`` (and its telemetry summary);
 * the **watch subcommand** (``python -m repro.orchestrator watch <dir>``)
   attaches a :class:`TraceFollower` to a *running* campaign's
   ``telemetry/trace.jsonl``.  The follower tails the file read-only
@@ -44,7 +44,7 @@ class HealthMonitor:
     since the previous observation is compared against
     ``max(min_stall_seconds, stall_factor * rolling_median)``.  The first
     flagged gap of an incident logs a WARN; :meth:`summary` reports the
-    campaign's final health for checkpoint metadata.
+    campaign's final health for ``metrics.json``.
     """
 
     def __init__(self, stall_factor: float = DEFAULT_STALL_FACTOR,
@@ -118,7 +118,7 @@ class HealthMonitor:
                 self.median_seed_seconds or 0.0)
 
     def summary(self) -> dict:
-        """The ``health`` record persisted with checkpoint/corpus metadata."""
+        """The ``health`` record persisted in ``metrics.json``."""
         median = self.median_seed_seconds
         return {
             "status": "stalled" if self.stalls else "ok",

@@ -1,8 +1,8 @@
 """Cross-campaign telemetry store: SQLite-backed, append-only, queryable.
 
 Per-campaign telemetry (``telemetry/trace.jsonl`` + ``metrics.json``,
-checkpoint summaries, ``artifacts/bench_*.json`` records) dies with its
-directory.  :class:`TelemetryStore` ingests all of it into one SQLite
+``artifacts/bench_*.json`` records) dies with its directory.
+:class:`TelemetryStore` ingests all of it into one SQLite
 database (stdlib :mod:`sqlite3`, WAL mode) so questions spanning many runs
 — "is the execute stage getting slower across releases?", "what did the
 last twenty campaigns measure for cache hit rate?" — become single queries.
@@ -197,10 +197,10 @@ class TelemetryStore:
 
         Reads ``telemetry/trace.jsonl`` and/or ``metrics.json`` (at least
         one must exist — :func:`repro.telemetry.load_profile` raises
-        otherwise), plus the checkpoint/corpus health metadata when
-        present.  Idempotent: re-ingesting unchanged telemetry returns the
-        existing run id; changed telemetry for the same directory becomes a
-        new run.
+        otherwise), including the health record the orchestrator writes
+        into ``metrics.json``.  Idempotent: re-ingesting unchanged telemetry
+        returns the existing run id; changed telemetry for the same
+        directory becomes a new run.
         """
         from repro.telemetry.profile import load_profile, telemetry_paths
         from repro.telemetry.tracer import read_trace
@@ -225,7 +225,7 @@ class TelemetryStore:
                         campaign_dir, existing["id"])
             return int(existing["id"])
 
-        health = self._health_for(campaign_dir)
+        health = self._health_for(metrics_path)
         with self._conn:
             cursor = self._conn.execute(
                 "INSERT INTO runs (digest, campaign, git_sha, source_dir, "
@@ -253,15 +253,14 @@ class TelemetryStore:
         return run_id
 
     @staticmethod
-    def _health_for(campaign_dir: str) -> Optional[str]:
-        """The health status a finished campaign left in its corpus index."""
-        index_path = os.path.join(campaign_dir, "corpus.json")
+    def _health_for(metrics_path: str) -> Optional[str]:
+        """The health status a finished campaign left in its metrics.json."""
         try:
-            with open(index_path, "r", encoding="utf-8") as handle:
-                index = json.load(handle)
+            with open(metrics_path, "r", encoding="utf-8") as handle:
+                snapshot = json.load(handle)
         except (OSError, json.JSONDecodeError):
             return None
-        health = (index.get("telemetry") or {}).get("health")
+        health = snapshot.get("health")
         return health.get("status") if isinstance(health, dict) else None
 
     @staticmethod

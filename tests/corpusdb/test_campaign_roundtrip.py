@@ -1,12 +1,12 @@
 """End-to-end findings-database behavior over real (small) campaigns:
-checkpoint/resume query equivalence, serial vs parallel DB identity,
-incremental resurvey, and the query/migrate CLI round-trip."""
+checkpoint/resume query equivalence (session cap and hard kill), serial vs
+parallel DB identity, incremental resurvey, and the query CLI round-trip."""
 
 from __future__ import annotations
 
 import json
+import multiprocessing
 import os
-import shutil
 
 import pytest
 
@@ -39,21 +39,31 @@ def _normalized_buckets(db_path: str, **filters) -> bytes:
     return json.dumps(rows, sort_keys=True).encode("utf-8")
 
 
-def _normalized_outcomes(db_path: str) -> bytes:
+def _outcome_rows(db_path: str) -> list:
     with FindingsDB(db_path) as db:
         rows = db.connection.execute(
             "SELECT program_digest, compiler, version, pipeline, sanitizer, "
             "status FROM corpus_outcomes "
             "ORDER BY program_digest, compiler, version, pipeline, sanitizer")
-        return json.dumps([dict(row) for row in rows]).encode("utf-8")
+        return [dict(row) for row in rows]
+
+
+def _normalized_outcomes(db_path: str) -> bytes:
+    return json.dumps(_outcome_rows(db_path)).encode("utf-8")
 
 
 @pytest.fixture(scope="module")
-def baseline_dir(tmp_path_factory) -> str:
+def baseline(tmp_path_factory) -> OrchestratedCampaign:
     """One uninterrupted serial campaign with a persistent corpus DB."""
     corpus_dir = str(tmp_path_factory.mktemp("baseline") / "corpus")
-    OrchestratedCampaign(_config(), corpus=corpus_dir).run()
-    return corpus_dir
+    campaign = OrchestratedCampaign(_config(), corpus=corpus_dir)
+    campaign.run()
+    return campaign
+
+
+@pytest.fixture(scope="module")
+def baseline_dir(baseline) -> str:
+    return baseline.corpus.root
 
 
 def _db(corpus_dir: str) -> str:
@@ -65,9 +75,10 @@ def _db(corpus_dir: str) -> str:
 # ---------------------------------------------------------------------------
 
 def test_killed_and_resumed_campaign_yields_identical_query_set(
-        tmp_path, baseline_dir):
-    """The satellite acceptance test: kill after every seed, resume, and the
-    final ``query`` result set is byte-identical to the uninterrupted run."""
+        tmp_path, baseline, baseline_dir):
+    """Stop after every seed, resume, and the final ``query`` result set is
+    byte-identical to the uninterrupted run — and so is the corpus view the
+    last session rebuilt by replaying the checkpointed seeds."""
     checkpoint = str(tmp_path / "campaign.json")
     corpus_dir = str(tmp_path / "corpus")
     sessions = 0
@@ -85,6 +96,65 @@ def test_killed_and_resumed_campaign_yields_identical_query_set(
         _normalized_buckets(_db(baseline_dir))
     assert _normalized_outcomes(_db(corpus_dir)) == \
         _normalized_outcomes(_db(baseline_dir))
+    assert campaign.corpus.summary() == baseline.corpus.summary()
+
+
+def _run_until_second_seed(checkpoint: str, corpus_dir: str) -> None:
+    """Child body: die like ``kill -9`` once the second seed completes.
+
+    ``os._exit`` skips every ``finally`` and ``atexit`` hook, so whatever
+    the campaign had not committed by then is lost, as in a real kill."""
+    lines = []
+
+    def progress(line: str) -> None:
+        lines.append(line)
+        if len(lines) == 2:
+            os._exit(0)
+
+    OrchestratedCampaign(_config(), checkpoint_path=checkpoint,
+                         corpus=corpus_dir, progress=progress).run()
+    os._exit(1)  # the campaign finished without being killed
+
+
+def test_hard_killed_campaign_resumes_to_the_uninterrupted_database(
+        tmp_path, baseline, baseline_dir):
+    """A hard kill after two seeds loses nothing the checkpoint recorded:
+    the resumed campaign ends with the uninterrupted database and view."""
+    checkpoint = str(tmp_path / "campaign.json")
+    corpus_dir = str(tmp_path / "corpus")
+    child = multiprocessing.get_context("fork").Process(
+        target=_run_until_second_seed, args=(checkpoint, corpus_dir))
+    child.start()
+    child.join(timeout=300)
+    if child.is_alive():  # pragma: no cover - a hung campaign
+        child.kill()
+        child.join()
+    assert child.exitcode == 0
+
+    # Every seed the checkpoint calls done is already in the database,
+    # outcome cells included.
+    with open(checkpoint, encoding="utf-8") as handle:
+        done = sorted(int(index) for index in json.load(handle)["seeds"])
+    assert done == [0, 1]
+    with FindingsDB(_db(corpus_dir)) as db:
+        campaign_id = db.campaign_id(os.path.abspath(corpus_dir))
+        assert db.ingested_seeds(campaign_id) == done
+        digests = {row["digest"] for row in db.connection.execute(
+            "SELECT digest FROM corpus_campaign_programs "
+            "WHERE campaign_id = ?", (campaign_id,))}
+    expected = [row for row in _outcome_rows(_db(baseline_dir))
+                if row["program_digest"] in digests]
+    assert digests and _outcome_rows(_db(corpus_dir)) == expected
+
+    resumed = OrchestratedCampaign(_config(), checkpoint_path=checkpoint,
+                                   corpus=corpus_dir)
+    resumed.run()
+    assert resumed.resumed_indices == done
+    assert _normalized_buckets(_db(corpus_dir)) == \
+        _normalized_buckets(_db(baseline_dir))
+    assert _normalized_outcomes(_db(corpus_dir)) == \
+        _normalized_outcomes(_db(baseline_dir))
+    assert resumed.corpus.summary() == baseline.corpus.summary()
 
 
 def test_serial_and_parallel_produce_identical_databases(
@@ -157,56 +227,24 @@ def test_second_campaign_reports_recurrences_and_resurvey_skips(
 
 
 # ---------------------------------------------------------------------------
-# Query / migrate CLI round-trip
+# Query CLI round-trip
 # ---------------------------------------------------------------------------
 
-def _legacy_copy(baseline_dir: str, destination: str) -> str:
-    """A flat pre-database campaign dir: corpus.json + programs/, no sqlite."""
-    shutil.copytree(baseline_dir, destination)
-    os.remove(os.path.join(destination, CorpusStore.DB_NAME))
-    return destination
-
-
-def test_migrate_then_query_round_trip(tmp_path, baseline_dir, capsys):
-    legacy = _legacy_copy(baseline_dir, str(tmp_path / "legacy"))
-    db_path = str(tmp_path / "findings.sqlite")
-    assert cli_main(["migrate", legacy, "--db", db_path, "--json"]) == 0
-    report = json.loads(capsys.readouterr().out)
-    assert report["migrated"][0]["buckets"] > 0
-    assert report["summary"]["programs"] > 0
-
-    # Re-migrating is idempotent.
-    assert cli_main(["migrate", legacy, "--db", db_path, "--json"]) == 0
-    assert json.loads(capsys.readouterr().out)["summary"] == report["summary"]
-
-    # The migrated corpus answers the same filters as the live database.
-    with FindingsDB(_db(baseline_dir)) as db:
+def test_query_round_trip(baseline_dir, capsys):
+    db_path = _db(baseline_dir)
+    with FindingsDB(db_path) as db:
         [live] = db.query_buckets(bucket="integer-overflow-19_42")
     assert cli_main(["query", "--db", db_path,
                      "--bucket", "integer-overflow-19_42", "--json"]) == 0
-    [migrated] = json.loads(capsys.readouterr().out)["buckets"]
-    assert migrated["slug"] == live["slug"]
-    assert migrated["count"] == live["count"]
+    [queried] = json.loads(capsys.readouterr().out)["buckets"]
+    assert queried["slug"] == live["slug"]
+    assert queried["count"] == live["count"]
 
     assert cli_main(["query", "--db", db_path, "--kind", CRASH_KIND,
                      "--compiler", "gcc", "--since", "2000-01-01"]) == 0
     out = capsys.readouterr().out
     assert "gcc" in out or "Bucket" in out
     assert "database:" in out
-
-
-def test_migrated_legacy_dir_resumes_as_the_same_campaign(
-        tmp_path, baseline_dir):
-    """Opening a CorpusStore over a legacy dir auto-migrates, preserving
-    bucket counts (not the cross-product hit inflation)."""
-    legacy = _legacy_copy(baseline_dir, str(tmp_path / "legacy"))
-    index = json.load(open(os.path.join(legacy, "corpus.json")))
-    store = CorpusStore(root=legacy)
-    assert len(store.programs) == len(index["programs"])
-    assert store.total_crashes == sum(bucket["count"]
-                                      for bucket in index["buckets"])
-    assert len(store.buckets) == len(index["buckets"])
-    store.close()
 
 
 def test_query_cli_error_paths(tmp_path, capsys):
@@ -219,8 +257,6 @@ def test_query_cli_error_paths(tmp_path, capsys):
     assert "--since" in capsys.readouterr().err
     assert cli_main(["query", "--db", db_path]) == 0
     assert "no matching buckets" in capsys.readouterr().out
-    assert cli_main(["migrate", str(tmp_path / "nope"), "--db", db_path]) == 2
-    assert "corpus.json" in capsys.readouterr().err
 
 
 def test_resurvey_cli_requires_corpus(capsys):

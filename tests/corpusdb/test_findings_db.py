@@ -216,7 +216,8 @@ def test_reduction_roundtrip():
             "kind": CRASH_KIND, "signature": signature,
             "source": "int main(){}\n", "stats": {"tokens": 4}}])
         stored = db.reduction_for(CRASH_KIND, signature)
-        assert stored == {"source": "int main(){}\n", "stats": {"tokens": 4}}
+        assert stored == {"source": "int main(){}\n", "stats": {"tokens": 4},
+                          "campaign_id": campaign}
         [row] = db.query_buckets()
         assert row["reduced"] == 1
         # A reduction for a signature never ingested is dropped, not an error.

@@ -9,6 +9,7 @@ import os
 import pytest
 
 from repro.core import CampaignConfig, FuzzingCampaign, SeedBatch
+from repro.corpusdb import FindingsDB
 from repro.orchestrator import (
     CampaignCheckpoint,
     CheckpointMismatch,
@@ -138,10 +139,17 @@ def test_killed_then_resumed_campaign_matches(tmp_path, config, serial_result):
     assert resumed.monitor.snapshot().seeds_done == 3
     assert "(1 restored)" in resumed.monitor.snapshot().format_line()
 
-    # The persistent corpus ingested each seed exactly once across sessions.
-    store = CorpusStore(root=corpus_dir)
+    # The resumed session replayed the restored seed into its corpus view,
+    # and the database holds each seed exactly once across sessions.
+    store = resumed.corpus
     assert store.total_crashes == serial_result.stats.fn_candidates
     assert len(store.programs) == serial_result.stats.programs_tested
+    with FindingsDB(store.db_path) as db:
+        assert db.ingested_seeds(store.campaign_id) == [0, 1, 2]
+        [(programs,)] = db.connection.execute(
+            "SELECT COUNT(*) FROM corpus_campaign_programs "
+            "WHERE campaign_id = ?", (store.campaign_id,)).fetchall()
+    assert programs == serial_result.stats.programs_tested
     program_files = os.listdir(os.path.join(corpus_dir, "programs"))
     assert len(program_files) == serial_result.stats.programs_tested
 
@@ -174,6 +182,19 @@ def test_checkpoint_flush_interval_batches_writes(tmp_path, config):
     checkpoint.flush()
     restored = CampaignCheckpoint(path, config).load()
     assert sorted(restored) == [0, 1, 2]
+
+
+def test_checkpoint_with_metadata_key_still_loads(tmp_path, config):
+    """Snapshots once carried a ``metadata`` key; loading ignores it."""
+    path = str(tmp_path / "old.json")
+    CampaignCheckpoint(path, config).record(
+        SeedBatch(seed_index=0, generated=True))
+    with open(path, encoding="utf-8") as handle:
+        snapshot = json.load(handle)
+    snapshot["metadata"] = {"telemetry": {"cache": {"hits": 1}}}
+    with open(path, "w", encoding="utf-8") as handle:
+        json.dump(snapshot, handle)
+    assert sorted(CampaignCheckpoint(path, config).load()) == [0]
 
 
 def test_batch_record_roundtrip_preserves_reports(config):

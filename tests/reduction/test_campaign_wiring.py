@@ -1,37 +1,18 @@
-"""Reduction wired through triage, the corpus store, orchestrator and CLI."""
+"""Reduction wired through the corpus store, orchestrator and CLI."""
 
 import json
 
 import pytest
 
-from repro.core import BugTriager, CampaignConfig, UBProgram, UBType
-from repro.core.differential import DifferentialTester
+from repro.core import CampaignConfig
+from repro.corpusdb import CRASH_KIND
 from repro.orchestrator import CorpusStore, OrchestratedCampaign
 from repro.orchestrator.cli import main as cli_main
+from repro.orchestrator.corpus import signature_for
 from repro.analysis import table_reduction_quality
 
 SMALL = dict(num_seeds=1, rng_seed=2024, max_programs_per_type=1,
              opt_levels=("-O0", "-O2"), triage=False)
-
-
-@pytest.fixture(scope="module")
-def figure1_candidate(figure1_source):
-    program = UBProgram(source=figure1_source,
-                        ub_type=UBType.BUFFER_OVERFLOW_POINTER)
-    tester = DifferentialTester(opt_levels=("-O0", "-O2"))
-    return tester.test(program).fn_candidates[0]
-
-
-def test_triager_reduces_before_bisection(figure1_candidate):
-    plain = BugTriager().triage_fn_candidate(figure1_candidate)
-    reduced = BugTriager(reduce=True).triage_fn_candidate(figure1_candidate)
-    # Same defect attribution and status, on a smaller program.
-    assert reduced.bug_id == plain.bug_id
-    assert reduced.status == plain.status
-    assert len(reduced.program.source) < len(plain.program.source)
-    stats = reduced.metadata["reduction"]
-    assert stats["reduced_tokens"] < stats["original_tokens"]
-    assert stats["predicate_evaluations"] > 0
 
 
 def test_orchestrated_campaign_persists_reduced_c(tmp_path):
@@ -42,13 +23,16 @@ def test_orchestrated_campaign_persists_reduced_c(tmp_path):
     assert campaign.reductions
     reduced_files = sorted((corpus_dir / "reduced").glob("*.c"))
     assert len(reduced_files) == len(campaign.reductions)
-    index = json.loads((corpus_dir / "corpus.json").read_text())
-    with_reduction = [b for b in index["buckets"] if "reduction" in b]
-    assert len(with_reduction) == len(campaign.reductions)
-    for bucket in with_reduction:
-        assert bucket["reduction"]["reduced_tokens"] \
-            < bucket["reduction"]["original_tokens"]
-        assert (corpus_dir / bucket["reduction"]["path"]).exists()
+    store = campaign.corpus
+    for record in campaign.reductions:
+        key = (record.ub_type, record.crash_site, record.sanitizer)
+        stored = store.db.reduction_for(CRASH_KIND, signature_for(key))
+        assert stored["campaign_id"] == store.campaign_id
+        assert stored["stats"]["reduced_tokens"] \
+            < stored["stats"]["original_tokens"]
+        exported = corpus_dir / "reduced" / (record.label + ".c")
+        assert exported.read_text() == stored["source"] \
+            == record.reduced_source
 
 
 def test_resumed_campaign_restores_reductions_instead_of_rereducing(
@@ -62,6 +46,7 @@ def test_resumed_campaign_restores_reductions_instead_of_rereducing(
 
     # Re-running the finished campaign must not invoke the reducer at all.
     import repro.orchestrator.campaign as campaign_module
+    reduce_fn_candidate = campaign_module.reduce_fn_candidate
 
     def explode(*args, **kwargs):  # pragma: no cover - guard
         raise AssertionError("bucket was re-reduced on resume")
@@ -71,10 +56,27 @@ def test_resumed_campaign_restores_reductions_instead_of_rereducing(
                                    checkpoint_path=str(checkpoint),
                                    reduce=True)
     resumed.run()
+    expected = [(r.label, r.reduced_tokens, r.reduced_source)
+                for r in first.reductions]
     assert [(r.label, r.reduced_tokens, r.reduced_source)
-            for r in resumed.reductions] == \
-        [(r.label, r.reduced_tokens, r.reduced_source)
-         for r in first.reductions]
+            for r in resumed.reductions] == expected
+
+    # Another campaign on the same database reduces its own
+    # representatives instead of inheriting this campaign's reductions.
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return reduce_fn_candidate(*args, **kwargs)
+
+    monkeypatch.setattr(campaign_module, "reduce_fn_candidate", counting)
+    other = OrchestratedCampaign(config, corpus=CorpusStore(
+        root=str(tmp_path / "other"), db_path=first.corpus.db_path),
+        reduce=True)
+    other.run()
+    assert len(calls) == len(first.reductions)
+    assert [(r.label, r.reduced_tokens, r.reduced_source)
+            for r in other.reductions] == expected
 
 
 def test_in_memory_corpus_keeps_reduced_source():
@@ -84,9 +86,9 @@ def test_in_memory_corpus_keeps_reduced_source():
     campaign.run()
     assert campaign.reductions
     record = campaign.reductions[0]
-    bucket = store.buckets[(record.ub_type, record.crash_site,
-                            record.sanitizer)]
-    assert bucket.reduction["source"] == record.reduced_source
+    key = (record.ub_type, record.crash_site, record.sanitizer)
+    stored = store.db.reduction_for(CRASH_KIND, signature_for(key))
+    assert stored["source"] == record.reduced_source
 
 
 def test_record_reduction_unknown_bucket_raises():

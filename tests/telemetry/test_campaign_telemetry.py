@@ -83,13 +83,17 @@ def test_campaign_summary_checkpoint_and_corpus(traced_runs):
     assert summary["cache"]["hits"] > 0
     assert summary["totals"]["diff.programs"] > 0
 
-    with open(os.path.join(root, "checkpoint.json"), encoding="utf-8") as handle:
+    # metrics.json, next to the corpus, carries the same cache counters
+    # and the health record; the checkpoint holds campaign state only.
+    _, metrics_path = telemetry_paths(root)
+    with open(metrics_path, encoding="utf-8") as handle:
         snapshot = json.load(handle)
-    assert snapshot["metadata"]["telemetry"]["cache"] == summary["cache"]
-
-    with open(os.path.join(root, "corpus.json"), encoding="utf-8") as handle:
-        index = json.load(handle)
-    assert index["telemetry"]["cache"] == summary["cache"]
+    metrics = MetricsRegistry.from_json(snapshot["metrics"])
+    assert {name: metrics.counter_value(f"cache.{name}")
+            for name in summary["cache"]} == summary["cache"]
+    assert snapshot["health"] == summary["health"]
+    with open(os.path.join(root, "checkpoint.json"), encoding="utf-8") as handle:
+        assert "metadata" not in json.load(handle)
 
 
 def test_load_profile_replays_stage_breakdown(traced_runs):
