@@ -8,11 +8,11 @@ reported their findings:
 * **deduplication** — many UB programs trigger the same underlying compiler
   defect; candidates are grouped so one report corresponds to one distinct
   bug;
-* **triage** — the responsible defect is located by *bisection over the
-  defect registry*: the program is recompiled for the silent configuration
-  with one seeded defect disabled at a time, and the defect whose removal
-  makes the sanitizer detect the UB again is the root cause.  This mirrors
-  the "confirmed by developers / root-cause analysis" step of §4.6 and gives
+* **triage** — the responsible defect is located by *disabling one
+  seeded defect at a time*: the program is recompiled for the silent
+  configuration without one defect, and the defect whose removal makes
+  the sanitizer detect the UB again is the root cause.  This mirrors the
+  "confirmed by developers / root-cause analysis" step of §4.6 and gives
   us the ground truth for Table 6, Figures 10 and 11;
 * **status** — a report is *confirmed* when triage identifies a seeded
   defect, *fixed* when that defect has a ``fixed_version``, and *invalid*
@@ -23,22 +23,59 @@ reported their findings:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.compilers.compiler import make_compiler
 from repro.compilers.options import ALL_OPT_LEVELS, CompileOptions
-from repro.compilers.versions import stable_versions, trunk_version
-from repro.core.crash_site import is_sanitizer_bug_from_results
-from repro.core.differential import FNBugCandidate, WrongReportCandidate
+from repro.compilers.versions import (all_versions, stable_versions,
+                                      trunk_version)
+from repro.core.differential import (DifferentialResult, FNBugCandidate,
+                                     WrongReportCandidate)
 from repro.core.insertion import UBProgram
 from repro.core.ub_types import UBType, detects
 from repro.sanitizers.defects import Defect, default_defects
+from repro.telemetry import runtime as telemetry
 from repro.utils.errors import CompilationError
+from repro.vm.errors import ExecutionResult
 
 STATUS_REPORTED = "reported"
 STATUS_CONFIRMED = "confirmed"
 STATUS_FIXED = "fixed"
 STATUS_INVALID = "invalid"
+
+#: What triage reads of one compile+run: the run's status and its
+#: report's kind, or ``None`` when the program did not compile.
+Verdict = Optional[Tuple[str, Optional[str]]]
+
+
+def verdict_of(result: Optional[ExecutionResult]) -> Verdict:
+    if result is None:
+        return None
+    report = result.report
+    return result.status, report.kind if report is not None else None
+
+
+def run_cell(source: str, compiler: str, version: int, sanitizer: str,
+             opt_level: str, registry: Sequence[Defect], cache,
+             max_steps: int) -> Verdict:
+    """Compile *source* for one release with *registry* and run it: the
+    compile-and-run path of triage and :class:`~repro.triage.CrashProbe`.
+    A compile error counts in ``compile.errors`` and reads as ``None``."""
+    simulated = make_compiler(compiler, version=version,
+                              defect_registry=registry, cache=cache)
+    try:
+        binary = simulated.compile(source, CompileOptions(
+            opt_level=opt_level, sanitizer=sanitizer))
+    except CompilationError:
+        telemetry.inc("compile.errors")
+        return None
+    return verdict_of(binary.run(max_steps=max_steps))
+
+
+def detected(verdict: Verdict, ub_type: UBType) -> bool:
+    """Did the run abort with a report that detects *ub_type*?"""
+    return (verdict is not None and verdict[0] == "sanitizer_report"
+            and detects(ub_type, verdict[1]))
 
 
 @dataclass
@@ -74,9 +111,13 @@ class BugReport:
 class BugTriager:
     """Attributes FN bug candidates to seeded defects and builds reports.
 
+    Every run triage reads is a cell verdict in one table the triager
+    keeps for its lifetime, so no cell runs twice; :meth:`observe` seeds
+    it with the differential matrix's runs.
+
     Args:
-        registry: defect registry to bisect over (default: the seeded one).
-        max_steps: VM step budget per probe execution.
+        registry: defect registry to attribute to (default: the seeded one).
+        max_steps: VM step budget per run.
         compilation_cache: optional shared
             :class:`~repro.compilers.cache.CompilationCache`.
     """
@@ -86,18 +127,32 @@ class BugTriager:
                  compilation_cache=None) -> None:
         self.registry = list(registry) if registry is not None else default_defects()
         self.max_steps = max_steps
-        # Sharing the campaign's CompilationCache pays off heavily here:
-        # bisection probes the same program once per (version, opt level,
-        # disabled defect), and the cached phases are keyed on (source,
-        # compiler, opt level, pass list), which every flat release shares
-        # — defect registries only affect the uncached sanitizer overlay.
+        # With the campaign's CompilationCache, all cells of one program at
+        # one level share its parse and optimizer run: releases share flat
+        # pipelines, and registries only affect the sanitizer overlay.
         self.compilation_cache = compilation_cache
+        #: (source, compiler, version, sanitizer, opt level, disabled
+        #: defect id or None) -> that cell's verdict.
+        self._cells: Dict[tuple, Verdict] = {}
 
     # -- public ------------------------------------------------------------------
 
+    def observe(self, results: Iterable[DifferentialResult]) -> None:
+        """Record the matrix's outcomes as trunk cells of the full registry:
+        valid when its compilers share this triager's registry and
+        ``max_steps``, as in :class:`~repro.core.fuzzer.FuzzingCampaign`.
+        Batches restored from a checkpoint have no outcomes to record."""
+        for result in results:
+            for outcome in result.outcomes:
+                config = outcome.config
+                key = (result.program.source, config.compiler,
+                       trunk_version(config.compiler), config.sanitizer,
+                       config.opt_level, None)
+                self._cells[key] = verdict_of(outcome.result)
+
     def triage_fn_candidate(self, candidate: FNBugCandidate) -> BugReport:
         config = candidate.missing.config
-        defect = self._bisect_defect(candidate)
+        defect = self._attribute_defect(candidate)
         status = STATUS_INVALID
         category = None
         if defect is not None:
@@ -154,102 +209,67 @@ class BugTriager:
 
     # -- internals ---------------------------------------------------------------
 
-    def _run(self, program: UBProgram, compiler_name: str, version: int,
-             sanitizer: str, opt_level: str, registry: Sequence[Defect]):
-        compiler = make_compiler(compiler_name, version=version,
-                                 defect_registry=registry,
-                                 cache=self.compilation_cache)
-        try:
-            binary = compiler.compile(program.source,
-                                      CompileOptions(opt_level=opt_level,
-                                                     sanitizer=sanitizer))
-        except CompilationError:
-            return None
-        return binary.run(max_steps=self.max_steps)
+    def _run(self, program: UBProgram, compiler: str, version: int,
+             sanitizer: str, opt_level: str,
+             disabled: Optional[Defect] = None) -> Verdict:
+        """One cell's verdict, with *disabled* left out of the registry;
+        compiled and run only the first time the cell is asked for."""
+        key = (program.source, compiler, version, sanitizer, opt_level,
+               disabled.defect_id if disabled is not None else None)
+        if key not in self._cells:
+            self._cells[key] = run_cell(
+                program.source, compiler, version, sanitizer, opt_level,
+                [d for d in self.registry if d is not disabled],
+                self.compilation_cache, self.max_steps)
+        return self._cells[key]
 
-    def _bisect_defect(self, candidate: FNBugCandidate) -> Optional[Defect]:
+    def _attribute_defect(self, candidate: FNBugCandidate) -> Optional[Defect]:
         """Disable one defect at a time until the sanitizer detects the UB.
 
-        Each defect is probed at the newest release it is *active* on —
-        probing only at trunk could never attribute a defect whose window
-        closed at or before trunk (its removal changes nothing there), so
-        fixed bugs came back ``unexplained-…`` instead of
-        ``STATUS_FIXED``.  Sweeping the timeline needs a guard the
-        trunk-only probe got implicitly from the campaign's observation:
-        the UB must actually be *missed* with the full registry at the
-        probed release, otherwise any defect probed at a release where
-        nothing hides the UB would take credit."""
+        Each defect live at the missing config's level is probed at the
+        newest release of its window, so a defect fixed at or before trunk
+        is still attributed (``STATUS_FIXED``); disabling any other defect
+        changes no binary.  A probe counts only where the full registry
+        misses the UB (a program that does not compile counts as missed),
+        or a defect probed where nothing hides the UB would take credit."""
         config = candidate.missing.config
         program = candidate.program
-        trunk = trunk_version(config.compiler)
-        missed_at: Dict[int, bool] = {}
 
-        def missed(version: int) -> bool:
-            if version not in missed_at:
-                result = self._run(program, config.compiler, version,
-                                   config.sanitizer, config.opt_level,
-                                   self.registry)
-                missed_at[version] = not self._detected(result,
-                                                        program.ub_type)
-            return missed_at[version]
+        def detects_ub(version: int, disabled: Optional[Defect] = None):
+            return detected(self._run(program, config.compiler, version,
+                                      config.sanitizer, config.opt_level,
+                                      disabled), program.ub_type)
 
         for defect in self.registry:
-            if defect.compiler != config.compiler or defect.sanitizer != config.sanitizer:
-                continue
-            version = self._newest_active_version(defect, trunk)
-            if version is None or not missed(version):
-                continue
-            reduced = [d for d in self.registry if d is not defect]
-            result = self._run(program, config.compiler, version,
-                               config.sanitizer, config.opt_level, reduced)
-            if self._detected(result, program.ub_type):
+            window = self._defect_window(defect, config.compiler,
+                                         config.sanitizer, config.opt_level,
+                                         all_versions(config.compiler))
+            if (window and not detects_ub(window[-1])
+                    and detects_ub(window[-1], disabled=defect)):
                 return defect
         return None
 
     @staticmethod
-    def _detected(result, ub_type: UBType) -> bool:
-        return (result is not None and result.crashed
-                and result.report is not None
-                and detects(ub_type, result.report.kind))
-
-    @staticmethod
-    def _newest_active_version(defect: Defect, trunk: int) -> Optional[int]:
-        """The newest release a defect is live on: trunk for open defects,
-        the release before the fix otherwise (None when the window is
-        empty — the defect never shipped)."""
-        version = trunk
-        if defect.fixed_version is not None:
-            version = min(version, defect.fixed_version - 1)
-        if version < defect.introduced_version:
-            return None
-        return version
+    def _defect_window(defect: Defect, compiler: str, sanitizer: str,
+                       opt_level: str, versions: Sequence[int]) -> List[int]:
+        """The *versions* where *defect* is live at *opt_level*."""
+        return [version for version in versions
+                if defect.active_for(compiler, version, sanitizer, opt_level)]
 
     def _wrong_report_versions(self, defect: Optional[Defect],
                                config) -> List[int]:
-        """The releases a wrong-report bug actually affects.
-
-        Bisected over the responsible defect's activity window (lazy
-        import: :mod:`repro.triage` sits above :mod:`repro.core`) instead
-        of hardcoding ``[trunk]`` — line-skew defects introduced releases
-        ago mis-report on every release of their window, and Figure 10
-        needs the real range."""
-        trunk = trunk_version(config.compiler)
-        if defect is None:
-            return [trunk]
-        anchor = self._newest_active_version(defect, trunk)
-        if anchor is None:
-            return [trunk]
-        opt_level = config.opt_level
-        if defect.opt_levels and opt_level not in defect.opt_levels:
-            opt_level = defect.opt_levels[0]
-        from repro.triage import RevisionBisector
-
-        bisector = RevisionBisector(config.compiler)
-        result = bisector.bisect(
-            lambda version: defect.active_for(config.compiler, version,
-                                              config.sanitizer, opt_level),
-            anchor)
-        return result.affected_versions
+        """The releases a wrong-report bug affects (Figure 10): its defect's
+        window over every release, at the config's level or, when that is
+        not one of the defect's, at its first; else ``[trunk]``."""
+        window: List[int] = []
+        if defect is not None:
+            opt_level = config.opt_level
+            if defect.opt_levels and opt_level not in defect.opt_levels:
+                opt_level = defect.opt_levels[0]
+            window = self._defect_window(defect, config.compiler,
+                                         config.sanitizer, opt_level,
+                                         all_versions(config.compiler))
+        return window or [trunk_version(config.compiler)]
 
     def _find_wrong_report_defect(self, candidate: WrongReportCandidate) -> Optional[Defect]:
         config = candidate.second.config
@@ -259,34 +279,27 @@ class BugTriager:
                 return defect
         return None
 
+    def _exits_normally(self, report: BugReport, version: int,
+                        opt_level: str) -> bool:
+        verdict = self._run(report.program, report.compiler, version,
+                            report.sanitizer, opt_level)
+        return verdict is not None and verdict[0] == "ok"
+
     def _affected_opt_levels(self, report: BugReport) -> List[str]:
         """Optimization levels at which the bug hides the UB (Figure 11)."""
-        affected: List[str] = []
-        version = trunk_version(report.compiler)
-        for opt_level in ALL_OPT_LEVELS:
-            result = self._run(report.program, report.compiler, version,
-                               report.sanitizer, opt_level, self.registry)
-            if result is not None and result.exited_normally:
-                affected.append(opt_level)
-        return affected
+        trunk = trunk_version(report.compiler)
+        return [opt_level for opt_level in ALL_OPT_LEVELS
+                if self._exits_normally(report, trunk, opt_level)]
 
     def _affected_versions(self, report: BugReport) -> List[int]:
-        """Stable compiler versions affected by the bug (Figure 10)."""
-        if report.defect is not None:
-            versions = []
-            for version in stable_versions(report.compiler):
-                if report.defect.active_for(report.compiler, version,
-                                            report.sanitizer,
-                                            report.affected_opt_levels[0]
-                                            if report.affected_opt_levels else "-O2"):
-                    versions.append(version)
-            return versions
-        # Unexplained reports: measure empirically on a single opt level.
+        """Stable releases affected by the bug (Figure 10), at its first
+        affected level: its defect's window, or every release where the
+        program exits normally — a sweep, since nothing makes an
+        unexplained miss one contiguous window, as bisection assumes."""
         opt_level = report.affected_opt_levels[0] if report.affected_opt_levels else "-O2"
-        affected = []
-        for version in stable_versions(report.compiler):
-            result = self._run(report.program, report.compiler, version,
-                               report.sanitizer, opt_level, self.registry)
-            if result is not None and result.exited_normally:
-                affected.append(version)
-        return affected
+        versions = stable_versions(report.compiler)
+        if report.defect is not None:
+            return self._defect_window(report.defect, report.compiler,
+                                       report.sanitizer, opt_level, versions)
+        return [version for version in versions
+                if self._exits_normally(report, version, opt_level)]

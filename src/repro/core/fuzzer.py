@@ -184,6 +184,8 @@ class FuzzingCampaign:
                                          opt_levels=self.config.opt_levels,
                                          max_steps=self.config.max_steps,
                                          cache=self.compilation_cache)
+        # The tester's trunk compilers and the triager share one registry
+        # and step budget, so the matrix's runs are triage's trunk cells.
         self.triager = BugTriager(registry=registry,
                                   max_steps=self.config.max_steps,
                                   compilation_cache=self.compilation_cache)
@@ -347,7 +349,8 @@ class FuzzingCampaign:
         stats.fn_candidates = len(fn_candidates)
         stats.wrong_report_candidates = len(wrong_reports)
 
-        bug_reports = self._build_reports(fn_candidates, wrong_reports)
+        bug_reports = self._build_reports(diff_results, fn_candidates,
+                                          wrong_reports)
         stats.duration_seconds = time.time() - start
         return CampaignResult(config=self.config, stats=stats,
                               bug_reports=bug_reports,
@@ -357,49 +360,42 @@ class FuzzingCampaign:
 
     # -- reporting -------------------------------------------------------------------
 
-    def _build_reports(self, fn_candidates: List[FNBugCandidate],
+    def _build_reports(self, diff_results: List[DifferentialResult],
+                       fn_candidates: List[FNBugCandidate],
                        wrong_reports: List[WrongReportCandidate]) -> List[BugReport]:
-        reports: List[BugReport] = []
         if not self.config.triage:
-            return reports
-        # Many programs expose the same defect; triage (defect bisection) is
-        # expensive, so only one representative candidate per behavioural
-        # signature is triaged.  Deduplication by defect id then merges any
-        # signatures that turn out to share a root cause.
-        for candidate in self._representative_fn_candidates(fn_candidates):
-            reports.append(self.triager.triage_fn_candidate(candidate))
-        for candidate in self._representative_wrong_reports(wrong_reports):
-            reports.append(self.triager.triage_wrong_report(candidate))
+            return []
+        # Triage reads the matrix's runs instead of repeating them.
+        self.triager.observe(diff_results)
+        # Many programs expose the same defect, so only the first candidate
+        # per behavioural signature is triaged.  Deduplication by defect id
+        # then merges any signatures that turn out to share a root cause.
+        reports = [self.triager.triage_fn_candidate(candidate)
+                   for candidate in _representatives(fn_candidates,
+                                                     _fn_signature)]
+        reports += [self.triager.triage_wrong_report(candidate)
+                    for candidate in _representatives(wrong_reports,
+                                                      _wrong_report_signature)]
         return self.triager.deduplicate(reports)
 
-    @staticmethod
-    def _representative_fn_candidates(
-            candidates: List[FNBugCandidate]) -> List[FNBugCandidate]:
-        seen = set()
-        representatives: List[FNBugCandidate] = []
-        for candidate in candidates:
-            config = candidate.missing.config
-            report = candidate.detecting.result.report
-            signature = (config.compiler, config.sanitizer, config.opt_level,
-                         candidate.program.ub_type,
-                         report.kind if report is not None else None)
-            if signature in seen:
-                continue
-            seen.add(signature)
-            representatives.append(candidate)
-        return representatives
 
-    @staticmethod
-    def _representative_wrong_reports(
-            candidates: List[WrongReportCandidate]) -> List[WrongReportCandidate]:
-        seen = set()
-        representatives: List[WrongReportCandidate] = []
-        for candidate in candidates:
-            signature = (candidate.second.config.compiler,
-                         candidate.second.config.sanitizer,
-                         candidate.difference.split()[0] if candidate.difference else "")
-            if signature in seen:
-                continue
-            seen.add(signature)
-            representatives.append(candidate)
-        return representatives
+def _representatives(candidates: list, signature) -> list:
+    """The first candidate of each signature, in candidate order."""
+    first: dict = {}
+    for candidate in candidates:
+        first.setdefault(signature(candidate), candidate)
+    return list(first.values())
+
+
+def _fn_signature(candidate: FNBugCandidate) -> tuple:
+    config = candidate.missing.config
+    report = candidate.detecting.result.report
+    return (config.compiler, config.sanitizer, config.opt_level,
+            candidate.program.ub_type,
+            report.kind if report is not None else None)
+
+
+def _wrong_report_signature(candidate: WrongReportCandidate) -> tuple:
+    config = candidate.second.config
+    return (config.compiler, config.sanitizer,
+            candidate.difference.split()[0] if candidate.difference else "")

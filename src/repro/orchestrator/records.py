@@ -216,7 +216,5 @@ def batch_from_record(record: dict) -> SeedBatch:
                      programs_generated=programs_generated,
                      diff_results=diff_results,
                      duration_seconds=record["duration_seconds"],
-                     # .get: records written before the resurvey fields
-                     # existed load as plain full surveys.
-                     surveyed_cells=record.get("surveyed_cells", 0),
-                     skipped_cells=record.get("skipped_cells", 0))
+                     surveyed_cells=record["surveyed_cells"],
+                     skipped_cells=record["skipped_cells"])

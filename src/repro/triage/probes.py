@@ -10,8 +10,8 @@ phases:
 * :class:`CrashProbe` — "bad" means the sanitizer stays *silent* on a UB
   program (the campaign's false-negative signal).  The probe recompiles
   the program for one release with the full defect registry and runs it
-  on the compiled VM; the window it bisects is the responsible sanitizer
-  defect's active range.
+  through :func:`repro.core.bugs.run_cell`, as triage does; the window it
+  bisects is the responsible sanitizer defect's active range.
 * :class:`MarkerProbe` — "bad" means a semantically dead marker call is
   *retained* by one release's version-aware pipeline (the marker engine's
   missed-optimization / regression signal).  The window is an optimizer
@@ -26,15 +26,13 @@ from __future__ import annotations
 from typing import Optional, Sequence
 
 from repro.compilers.cache import CompilationCache
-from repro.compilers.compiler import make_compiler
-from repro.compilers.options import CompileOptions
+from repro.core.bugs import detected, run_cell
 from repro.core.ub_types import UBType, detects
 from repro.markers.instrument import MarkedProgram
 from repro.markers.oracle import EliminationOracle, MarkerConfig
 from repro.optim.pipelines import OptimizerDefect, effective_pass_names
 from repro.sanitizers.defects import Defect, default_defects
 from repro.triage.events import PASS_INTRODUCED_EVENT, RevisionEvent
-from repro.utils.errors import CompilationError
 
 DEFAULT_MAX_STEPS = 200_000
 
@@ -57,19 +55,11 @@ class CrashProbe:
         self.max_steps = max_steps
 
     def __call__(self, version: int) -> bool:
-        compiler = make_compiler(self.compiler, version=version,
-                                 defect_registry=self.registry,
-                                 cache=self.cache)
-        try:
-            binary = compiler.compile(self.source,
-                                      CompileOptions(opt_level=self.opt_level,
-                                                     sanitizer=self.sanitizer))
-        except CompilationError:
-            return False
-        result = binary.run(max_steps=self.max_steps)
-        detected = (result.crashed and result.report is not None
-                    and detects(self.ub_type, result.report.kind))
-        return not detected
+        verdict = run_cell(self.source, self.compiler, version,
+                           self.sanitizer, self.opt_level, self.registry,
+                           self.cache, self.max_steps)
+        # A program that does not compile hides no UB: not bad.
+        return verdict is not None and not detected(verdict, self.ub_type)
 
     def relevant(self, event: RevisionEvent) -> bool:
         """Only sanitizer defects matching this probe's sanitizer, level

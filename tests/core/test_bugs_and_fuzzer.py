@@ -1,9 +1,14 @@
 """Tests for bug triage, deduplication and the fuzzing campaign."""
 
+import ast
 import dataclasses
+from pathlib import Path
 
 import pytest
 
+from repro.compilers import CompilationCache
+from repro.compilers.compiler import SimulatedCompiler
+from repro.compilers.options import ALL_OPT_LEVELS
 from repro.compilers.versions import all_versions, trunk_version
 from repro.core import (
     BugTriager,
@@ -12,11 +17,18 @@ from repro.core import (
     STATUS_CONFIRMED,
     STATUS_FIXED,
     STATUS_INVALID,
+    SeedBatch,
     UBType,
 )
+from repro.core import bugs
 from repro.core.bugs import BugReport
 from repro.core.differential import TestConfig as Config
+from repro.core.fuzzer import (_fn_signature, _representatives,
+                               _wrong_report_signature)
 from repro.sanitizers.defects import default_defects
+from repro.telemetry import runtime as telemetry
+from repro.triage import CrashProbe, RevisionBisector
+from repro.utils.errors import CompilationError
 
 
 # The tiny campaign fixture (2 seeds, 3 opt levels) is shared session-wide.
@@ -172,26 +184,36 @@ def test_triager_never_credits_an_inert_defect(small_campaign):
     assert decoy_report.status == STATUS_INVALID
 
 
-def test_wrong_report_versions_span_the_defect_window():
+@pytest.mark.parametrize("opt_level", ALL_OPT_LEVELS)
+@pytest.mark.parametrize("defect", default_defects(),
+                         ids=lambda defect: defect.defect_id)
+def test_wrong_report_versions_span_the_defect_window(defect, opt_level):
     """Pinned regression: wrong-report bugs used to hardcode
     ``affected_versions=[trunk]``; they must cover the responsible
-    defect's whole activity window."""
-    triager = BugTriager()
-    [defect] = [d for d in default_defects()
-                if d.defect_id == "gcc-ubsan-line-info"]
-    config = Config(compiler="gcc", sanitizer="ubsan", opt_level="-O0")
-    versions = triager._wrong_report_versions(defect, config)
-    expected = [v for v in all_versions("gcc")
-                if defect.active_for("gcc", v, "ubsan", "-O0")]
-    assert versions == expected
-    assert len(versions) > 1  # introduced at 12, open: 12..trunk
-    # A config outside the defect's declared levels falls back to the
-    # defect's own levels instead of failing to anchor.
-    off_level = Config(compiler="gcc", sanitizer="ubsan",
-                           opt_level="-O3")
-    assert triager._wrong_report_versions(defect, off_level) == expected
+    defect's whole activity window.  The reference is what bisecting the
+    defect's activity from its newest active release finds, at the
+    config's level or, outside the defect's levels, at its first one."""
+    compiler, sanitizer = defect.compiler, defect.sanitizer
+    level = opt_level
+    if defect.opt_levels and level not in defect.opt_levels:
+        level = defect.opt_levels[0]
+    live = [v for v in all_versions(compiler)
+            if v >= defect.introduced_version
+            and (defect.fixed_version is None or v < defect.fixed_version)]
+    expected = [trunk_version(compiler)]
+    if live:
+        expected = RevisionBisector(compiler).bisect(
+            lambda v: defect.active_for(compiler, v, sanitizer, level),
+            live[-1]).affected_versions
+    config = Config(compiler=compiler, sanitizer=sanitizer,
+                    opt_level=opt_level)
+    assert BugTriager()._wrong_report_versions(defect, config) == expected
+
+
+def test_wrong_report_versions_without_a_defect_are_trunk():
     # No defect: the observation itself (trunk) is all we know.
-    assert triager._wrong_report_versions(None, config) == [
+    config = Config(compiler="gcc", sanitizer="ubsan", opt_level="-O0")
+    assert BugTriager()._wrong_report_versions(None, config) == [
         trunk_version("gcc")]
 
 
@@ -221,3 +243,122 @@ def test_triager_deduplicate_counts_merges_and_keeps_best_reduction():
         first, make(["-O3"]), make(["-O1"]), make(["-Os"])])
     assert merged is first
     assert merged.metadata["merged_duplicates"] == 3
+
+
+# -- triage reads the matrix's evidence --------------------------------------------------
+
+def _record_compiles(monkeypatch):
+    """Record every compile as (source, compiler, version, registry defect
+    ids, sanitizer, opt level)."""
+    compiles = []
+    real_compile = SimulatedCompiler.compile
+
+    def recording_compile(self, source, options=None, **kwargs):
+        compiles.append((source, self.name, self.version,
+                         tuple(d.defect_id for d in self.defect_registry),
+                         options.sanitizer, options.opt_level))
+        return real_compile(self, source, options, **kwargs)
+
+    monkeypatch.setattr(SimulatedCompiler, "compile", recording_compile)
+    return compiles
+
+
+def _summaries(reports):
+    return [(r.bug_id, r.status, r.defect.defect_id if r.defect else None,
+             r.affected_opt_levels, r.affected_versions) for r in reports]
+
+
+def test_triage_runs_no_cell_twice(small_campaign, monkeypatch):
+    """Triage reads the cells the differential matrix ran instead of
+    running them again, and runs each of its own cells once."""
+    campaign = FuzzingCampaign(small_campaign.config)
+    registry = tuple(d.defect_id for d in campaign.registry)
+    matrix = {(result.program.source, outcome.config.compiler,
+               trunk_version(outcome.config.compiler), registry,
+               outcome.config.sanitizer, outcome.config.opt_level)
+              for result in small_campaign.differential_results
+              for outcome in result.outcomes}
+    compiles = _record_compiles(monkeypatch)
+    result = campaign.collect([SeedBatch(
+        seed_index=0, generated=True,
+        diff_results=small_campaign.differential_results)])
+    assert _summaries(result.bug_reports) == _summaries(
+        small_campaign.bug_reports)
+    assert compiles
+    assert len(set(compiles)) == len(compiles)
+    assert not matrix & set(compiles)
+
+
+def test_matrix_evidence_changes_no_report(small_campaign):
+    """The matrix's runs only save work: a triager without them reaches
+    the same report for every representative."""
+    max_steps = small_campaign.config.max_steps
+    cache = CompilationCache()
+    fresh = BugTriager(max_steps=max_steps, compilation_cache=cache)
+    seeded = BugTriager(max_steps=max_steps, compilation_cache=cache)
+    seeded.observe(small_campaign.differential_results)
+    fn_candidates = _representatives(small_campaign.fn_candidates,
+                                     _fn_signature)
+    wrong_reports = _representatives(small_campaign.wrong_report_candidates,
+                                     _wrong_report_signature)
+    assert fn_candidates and wrong_reports
+
+    def triage(triager):
+        return _summaries(
+            [triager.triage_fn_candidate(c) for c in fn_candidates]
+            + [triager.triage_wrong_report(c) for c in wrong_reports])
+
+    assert triage(fresh) == triage(seeded)
+
+
+def test_triage_and_crash_probe_count_swallowed_compile_errors(
+        small_campaign, monkeypatch):
+    """Pinned regression: triage and ``CrashProbe`` read a compile error
+    as "no result" without counting it in ``compile.errors``."""
+    failing_level = "-O1"
+    failed = []
+    real_compile = SimulatedCompiler.compile
+
+    def compile_failing_at_one_level(self, source, options=None, **kwargs):
+        if options.opt_level == failing_level:
+            failed.append((source, self.version, options.sanitizer))
+            raise CompilationError("forced compile error")
+        return real_compile(self, source, options, **kwargs)
+
+    monkeypatch.setattr(SimulatedCompiler, "compile",
+                        compile_failing_at_one_level)
+    candidate = small_campaign.fn_candidates[0]
+    config = candidate.missing.config
+    probe = CrashProbe(candidate.program.source, candidate.program.ub_type,
+                       config.compiler, config.sanitizer, failing_level)
+    session = telemetry.enable(campaign="t-triage-compile-errors")
+    try:
+        report = BugTriager().triage_fn_candidate(candidate)
+        triaged = session.metrics.counter_value("compile.errors")
+        # A program that does not compile hides no UB: not bad.
+        assert not probe(trunk_version(config.compiler))
+        probed = session.metrics.counter_value("compile.errors") - triaged
+    finally:
+        telemetry.disable()
+    assert failing_level not in report.affected_opt_levels
+    assert triaged >= 1 and probed == 1
+    assert triaged + probed == len(failed)
+
+
+def test_core_imports_nothing_from_triage():
+    """``repro.triage`` sits above ``repro.core``: no core module imports
+    it, lazily or not."""
+    root = Path(bugs.__file__).resolve().parent
+    imports = []
+    for path in sorted(root.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ImportFrom) and node.module:
+                modules = [node.module]
+            elif isinstance(node, ast.Import):
+                modules = [alias.name for alias in node.names]
+            else:
+                continue
+            imports += [f"{path.name}:{node.lineno} {module}"
+                        for module in modules
+                        if module.split(".")[:2] == ["repro", "triage"]]
+    assert imports == []
