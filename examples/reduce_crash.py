@@ -10,8 +10,8 @@ docs/ARCHITECTURE.md, "Reduction"):
 2. pick the first bucket and its representative crashing program;
 3. build the interestingness predicate ("the same sanitizer still misses
    the same UB another configuration still detects");
-4. reduce the program with the hierarchical reducer, serially and in
-   parallel (`jobs=2`) — both produce the bit-identical reproducer;
+4. reduce the program with the hierarchical reducer, which judges its
+   candidates one at a time and applies the first accepted one;
 5. persist `reduced/<bucket>.c` into the corpus next to the bucket.
 
 Run:  python examples/reduce_crash.py [--smoke]
@@ -23,12 +23,7 @@ from pathlib import Path
 
 from repro import CampaignConfig, OrchestratedCampaign
 from repro.orchestrator import bucket_key_for
-from repro.reduction import (
-    HierarchicalReducer,
-    make_fn_bug_predicate,
-    make_fn_bug_predicate_factory,
-    record_for,
-)
+from repro.reduction import HierarchicalReducer, make_fn_bug_predicate, record_for
 
 
 def main() -> None:
@@ -62,33 +57,25 @@ def main() -> None:
         print(f"  missed by   : {candidate.missing.config.label}")
         print(f"  program     : {len(program.source.splitlines())} lines")
 
-        # 3. + 4. Reduce, serial then parallel - bit-identical outputs.
+        # 3. + 4. Reduce.
         predicate = make_fn_bug_predicate(program, candidate.detecting.config,
                                           candidate.missing.config)
         reducer = HierarchicalReducer(predicate,
                                       max_rounds=2 if smoke else 8)
-        serial = reducer.reduce(program.source)
-        record = record_for("-".join(key).replace(":", "_"), candidate, serial)
+        reduction = reducer.reduce(program.source)
+        record = record_for("-".join(key).replace(":", "_"), candidate,
+                            reduction)
         print(f"\nreduced {record.original_tokens} -> {record.reduced_tokens} "
               f"tokens ({record.token_reduction:.0%}) in "
-              f"{serial.predicate_evaluations} predicate evaluations / "
-              f"{serial.duration_seconds:.1f}s")
-
-        if not smoke:
-            parallel = HierarchicalReducer(
-                predicate_factory=make_fn_bug_predicate_factory(
-                    program, candidate.detecting.config,
-                    candidate.missing.config),
-                jobs=2).reduce(program.source)
-            identical = parallel.reduced_source == serial.reduced_source
-            print(f"parallel (jobs=2) bit-identical to serial: {identical}")
+              f"{reduction.predicate_evaluations} predicate evaluations / "
+              f"{reduction.duration_seconds:.1f}s")
 
         # 5. Persist the reproducer next to its bucket.
-        path = corpus.record_reduction(key, serial.reduced_source,
+        path = corpus.record_reduction(key, reduction.reduced_source,
                                        stats=record.to_json())
         corpus.flush()
         print(f"\nwrote {Path(path).relative_to(tmp)}:")
-        print(serial.reduced_source)
+        print(reduction.reduced_source)
 
 
 if __name__ == "__main__":

@@ -14,8 +14,8 @@ This package reproduces, in pure Python, the system described in
 * :mod:`repro.core`       — the paper's contribution: shadow-statement-insertion
                             UB generation, crash-site mapping, differential
                             testing, the fuzzing campaign and triage;
-* :mod:`repro.reduction`  — hierarchical parallel test-case reduction (the
-                            paper's C-Reduce step);
+* :mod:`repro.reduction`  — hierarchical test-case reduction (the paper's
+                            C-Reduce step);
 * :mod:`repro.markers`    — marker-based missed-optimization and
                             optimizer-regression finding (the DEAD-style
                             workload on the same toolchain);
@@ -69,12 +69,7 @@ from repro.markers import (
     MarkerPlanter,
     MarkerSite,
 )
-from repro.orchestrator import (
-    CorpusStore,
-    OrchestratedCampaign,
-    PoolExecutor,
-    SerialExecutor,
-)
+from repro.orchestrator import CorpusStore, OrchestratedCampaign
 from repro.reduction import (
     HierarchicalReducer,
     ReductionResult,
@@ -131,7 +126,7 @@ __all__ = [
     "EliminationOracle", "MarkedProgram", "MarkerCampaignConfig",
     "MarkerCampaignResult", "MarkerConfig", "MarkerEngine", "MarkerFinding",
     "MarkerPlanter", "MarkerSite",
-    "CorpusStore", "OrchestratedCampaign", "PoolExecutor", "SerialExecutor",
+    "CorpusStore", "OrchestratedCampaign",
     "CampaignProfile", "HealthMonitor", "MetricsRegistry", "TelemetryStore",
     "Tracer", "WatchView", "configure_logging", "load_profile",
     "write_chrome_trace", "write_folded_stacks",

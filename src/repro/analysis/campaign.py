@@ -16,7 +16,6 @@ from typing import Dict, List, Optional, Tuple
 
 from repro.compilers.compiler import make_compiler
 from repro.compilers.options import CompileOptions
-from repro.core.crash_site import is_sanitizer_bug_from_results
 from repro.core.fuzzer import CampaignConfig, CampaignResult
 from repro.core.insertion import UBProgram
 from repro.core.ub_types import ALL_UB_TYPES, UBType, ub_type_of_report

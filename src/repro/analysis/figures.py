@@ -12,7 +12,7 @@ from typing import Dict, List, Tuple
 from repro.analysis.bugtracker import figure9_rows, tracker_history
 from repro.compilers.versions import stable_versions, version_label
 from repro.core.fuzzer import CampaignResult
-from repro.core.ub_types import ALL_UB_TYPES, UBType
+from repro.core.ub_types import UBType
 
 Rows = List[List[object]]
 Figure = Tuple[List[str], Rows]

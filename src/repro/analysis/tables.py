@@ -12,7 +12,7 @@ from typing import Dict, List, Sequence, Tuple
 from repro.analysis.campaign import GeneratorComparison
 from repro.core.bugs import STATUS_CONFIRMED, STATUS_FIXED, STATUS_INVALID, BugReport
 from repro.core.fuzzer import CampaignResult
-from repro.core.ub_types import ALL_UB_TYPES, SANITIZERS_FOR_UB, UBType
+from repro.core.ub_types import ALL_UB_TYPES, SANITIZERS_FOR_UB
 from repro.coverage.report import CoverageReport
 from repro.sanitizers.defects import CATEGORIES
 

@@ -58,8 +58,8 @@ class SimulatedCompiler:
         #: With versioned pipelines the optimizer models release history:
         #: passes not yet introduced at ``version`` (and passes inside a
         #: seeded :class:`~repro.optim.pipelines.OptimizerDefect` window) do
-        #: not run.  Off by default — differential testing and defect
-        #: bisection use the flat, release-independent pipelines.
+        #: not run.  Off by default — differential testing and triage use
+        #: the flat, release-independent pipelines.
         self.versioned_pipelines = versioned_pipelines
 
     # -- public API -------------------------------------------------------------

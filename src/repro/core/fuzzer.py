@@ -20,7 +20,7 @@ from __future__ import annotations
 import logging
 import time
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence
+from typing import Dict, Iterable, List, Optional, Sequence
 
 from repro.compilers.cache import CompilationCache
 from repro.compilers.compiler import make_compiler
@@ -168,10 +168,11 @@ class FuzzingCampaign:
         self.registry = registry
         self.seed_generator = CsmithGenerator(
             GeneratorConfig(seed=self.config.rng_seed))
-        # One compilation cache per campaign (per orchestrator worker
-        # process): every (compiler, sanitizer, opt level) configuration of
-        # one generated program shares the parse and optimizer artifacts,
-        # and the generator's validation parse is that shared parse.
+        # One compilation cache per campaign (and one campaign per
+        # orchestrator process): every (compiler, sanitizer, opt level)
+        # configuration of one generated program shares the parse and
+        # optimizer artifacts, the generator's validation parse is that
+        # shared parse, and triage and reduction reuse them.
         self.compilation_cache = CompilationCache()
         self.ub_generator = UBGenerator(
             seed=self.config.rng_seed,
@@ -198,51 +199,26 @@ class FuzzingCampaign:
 
     # -- public ---------------------------------------------------------------------
 
-    def run(self, executor=None) -> CampaignResult:
-        """Run the whole campaign, optionally through a pluggable executor.
+    def run(self) -> CampaignResult:
+        """Run the whole campaign in this process: :meth:`collect` over
+        :meth:`run_seed` in seed order.
 
-        Without an executor, seeds are processed lazily in-process (the
-        original serial behaviour).  An executor — e.g.
-        :class:`repro.orchestrator.SerialExecutor` or
-        :class:`repro.orchestrator.PoolExecutor` — receives the config plus
-        the seed indices and yields :class:`SeedBatch` objects in seed order;
-        because every batch depends only on ``(config, seed_index)``, the
-        merged result is identical no matter which executor ran it.
+        Seeds run lazily, so none runs past ``max_programs_total``.  Every
+        batch depends only on ``(config, seed_index)``, which is why the
+        orchestrator's seed pool merges to the identical result.
         """
-        seed_indices = range(self.config.num_seeds)
-        if executor is None:
-            batches: Iterable[SeedBatch] = self._serial_batches(seed_indices)
-        else:
-            batches = executor.map_seeds(self.config, seed_indices)
-        return self.collect(batches)
+        return self.collect(self.run_seed(index)
+                            for index in range(self.config.num_seeds))
 
-    def _serial_batches(self, seed_indices) -> Iterator[SeedBatch]:
-        """In-process batches with the global test budget threaded through.
-
-        Unlike pool workers, the serial path can see ``max_programs_total``,
-        so — as before the refactor — it never differentially tests programs
-        past the cap."""
-        remaining = self.config.max_programs_total
-        for index in seed_indices:
-            batch = self.run_seed(index, test_budget=remaining)
-            yield batch
-            if remaining is not None:
-                remaining -= batch.programs_tested
-                if remaining <= 0:
-                    return
-
-    def run_seed(self, seed_index: int,
-                 test_budget: Optional[int] = None) -> SeedBatch:
+    def run_seed(self, seed_index: int) -> SeedBatch:
         """Process one seed work-item: generate, mutate and test.
 
-        ``test_budget`` caps how many of the generated programs are
-        differentially tested (generation counts always cover the whole
-        seed); pool workers leave it unset since they cannot see the global
-        budget — :meth:`collect` truncates their excess instead.
+        The batch always covers the whole seed; :meth:`collect` drops the
+        programs past ``max_programs_total``.
         """
         with telemetry.seed_scope(seed_index) as scope:
             with telemetry.span("seed", seed=seed_index):
-                batch = self._run_seed(seed_index, test_budget)
+                batch = self._run_seed(seed_index)
             if scope is not None:
                 # Liveness pulse: rides back in the batch payload so the
                 # parent's merged metrics always carry the latest heartbeat.
@@ -250,8 +226,7 @@ class FuzzingCampaign:
                 batch.telemetry = scope.payload()
         return batch
 
-    def _run_seed(self, seed_index: int,
-                  test_budget: Optional[int]) -> SeedBatch:
+    def _run_seed(self, seed_index: int) -> SeedBatch:
         start = time.time()
         try:
             with telemetry.stage("generate", seed=seed_index):
@@ -266,8 +241,6 @@ class FuzzingCampaign:
         for ub_type, generated in by_type.items():
             counts[ub_type] = len(generated)
             programs.extend(generated)
-        if test_budget is not None:
-            programs = programs[:test_budget]
         diff_results = []
         surveyed_cells = skipped_cells = 0
         for program in programs:
@@ -308,10 +281,8 @@ class FuzzingCampaign:
         """Merge per-seed batches (in seed order) into the campaign result.
 
         Consumption stops as soon as ``max_programs_total`` is reached, so a
-        lazy serial iterator never generates seeds past the cap, and the
-        result (stats, candidates, reports) is identical to the pre-refactor
-        loop.  A batch is always a *whole* seed, though — workers cannot see
-        the global budget — so excess programs of the final consumed seed
+        lazy iterator never runs seeds past the cap.  A batch is always a
+        *whole* seed, though, so excess programs of the final consumed seed
         (and of any seeds a pool prefetched) are tested and then discarded.
         """
         start = time.time()
@@ -397,5 +368,7 @@ def _fn_signature(candidate: FNBugCandidate) -> tuple:
 
 def _wrong_report_signature(candidate: WrongReportCandidate) -> tuple:
     config = candidate.second.config
+    # "report kind a vs b" or "report line 3 vs 5": key on the field the
+    # two reports disagree on.
     return (config.compiler, config.sanitizer,
-            candidate.difference.split()[0] if candidate.difference else "")
+            *candidate.difference.split()[:2])

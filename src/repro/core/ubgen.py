@@ -17,7 +17,7 @@ every generated program contains exactly one UB of the requested type.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Sequence, Union
+from typing import Dict, List, Optional, Sequence, Union
 
 from repro.cdsl import ast_nodes as ast
 from repro.cdsl.parser import parse_program
@@ -25,7 +25,7 @@ from repro.cdsl.sema import analyze
 from repro.compilers.cache import CompilationCache
 from repro.core.insertion import UBProgram, apply_mutation
 from repro.core.matching import MatchedExpr, get_matched_exprs
-from repro.core.profile import ExecutionProfile, Profiler
+from repro.core.profile import Profiler
 from repro.core.synthesis import synthesize
 from repro.core.ub_types import ALL_UB_TYPES, UBType
 from repro.seedgen.csmith import SeedProgram

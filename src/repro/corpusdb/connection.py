@@ -22,7 +22,7 @@ import logging
 import os
 import sqlite3
 import time
-from typing import Iterator, Optional
+from typing import Iterator
 
 logger = logging.getLogger(__name__)
 

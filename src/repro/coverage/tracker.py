@@ -23,7 +23,7 @@ import re
 import sys
 import types
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Set, Tuple
+from typing import Iterable, List, Set, Tuple
 
 DEFAULT_PACKAGES = ("repro.optim", "repro.sanitizers", "repro.compilers")
 

@@ -245,15 +245,11 @@ class MarkerEngine:
 
     # -- public -----------------------------------------------------------------
 
-    def run(self, executor=None) -> MarkerCampaignResult:
-        """Run the campaign, optionally through an orchestrator executor."""
-        seed_indices = range(self.config.num_seeds)
-        if executor is None:
-            batches: Iterable[MarkerBatch] = (
-                self.run_seed(index) for index in seed_indices)
-        else:
-            batches = executor.map_seeds(self.config, seed_indices)
-        return self.collect(batches)
+    def run(self) -> MarkerCampaignResult:
+        """Run the campaign in this process: :meth:`collect` over
+        :meth:`run_seed` in seed order."""
+        return self.collect(self.run_seed(index)
+                            for index in range(self.config.num_seeds))
 
     def analyze_source(self, source: str, seed_index: int = 0
                        ) -> Tuple[MarkedProgram, List[MarkerFinding]]:

@@ -24,7 +24,7 @@ this).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence, Tuple, Union
+from typing import List, Optional, Tuple, Union
 
 from repro.cdsl import ast_nodes as ast
 from repro.cdsl import ctypes_ as ct

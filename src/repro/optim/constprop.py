@@ -12,7 +12,7 @@ offending expression disappear entirely).
 
 from __future__ import annotations
 
-from typing import Dict, Optional
+from typing import Dict
 
 from repro.cdsl import ast_nodes as ast
 from repro.cdsl import ctypes_ as ct

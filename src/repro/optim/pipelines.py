@@ -18,7 +18,7 @@ Pipelines are optionally **version-aware**: passing a ``version`` to
 
 ``version=None`` (the default everywhere outside the marker engine) keeps
 the historical flat behaviour: every pass of the level runs regardless of
-release, so differential testing and defect bisection are unaffected.
+release, so differential testing and triage are unaffected.
 """
 
 from __future__ import annotations

@@ -3,8 +3,9 @@
 This package scales the serial fuzzing loop of :mod:`repro.core.fuzzer` to
 many cores without giving up reproducibility:
 
-* :mod:`repro.orchestrator.executor`   — serial / multiprocessing executors;
-* :mod:`repro.orchestrator.campaign`   — :class:`OrchestratedCampaign`;
+* :mod:`repro.orchestrator.campaign`   — :class:`OrchestratedCampaign`: one
+  campaign object per process, its seeds run in-process or on a ``fork``
+  pool whose workers inherit it;
 * :mod:`repro.orchestrator.corpus`     — corpus store + crash dedup index;
 * :mod:`repro.orchestrator.checkpoint` — JSON checkpoint/resume;
 * :mod:`repro.orchestrator.stats`      — live throughput/ETA monitoring;
@@ -18,12 +19,6 @@ work-items over any number of processes merges into the same campaign.
 from repro.orchestrator.campaign import OrchestratedCampaign
 from repro.orchestrator.checkpoint import CampaignCheckpoint, CheckpointMismatch
 from repro.orchestrator.corpus import CorpusStore, CrashBucket, bucket_key_for
-from repro.orchestrator.executor import (
-    Executor,
-    PoolExecutor,
-    SerialExecutor,
-    make_executor,
-)
 from repro.orchestrator.records import (
     batch_from_record,
     batch_to_record,
@@ -35,7 +30,6 @@ __all__ = [
     "OrchestratedCampaign",
     "CampaignCheckpoint", "CheckpointMismatch",
     "CorpusStore", "CrashBucket", "bucket_key_for",
-    "Executor", "PoolExecutor", "SerialExecutor", "make_executor",
     "batch_from_record", "batch_to_record", "config_fingerprint",
     "ThroughputMonitor", "ThroughputSnapshot",
 ]

@@ -1,11 +1,14 @@
-"""The campaign orchestrator: sharded execution with checkpoint/resume.
+"""The campaign orchestrator: one campaign per process, checkpoint/resume.
 
-:class:`OrchestratedCampaign` wraps a :class:`~repro.core.fuzzer.FuzzingCampaign`
-with the production machinery the serial loop lacks:
+:class:`OrchestratedCampaign` runs a :class:`~repro.core.fuzzer.FuzzingCampaign`
+(or a :class:`~repro.markers.engine.MarkerEngine`) with the production
+machinery the bare campaign loop lacks:
 
-* **sharded execution** — seed work-items run on a pluggable executor
-  (serial or a ``multiprocessing`` pool); per-seed RNG derivation makes the
-  merged result bit-identical to a serial run;
+* **one campaign per process** — :meth:`OrchestratedCampaign.run` builds
+  the single campaign object, and its seeds, merge, triage and reduction
+  all run on it and share its compilation cache.  With ``workers > 1`` the
+  seeds run on a ``fork`` pool whose workers inherit that object; per-seed
+  RNG derivation makes the merged result bit-identical to a serial run;
 * **checkpoint/resume** — completed seeds are snapshotted to JSON after every
   batch, so a killed campaign resumes from where it stopped and finishes with
   the same deduplicated bug reports as an uninterrupted one;
@@ -16,10 +19,10 @@ with the production machinery the serial loop lacks:
   its restored seeds, so killed-and-resumed equals uninterrupted;
 * **crash reduction** — with ``reduce=True`` each dedup bucket's
   representative program is shrunk to a minimal reproducer after the merge
-  (``reduce_jobs`` fans candidate evaluation out over processes), stored in
-  the findings database and exported as ``reduced/<bucket>.c``; resumed
-  campaigns restore the reductions they already recorded instead of
-  re-reducing them;
+  (in this process, through the campaign's own differential tester),
+  stored in the findings database and exported as ``reduced/<bucket>.c``;
+  resumed campaigns restore the reductions they already recorded instead
+  of re-reducing them;
 * **live stats** — throughput and ETA stream through a
   :class:`~repro.orchestrator.stats.ThroughputMonitor`.
 """
@@ -27,6 +30,7 @@ with the production machinery the serial loop lacks:
 from __future__ import annotations
 
 import logging
+import multiprocessing
 import time
 from typing import Callable, Dict, Iterator, List, Optional, Union
 
@@ -37,6 +41,7 @@ from repro.core.fuzzer import (
     SeedBatch,
 )
 from repro.corpusdb import CRASH_KIND
+from repro.markers.engine import MarkerEngine
 from repro.orchestrator.checkpoint import CampaignCheckpoint
 from repro.orchestrator.corpus import (
     BucketKey,
@@ -45,7 +50,6 @@ from repro.orchestrator.corpus import (
     bucket_slug,
     signature_for,
 )
-from repro.orchestrator.executor import Executor, make_executor
 from repro.orchestrator.records import config_fingerprint
 from repro.orchestrator.stats import ThroughputMonitor
 from repro.reduction import ReductionRecord, record_for, reduce_fn_candidate
@@ -60,13 +64,15 @@ logger = logging.getLogger(__name__)
 class OrchestratedCampaign:
     """Runs a fuzzing or marker campaign through the orchestration engine.
 
-    ``workers=1`` (the default) runs serially in-process; ``workers=N``
-    shards seeds across N worker processes.  Either way the deduplicated
-    bug reports are identical for the same config and ``rng_seed``.
+    ``workers=1`` (the default) runs every seed in this process;
+    ``workers=N`` runs them on a pool of N forked processes that inherit
+    the campaign object (``workers > 1`` needs the ``fork`` start method).
+    Either way the deduplicated bug reports are identical for the same
+    config and ``rng_seed``.
 
     Passing a :class:`~repro.markers.engine.MarkerCampaignConfig` selects
-    **marker mode** (the CLI's ``--mode markers``): the same executor
-    shards marked-program surveys, the same monitor streams progress, and
+    **marker mode** (the CLI's ``--mode markers``): the same pool runs the
+    marked-program surveys, the same monitor streams progress, and
     ``reduce=True`` shrinks one representative finding per dedup bucket via
     :func:`repro.reduction.reduce_marker_finding`.  Checkpoint/corpus
     storage is fuzzing-specific and rejected in marker mode.
@@ -74,14 +80,12 @@ class OrchestratedCampaign:
 
     def __init__(self, config: Optional[CampaignConfig] = None,
                  workers: int = 1,
-                 executor: Optional[Executor] = None,
                  checkpoint_path: Optional[str] = None,
                  checkpoint_interval: int = 1,
                  corpus: Union[CorpusStore, str, None] = None,
                  progress: Optional[Callable[[str], None]] = None,
                  max_seeds_per_session: Optional[int] = None,
                  reduce: bool = False,
-                 reduce_jobs: int = 1,
                  trace: bool = False,
                  db_path: Optional[str] = None,
                  resurvey: bool = False,
@@ -101,7 +105,12 @@ class OrchestratedCampaign:
                 raise ValueError(
                     "resurvey applies to fuzzing campaigns; marker "
                     "campaigns dedupe by bucket signature instead")
-        self.executor = executor if executor is not None else make_executor(workers)
+        if workers > 1 and "fork" not in multiprocessing.get_all_start_methods():
+            raise ValueError(
+                "workers > 1 runs seeds on a 'fork' process pool, and this "
+                "platform has no 'fork' start method; use workers=1")
+        #: Seed processes: 1 runs every seed in this process.
+        self.workers = max(1, workers)
         self.checkpoint = (CampaignCheckpoint(checkpoint_path, self.config,
                                               flush_interval=checkpoint_interval)
                            if checkpoint_path is not None else None)
@@ -114,7 +123,6 @@ class OrchestratedCampaign:
         self.progress = progress
         self.max_seeds_per_session = max_seeds_per_session
         self.reduce = reduce
-        self.reduce_jobs = reduce_jobs
         self.trace = trace
         if trace and (self.corpus is None or self.corpus.root is None):
             raise ValueError(
@@ -131,10 +139,10 @@ class OrchestratedCampaign:
             raise ValueError(
                 "resurvey needs a corpus store: the skip set is the "
                 "findings database's recorded outcome cells")
-        #: Resurvey accounting over freshly executed batches (run()).
+        #: Resurvey accounting over freshly executed batches (run() with
+        #: ``resurvey=True``).
         self.surveyed_cells = 0
         self.skipped_cells = 0
-        self._survey_skip: frozenset = frozenset()
         #: Populated by run(); exposes live throughput/ETA while running.
         self.monitor: Optional[ThroughputMonitor] = None
         #: Stall/straggler detection over freshly executed batches; the
@@ -167,16 +175,19 @@ class OrchestratedCampaign:
         handful of counter bumps per compile); ``trace=True`` additionally
         records spans to ``<corpus>/telemetry/trace.jsonl``.  An already
         active :func:`repro.telemetry.enable` session is reused (and left
-        open) instead."""
+        open) instead.
+
+        The config's type picks the one campaign object this process
+        builds; every seed, the merge, triage and reduction run on it."""
         session, owned = self._begin_telemetry()
         try:
             self._emit_campaign_start()
-            with telemetry.span("campaign", workers=self.executor.workers,
+            with telemetry.span("campaign", workers=self.workers,
                                 seeds=self.config.num_seeds):
                 if isinstance(self.config, CampaignConfig):
-                    result = self._run_fuzzing()
+                    result = self._run_fuzzing(FuzzingCampaign(self.config))
                 else:
-                    result = self._run_markers()
+                    result = self._run_markers(MarkerEngine(self.config))
             self._finish_telemetry(session)
             self._ingest_into_store()
             return result
@@ -184,8 +195,7 @@ class OrchestratedCampaign:
             if owned:
                 telemetry.disable()
 
-    def _run_fuzzing(self) -> CampaignResult:
-        campaign = FuzzingCampaign(self.config)
+    def _run_fuzzing(self, campaign: FuzzingCampaign) -> CampaignResult:
         completed: Dict[int, SeedBatch] = (self.checkpoint.load()
                                            if self.checkpoint is not None else {})
         self.resumed_indices = sorted(completed)
@@ -193,18 +203,15 @@ class OrchestratedCampaign:
                    if index not in completed]
         if self.max_seeds_per_session is not None:
             pending = pending[:self.max_seeds_per_session]
-        self._survey_skip = frozenset()
         if self.resurvey:
-            self._survey_skip = frozenset(self.corpus.recorded_cells())
+            # Set before any seed runs, so pool workers inherit it.
+            campaign.survey_skip = frozenset(self.corpus.recorded_cells())
             logger.info("resurvey: %d recorded outcome cells eligible to "
-                        "skip", len(self._survey_skip))
+                        "skip", len(campaign.survey_skip))
         logger.info("campaign start: %d seeds (%d restored), %d workers",
-                    self.config.num_seeds, len(completed),
-                    self.executor.workers)
-        self.monitor = ThroughputMonitor(self.config.num_seeds, emit=self.progress)
-        self.monitor.start()
-        self.health.start()
-        result = campaign.collect(self._merged_batches(completed, pending))
+                    self.config.num_seeds, len(completed), self.workers)
+        result = campaign.collect(
+            self._merged_batches(campaign, completed, pending))
         if self.reduce:
             self.reductions = self._reduce_buckets(campaign, result)
         if self.corpus is not None:
@@ -227,7 +234,7 @@ class OrchestratedCampaign:
         if active is None:
             return
         active.emit({"ev": "campaign_start", "seeds": self.config.num_seeds,
-                     "workers": self.executor.workers, "time": time.time()})
+                     "workers": self.workers, "time": time.time()})
 
     def _begin_telemetry(self):
         """Install (or adopt) the telemetry session for this run.
@@ -285,44 +292,22 @@ class OrchestratedCampaign:
 
     # -- marker mode ------------------------------------------------------------
 
-    def _run_markers(self):
-        """Shard a marker campaign over the executor and merge the result."""
-        from repro.markers.engine import MarkerEngine
+    def _run_markers(self, engine: MarkerEngine):
+        """Run a marker campaign on *engine* and merge the result."""
         from repro.reduction import marker_record_for, reduce_marker_finding
 
-        engine = MarkerEngine(self.config)
-        pending = list(range(self.config.num_seeds))
-        self.monitor = ThroughputMonitor(self.config.num_seeds,
-                                         emit=self.progress)
-        self.monitor.start()
-        self.health.start()
-
-        def batches():
-            fresh = iter(self.executor.map_seeds(self.config, pending))
-            try:
-                for batch in fresh:
-                    self.monitor.observe(batch)
-                    self.health.observe(batch.duration_seconds)
-                    yield batch
-            finally:
-                if hasattr(fresh, "close"):
-                    fresh.close()
-
-        result = engine.collect(batches())
+        result = engine.collect(self._merged_batches(
+            engine, {}, list(range(self.config.num_seeds))))
         if self.reduce:
             self.reductions = []
             for bucket in result.buckets.values():
+                # The engine's own oracle: its cache and step budget.
                 reduced, reduction = reduce_marker_finding(
-                    bucket.representative, cache=engine.oracle.cache,
-                    jobs=self.reduce_jobs)
+                    bucket.representative, oracle=engine.oracle)
                 record = marker_record_for(reduced, reduction)
                 bucket.representative = reduced
                 self.reductions.append(record)
-                if self.progress is not None:
-                    self.progress(f"reduced {record.label}: "
-                                  f"{record.original_tokens} -> "
-                                  f"{record.reduced_tokens} tokens "
-                                  f"({record.token_reduction:.0%})")
+                self._note_reduction(record)
         if self.db_path is not None:
             # Marker findings persist into the findings database directly
             # (the corpus store is crash-specific); re-ingesting the same
@@ -348,11 +333,11 @@ class OrchestratedCampaign:
         Candidates are visited in campaign order, so the representative of
         each (UB type, crash site, sanitizer) bucket — and with it the
         reduced reproducer — is identical for serial and parallel runs.
-        The campaign's own differential tester (and compilation cache)
-        evaluates candidates when ``reduce_jobs == 1``; pool workers build
-        their own caches.  Buckets this campaign already reduced in an
-        earlier session are restored from the findings database, not
-        re-reduced — reduction is the dominant per-bucket cost.
+        The campaign's own differential tester (its defect registry, step
+        budget and compilation cache) evaluates the candidates in this
+        process.  Buckets this campaign already reduced in an earlier
+        session are restored from the findings database, not re-reduced —
+        reduction is the dominant per-bucket cost.
         """
         records: List[ReductionRecord] = []
         seen: set = set()
@@ -366,19 +351,21 @@ class OrchestratedCampaign:
                 records.append(restored)
                 continue
             reduced, reduction = reduce_fn_candidate(candidate,
-                                                     tester=campaign.tester,
-                                                     jobs=self.reduce_jobs)
+                                                     tester=campaign.tester)
             record = record_for(bucket_slug(key), candidate, reduction)
             records.append(record)
             if self.corpus is not None and key in self.corpus.buckets:
                 self.corpus.record_reduction(key, reduction.reduced_source,
                                              stats=record.to_json())
-            if self.progress is not None:
-                self.progress(f"reduced {record.label}: "
-                              f"{record.original_tokens} -> "
-                              f"{record.reduced_tokens} tokens "
-                              f"({record.token_reduction:.0%})")
+            self._note_reduction(record)
         return records
+
+    def _note_reduction(self, record: ReductionRecord) -> None:
+        if self.progress is not None:
+            self.progress(f"reduced {record.label}: "
+                          f"{record.original_tokens} -> "
+                          f"{record.reduced_tokens} tokens "
+                          f"({record.token_reduction:.0%})")
 
     def _restored_reduction(self, key: BucketKey) -> Optional[ReductionRecord]:
         """Rebuild the record of a bucket this campaign already reduced.
@@ -403,11 +390,19 @@ class OrchestratedCampaign:
         except KeyError:
             return None
 
-    def _merged_batches(self, completed: Dict[int, SeedBatch],
+    def _merged_batches(self, campaign, completed: Dict[int, SeedBatch],
                         pending: list[int]) -> Iterator[SeedBatch]:
-        """Yield batches in seed order, merging checkpointed and fresh ones."""
-        fresh = iter(self.executor.map_seeds(self.config, pending,
-                                             survey_skip=self._survey_skip))
+        """Yield batches in seed order, merging checkpointed and fresh ones.
+
+        Fresh batches come from running *pending* on *campaign*; both
+        campaign modes read them here, which feeds the throughput and
+        health monitors (marker campaigns restore nothing and persist
+        nothing)."""
+        self.monitor = ThroughputMonitor(self.config.num_seeds,
+                                         emit=self.progress)
+        self.monitor.start()
+        self.health.start()
+        fresh = _run_seeds(campaign, pending, self.workers)
         try:
             for index in range(self.config.num_seeds):
                 if index in completed:
@@ -420,15 +415,14 @@ class OrchestratedCampaign:
                         # database already holds queues no rows.
                         self.corpus.ingest(batch)
                 else:
-                    try:
-                        batch = next(fresh)
-                    except StopIteration:
+                    batch = next(fresh, None)
+                    if batch is None:
                         # Session cap reached: hand back a partial campaign;
                         # the checkpoint already holds everything computed.
                         return
                     if batch.seed_index != index:  # pragma: no cover - invariant
                         raise RuntimeError(
-                            f"executor yielded seed {batch.seed_index}, "
+                            f"seed pool yielded seed {batch.seed_index}, "
                             f"expected {index}")
                     if self.corpus is not None:
                         # Database before checkpoint: every seed the
@@ -439,13 +433,66 @@ class OrchestratedCampaign:
                         self.checkpoint.record(batch)
                     self.monitor.observe(batch)
                     self.health.observe(batch.duration_seconds)
-                    self.surveyed_cells += batch.surveyed_cells
-                    self.skipped_cells += batch.skipped_cells
+                    if self.resurvey:
+                        self.surveyed_cells += batch.surveyed_cells
+                        self.skipped_cells += batch.skipped_cells
                 yield batch
         finally:
-            if hasattr(fresh, "close"):
-                fresh.close()
+            fresh.close()
             if self.checkpoint is not None:
                 self.checkpoint.flush()
             if self.corpus is not None:
                 self.corpus.flush()
+
+
+# -- the seed pool ----------------------------------------------------------------
+
+def _run_seeds(campaign, seed_indices: List[int],
+               workers: int) -> Iterator:
+    """Yield ``campaign.run_seed(index)`` for each of *seed_indices*, in order.
+
+    With ``workers <= 1`` the seeds run in this process.  Otherwise they
+    run on a ``fork`` pool: every worker inherits *campaign* as it stands
+    (its skip set, defect registry and step budget included), so only the
+    seed index goes out per task and only the batch comes back.  ``imap``
+    with ``chunksize=1`` hands seeds to workers as they free up but yields
+    them in seed order, which keeps the merge deterministic.
+    """
+    if workers <= 1 or not seed_indices:
+        for index in seed_indices:
+            yield campaign.run_seed(index)
+        return
+    # fork hands the initializer's arguments to the child unpickled.
+    pool = multiprocessing.get_context("fork").Pool(
+        processes=min(workers, len(seed_indices)),
+        initializer=_initialize_worker,
+        initargs=(campaign.run_seed, telemetry.worker_flags()))
+    try:
+        yield from pool.imap(_run_seed_in_worker, seed_indices, chunksize=1)
+    finally:
+        # terminate() rather than close(): when the consumer stops early
+        # (max_programs_total reached, session cap), pending seeds are
+        # abandoned, not drained.
+        pool.terminate()
+        pool.join()
+
+
+#: The inherited campaign's bound ``run_seed``, set in each pool worker.
+_worker_run_seed: Optional[Callable] = None
+
+
+def _initialize_worker(run_seed: Callable,
+                       telemetry_flags: Optional[dict]) -> None:
+    """Pool initializer: keep *run_seed*, re-enable telemetry from flags.
+
+    Telemetry state inherited across ``fork`` is dropped first: a worker
+    never writes to the parent's trace file; its spans buffer in per-seed
+    scopes and travel back inside the batch payloads."""
+    global _worker_run_seed
+    telemetry.enable_from_flags(telemetry_flags)
+    _worker_run_seed = run_seed
+
+
+def _run_seed_in_worker(seed_index: int):
+    """Pool task: run one seed on the inherited campaign."""
+    return _worker_run_seed(seed_index)

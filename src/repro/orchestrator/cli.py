@@ -76,10 +76,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help="reduce one representative crash per dedup "
                              "bucket to a minimal reproducer (written to "
                              "the corpus as reduced/<bucket>.c)")
-    parser.add_argument("--reduce-jobs", type=int, default=1, metavar="N",
-                        help="worker processes for reduction candidate "
-                             "evaluation (default: 1 = serial; any N "
-                             "produces the identical reduced program)")
     parser.add_argument("--checkpoint", default=None, metavar="PATH",
                         help="JSON snapshot to write/resume from")
     parser.add_argument("--checkpoint-interval", type=int, default=1,
@@ -447,7 +443,6 @@ def _run(args: argparse.Namespace) -> int:
         progress=progress,
         max_seeds_per_session=args.max_seeds_per_session,
         reduce=args.reduce,
-        reduce_jobs=args.reduce_jobs,
         trace=args.trace,
         db_path=args.db_path,
         resurvey=args.resurvey)
@@ -470,7 +465,7 @@ def _run(args: argparse.Namespace) -> int:
         "fn_candidates": stats.fn_candidates,
         "wrong_report_candidates": stats.wrong_report_candidates,
         "duration_seconds": round(stats.duration_seconds, 3),
-        "workers": orchestrated.executor.workers,
+        "workers": orchestrated.workers,
         "bug_reports": [
             {"bug_id": report.bug_id, "compiler": report.compiler,
              "sanitizer": report.sanitizer, "ub_type": report.ub_type.value,
@@ -593,7 +588,6 @@ def _run_markers(args: argparse.Namespace, config, progress) -> int:
         workers=args.workers,
         progress=progress,
         reduce=args.reduce,
-        reduce_jobs=args.reduce_jobs,
         db_path=args.db_path)
     result = orchestrated.run()
     stats = result.stats
@@ -605,7 +599,7 @@ def _run_markers(args: argparse.Namespace, config, progress) -> int:
         "configs_surveyed": stats.configs_surveyed,
         "raw_findings": stats.raw_findings,
         "findings_by_kind": dict(stats.findings_by_kind),
-        "workers": orchestrated.executor.workers,
+        "workers": orchestrated.workers,
         "buckets": [
             {"kind": f.kind, "compiler": f.compiler,
              "site": f.marker.signature, "pass": f.responsible_pass,

@@ -255,15 +255,13 @@ class CorpusStore:
         if bucket is None:
             bucket = CrashBucket(ub_type=ub_type, crash_site=site,
                                  sanitizer=missing_config.sanitizer)
+            bucket.first_seen = self._earlier_sighting(key)
             known = self._known_bugs.get((CRASH_KIND, signature_for(key)))
             if known is not None:
                 # Already attributed: report once with the responsible
                 # event, ledger the sighting, never count it as a find.
                 bucket.suppressed_by = known["responsible"]
                 self.suppressed_buckets += 1
-            bucket.first_seen = self._earlier_sighting(key)
-            if bucket.suppressed_by is not None:
-                pass
             elif bucket.first_seen is None:
                 self.new_global_buckets += 1
             else:

@@ -1,4 +1,4 @@
-"""Hierarchical parallel test-case reduction (the paper's C-Reduce step).
+"""Hierarchical test-case reduction (the paper's C-Reduce step).
 
 UBfuzz's bug-reporting workflow reduces every crashing program to a minimal
 reproducer before triage.  This package replaces the original single-pass
@@ -10,30 +10,23 @@ statement dropper with a multi-pass hierarchical subsystem:
 * :mod:`repro.reduction.passes`     — deterministic candidate generation
   (chunked removal, block flattening, loop unswitching, expression
   constant-folding, declaration pruning);
-* :mod:`repro.reduction.evaluate`   — serial and pooled candidate
-  evaluation; each pool worker owns a predicate with its own
-  :class:`~repro.compilers.cache.CompilationCache`;
-* :mod:`repro.reduction.predicates` — FN-bug interestingness predicates and
-  :func:`reduce_fn_candidate`, the campaign-facing entry point.
+* :mod:`repro.reduction.predicates` — FN-bug and marker interestingness
+  predicates, :func:`reduce_fn_candidate` and
+  :func:`reduce_marker_finding`, the campaign-facing entry points.
 
-Candidate ordering is deterministic and selection is always *first accepted
-in order*, so parallel reduction (``jobs=N``) produces a bit-identical
-reduced program to serial reduction.
+Candidates are generated in deterministic order and judged one at a time,
+in process, by the caller's predicate; the first accepted one is applied.
+A campaign passes its own differential tester (or elimination oracle), so
+reduction reuses the campaign's compilation cache and judges candidates
+with the campaign's defect registry and step budget.
 """
 
-from repro.reduction.evaluate import (
-    PoolEvaluator,
-    SerialEvaluator,
-    make_evaluator,
-)
 from repro.reduction.predicates import (
     BugSignature,
     ReductionRecord,
     bug_signature,
     make_fn_bug_predicate,
-    make_fn_bug_predicate_factory,
     make_marker_predicate,
-    make_marker_predicate_factory,
     make_signature_predicate,
     marker_record_for,
     record_for,
@@ -49,9 +42,7 @@ from repro.reduction.reducer import (
 __all__ = [
     "HierarchicalReducer", "ReductionResult", "token_count",
     "BugSignature", "ReductionRecord", "bug_signature",
-    "make_fn_bug_predicate", "make_fn_bug_predicate_factory",
-    "make_signature_predicate", "record_for", "reduce_fn_candidate",
-    "make_marker_predicate", "make_marker_predicate_factory",
-    "marker_record_for", "reduce_marker_finding",
-    "PoolEvaluator", "SerialEvaluator", "make_evaluator",
+    "make_fn_bug_predicate", "make_signature_predicate", "record_for",
+    "reduce_fn_candidate", "make_marker_predicate", "marker_record_for",
+    "reduce_marker_finding",
 ]

@@ -24,7 +24,7 @@ for the analysis layer.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence, Tuple
+from typing import Optional, Sequence, Tuple
 
 from repro.core.crash_site import format_crash_site, is_sanitizer_bug_from_results
 from repro.core.differential import (
@@ -35,9 +35,12 @@ from repro.core.differential import (
 )
 from repro.core.insertion import UBProgram
 from repro.core.ub_types import detects
-from repro.reduction.reducer import HierarchicalReducer, ReductionResult, token_count
-
-Predicate = Callable[[str], bool]
+from repro.reduction.reducer import (
+    HierarchicalReducer,
+    Predicate,
+    ReductionResult,
+    token_count,
+)
 
 
 def make_fn_bug_predicate(program: UBProgram, detecting: TestConfig,
@@ -49,9 +52,9 @@ def make_fn_bug_predicate(program: UBProgram, detecting: TestConfig,
         program: the original UB program (supplies the UB type).
         detecting: configuration that reports the UB.
         missing: configuration that silently misses it.
-        tester: optional shared tester; by default a fresh one (with its own
-            compilation cache) is built, which is also what each pool worker
-            does when the predicate is constructed through a factory.
+        tester: optional shared tester (a campaign passes its own, with
+            its defect registry, step budget and compilation cache); by
+            default a fresh one with the default registry is built.
     """
     tester = tester or DifferentialTester()
 
@@ -74,15 +77,6 @@ def make_fn_bug_predicate(program: UBProgram, detecting: TestConfig,
         return verdict.is_bug
 
     return predicate
-
-
-def make_fn_bug_predicate_factory(program: UBProgram, detecting: TestConfig,
-                                  missing: TestConfig):
-    """A factory for :func:`make_fn_bug_predicate` suitable for ``jobs > 1``:
-    every worker builds its own tester and compilation cache."""
-    def factory() -> Predicate:
-        return make_fn_bug_predicate(program, detecting, missing)
-    return factory
 
 
 @dataclass(frozen=True)
@@ -159,7 +153,7 @@ class ReductionRecord:
 
 def reduce_fn_candidate(candidate: FNBugCandidate,
                         tester: Optional[DifferentialTester] = None,
-                        jobs: int = 1, max_rounds: int = 8
+                        max_rounds: int = 8
                         ) -> Tuple[FNBugCandidate, ReductionResult]:
     """Reduce one FN-bug candidate's program to a minimal reproducer.
 
@@ -173,11 +167,8 @@ def reduce_fn_candidate(candidate: FNBugCandidate,
     missing = candidate.missing.config
     tester = tester or DifferentialTester()
     reducer = HierarchicalReducer(
-        predicate=make_fn_bug_predicate(program, detecting, missing,
-                                        tester=tester),
-        predicate_factory=make_fn_bug_predicate_factory(program, detecting,
-                                                        missing),
-        jobs=jobs, max_rounds=max_rounds)
+        make_fn_bug_predicate(program, detecting, missing, tester=tester),
+        max_rounds=max_rounds)
     result = reducer.reduce(program.source)
     if result.reduced_source == program.source:
         return candidate, result
@@ -221,7 +212,7 @@ def record_for(label: str, candidate: FNBugCandidate,
 # ---------------------------------------------------------------------------
 
 
-def make_marker_predicate(finding, cache=None, max_steps=None) -> Predicate:
+def make_marker_predicate(finding, oracle=None) -> Predicate:
     """Build the "still exhibits this marker finding" predicate.
 
     The candidate source (an already-instrumented program — reduction never
@@ -233,17 +224,16 @@ def make_marker_predicate(finding, cache=None, max_steps=None) -> Predicate:
     marker site, responsible pass) only depends on the marker name and the
     configs, so it survives any reduction this predicate accepts.
 
-    *finding* is a :class:`~repro.markers.engine.MarkerFinding`; a shared
-    :class:`~repro.compilers.cache.CompilationCache` may be passed so
-    sibling candidates reuse frontend/optimizer artifacts.
+    *finding* is a :class:`~repro.markers.engine.MarkerFinding`.  *oracle*
+    is the :class:`~repro.markers.oracle.EliminationOracle` that judges the
+    candidates: a campaign passes its engine's own (its step budget and
+    compilation cache); by default a fresh one is built.
     """
     from repro.markers.engine import MISSED_OPTIMIZATION, REGRESSION
     from repro.markers.instrument import MarkedProgram, marker_calls
     from repro.markers.oracle import EliminationOracle, MarkerConfig
 
-    oracle = EliminationOracle(cache=cache,
-                               **({} if max_steps is None
-                                  else {"max_steps": max_steps}))
+    oracle = oracle if oracle is not None else EliminationOracle()
     target = MarkerConfig(finding.compiler, finding.version, finding.opt_level)
     witness = (MarkerConfig(finding.compiler, finding.prev_version,
                             finding.opt_level)
@@ -283,28 +273,18 @@ def make_marker_predicate(finding, cache=None, max_steps=None) -> Predicate:
     return predicate
 
 
-def make_marker_predicate_factory(finding):
-    """A factory for :func:`make_marker_predicate` suitable for ``jobs > 1``:
-    every pool worker builds its own oracle and compilation cache."""
-    def factory() -> Predicate:
-        return make_marker_predicate(finding)
-    return factory
-
-
-def reduce_marker_finding(finding, cache=None, jobs: int = 1,
-                          max_rounds: int = 8):
+def reduce_marker_finding(finding, oracle=None, max_rounds: int = 8):
     """Reduce one marker finding's program to a minimal reproducer.
 
     Returns ``(reduced_finding, ReductionResult)``; the finding is returned
     untouched when reduction makes no progress.  The rebuilt finding keeps
-    its bucket key — only ``source`` changes.
+    its bucket key — only ``source`` changes.  *oracle* is passed on to
+    :func:`make_marker_predicate`.
     """
     import dataclasses
 
-    reducer = HierarchicalReducer(
-        predicate=make_marker_predicate(finding, cache=cache),
-        predicate_factory=make_marker_predicate_factory(finding),
-        jobs=jobs, max_rounds=max_rounds)
+    reducer = HierarchicalReducer(make_marker_predicate(finding, oracle=oracle),
+                                  max_rounds=max_rounds)
     result = reducer.reduce(finding.source)
     if result.reduced_source == finding.source:
         return finding, result

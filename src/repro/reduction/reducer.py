@@ -18,11 +18,10 @@ The reduction runs coarse-to-fine, each phase to fixpoint:
    declaration pruning, repeated until none of them makes progress.
 
 Every candidate must re-parse and pass semantic analysis before the
-predicate is consulted, and the first acceptable candidate (in the passes'
-deterministic order) is applied.  Candidate evaluation optionally fans out
-over a :class:`~repro.reduction.evaluate.PoolEvaluator`; because selection
-is by order, not by completion time, ``jobs=N`` produces a bit-identical
-reduced program to ``jobs=1``.
+predicate is consulted.  Candidates are judged one at a time, in the
+passes' deterministic order and in this process, and the first accepted
+one is applied: most steps accept an early candidate, so judging more of
+them at once would mostly be wasted work.
 """
 
 from __future__ import annotations
@@ -37,11 +36,12 @@ from repro.cdsl.lexer import tokenize
 from repro.cdsl.parser import parse_program
 from repro.cdsl.sema import analyze
 from repro.reduction import passes
-from repro.reduction.evaluate import Predicate, PredicateFactory, make_evaluator
 from repro.telemetry import runtime as telemetry
 from repro.utils.errors import ReductionError, ReproError
 
 logger = logging.getLogger(__name__)
+
+Predicate = Callable[[str], bool]
 
 
 def token_count(source: str) -> int:
@@ -95,13 +95,9 @@ class HierarchicalReducer:
 
     Args:
         predicate: the interestingness predicate, ``source -> bool``.  Must
-            be a pure function of the candidate source.
-        predicate_factory: zero-argument callable building a predicate;
-            required instead of (or alongside) *predicate* when ``jobs > 1``
-            so each pool worker constructs its own predicate — and with it
-            its own compiler stack and
+            be a pure function of the candidate source; it may close over
+            a shared tester and its
             :class:`~repro.compilers.cache.CompilationCache`.
-        jobs: worker processes for candidate evaluation (1 = serial).
         max_rounds: bound on coarse-to-fine fixpoint rounds.
         simplify_cap: expression sites tried per simplification sweep.
 
@@ -115,28 +111,11 @@ class HierarchicalReducer:
     #: The AST-pass schedule of phase 3, in application order.
     AST_PASSES = ("flatten", "unswitch", "simplify", "prune")
 
-    def __init__(self, predicate: Optional[Predicate] = None,
-                 predicate_factory: Optional[PredicateFactory] = None,
-                 jobs: int = 1, max_rounds: int = 8,
-                 simplify_cap: int = 64,
-                 chunk_size: Optional[int] = None,
-                 start_method: Optional[str] = None) -> None:
-        if predicate is None and predicate_factory is None:
-            raise ValueError("need a predicate or a predicate_factory")
-        if jobs > 1 and predicate_factory is None:
-            import multiprocessing
-            if "fork" not in multiprocessing.get_all_start_methods():
-                raise ValueError(
-                    "jobs > 1 without a predicate_factory requires the "
-                    "'fork' start method; pass predicate_factory= so each "
-                    "pool worker can build its own predicate")
+    def __init__(self, predicate: Predicate, max_rounds: int = 8,
+                 simplify_cap: int = 64) -> None:
         self.predicate = predicate
-        self.predicate_factory = predicate_factory
-        self.jobs = jobs
         self.max_rounds = max_rounds
         self.simplify_cap = simplify_cap
-        self.chunk_size = chunk_size
-        self.start_method = start_method
 
     # -- public ---------------------------------------------------------------------
 
@@ -154,36 +133,22 @@ class HierarchicalReducer:
         self._current = source
         self._edits = 0
         self._candidates = 0
+        self._evaluations = 0
         self._rejected: Set[str] = set()
-        # Serial evaluation prefers the caller's predicate object (it may
-        # close over a shared tester/CompilationCache); pool workers prefer
-        # the factory so each builds its own.
-        if self.jobs <= 1 and self.predicate is not None:
-            factory = lambda: self.predicate  # noqa: E731
-        elif self.predicate_factory is not None:
-            factory = self.predicate_factory
-        else:
-            factory = lambda: self.predicate  # noqa: E731
-        self._evaluator = make_evaluator(factory, jobs=self.jobs,
-                                         chunk_size=self.chunk_size,
-                                         start_method=self.start_method)
         rounds = 0
-        try:
-            with telemetry.stage("reduce"):
-                for _ in range(self.max_rounds):
-                    rounds += 1
-                    progress = self._ddmin(passes.toplevel_items)
-                    progress |= self._ddmin(passes.statement_items)
-                    for pass_name in self.AST_PASSES:
-                        progress |= self._exhaust(pass_name)
-                    if not progress:
-                        break
-        finally:
-            self._evaluator.close()
+        with telemetry.stage("reduce"):
+            for _ in range(self.max_rounds):
+                rounds += 1
+                progress = self._ddmin(passes.toplevel_items)
+                progress |= self._ddmin(passes.statement_items)
+                for pass_name in self.AST_PASSES:
+                    progress |= self._exhaust(pass_name)
+                if not progress:
+                    break
         result = ReductionResult(
             original_source=source,
             reduced_source=self._current,
-            predicate_evaluations=self._evaluator.evaluations,
+            predicate_evaluations=self._evaluations,
             candidates_generated=self._candidates,
             edits_applied=self._edits,
             rounds=rounds,
@@ -251,30 +216,21 @@ class HierarchicalReducer:
     def _first_accepted(self, candidates: Sequence[str]) -> Optional[int]:
         """Index (into *candidates*) of the first acceptable candidate.
 
-        Candidates that do not shrink, were already rejected, or fail to
-        re-parse and analyze are screened out in-process; only the survivors
-        reach the (possibly pooled) predicate evaluator.
+        Candidates are judged in order and the scan stops at the first one
+        the predicate accepts.  Candidates that do not change the program,
+        were already rejected, or fail to re-parse and analyze never reach
+        the predicate.
         """
         self._candidates += len(candidates)
-        viable: List[int] = []
-        seen: Set[str] = set()
         for index, candidate in enumerate(candidates):
-            if candidate == self._current or candidate in self._rejected \
-                    or candidate in seen:
+            if candidate == self._current or candidate in self._rejected:
                 continue
-            seen.add(candidate)
-            if not _is_valid(candidate):
-                self._rejected.add(candidate)
-                continue
-            viable.append(index)
-        accepted = self._evaluator.first_accepted(
-            [candidates[index] for index in viable])
-        if accepted is None:
-            self._rejected.update(candidates[index] for index in viable)
-            return None
-        self._rejected.update(candidates[index]
-                              for index in viable[:accepted])
-        return viable[accepted]
+            if _is_valid(candidate):
+                self._evaluations += 1
+                if self.predicate(candidate):
+                    return index
+            self._rejected.add(candidate)
+        return None
 
     def _apply(self, candidate: str) -> None:
         self._current = candidate

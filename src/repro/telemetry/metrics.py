@@ -6,7 +6,7 @@ registry (one per seed scope, see :mod:`repro.telemetry.runtime`), serializes
 it with :meth:`MetricsRegistry.to_json`, and ships it to the parent inside
 the seed batch; the parent folds payloads back in with
 :meth:`MetricsRegistry.merge_json` **in seed order**, so a parallel campaign
-merges to exactly the totals a serial campaign accumulates.
+merges to exactly the per-seed totals a serial campaign accumulates.
 
 Histograms use *fixed* bucket edges chosen at creation time (default
 :data:`DEFAULT_TIME_EDGES`).  Fixed edges are what makes the merge
@@ -197,9 +197,11 @@ class MetricsRegistry:
     def deterministic_totals(self) -> Dict[str, int]:
         """The integer projection compared by the determinism tests.
 
-        Counters plus histogram observation counts — every figure that must
-        be bit-identical between a serial and a parallel run of the same
-        campaign.  Durations (float sums) are deliberately excluded.
+        Counters plus histogram observation counts.  What the seeds record
+        is bit-identical between a serial and a parallel run of the same
+        campaign; the cache accounting of parent-side triage is not, since
+        a serial campaign triages on the cache its seeds warmed.  Durations
+        (float sums) are deliberately excluded.
         """
         totals = {name: counter.value
                   for name, counter in sorted(self._counters.items())}

@@ -33,11 +33,10 @@ import json
 import logging
 import os
 import socket
-import sqlite3
 import subprocess
 import time
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Tuple
 
 logger = logging.getLogger(__name__)
 

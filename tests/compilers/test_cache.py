@@ -213,20 +213,14 @@ def test_threaded_compilers_share_one_cache_without_corruption():
     assert cache.stats()["hits"] > 0
 
 
-def test_pool_worker_campaign_shares_cache_and_stays_deterministic():
-    """A worker-process campaign (cache attached) produces batches identical
-    to a cache-disabled campaign, and actually exercises the cache."""
-    from repro.orchestrator import worker
-
+def test_campaign_shares_cache_and_stays_deterministic():
+    """A campaign's seeds (cache attached) produce batches identical to a
+    cache-disabled campaign's, and actually exercise the cache."""
     config = CampaignConfig(num_seeds=2, rng_seed=7, max_programs_per_type=1,
                             opt_levels=("-O0", "-O2"))
-    worker.initialize_worker(config)
-    try:
-        cached_batches = [worker.run_seed_in_worker(i) for i in range(2)]
-        stats = worker.worker_cache_stats()
-        assert stats is not None and stats["hits"] > 0
-    finally:
-        worker._WORKER_CAMPAIGN = None
+    campaign = FuzzingCampaign(config)
+    cached_batches = [campaign.run_seed(i) for i in range(2)]
+    assert campaign.compilation_cache.stats()["hits"] > 0
 
     plain = FuzzingCampaign(config)
     for compiler in plain.tester.compilers.values():

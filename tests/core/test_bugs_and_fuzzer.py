@@ -13,12 +13,14 @@ from repro.compilers.versions import all_versions, trunk_version
 from repro.core import (
     BugTriager,
     CampaignConfig,
+    ConfigOutcome,
     FuzzingCampaign,
     STATUS_CONFIRMED,
     STATUS_FIXED,
     STATUS_INVALID,
     SeedBatch,
     UBType,
+    WrongReportCandidate,
 )
 from repro.core import bugs
 from repro.core.bugs import BugReport
@@ -309,6 +311,22 @@ def test_matrix_evidence_changes_no_report(small_campaign):
             + [triager.triage_wrong_report(c) for c in wrong_reports])
 
     assert triage(fresh) == triage(seeded)
+
+
+def test_kind_and_line_mismatches_get_separate_representatives():
+    """Pinned regression: the representative signature keyed on the first
+    word of the difference, which is "report" for every mismatch, so a kind
+    mismatch and a line mismatch of one compiler and sanitizer shared one
+    representative and only the first of them was triaged."""
+    first = ConfigOutcome(Config("gcc", "asan", "-O0"), result=None)
+    second = ConfigOutcome(Config("gcc", "asan", "-O2"), result=None)
+    kind, line = (WrongReportCandidate(program=None, first=first,
+                                       second=second, difference=difference)
+                  for difference in ("report kind stack-buffer-overflow vs "
+                                     "global-buffer-overflow",
+                                     "report line 3 vs 5"))
+    assert _representatives([kind, line], _wrong_report_signature) == [
+        kind, line]
 
 
 def test_triage_and_crash_probe_count_swallowed_compile_errors(

@@ -12,7 +12,7 @@ from repro.markers import (
     MarkerEngine,
 )
 from repro.optim.pipelines import effective_pass_names
-from repro.orchestrator import OrchestratedCampaign, PoolExecutor, SerialExecutor
+from repro.orchestrator import OrchestratedCampaign
 from repro.orchestrator.cli import main as cli_main
 
 SMALL = dict(num_seeds=2, rng_seed=7,
@@ -76,15 +76,14 @@ def test_run_seed_is_a_pure_function_of_config_and_index():
 
 
 def test_parallel_campaign_is_bit_identical_to_serial(small_result):
-    parallel = MarkerEngine(MarkerCampaignConfig(**SMALL)).run(
-        executor=PoolExecutor(workers=2))
+    parallel = OrchestratedCampaign(MarkerCampaignConfig(**SMALL),
+                                    workers=2).run()
     assert _comparable(parallel) == _comparable(small_result)
 
 
 def test_orchestrated_markers_mode_matches_plain_engine(small_result):
     lines = []
     orchestrated = OrchestratedCampaign(MarkerCampaignConfig(**SMALL),
-                                        executor=SerialExecutor(),
                                         progress=lines.append)
     result = orchestrated.run()
     assert _comparable(result) == _comparable(small_result)

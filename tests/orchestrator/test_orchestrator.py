@@ -1,13 +1,16 @@
-"""Tests for the campaign orchestrator: executors, determinism, corpus,
+"""Tests for the campaign orchestrator: the seed pool, determinism, corpus,
 checkpoint/resume, throughput stats and the CLI."""
 
 from __future__ import annotations
 
 import json
 import os
+import sys
+from collections import Counter
 
 import pytest
 
+from repro.cdsl import parser
 from repro.core import CampaignConfig, FuzzingCampaign, SeedBatch
 from repro.corpusdb import FindingsDB
 from repro.orchestrator import (
@@ -15,13 +18,10 @@ from repro.orchestrator import (
     CheckpointMismatch,
     CorpusStore,
     OrchestratedCampaign,
-    PoolExecutor,
-    SerialExecutor,
     ThroughputMonitor,
     batch_from_record,
     batch_to_record,
     config_fingerprint,
-    make_executor,
 )
 from repro.orchestrator.cli import main as cli_main
 
@@ -59,22 +59,8 @@ def _stat_tuple(result):
 
 
 # ---------------------------------------------------------------------------
-# Executors and determinism
+# The seed pool and determinism
 # ---------------------------------------------------------------------------
-
-def test_make_executor_picks_by_worker_count():
-    assert isinstance(make_executor(1), SerialExecutor)
-    assert isinstance(make_executor(3), PoolExecutor)
-    assert make_executor(3).workers == 3
-    with pytest.raises(ValueError):
-        PoolExecutor(workers=0)
-
-
-def test_serial_executor_matches_inline_run(config, serial_result):
-    through_executor = FuzzingCampaign(config).run(executor=SerialExecutor())
-    assert _report_keys(through_executor) == _report_keys(serial_result)
-    assert _stat_tuple(through_executor) == _stat_tuple(serial_result)
-
 
 def test_parallel_run_is_deterministic(config, serial_result):
     """The acceptance criterion: workers=2 reproduces workers=1 exactly."""
@@ -108,6 +94,45 @@ def test_max_programs_total_truncates_like_serial():
     assert serial.stats.programs_tested == 4
     assert _report_keys(pooled) == _report_keys(serial)
     assert _stat_tuple(pooled) == _stat_tuple(serial)
+
+
+def test_pooled_campaign_needs_fork(monkeypatch, config):
+    """Pool workers inherit the campaign object, which only ``fork`` does;
+    a serial campaign runs on any platform."""
+    import multiprocessing
+
+    monkeypatch.setattr(multiprocessing, "get_all_start_methods",
+                        lambda: ["spawn"])
+    with pytest.raises(ValueError, match="fork"):
+        OrchestratedCampaign(config, workers=2)
+    assert OrchestratedCampaign(config).workers == 1
+
+
+def test_serial_campaign_parses_each_ub_program_once(monkeypatch):
+    """One campaign per process: triage runs on the campaign object whose
+    seeds ran, so it finds every UB program's parse in that campaign's
+    compilation cache instead of parsing the program again."""
+    real_parse = parser.parse_program
+    parses = Counter()
+
+    def counting_parse(source):
+        parses[source] += 1
+        return real_parse(source)
+
+    for name, module in list(sys.modules.items()):
+        if name == "repro" or name.startswith("repro."):
+            for attr, value in list(vars(module).items()):
+                if value is real_parse:
+                    monkeypatch.setattr(module, attr, counting_parse)
+    config = CampaignConfig(num_seeds=3, rng_seed=2024,
+                            max_programs_per_type=1,
+                            opt_levels=("-O0", "-O2"))
+    result = OrchestratedCampaign(config).run()
+    assert result.bug_reports
+    sources = {diff.program.source for diff in result.differential_results}
+    assert len(sources) == result.stats.programs_tested
+    assert {source: parses[source] for source in sources} == dict.fromkeys(
+        sources, 1)
 
 
 # ---------------------------------------------------------------------------

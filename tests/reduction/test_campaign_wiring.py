@@ -4,12 +4,13 @@ import json
 
 import pytest
 
-from repro.core import CampaignConfig
+from repro.core import CampaignConfig, UBType
 from repro.corpusdb import CRASH_KIND
 from repro.orchestrator import CorpusStore, OrchestratedCampaign
 from repro.orchestrator.cli import main as cli_main
 from repro.orchestrator.corpus import signature_for
 from repro.analysis import table_reduction_quality
+from repro.sanitizers.defects import default_defects
 
 SMALL = dict(num_seeds=1, rng_seed=2024, max_programs_per_type=1,
              opt_levels=("-O0", "-O2"), triage=False)
@@ -77,6 +78,30 @@ def test_resumed_campaign_restores_reductions_instead_of_rereducing(
     assert len(calls) == len(first.reductions)
     assert [(r.label, r.reduced_tokens, r.reduced_source)
             for r in other.reductions] == expected
+
+
+def test_pooled_campaign_reduces_with_the_campaigns_own_tester():
+    """Reduction runs in this process on the campaign object whose seeds
+    were merged, so it judges candidates with the campaign's defect
+    registry at any worker count.  Under the default registry this
+    program's candidates are uninteresting, and a reducer that ignored the
+    campaign's registry would hand back the unreduced program."""
+    registry = [defect for defect in default_defects()
+                if defect.defect_id == "gcc-ubsan-neg-const-mul"]
+    config = CampaignConfig(num_seeds=3, rng_seed=5, max_programs_per_type=1,
+                            opt_levels=("-O0", "-O2"), triage=False,
+                            ub_types=(UBType.INTEGER_OVERFLOW,),
+                            defect_registry=registry)
+    reduced = {}
+    for workers in (1, 2):
+        campaign = OrchestratedCampaign(config, workers=workers, reduce=True)
+        campaign.run()
+        assert campaign.reductions
+        assert all(record.reduced_tokens < record.original_tokens
+                   for record in campaign.reductions)
+        reduced[workers] = [(record.label, record.reduced_source)
+                            for record in campaign.reductions]
+    assert reduced[2] == reduced[1]
 
 
 def test_in_memory_corpus_keeps_reduced_source():

@@ -6,8 +6,7 @@ campaign.  On that crash set the hierarchical reducer must:
 
 * preserve the oracle verdict — UB type, detected report kind, missing
   sanitizer configuration — for every entry, and
-* shrink the set by a median of at least 60% of lexical tokens, and
-* produce bit-identical output in parallel and serial mode.
+* shrink the set by a median of at least 60% of lexical tokens.
 """
 
 import statistics
@@ -20,11 +19,7 @@ from repro.core import UBProgram
 from repro.core.crash_site import is_sanitizer_bug_from_results
 from repro.core.differential import DifferentialTester
 from repro.core.ub_types import detects
-from repro.reduction import (
-    HierarchicalReducer,
-    make_fn_bug_predicate,
-    make_fn_bug_predicate_factory,
-)
+from repro.reduction import HierarchicalReducer, make_fn_bug_predicate
 from repro.reduction.reducer import token_count
 
 # Tier-2: the gallery reduces a whole crash set (a ~15s session fixture
@@ -110,16 +105,6 @@ def test_campaign_crashes_reduce_by_90_percent(reductions):
                 if title.startswith("campaign find")]
     assert len(campaign) == 5
     assert all(result.token_reduction >= 0.85 for result in campaign)
-
-
-def test_parallel_gallery_reduction_is_bit_identical(reductions):
-    title, program, detecting, missing, serial = next(
-        entry for entry in reductions if entry[0].startswith("campaign find"))
-    parallel = HierarchicalReducer(
-        predicate_factory=make_fn_bug_predicate_factory(program, detecting,
-                                                        missing),
-        jobs=2).reduce(program.source)
-    assert parallel.reduced_source == serial.reduced_source
 
 
 def test_crash_set_is_deterministic():

@@ -4,12 +4,10 @@ import pytest
 
 from repro.cdsl import parse_program
 from repro.compilers import GccCompiler
-from repro.core import TestConfig, UBProgram, UBType
+from repro.core import UBProgram, UBType
 from repro.core.differential import DifferentialTester
 from repro.reduction import (
     HierarchicalReducer,
-    make_fn_bug_predicate,
-    make_fn_bug_predicate_factory,
     make_signature_predicate,
     bug_signature,
     reduce_fn_candidate,
@@ -84,43 +82,6 @@ def test_accepting_predicate_reduces_to_near_nothing():
     result = HierarchicalReducer(lambda s: True).reduce(source)
     # Only validity constrains the reduction; virtually everything goes.
     assert result.reduced_tokens <= 10
-
-
-def test_parallel_reduction_is_bit_identical_to_serial(figure1_source):
-    program = UBProgram(source=figure1_source,
-                        ub_type=UBType.BUFFER_OVERFLOW_POINTER)
-    detecting = TestConfig("gcc", "asan", "-O0")
-    missing = TestConfig("gcc", "asan", "-O2")
-    serial = HierarchicalReducer(
-        make_fn_bug_predicate(program, detecting, missing)).reduce(figure1_source)
-    parallel = HierarchicalReducer(
-        predicate_factory=make_fn_bug_predicate_factory(program, detecting,
-                                                        missing),
-        jobs=2).reduce(figure1_source)
-    assert parallel.reduced_source == serial.reduced_source
-    assert serial.edits_applied >= 1
-
-
-def test_serial_reduction_uses_the_callers_predicate_object():
-    """With jobs=1 the caller's predicate (which may close over a shared
-    tester and compilation cache) must do the evaluating, even when a
-    factory is also supplied for potential pool workers."""
-    direct_calls = 0
-
-    def direct(source: str) -> bool:
-        nonlocal direct_calls
-        direct_calls += 1
-        return False
-
-    def factory():
-        def from_factory(source: str) -> bool:  # pragma: no cover
-            raise AssertionError("factory predicate used on the serial path")
-        return from_factory
-
-    reducer = HierarchicalReducer(predicate=direct, predicate_factory=factory)
-    result = reducer.reduce("int main() {\n  int x = 1;\n  return x;\n}\n")
-    assert result.edits_applied == 0
-    assert direct_calls == result.predicate_evaluations > 0
 
 
 def test_signature_predicate_matches_original(figure1_source):

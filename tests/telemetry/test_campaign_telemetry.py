@@ -1,6 +1,7 @@
 """End-to-end telemetry through the orchestrator: traced campaigns persist
-their telemetry, parallel merges match serial totals bit-for-bit, and the
-``stats`` subcommand replays it all."""
+their telemetry, parallel merges match serial totals bit-for-bit (apart
+from the cache accounting of parent-side triage), and the ``stats``
+subcommand replays it all."""
 
 from __future__ import annotations
 
@@ -51,10 +52,27 @@ def _totals(root: str) -> dict:
     return MetricsRegistry.from_json(snapshot["metrics"]).deterministic_totals()
 
 
+#: Cache lookups and the frontend/optimize builds behind cache misses.  A
+#: serial campaign triages on the campaign object whose seeds warmed its
+#: cache; a pooled campaign triages in a parent whose cache no seed touched.
+CACHE_ACCOUNTING = ("cache.", "stage.frontend.", "stage.optimize.")
+
+
 def test_parallel_merge_equals_serial_totals(traced_runs):
     serial = _totals(traced_runs["serial"][0])
     parallel = _totals(traced_runs["parallel"][0])
-    assert serial == parallel
+
+    def without_cache_accounting(totals):
+        return {name: value for name, value in totals.items()
+                if not name.startswith(CACHE_ACCOUNTING)}
+
+    assert serial.keys() == parallel.keys()
+    assert without_cache_accounting(serial) == without_cache_accounting(
+        parallel)
+    # Serial triage finds programs the seeds parsed in the shared cache.
+    assert serial["cache.misses"] < parallel["cache.misses"]
+    assert (serial["stage.frontend.seconds.count"]
+            < parallel["stage.frontend.seconds.count"])
     # And the totals are substantive, not vacuously equal empties.
     for key in ("cache.hits", "cache.misses", "diff.programs", "vm.runs",
                 "stage.execute.seconds.count"):
