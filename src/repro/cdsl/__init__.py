@@ -8,7 +8,6 @@ from repro.cdsl.sema import Scope, Sema, SemanticInfo, VarSymbol, analyze
 from repro.cdsl.source import UNKNOWN_LOCATION, SourceLocation
 from repro.cdsl.visitor import (
     NodeTransformer,
-    NodeVisitor,
     clone,
     clone_fresh,
     count_nodes,
@@ -41,7 +40,6 @@ __all__ = [
     "UNKNOWN_LOCATION",
     "SourceLocation",
     "NodeTransformer",
-    "NodeVisitor",
     "clone",
     "clone_fresh",
     "count_nodes",

@@ -1,12 +1,10 @@
 """Generic AST traversal utilities.
 
-Three tools are provided:
+Two tools are provided:
 
 * :func:`walk` — preorder iteration over every node of a subtree;
-* :class:`NodeVisitor` — dispatch-by-class read-only visitor;
 * :class:`NodeTransformer` — rebuilds children from the values returned by
-  ``visit_*`` methods, which is how optimizer passes and the UB-insertion
-  mutator rewrite programs.
+  ``visit_*`` methods, which is how optimizer passes rewrite programs.
 
 There is also :func:`clone` for deep-copying a program before mutating it,
 and :func:`find_nodes` / :func:`parent_map` helpers used by expression
@@ -78,12 +76,16 @@ def fast_clone(node: N) -> N:
     get a shallow copy.  Each node class gets one copier, generated from
     its ``__slots__`` on first use.  Its users:
 
+    * the optimizer's working copy of a cached frontend master.  The
+      master was analyzed when it was built, so the copy starts with
+      fresh annotations; the passes only read them (symbol identity and
+      declarations, types), and the copy is analyzed again after the
+      pipeline;
     * code that re-runs semantic analysis on the copy before anything
-      consults symbols or types (the optimizer's working copy of a cached
-      frontend master, the UB generator's profiler and validation), so
-      sharing the stale annotations is safe;
+      consults symbols or types (the UB generator's profiler), so sharing
+      the stale annotations is safe;
     * code that only rewrites node fields and prints the copy (shadow
-      statement insertion);
+      statement insertion, the reduction passes);
     * the sanitizer overlay of a compile, which instruments a copy of a
       cached optimized master that was analyzed when it was built.  Those
       annotations are fresh, so the copy needs no re-analysis: the
@@ -174,60 +176,97 @@ def count_nodes(root: ast.Node) -> int:
     return sum(1 for _ in walk(root))
 
 
-class NodeVisitor:
-    """Read-only visitor with ``visit_<ClassName>`` dispatch."""
-
-    def visit(self, node: ast.Node):
-        method = getattr(self, f"visit_{type(node).__name__}", None)
-        if method is not None:
-            return method(node)
-        return self.generic_visit(node)
-
-    def generic_visit(self, node: ast.Node):
-        for child in node.children():
-            self.visit(child)
-        return None
-
-
 class NodeTransformer:
     """Rewriting visitor.
 
     ``visit_*`` methods return the replacement node (possibly the original),
-    ``None`` to delete a statement from its containing list, or a list of
-    nodes to splice several statements in place of one.
+    ``None`` to delete an item from its containing list, or a list of nodes
+    to splice in its place.  Returning a list for a single-node field raises
+    ``TypeError``; list items that are not nodes are kept, and tuples are
+    left alone.
+
+    Dispatch goes through one table per transformer class, keyed by node
+    class and filled on first use.  A node class's entry is the
+    transformer's ``visit_<Name>`` (an inherited one counts) or the generic
+    visitor generated for that node class from its ``_fields``.  Generic
+    visitors reach each child through the same table, so a traversal makes
+    one Python call per node; :meth:`visit` is the entry point, not a hook
+    to override.
     """
 
+    def __init_subclass__(cls, **kwargs) -> None:
+        super().__init_subclass__(**kwargs)
+        cls._visitors = _VisitTable(cls)
+
     def visit(self, node: ast.Node):
-        method = getattr(self, f"visit_{type(node).__name__}", None)
-        if method is not None:
-            return method(node)
-        return self.generic_visit(node)
+        return self._visitors[node.__class__](self, node)
 
     def generic_visit(self, node: ast.Node):
-        for field_name in node._fields:
-            value = getattr(node, field_name, None)
-            if isinstance(value, ast.Node):
-                new_value = self.visit(value)
-                if isinstance(new_value, list):
-                    raise TypeError(
-                        f"cannot splice a list into single-node field "
-                        f"{type(node).__name__}.{field_name}")
-                setattr(node, field_name, new_value)
-            elif isinstance(value, list):
-                new_list: List[ast.Node] = []
-                for item in value:
-                    if not isinstance(item, ast.Node):
-                        new_list.append(item)
-                        continue
-                    result = self.visit(item)
-                    if result is None:
-                        continue
-                    if isinstance(result, list):
-                        new_list.extend(result)
-                    else:
-                        new_list.append(result)
-                setattr(node, field_name, new_list)
-        return node
+        return _GENERIC_VISITORS[node.__class__](self, node)
+
+
+class _VisitTable(dict):
+    """Node class -> its visitor, for one transformer class."""
+
+    def __init__(self, transformer: type) -> None:
+        super().__init__()
+        self.transformer = transformer
+
+    def __missing__(self, cls: type):
+        visitor = getattr(self.transformer, f"visit_{cls.__name__}", None)
+        if visitor is None:
+            visitor = _GENERIC_VISITORS[cls]
+        self[cls] = visitor
+        return visitor
+
+
+class _GenericVisitors(dict):
+    """Node class -> its generic visitor, generated on first lookup and
+    shared by every transformer class."""
+
+    def __missing__(self, cls: type):
+        visitor = _make_generic_visitor(cls)
+        self[cls] = visitor
+        return visitor
+
+
+def _make_generic_visitor(cls: type):
+    """Generate the generic visitor of node class *cls* from its
+    ``_fields``, the way :func:`_make_cloner` generates copiers."""
+    name = f"generic_visit_{cls.__name__}"
+    lines = [f"def {name}(self, node):"]
+    if cls._fields:
+        lines.append("    visitors = self._visitors")
+    for field_name in cls._fields:
+        message = (f"cannot splice a list into single-node field "
+                   f"{cls.__name__}.{field_name}")
+        lines += [
+            f"    value = node.{field_name}",
+            "    if isinstance(value, Node):",
+            "        value = visitors[value.__class__](self, value)",
+            "        if isinstance(value, list):",
+            f"            raise TypeError({message!r})",
+            f"        node.{field_name} = value",
+            "    elif isinstance(value, list):",
+            "        items = []",
+            "        for item in value:",
+            "            if isinstance(item, Node):",
+            "                item = visitors[item.__class__](self, item)",
+            "                if item is None:",
+            "                    continue",
+            "                if isinstance(item, list):",
+            "                    items.extend(item)",
+            "                    continue",
+            "            items.append(item)",
+            f"        node.{field_name} = items"]
+    lines.append("    return node")
+    namespace = {"Node": ast.Node}
+    exec("\n".join(lines), namespace)
+    return namespace[name]
+
+
+_GENERIC_VISITORS = _GenericVisitors()
+NodeTransformer._visitors = _VisitTable(NodeTransformer)
 
 
 def replace_node(root: ast.Node, target: ast.Node, replacement: ast.Node) -> bool:

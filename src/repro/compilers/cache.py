@@ -4,7 +4,8 @@ Differential testing compiles the *same* source text under many
 (compiler, sanitizer, optimization level) configurations, but only two of
 the pipeline's phases actually depend on the configuration:
 
-* the **frontend** (parse) depends only on the source text;
+* the **frontend** (parse + semantic analysis) depends only on the
+  source text;
 * the **optimizer pipeline** depends on (source, compiler, opt level,
   effective pass list) — releases running the same passes share one
   artifact, flat and version-aware pipelines alike;
@@ -14,14 +15,15 @@ the pipeline's phases actually depend on the configuration:
 :class:`CompilationCache` memoizes the first two phases in two bounded LRU
 layers keyed by a source fingerprint, so an N-config differential matrix
 costs 1 parse + O(opt levels) optimizations instead of N full compiles.
-Cached units are immutable masters.  Frontend masters stay pristine
-(unanalysed); consumers optimize or analyze a
-:func:`~repro.cdsl.visitor.fast_clone`.  An optimized master is analyzed
-once, when it is built, and stored with its
-:class:`~repro.cdsl.sema.SemanticInfo`: sanitizer-free binaries share it
-read-only, and a sanitizer overlay instruments a ``fast_clone`` that shares
-the master's annotations.  Every produced binary behaves bit-identically
-to an uncached compile.
+Cached units are immutable masters, each stored with its
+:class:`~repro.cdsl.sema.SemanticInfo`.  A frontend master is analyzed
+once, when it is built, and shared read-only: UB-program validation,
+marker liveness and reduction screening read it, and the optimizer works
+on a :func:`~repro.cdsl.visitor.fast_clone` that shares its annotations.
+An optimized master is analyzed once more after its pipeline:
+sanitizer-free binaries share it read-only, and a sanitizer overlay
+instruments a ``fast_clone`` that shares the master's annotations.  Every
+produced binary behaves bit-identically to an uncached compile.
 
 The cache is shared per process: :class:`~repro.core.differential.DifferentialTester`
 and the campaign attach one cache to all their compilers, and each
@@ -38,7 +40,7 @@ from collections import OrderedDict
 from typing import Callable, Tuple
 
 from repro.cdsl import ast_nodes as ast
-from repro.cdsl.sema import SemanticInfo
+from repro.cdsl.sema import SemanticInfo, analyze
 from repro.telemetry import runtime as telemetry
 
 logger = logging.getLogger(__name__)
@@ -47,6 +49,10 @@ logger = logging.getLogger(__name__)
 #: (a few hundred KB for csmith-sized programs), so the default keeps the
 #: cache within tens of MB even for long-running campaign workers.
 DEFAULT_MAX_ENTRIES = 128
+
+#: A frontend-layer entry: the analyzed master unit of one source text and
+#: its semantic information.
+FrontendArtifact = Tuple[ast.TranslationUnit, SemanticInfo]
 
 #: An optimized-layer entry: the analyzed master unit, its semantic
 #: information and the names of the passes that changed it.
@@ -89,7 +95,7 @@ class CompilationCache:
     ``frontend(...)`` and ``optimized(...)`` both take a *builder* callable
     producing the artifact on a miss; the artifact is stored as an immutable
     master and returned as-is — callers must :func:`fast_clone` it before
-    mutating or analyzing it (``SimulatedCompiler`` does).
+    mutating it (``SimulatedCompiler`` does).
     """
 
     def __init__(self, max_entries: int = DEFAULT_MAX_ENTRIES) -> None:
@@ -102,23 +108,30 @@ class CompilationCache:
     # -- layers ---------------------------------------------------------------
 
     def frontend(self, fingerprint: str,
-                 builder: Callable[[], ast.TranslationUnit]) -> ast.TranslationUnit:
-        """The parsed (pristine, unanalysed) unit of one source text."""
+                 builder: Callable[[], ast.TranslationUnit]) -> FrontendArtifact:
+        """The analyzed frontend master of one source text: ``(unit, sema)``.
+
+        On a miss, *builder* parses the source and the cache analyzes the
+        unit before storing it, so no caller ever sees a half-analyzed
+        master.  A parse or analysis failure propagates and stores nothing.
+        The master and its sema are shared read-only.
+        """
         with self._lock:
-            unit = self._frontend.get(fingerprint)
-            if unit is not None:
+            entry = self._frontend.get(fingerprint)
+            if entry is not None:
                 self.hits += 1
                 telemetry.inc("cache.hits")
-                return unit
+                return entry
         with telemetry.stage("frontend"):
             unit = builder()
+            entry = (unit, analyze(unit))
         with self._lock:
             self.misses += 1
             evictions_before = self._frontend.evictions
-            self._frontend.put(fingerprint, unit)
+            self._frontend.put(fingerprint, entry)
             evicted = self._frontend.evictions - evictions_before
         self._note_miss(evicted)
-        return unit
+        return entry
 
     def optimized(self, fingerprint: str, compiler: str, opt_level: str,
                   pass_names: Tuple[str, ...],

@@ -148,9 +148,10 @@ class SimulatedCompiler:
         """Frontend + optimizer with artifact sharing through the cache.
 
         Returns the cache's optimized master as ``(unit, sema,
-        passes_run)``.  The frontend master stays pristine: the optimizer
-        works on a :func:`fast_clone` of it, which is analyzed before the
-        pipeline and once more after it, as on the uncached path.
+        passes_run)``.  The frontend master is parsed and analyzed once and
+        never changed: the optimizer works on a :func:`fast_clone` of it
+        that shares its annotations, runs with the master's sema and is
+        analyzed once after the pipeline, as on the uncached path.
         """
         fingerprint = source_fingerprint(source_text)
 
@@ -162,10 +163,15 @@ class SimulatedCompiler:
                     f"{self.name}: parse error: {exc}") from exc
 
         def build_optimized():
-            pristine = self.cache.frontend(fingerprint, build_frontend)
-            work = fast_clone(pristine)
-            passes_run = self._optimize(
-                work, self._analyze(work, source_text), opt_level)
+            try:
+                master, sema = self.cache.frontend(fingerprint, build_frontend)
+            except CompilationError:
+                raise
+            except Exception as exc:
+                raise CompilationError(
+                    f"{self.name}: semantic error: {exc}") from exc
+            work = fast_clone(master)
+            passes_run = self._optimize(work, sema, opt_level)
             return work, self._analyze(work, source_text), tuple(passes_run)
 
         pass_names = tuple(effective_pass_names(self.name, opt_level,

@@ -12,10 +12,11 @@ and produces a new, self-contained UB program:
 5. print the mutated AST back to C source, which the compilers under test
    re-parse — exactly like the real tool writes out a mutated ``.c`` file.
 
-The printed source is parsed once more to check it is still valid C.  Given
-the campaign's :class:`~repro.compilers.cache.CompilationCache`, that parse
-goes through the cache's frontend layer, so it is the very artifact the
-compiles of the program start from instead of a second parse.
+The printed source is parsed and analyzed once more to check it is still
+valid C.  Given the campaign's :class:`~repro.compilers.cache.CompilationCache`,
+that check is the cache's frontend lookup, so the analyzed master it
+builds is the very artifact the compiles of the program start from instead
+of a second parse and analysis.
 """
 
 from __future__ import annotations
@@ -113,15 +114,14 @@ def _check_still_valid(source: str,
     """The mutated program must still be statically valid C (it only has
     *runtime* undefined behaviour).
 
-    With a cache, the parse is the cache's frontend artifact for *source*;
-    semantic analysis runs on a clone so the cached master stays pristine.
+    With a cache, the check is the cache's frontend lookup for *source*,
+    which parses and analyzes it once and keeps the analyzed master.
     """
     try:
         if cache is None:
-            unit = parse_program(source)
+            analyze(parse_program(source))
         else:
-            unit = fast_clone(cache.frontend(source_fingerprint(source),
-                                             lambda: parse_program(source)))
-        analyze(unit)
+            cache.frontend(source_fingerprint(source),
+                           lambda: parse_program(source))
     except Exception as exc:
         raise GenerationError(f"mutation produced an invalid program: {exc}") from exc

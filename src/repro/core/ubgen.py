@@ -56,8 +56,8 @@ class UBGenerator:
         profiler: execution profiler used to pick mutation sites.
         cache: compilation cache to validate generated programs through;
             a campaign passes the cache its compilers share, so each
-            program's validation parse is the frontend artifact its
-            compiles reuse.
+            program's validation parse and analysis is the frontend
+            artifact its compiles reuse.
 
     Example::
 

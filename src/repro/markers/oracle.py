@@ -31,8 +31,6 @@ from repro.compilers.cache import CompilationCache, source_fingerprint
 from repro.compilers.compiler import SimulatedCompiler, make_compiler
 from repro.compilers.versions import version_label
 from repro.cdsl.parser import parse_program
-from repro.cdsl.sema import analyze
-from repro.cdsl.visitor import fast_clone
 from repro.markers.instrument import MarkedProgram, marker_calls
 from repro.optim.pipelines import effective_pass_names
 from repro.telemetry import runtime as telemetry
@@ -84,17 +82,14 @@ class EliminationOracle:
     # -- liveness ---------------------------------------------------------------
 
     def analyzed_unit(self, source_text: str):
-        """Parse + analyze *source_text*, sharing the frontend cache.
+        """The analyzed frontend master of *source_text*: ``(unit, sema)``.
 
-        The pristine parsed unit is cached like the compiler driver's
-        frontend phase; callers get an analyzed :func:`fast_clone` (sema
-        annotates nodes in place, so the master must stay untouched).
+        It is the cache's frontend entry, which every compile of the source
+        also starts from, so it is shared and must not be mutated;
+        liveness and the marker predicate only read it.
         """
-        fingerprint = source_fingerprint(source_text)
-        pristine = self.cache.frontend(fingerprint,
-                                       lambda: parse_program(source_text))
-        unit = fast_clone(pristine)
-        return unit, analyze(unit)
+        return self.cache.frontend(source_fingerprint(source_text),
+                                   lambda: parse_program(source_text))
 
     def liveness(self, marked: MarkedProgram,
                  analyzed=None) -> Tuple[str, ...]:
@@ -104,8 +99,8 @@ class EliminationOracle:
         marker calls are recorded through the VM call hook in execution
         order (duplicates included — the equivalence property suite
         compares whole sequences).  *analyzed* (a ``(unit, sema)`` pair
-        from :meth:`analyzed_unit`) skips the redundant frontend run when
-        the caller already has one — the reduction predicate's hot path.
+        from :meth:`analyzed_unit`) saves the cache lookup when the caller
+        already holds the master — the reduction predicate's hot path.
         """
         unit, sema = analyzed if analyzed is not None \
             else self.analyzed_unit(marked.source)

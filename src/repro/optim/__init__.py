@@ -9,7 +9,6 @@ from repro.optim.passes import (
     OptimizationContext,
     OptimizationPass,
     PassPipeline,
-    expr_constant,
     is_pure_expr,
 )
 from repro.optim.pipelines import (
@@ -31,7 +30,6 @@ __all__ = [
     "OptimizationContext",
     "OptimizationPass",
     "PassPipeline",
-    "expr_constant",
     "is_pure_expr",
     "OPT_LEVELS",
     "PASS_INTRODUCED",

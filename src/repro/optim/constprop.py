@@ -17,6 +17,7 @@ from typing import Dict
 from repro.cdsl import ast_nodes as ast
 from repro.cdsl import ctypes_ as ct
 from repro.cdsl.sema import SemanticInfo
+from repro.cdsl.visitor import walk
 from repro.optim.passes import (
     OptimizationContext,
     OptimizationPass,
@@ -35,17 +36,20 @@ class ConstantPropagationPass(OptimizationPass):
         for fn in unit.functions:
             if fn.body is None:
                 continue
-            escaping = symbols_with_address_taken(fn.body)
-            propagator = _Propagator(ctx, escaping)
+            propagator = _Propagator(ctx, fn.body)
             propagator.process_block(fn.body)
             changed = changed or propagator.changed
         return changed
 
 
 class _Propagator:
-    def __init__(self, ctx: OptimizationContext, escaping: set) -> None:
+    def __init__(self, ctx: OptimizationContext, body: ast.CompoundStmt) -> None:
         self.ctx = ctx
-        self.escaping = escaping
+        self.body = body
+        #: The function's address-taken symbols, computed when a fact could
+        #: first be recorded.  Rewrites never reach under ``&``, so the set
+        #: equals one computed before the walk.
+        self._escaping = None
         self.changed = False
 
     # -- statement walking ----------------------------------------------------
@@ -106,9 +110,12 @@ class _Propagator:
     # -- facts ----------------------------------------------------------------
 
     def _trackable(self, symbol) -> bool:
-        return (symbol.storage == "local" and symbol.uid not in self.escaping
-                and not declared_volatile(symbol)
-                and isinstance(symbol.ctype, ct.IntType))
+        if symbol.storage != "local" or declared_volatile(symbol) \
+                or not isinstance(symbol.ctype, ct.IntType):
+            return False
+        if self._escaping is None:
+            self._escaping = symbols_with_address_taken(self.body)
+        return symbol.uid not in self._escaping
 
     def update_facts(self, expr: ast.Expr, known: Dict[int, int]) -> None:
         if isinstance(expr, ast.Assignment) and isinstance(expr.target, ast.Identifier):
@@ -129,7 +136,8 @@ class _Propagator:
                     known.pop(symbol.uid, None)
 
     def _invalidate_written(self, stmt: ast.Stmt, known: Dict[int, int]) -> None:
-        from repro.cdsl.visitor import walk
+        if not known:
+            return
         for node in walk(stmt):
             target = None
             if isinstance(node, ast.Assignment):

@@ -20,13 +20,12 @@ from __future__ import annotations
 from repro.cdsl import ast_nodes as ast
 from repro.cdsl import ctypes_ as ct
 from repro.cdsl.sema import SemanticInfo
-from repro.cdsl.visitor import NodeTransformer, walk
+from repro.cdsl.visitor import NodeTransformer
 from repro.optim.passes import (
     OptimizationContext,
     OptimizationPass,
     declared_volatile,
     is_pure_expr,
-    symbols_with_address_taken,
 )
 
 
@@ -54,38 +53,72 @@ class DeadStoreEliminationPass(OptimizationPass):
         return changed
 
 
+#: How the one-walk analysis treats a node's identifiers: as reads under
+#: the read rules, all as reads, as a plain ``=`` target (only its indices
+#: and pointers are read), or not at all.
+_READ, _ALL, _TARGET, _NONE = range(4)
+
+
 def _dead_symbols(fn: ast.FunctionDecl) -> set:
-    """Local variables that are written but never read (and never escape)."""
-    escaping = symbols_with_address_taken(fn.body)
+    """Local variables that are written but never read (and never escape).
+
+    One explicit-stack walk collects the address-taken symbols, the
+    declared locals and the reads.  Read rules: the base of a plain ``=``
+    target is not a read, but every identifier in an index or pointer
+    inside it is; compound-assignment targets and ``++``/``--`` operands
+    are reads in full.
+    """
+    escaping: set = set()
     reads: set = set()
     declared: dict = {}
-
-    def note_reads(node: ast.Node) -> None:
-        """Collect symbols read by *node*, skipping pure store-target bases."""
-        if isinstance(node, ast.Assignment):
-            note_reads(node.value)
-            if node.op != "=":
-                # Compound assignment also reads the target.
-                _collect_identifiers(node.target, reads)
-            else:
-                _note_target_index_reads(node.target, reads)
-            return
-        if isinstance(node, ast.IncDec):
-            # x++ both reads and writes x; treat as a read to stay sound.
-            _collect_identifiers(node.operand, reads)
-            return
-        if isinstance(node, ast.Identifier):
-            if node.symbol is not None:
+    stack = [(fn.body, _READ)]
+    pop, push = stack.pop, stack.append
+    node_type = ast.Node
+    while stack:
+        node, mode = pop()
+        cls = node.__class__
+        if cls is ast.Identifier:
+            if mode <= _ALL and node.symbol is not None:
                 reads.add(node.symbol.uid)
-            return
-        for child in node.children():
-            note_reads(child)
-
-    for node in walk(fn.body):
-        if isinstance(node, ast.VarDecl) and node.symbol is not None:
+            continue
+        if cls is ast.AddressOf:
+            # &x, &a[i], &s.f — the underlying variable escapes.
+            base = node.operand
+            while base.__class__ is ast.ArraySubscript \
+                    or base.__class__ is ast.MemberAccess:
+                base = base.base
+            if base.__class__ is ast.Identifier and base.symbol is not None:
+                escaping.add(base.symbol.uid)
+        elif cls is ast.VarDecl and node.symbol is not None:
             declared[node.symbol.uid] = node.symbol
-
-    note_reads(fn.body)
+        if mode == _READ:
+            if cls is ast.Assignment:
+                push((node.value, _READ))
+                push((node.target, _TARGET if node.op == "=" else _ALL))
+                continue
+            if cls is ast.IncDec:
+                push((node.operand, _ALL))
+                continue
+        elif mode == _TARGET:
+            if cls is ast.ArraySubscript:
+                push((node.index, _ALL))
+                push((node.base, _TARGET))
+                continue
+            if cls is ast.MemberAccess:
+                push((node.base, _ALL if node.arrow else _TARGET))
+                continue
+            if cls is ast.Deref:
+                push((node.pointer, _ALL))
+                continue
+            mode = _NONE
+        for name in node._fields:
+            value = getattr(node, name)
+            if isinstance(value, node_type):
+                push((value, mode))
+            elif isinstance(value, (list, tuple)):
+                for item in value:
+                    if isinstance(item, node_type):
+                        push((item, mode))
 
     dead = set()
     for uid, symbol in declared.items():
@@ -96,29 +129,6 @@ def _dead_symbols(fn: ast.FunctionDecl) -> set:
         if isinstance(symbol.ctype, (ct.ArrayType, ct.IntType, ct.PointerType)):
             dead.add(uid)
     return dead
-
-
-def _collect_identifiers(expr: ast.Node, into: set) -> None:
-    for node in walk(expr):
-        if isinstance(node, ast.Identifier) and node.symbol is not None:
-            into.add(node.symbol.uid)
-
-
-def _note_target_index_reads(target: ast.Expr, into: set) -> None:
-    """For a store target like ``a[i].f``, the index/pointer expressions are
-    reads but the stored-to base variable itself is not."""
-    if isinstance(target, ast.ArraySubscript):
-        _collect_identifiers(target.index, into)
-        _note_target_index_reads(target.base, into)
-    elif isinstance(target, ast.MemberAccess):
-        if target.arrow:
-            # p->f reads the pointer p.
-            _collect_identifiers(target.base, into)
-        else:
-            _note_target_index_reads(target.base, into)
-    elif isinstance(target, ast.Deref):
-        _collect_identifiers(target.pointer, into)
-    # A plain Identifier target is a pure write: no reads recorded.
 
 
 class _StoreEliminator(NodeTransformer):

@@ -130,18 +130,6 @@ def typed_literal(value: int, template: ast.Expr) -> ast.IntLiteral:
     return literal
 
 
-def expr_constant(expr: Optional[ast.Expr]) -> Optional[int]:
-    """Return the literal value of *expr* if it is an integer constant."""
-    if isinstance(expr, ast.IntLiteral):
-        return expr.value
-    if isinstance(expr, ast.UnaryOp) and expr.op == "-" \
-            and isinstance(expr.operand, ast.IntLiteral):
-        return -expr.operand.value
-    if isinstance(expr, ast.Cast):
-        return expr_constant(expr.operand)
-    return None
-
-
 def symbols_with_address_taken(root: ast.Node) -> set:
     """UIDs of symbols whose address is taken anywhere under *root*."""
     from repro.cdsl.visitor import walk
@@ -156,27 +144,6 @@ def symbols_with_address_taken(root: ast.Node) -> set:
             if isinstance(base, ast.Identifier) and base.symbol is not None:
                 taken.add(base.symbol.uid)
     return taken
-
-
-def symbols_read(root: ast.Node) -> set:
-    """UIDs of symbols that appear in a value (non-store-target) position."""
-    from repro.cdsl.visitor import walk
-    reads = set()
-    for node in walk(root):
-        if isinstance(node, ast.Assignment) and isinstance(node.target, ast.Identifier):
-            # The *simple* store target itself is not a read (unless compound).
-            if node.op != "=" and node.target.symbol is not None:
-                reads.add(node.target.symbol.uid)
-            for child in walk(node.value):
-                if isinstance(child, ast.Identifier) and child.symbol is not None:
-                    reads.add(child.symbol.uid)
-            # Continue walking handles nested nodes again; duplicates are fine.
-        elif isinstance(node, ast.Identifier) and node.symbol is not None:
-            reads.add(node.symbol.uid)
-    # Remove pure store-target occurrences counted by the generic walk:
-    # this over-approximation keeps the analysis sound (more reads = fewer
-    # eliminations), which is what an optimizer must guarantee.
-    return reads
 
 
 def declared_volatile(symbol) -> bool:

@@ -168,7 +168,7 @@ def reduce_fn_candidate(candidate: FNBugCandidate,
     tester = tester or DifferentialTester()
     reducer = HierarchicalReducer(
         make_fn_bug_predicate(program, detecting, missing, tester=tester),
-        max_rounds=max_rounds)
+        max_rounds=max_rounds, cache=tester.cache)
     result = reducer.reduce(program.source)
     if result.reduced_source == program.source:
         return candidate, result
@@ -246,9 +246,10 @@ def make_marker_predicate(finding, oracle=None) -> Predicate:
                                prefix=finding.prefix,
                                seed_index=finding.seed_index)
         try:
-            # One frontend run (through the shared cache) serves the
+            # The analyzed frontend master (shared through the cache, and
+            # already built by the reducer's validity check) serves the
             # function-liveness check and the reference execution; the
-            # compiles below share the same cached pristine unit.
+            # compiles below optimize clones of the same master.
             unit, sema = oracle.analyzed_unit(source)
             live = frozenset(oracle.liveness(marked, analyzed=(unit, sema)))
             outcome = oracle.compile_one(marked, target)
@@ -283,8 +284,11 @@ def reduce_marker_finding(finding, oracle=None, max_rounds: int = 8):
     """
     import dataclasses
 
+    from repro.markers.oracle import EliminationOracle
+
+    oracle = oracle if oracle is not None else EliminationOracle()
     reducer = HierarchicalReducer(make_marker_predicate(finding, oracle=oracle),
-                                  max_rounds=max_rounds)
+                                  max_rounds=max_rounds, cache=oracle.cache)
     result = reducer.reduce(finding.source)
     if result.reduced_source == finding.source:
         return finding, result

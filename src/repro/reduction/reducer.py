@@ -22,6 +22,12 @@ predicate is consulted.  Candidates are judged one at a time, in the
 passes' deterministic order and in this process, and the first accepted
 one is applied: most steps accept an early candidate, so judging more of
 them at once would mostly be wasted work.
+
+The reducer runs one frontend per candidate.  The validity check is a
+frontend lookup in the :class:`~repro.compilers.cache.CompilationCache`
+the predicate compiles through, so the predicate's compiles start from
+the analyzed master it built, and each pass reads the master of the
+current program instead of parsing it again.
 """
 
 from __future__ import annotations
@@ -34,7 +40,7 @@ from typing import Callable, List, Optional, Sequence, Set
 from repro.cdsl import ast_nodes as ast
 from repro.cdsl.lexer import tokenize
 from repro.cdsl.parser import parse_program
-from repro.cdsl.sema import analyze
+from repro.compilers.cache import CompilationCache, source_fingerprint
 from repro.reduction import passes
 from repro.telemetry import runtime as telemetry
 from repro.utils.errors import ReductionError, ReproError
@@ -100,6 +106,8 @@ class HierarchicalReducer:
             :class:`~repro.compilers.cache.CompilationCache`.
         max_rounds: bound on coarse-to-fine fixpoint rounds.
         simplify_cap: expression sites tried per simplification sweep.
+        cache: the compilation cache the predicate compiles through (see
+            the module docstring); by default the reducer keeps its own.
 
     Example::
 
@@ -112,10 +120,12 @@ class HierarchicalReducer:
     AST_PASSES = ("flatten", "unswitch", "simplify", "prune")
 
     def __init__(self, predicate: Predicate, max_rounds: int = 8,
-                 simplify_cap: int = 64) -> None:
+                 simplify_cap: int = 64,
+                 cache: Optional[CompilationCache] = None) -> None:
         self.predicate = predicate
         self.max_rounds = max_rounds
         self.simplify_cap = simplify_cap
+        self.cache = cache if cache is not None else CompilationCache()
 
     # -- public ---------------------------------------------------------------------
 
@@ -126,9 +136,9 @@ class HierarchicalReducer:
         rejects every candidate simply returns the input unchanged.
         """
         try:
-            parse_program(source)
+            self._frontend(source)
         except ReproError as exc:
-            raise ReductionError(f"cannot reduce unparsable source: {exc}") from exc
+            raise ReductionError(f"cannot reduce invalid source: {exc}") from exc
         start = time.perf_counter()
         self._current = source
         self._edits = 0
@@ -173,7 +183,7 @@ class HierarchicalReducer:
         changed = False
         granularity = 2
         while True:
-            unit = parse_program(self._current)
+            unit, _ = self._frontend(self._current)
             items = items_fn(unit)
             if not items:
                 break
@@ -195,7 +205,7 @@ class HierarchicalReducer:
         """Apply one AST pass repeatedly until no candidate is accepted."""
         changed = False
         while True:
-            unit = parse_program(self._current)
+            unit, _ = self._frontend(self._current)
             if pass_name == "flatten":
                 candidates = list(passes.flatten_candidates(unit))
             elif pass_name == "unswitch":
@@ -225,7 +235,7 @@ class HierarchicalReducer:
         for index, candidate in enumerate(candidates):
             if candidate == self._current or candidate in self._rejected:
                 continue
-            if _is_valid(candidate):
+            if self._is_valid(candidate):
                 self._evaluations += 1
                 if self.predicate(candidate):
                     return index
@@ -235,6 +245,24 @@ class HierarchicalReducer:
     def _apply(self, candidate: str) -> None:
         self._current = candidate
         self._edits += 1
+
+    # -- frontend -------------------------------------------------------------------
+
+    def _frontend(self, source: str):
+        """The cache's analyzed master of *source*: ``(unit, sema)``.  The
+        passes read it and edit clones."""
+        return self.cache.frontend(source_fingerprint(source),
+                                   lambda: parse_program(source))
+
+    def _is_valid(self, source: str) -> bool:
+        """Whether *source* parses and passes semantic analysis."""
+        try:
+            self._frontend(source)
+        except ReproError:
+            return False
+        except RecursionError:  # deeply nested candidates - reject, don't crash
+            return False
+        return True
 
 
 def _split(items: List[int], parts: int) -> List[List[int]]:
@@ -248,13 +276,3 @@ def _split(items: List[int], parts: int) -> List[List[int]]:
         chunks.append(items[position:position + width])
         position += width
     return chunks
-
-
-def _is_valid(source: str) -> bool:
-    try:
-        analyze(parse_program(source))
-    except ReproError:
-        return False
-    except RecursionError:  # deeply nested candidates - reject, don't crash
-        return False
-    return True

@@ -175,9 +175,40 @@ def test_parse_errors_are_not_cached_as_artifacts():
     cache = CompilationCache()
     gcc = GccCompiler(cache=cache)
     from repro.utils.errors import CompilationError
-    with pytest.raises(CompilationError):
+    with pytest.raises(CompilationError, match="gcc: parse error"):
         gcc.compile("int main( {", opt_level="-O0")
     assert cache.stats()["frontend_entries"] == 0
+    # A source that parses but fails analysis stores no frontend master.
+    for _ in range(2):
+        with pytest.raises(CompilationError, match="gcc: semantic error"):
+            gcc.compile("int main() { return y; }", opt_level="-O2")
+    assert cache.stats()["frontend_entries"] == 0
+    assert cache.stats()["misses"] == 0
+
+
+def test_cached_optimized_build_analyzes_once(monkeypatch):
+    """With the frontend master cached, building one more optimized
+    artifact runs semantic analysis once, after the pipeline."""
+    import repro.compilers.cache as cache_module
+    analyses = []
+    real_analyze = compiler_module.analyze
+
+    def counting_analyze(unit):
+        analyses.append(unit)
+        return real_analyze(unit)
+
+    for module in (cache_module, compiler_module):
+        monkeypatch.setattr(module, "analyze", counting_analyze)
+    cache = CompilationCache()
+    gcc = GccCompiler(cache=cache)
+    gcc.compile(SOURCE, opt_level="-O0")
+    assert len(analyses) == 2  # the frontend master, the -O0 artifact
+    master, _ = cache.frontend(cache_module.source_fingerprint(SOURCE),
+                               lambda: pytest.fail("frontend entry evicted"))
+    del analyses[:]
+    binary = gcc.compile(SOURCE, opt_level="-O2")
+    assert analyses == [binary.unit]
+    assert binary.unit is not master
 
 
 # -- concurrent sharing --------------------------------------------------------

@@ -8,6 +8,7 @@ import pytest
 
 from repro.cdsl import analyze, ast_nodes as ast, parse_program
 from repro.cdsl import parser as parser_module
+from repro.cdsl import sema as sema_module
 from repro.cdsl.visitor import clone, replace_node, walk
 from repro.compilers import CompilationCache
 from repro.compilers.cache import source_fingerprint
@@ -271,37 +272,57 @@ def test_apply_mutation_does_not_modify_the_seed(profiled):
 
 
 def test_shared_cache_parses_each_ub_program_once(sample_seed, monkeypatch):
-    """Generating and testing through one cache parses every UB source once:
-    the validation parse is the frontend artifact every compile reuses."""
+    """Generating and testing through one cache parses and analyzes every
+    UB source once: the validation is the frontend artifact every compile
+    reuses, and the compiles leave that analyzed master as it was."""
     parses = Counter()
+    analyses = Counter()
     real_parse = parser_module.parse_program
+    real_analyze = sema_module.analyze
 
     def counting_parse(source):
         parses[source] += 1
         return real_parse(source)
 
+    def counting_analyze(unit):
+        analyses[unit] += 1
+        return real_analyze(unit)
+
     for module in list(sys.modules.values()):
-        if (module is not None and module.__name__.startswith("repro")
-                and getattr(module, "parse_program", None) is real_parse):
+        if module is None or not module.__name__.startswith("repro"):
+            continue
+        if getattr(module, "parse_program", None) is real_parse:
             monkeypatch.setattr(module, "parse_program", counting_parse)
+        if getattr(module, "analyze", None) is real_analyze:
+            monkeypatch.setattr(module, "analyze", counting_analyze)
 
     cache = CompilationCache()
     generator = UBGenerator(seed=9, max_programs_per_type=1, cache=cache)
     programs = [program
                 for generated in generator.generate_all(sample_seed).values()
                 for program in generated]
+    masters = {program.source: cache.frontend(
+        source_fingerprint(program.source),
+        lambda: pytest.fail("frontend entry evicted"))[0]
+        for program in programs}
+
+    def annotations(unit):
+        return [(node, getattr(node, "ctype", None),
+                 getattr(node, "symbol", None)) for node in walk(unit)]
+
+    before = {source: annotations(unit) for source, unit in masters.items()}
     tester = DifferentialTester(opt_levels=("-O0", "-O2"), cache=cache)
     for program in programs:
         tester.test(program)
     assert len(programs) >= 7
     assert {program.source: parses[program.source] for program in programs} \
         == {program.source: 1 for program in programs}
-    # Validation analysed a clone: the cached masters are still unanalysed.
-    for program in programs:
-        master = cache.frontend(source_fingerprint(program.source),
-                                lambda: pytest.fail("frontend entry evicted"))
-        assert all(node.ctype is None for node in walk(master)
-                   if isinstance(node, ast.Expr))
+    assert all(analyses[unit] == 1 for unit in masters.values())
+    for source, unit in masters.items():
+        after = annotations(unit)
+        assert len(after) == len(before[source])
+        assert all(a is b for old, new in zip(before[source], after)
+                   for a, b in zip(old, new))
 
 
 def test_ub_program_metadata(profiled):

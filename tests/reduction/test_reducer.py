@@ -1,13 +1,18 @@
 """Unit tests for the hierarchical reducer: passes, edge cases, determinism."""
 
+import sys
+from collections import Counter
+
 import pytest
 
 from repro.cdsl import parse_program
+from repro.cdsl import parser as parser_module
 from repro.compilers import GccCompiler
-from repro.core import UBProgram, UBType
+from repro.core import CampaignConfig, FuzzingCampaign, UBProgram, UBType
 from repro.core.differential import DifferentialTester
 from repro.reduction import (
     HierarchicalReducer,
+    make_fn_bug_predicate,
     make_signature_predicate,
     bug_signature,
     reduce_fn_candidate,
@@ -108,6 +113,41 @@ def test_reduce_fn_candidate_rebuilds_candidate(figure1_source):
     assert reduced.verdict.is_bug
     assert reduced.missing.config == candidate.missing.config
     assert token_count(reduced.program.source) < token_count(program.source)
+
+
+def test_reducer_runs_one_frontend_per_candidate(monkeypatch):
+    """Through the campaign's cache, each distinct source the reduction
+    meets is parsed at most once, and a reducer keeping its own cache
+    makes the same reduction."""
+    campaign = FuzzingCampaign(CampaignConfig(
+        num_seeds=1, rng_seed=2024, max_programs_per_type=1,
+        opt_levels=("-O0", "-O2"), triage=False))
+    candidate = campaign.run().fn_candidates[0]
+    parses = Counter()
+    real_parse = parser_module.parse_program
+
+    def counting_parse(source):
+        parses[source] += 1
+        return real_parse(source)
+
+    for module in list(sys.modules.values()):
+        if (module is not None and module.__name__.startswith("repro")
+                and getattr(module, "parse_program", None) is real_parse):
+            monkeypatch.setattr(module, "parse_program", counting_parse)
+    _, result = reduce_fn_candidate(candidate, tester=campaign.tester,
+                                    max_rounds=2)
+    assert result.predicate_evaluations == 56
+    assert (result.original_tokens, result.reduced_tokens) == (1169, 79)
+    assert len(parses) > result.predicate_evaluations
+    assert max(parses.values()) == 1
+
+    predicate = make_fn_bug_predicate(
+        candidate.program, candidate.detecting.config,
+        candidate.missing.config, tester=campaign.tester)
+    private = HierarchicalReducer(predicate, max_rounds=2).reduce(
+        candidate.program.source)
+    assert private.reduced_source == result.reduced_source
+    assert private.predicate_evaluations == result.predicate_evaluations
 
 
 # -- pass-level sanity --------------------------------------------------------------
