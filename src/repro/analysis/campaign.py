@@ -11,7 +11,7 @@ only pay for it once per session.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Dict, List, Optional, Tuple
 
 from repro.compilers.compiler import make_compiler
@@ -167,7 +167,9 @@ def run_generator_comparison(num_seeds: int = 6, rng_seed: int = 7,
     comparison = GeneratorComparison()
     seed_gen = CsmithGenerator(GeneratorConfig(seed=rng_seed))
     seeds = seed_gen.generate_many(num_seeds)
-    comparison.seeds = seeds
+    # The comparison outlives this call (``_COMPARISON_CACHE``), so it keeps
+    # the seeds' text, not the parses they carry.
+    comparison.seeds = [replace(seed, analyzed=None) for seed in seeds]
 
     # UBfuzz: UB type known by construction, no "No UB" column (paper: "-").
     ub_generator = UBGenerator(seed=rng_seed,

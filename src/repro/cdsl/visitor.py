@@ -79,16 +79,17 @@ def fast_clone(node: N) -> N:
     * the optimizer's working copy of a cached frontend master.  The
       master was analyzed when it was built, so the copy starts with
       fresh annotations; the passes only read them (symbol identity and
-      declarations, types), and the copy is analyzed again after the
-      pipeline;
+      declarations, types), and the copy, which becomes the optimized
+      master, is analyzed again when something first needs its sema;
     * code that re-runs semantic analysis on the copy before anything
       consults symbols or types (the UB generator's profiler), so sharing
       the stale annotations is safe;
     * code that only rewrites node fields and prints the copy (shadow
-      statement insertion, the reduction passes);
+      statement insertion, the reduction passes, and the marker planter,
+      which plants into a copy of a validated seed's unit);
     * the sanitizer overlay of a compile, which instruments a copy of a
-      cached optimized master that was analyzed when it was built.  Those
-      annotations are fresh, so the copy needs no re-analysis: the
+      cached optimized master after asking for that master's analysis.
+      Those annotations are fresh, so the copy needs no re-analysis: the
       overlay and the VM only read the shared symbols, scopes and types
       (the VM keys storage by ``symbol.uid``), and new nodes get their
       own ``ctype``.

@@ -11,10 +11,11 @@ executes it on the VM and returns an
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Optional, Union
 
 from repro.cdsl import ast_nodes as ast
 from repro.cdsl.sema import SemanticInfo
+from repro.compilers.cache import OptimizedArtifact
 from repro.compilers.options import CompileOptions
 from repro.vm.errors import ExecutionResult
 from repro.vm.interpreter import DEFAULT_MAX_STEPS, Interpreter
@@ -29,14 +30,20 @@ class CompiledBinary:
     :class:`~repro.vm.errors.ExecutionResult` (exit code or sanitizer
     report plus execution trace).
 
-    A binary compiled through a
-    :class:`~repro.compilers.cache.CompilationCache` without a sanitizer
-    holds the cache's optimized master as ``unit`` and ``sema``: read them
-    (as :meth:`run` and the marker scan do), never mutate them.
+    ``analysis`` is where :attr:`sema` comes from.  A binary compiled
+    through a :class:`~repro.compilers.cache.CompilationCache` without a
+    sanitizer holds the cache's optimized master: ``unit`` is the master's
+    unit and ``analysis`` its
+    :class:`~repro.compilers.cache.OptimizedArtifact`, which analyzes the
+    unit when :meth:`run` or a ``sema`` read first needs it (the marker
+    scan reads only ``unit`` and never does).  Every such binary of one
+    master sees the same ``sema``.  Read them, never mutate them.  Any
+    other binary holds its unit's
+    :class:`~repro.cdsl.sema.SemanticInfo` itself.
     """
 
     unit: ast.TranslationUnit
-    sema: SemanticInfo
+    analysis: Union[SemanticInfo, OptimizedArtifact]
     compiler: str
     version: int
     options: CompileOptions
@@ -45,6 +52,16 @@ class CompiledBinary:
     source: str = ""
     passes_run: tuple = ()
     metadata: dict = field(default_factory=dict)
+
+    @property
+    def sema(self) -> SemanticInfo:
+        """The unit's semantic information; a cached optimized master's
+        analysis runs on the first read and raises its
+        ``CompilationError`` when it fails."""
+        analysis = self.analysis
+        if isinstance(analysis, OptimizedArtifact):
+            return analysis.sema
+        return analysis
 
     @property
     def label(self) -> str:

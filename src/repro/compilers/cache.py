@@ -12,18 +12,29 @@ the pipeline's phases actually depend on the configuration:
 * the **sanitizer instrumentation** is a per-configuration overlay applied
   to a copy of the optimized unit.
 
-:class:`CompilationCache` memoizes the first two phases in two bounded LRU
-layers keyed by a source fingerprint, so an N-config differential matrix
-costs 1 parse + O(opt levels) optimizations instead of N full compiles.
-Cached units are immutable masters, each stored with its
-:class:`~repro.cdsl.sema.SemanticInfo`.  A frontend master is analyzed
-once, when it is built, and shared read-only: UB-program validation,
-marker liveness and reduction screening read it, and the optimizer works
-on a :func:`~repro.cdsl.visitor.fast_clone` that shares its annotations.
-An optimized master is analyzed once more after its pipeline:
-sanitizer-free binaries share it read-only, and a sanitizer overlay
-instruments a ``fast_clone`` that shares the master's annotations.  Every
-produced binary behaves bit-identically to an uncached compile.
+:class:`CompilationCache` memoizes the first two phases, keyed by a source
+fingerprint, so an N-config differential matrix costs 1 parse +
+O(opt levels) optimizations instead of N full compiles.  Cached units are
+immutable masters.  A frontend master is analyzed once, when it is built,
+and shared read-only: UB-program validation, marker liveness and
+reduction screening read it, and the optimizer works on a
+:func:`~repro.cdsl.visitor.fast_clone` that shares its annotations.  An
+optimized master (:class:`OptimizedArtifact`) is analyzed on first
+demand, because the marker survey only scans its calls: a sanitizer
+overlay asks before it instruments a ``fast_clone`` that shares the
+master's annotations, and a sanitizer-free binary asks when it runs.
+Every produced binary behaves bit-identically to an uncached compile.
+
+The two layers keep what their readers reuse.  Frontend masters stay in
+an LRU of ``max_entries`` sources: fuzz triage and
+:func:`~repro.core.bugs.run_cell` come back to a program's master long
+after it was built.  The optimized layer holds the builds of one source,
+the one optimized most recently, and optimizing another source drops
+them.  Logging every lookup showed why that is enough: all optimized hits
+of the bench ``fuzz`` campaign (82 of 521 lookups) reuse a build at most
+3 builds old and of the same source, within one program's matrix or its
+triage, and the ``markers`` survey never hits (0 of 640).  A larger layer
+keeps dead masters alive, and every full garbage collection walks them.
 
 The cache is shared per process: :class:`~repro.core.differential.DifferentialTester`
 and the campaign attach one cache to all their compilers, and each
@@ -37,26 +48,64 @@ import hashlib
 import logging
 import threading
 from collections import OrderedDict
-from typing import Callable, Tuple
+from typing import Callable, Optional, Tuple
 
 from repro.cdsl import ast_nodes as ast
 from repro.cdsl.sema import SemanticInfo, analyze
 from repro.telemetry import runtime as telemetry
+from repro.utils.errors import CompilationError
 
 logger = logging.getLogger(__name__)
 
-#: Default bound for each LRU layer.  An entry is one parsed/optimized AST
-#: (a few hundred KB for csmith-sized programs), so the default keeps the
-#: cache within tens of MB even for long-running campaign workers.
+#: Default bound of the frontend layer, in sources.  An entry is one
+#: analyzed AST (a few hundred KB for csmith-sized programs), so the
+#: default keeps the layer within tens of MB even for long-running
+#: campaign workers.  The optimized layer is bounded by source instead:
+#: it holds one source's builds.
 DEFAULT_MAX_ENTRIES = 128
 
 #: A frontend-layer entry: the analyzed master unit of one source text and
 #: its semantic information.
 FrontendArtifact = Tuple[ast.TranslationUnit, SemanticInfo]
 
-#: An optimized-layer entry: the analyzed master unit, its semantic
-#: information and the names of the passes that changed it.
-OptimizedArtifact = Tuple[ast.TranslationUnit, SemanticInfo, tuple]
+
+class OptimizedArtifact:
+    """An optimized-layer entry: the master unit one pipeline produced, the
+    names of the passes that changed it, and its semantic information,
+    computed on first demand.
+
+    :attr:`sema` analyzes the unit the first time it is read, exactly
+    once, under the artifact's lock, and returns the same
+    :class:`~repro.cdsl.sema.SemanticInfo` on every later read.  An
+    analysis failure raises ``CompilationError("<compiler>: semantic
+    error: ...")`` to the reader, and the next read tries again.  The unit
+    is shared read-only, like its analysis.
+    """
+
+    __slots__ = ("unit", "passes_run", "compiler", "_sema", "_lock")
+
+    def __init__(self, unit: ast.TranslationUnit, passes_run: tuple,
+                 compiler: str) -> None:
+        self.unit = unit
+        self.passes_run = passes_run
+        self.compiler = compiler
+        self._sema: Optional[SemanticInfo] = None
+        self._lock = threading.Lock()
+
+    @property
+    def sema(self) -> SemanticInfo:
+        sema = self._sema
+        if sema is None:
+            with self._lock:
+                sema = self._sema
+                if sema is None:
+                    try:
+                        sema = analyze(self.unit)
+                    except Exception as exc:
+                        raise CompilationError(
+                            f"{self.compiler}: semantic error: {exc}") from exc
+                    self._sema = sema
+        return sema
 
 
 def source_fingerprint(source_text: str) -> str:
@@ -90,18 +139,23 @@ class _LRU:
 
 
 class CompilationCache:
-    """Bounded, fingerprint-keyed cache of frontend and optimizer artifacts.
+    """Fingerprint-keyed cache of frontend and optimizer artifacts.
 
     ``frontend(...)`` and ``optimized(...)`` both take a *builder* callable
     producing the artifact on a miss; the artifact is stored as an immutable
     master and returned as-is — callers must :func:`fast_clone` it before
-    mutating it (``SimulatedCompiler`` does).
+    mutating it (``SimulatedCompiler`` does).  *max_entries* bounds the
+    frontend layer; the optimized layer holds the builds of the source
+    optimized most recently, and ``evictions`` counts the frontend masters
+    the LRU drops plus the builds a new source drops.
     """
 
     def __init__(self, max_entries: int = DEFAULT_MAX_ENTRIES) -> None:
         self._lock = threading.Lock()
         self._frontend = _LRU(max_entries)
-        self._optimized = _LRU(max_entries)
+        self._optimized_source: Optional[str] = None
+        self._optimized: dict = {}
+        self._optimized_evictions = 0
         self.hits = 0
         self.misses = 0
 
@@ -135,31 +189,40 @@ class CompilationCache:
 
     def optimized(self, fingerprint: str, compiler: str, opt_level: str,
                   pass_names: Tuple[str, ...],
-                  builder: Callable[[], OptimizedArtifact]
+                  builder: Callable[[], Tuple[ast.TranslationUnit, tuple]]
                   ) -> OptimizedArtifact:
-        """The analyzed optimized master of one (source, compiler, opt
-        level, effective pass list): ``(unit, sema, passes_run)``.
+        """The optimized master of one (source, compiler, opt level,
+        effective pass list), as an :class:`OptimizedArtifact`.
 
-        The key is the pass list, not the release: no pass reads the
-        release and the iteration count depends only on compiler and level,
-        so every release running the same passes — flat pipelines always,
-        version-aware ones between pass introductions and defect windows —
-        shares one artifact.
+        On a miss, *builder* returns ``(unit, passes_run)`` and the cache
+        stores them as an artifact that analyzes the unit on first demand.
+        Storing a build of another source than the layer holds drops that
+        source's builds first.  The key is the pass list, not the release:
+        no pass reads the release and the iteration count depends only on
+        compiler and level, so every release running the same passes —
+        flat pipelines always, version-aware ones between pass
+        introductions and defect windows — shares one artifact.
         """
-        key = (fingerprint, compiler, opt_level, pass_names)
+        key = (compiler, opt_level, pass_names)
         with self._lock:
-            entry = self._optimized.get(key)
-            if entry is not None:
-                self.hits += 1
-                telemetry.inc("cache.hits")
-                return entry
+            if fingerprint == self._optimized_source:
+                entry = self._optimized.get(key)
+                if entry is not None:
+                    self.hits += 1
+                    telemetry.inc("cache.hits")
+                    return entry
         with telemetry.stage("optimize", compiler=compiler, opt=opt_level):
-            entry = builder()
+            unit, passes_run = builder()
+        entry = OptimizedArtifact(unit, passes_run, compiler)
         with self._lock:
             self.misses += 1
-            evictions_before = self._optimized.evictions
-            self._optimized.put(key, entry)
-            evicted = self._optimized.evictions - evictions_before
+            evicted = 0
+            if fingerprint != self._optimized_source:
+                evicted = len(self._optimized)
+                self._optimized_evictions += evicted
+                self._optimized = {}
+                self._optimized_source = fingerprint
+            self._optimized[key] = entry
         self._note_miss(evicted)
         return entry
 
@@ -176,7 +239,7 @@ class CompilationCache:
     @property
     def evictions(self) -> int:
         with self._lock:
-            return self._frontend.evictions + self._optimized.evictions
+            return self._frontend.evictions + self._optimized_evictions
 
     def stats(self) -> dict:
         with self._lock:
@@ -186,7 +249,7 @@ class CompilationCache:
                 "frontend_entries": len(self._frontend),
                 "optimized_entries": len(self._optimized),
                 "evictions": (self._frontend.evictions
-                              + self._optimized.evictions),
+                              + self._optimized_evictions),
             }
 
     def clear(self) -> None:
@@ -194,6 +257,8 @@ class CompilationCache:
                      self.hits, self.misses)
         with self._lock:
             self._frontend = _LRU(self._frontend.max_entries)
-            self._optimized = _LRU(self._optimized.max_entries)
+            self._optimized_source = None
+            self._optimized = {}
+            self._optimized_evictions = 0
             self.hits = 0
             self.misses = 0

@@ -21,7 +21,11 @@ from repro.cdsl.printer import print_program
 from repro.cdsl.sema import analyze
 from repro.cdsl.visitor import clone, fast_clone
 from repro.compilers.binary import CompiledBinary
-from repro.compilers.cache import CompilationCache, source_fingerprint
+from repro.compilers.cache import (
+    CompilationCache,
+    OptimizedArtifact,
+    source_fingerprint,
+)
 from repro.compilers.options import CompileOptions
 from repro.compilers.versions import trunk_version
 from repro.optim.passes import OptimizationContext
@@ -39,9 +43,10 @@ class SimulatedCompiler:
     When a :class:`~repro.compilers.cache.CompilationCache` is attached, the
     configuration-independent phases are shared across compiles of the same
     source text: the frontend runs once per source, the optimizer pipeline
-    and the semantic analysis after it once per (source, opt level,
-    effective pass list), and only the sanitizer overlay runs per
-    configuration — producing binaries bit-identical to uncached compiles.
+    once per (source, opt level, effective pass list) and the semantic
+    analysis after it at most once, when something first needs it; only
+    the sanitizer overlay runs per configuration — producing binaries
+    bit-identical to uncached compiles.
     """
 
     name = "cc"
@@ -81,7 +86,11 @@ class SimulatedCompiler:
         With a cache attached, a sanitizer-free compile of C text returns a
         binary over the cache's optimized master itself: its ``unit`` and
         ``sema`` are shared with every other such binary and must not be
-        mutated.  A sanitizer compile instruments a private copy.
+        mutated.  Such a compile does not analyze the optimized unit; the
+        binary's first :meth:`~CompiledBinary.run` or ``sema`` read does,
+        and raises the ``CompilationError`` of a failing analysis.  A
+        sanitizer compile analyzes the master (once per master) and
+        instruments a private copy.
         """
         if options is None:
             options = CompileOptions(opt_level=opt_level or "-O0",
@@ -97,12 +106,15 @@ class SimulatedCompiler:
             # the pipeline and under-record branch coverage.  AST input also
             # bypasses it, since callers rely on their node ids surviving.
             source_text = source
-            unit, sema, passes_run = self._cached_phases(
-                source, options.opt_level)
-            if options.sanitizer is not None:
+            artifact = self._cached_phases(source, options.opt_level)
+            unit, passes_run = artifact.unit, artifact.passes_run
+            if options.sanitizer is None:
+                analysis = artifact
+            else:
                 # The overlay rewrites node fields, so it instruments a
-                # copy.  The copy shares the master's annotations, which
-                # are fresh, so no re-analysis is needed.
+                # copy.  The copy shares the master's annotations, so the
+                # master is analyzed first and the copy needs no analysis.
+                analysis = artifact.sema
                 unit = fast_clone(unit)
         else:
             unit, source_text = self._frontend(source)
@@ -111,7 +123,7 @@ class SimulatedCompiler:
             # Passes may have created new nodes (literals, rewritten
             # branches): re-run semantic analysis so types and symbols are
             # consistent.
-            sema = self._analyze(unit, source_text)
+            analysis = self._analyze(unit, source_text)
 
         sanitizer_pass = None
         sanitizer_ctx = None
@@ -120,9 +132,9 @@ class SimulatedCompiler:
             sanitizer_ctx = InstrumentationContext.for_configuration(
                 options.sanitizer, self.name, self.version, options.opt_level,
                 registry=self.defect_registry, coverage=self.coverage)
-            sanitizer_pass.instrument(unit, sema, sanitizer_ctx)
+            sanitizer_pass.instrument(unit, analysis, sanitizer_ctx)
 
-        return CompiledBinary(unit=unit, sema=sema, compiler=self.name,
+        return CompiledBinary(unit=unit, analysis=analysis, compiler=self.name,
                               version=self.version, options=options,
                               sanitizer_pass=sanitizer_pass,
                               sanitizer_context=sanitizer_ctx,
@@ -144,14 +156,16 @@ class SimulatedCompiler:
         pipeline = pipeline_for(self.name, opt_level, self._pipeline_version())
         return pipeline.run(unit, sema, opt_ctx)
 
-    def _cached_phases(self, source_text: str, opt_level: str):
+    def _cached_phases(self, source_text: str,
+                       opt_level: str) -> OptimizedArtifact:
         """Frontend + optimizer with artifact sharing through the cache.
 
-        Returns the cache's optimized master as ``(unit, sema,
-        passes_run)``.  The frontend master is parsed and analyzed once and
-        never changed: the optimizer works on a :func:`fast_clone` of it
-        that shares its annotations, runs with the master's sema and is
-        analyzed once after the pipeline, as on the uncached path.
+        Returns the cache's optimized master as an
+        :class:`~repro.compilers.cache.OptimizedArtifact`.  The frontend
+        master is parsed and analyzed once and never changed: the optimizer
+        works on a :func:`fast_clone` of it that shares its annotations and
+        runs with the master's sema.  The pipeline's unit is analyzed on
+        first demand, as the uncached path analyzes it after the pipeline.
         """
         fingerprint = source_fingerprint(source_text)
 
@@ -171,8 +185,7 @@ class SimulatedCompiler:
                 raise CompilationError(
                     f"{self.name}: semantic error: {exc}") from exc
             work = fast_clone(master)
-            passes_run = self._optimize(work, sema, opt_level)
-            return work, self._analyze(work, source_text), tuple(passes_run)
+            return work, tuple(self._optimize(work, sema, opt_level))
 
         pass_names = tuple(effective_pass_names(self.name, opt_level,
                                                 self._pipeline_version()))

@@ -59,6 +59,14 @@ class UBGenerator:
             program's validation parse and analysis is the frontend
             artifact its compiles reuse.
 
+    A validated :class:`~repro.seedgen.SeedProgram` is read from the
+    analyzed parse it carries (:attr:`~repro.seedgen.SeedProgram.analyzed`)
+    instead of being parsed again.  Generation never mutates that unit:
+    the profiler and :func:`~repro.core.insertion.apply_mutation` work on
+    :func:`~repro.cdsl.visitor.fast_clone` copies.  Text and seeds without
+    a parse are parsed and analyzed here; a caller's AST is analyzed in
+    place.
+
     Example::
 
         programs = UBGenerator(seed=1).generate(seed_program,
@@ -156,6 +164,8 @@ class UBGenerator:
     def _resolve_seed(seed_program: SeedLike, seed_index: int
                       ) -> tuple[ast.TranslationUnit, int]:
         if isinstance(seed_program, SeedProgram):
+            if seed_program.analyzed is not None:
+                return seed_program.analyzed[0], seed_program.index
             unit = parse_program(seed_program.source)
             analyze(unit)
             return unit, seed_program.index

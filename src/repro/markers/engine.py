@@ -260,7 +260,10 @@ class MarkerEngine:
         is exactly the one :meth:`run_seed` applies.
         """
         marked = self.planter.plant(source, seed_index=seed_index)
-        live = frozenset(self.oracle.liveness(marked))
+        reached = self.oracle.liveness(marked)
+        if reached is None:
+            return marked, []
+        live = frozenset(reached)
         findings: List[MarkerFinding] = []
         for compiler in self.config.compilers:
             outcomes = self.oracle.survey(marked,
@@ -289,12 +292,18 @@ class MarkerEngine:
             return MarkerBatch(seed_index=seed_index, generated=False,
                                duration_seconds=time.time() - start)
         with telemetry.stage("generate", seed=seed_index, kind="markers"):
-            marked = self.planter.plant(seed.source, seed_index=seed_index)
-        live = frozenset(self.oracle.liveness(marked))
+            # Plant into the parse the generator validated, not a new one.
+            marked = self.planter.plant(seed.analyzed[0],
+                                        seed_index=seed_index)
+        reached = self.oracle.liveness(marked)
+        live = frozenset(reached or ())
         findings: List[MarkerFinding] = []
         survival: Dict[str, ConfigSurvival] = {}
         configs_surveyed = 0
-        for compiler in self.config.compilers:
+        # A reference run that does not finish calls no marker dead, so
+        # such a seed is neither surveyed nor classified.
+        compilers = self.config.compilers if reached is not None else ()
+        for compiler in compilers:
             configs = self.config.configs_for(compiler)
             outcomes = self.oracle.survey(marked, configs)
             configs_surveyed += len(configs)

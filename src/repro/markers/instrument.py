@@ -30,7 +30,7 @@ from repro.cdsl import ast_nodes as ast
 from repro.cdsl import ctypes_ as ct
 from repro.cdsl.parser import parse_program
 from repro.cdsl.printer import print_program
-from repro.cdsl.visitor import walk
+from repro.cdsl.visitor import fast_clone, walk
 
 #: Default marker-name prefix ("UBfuzz marker"); names are ``__ubfm_<N>_``.
 DEFAULT_MARKER_PREFIX = "__ubfm_"
@@ -98,13 +98,20 @@ class MarkerPlanter:
               seed_index: int = 0) -> MarkedProgram:
         """Instrument *source* and return the marked program.
 
-        String input is parsed fresh; AST input is printed and re-parsed so
-        the caller's tree is never mutated and line information is computed
-        against the exact text the oracle will compile.
+        String input is parsed fresh.  AST input — such as a validated
+        seed's :attr:`~repro.seedgen.SeedProgram.analyzed` unit — is never
+        mutated: markers go into a :func:`~repro.cdsl.visitor.fast_clone`
+        of it, and ``base_source`` is its printed text.  Planting reads
+        only the tree's structure, never its annotations, and line
+        information is computed against the printed marked text, so a
+        parsed unit plants byte-identically to its source text.
         """
-        base_source = (source if isinstance(source, str)
-                       else print_program(source))
-        unit = parse_program(base_source)
+        if isinstance(source, str):
+            base_source = source
+            unit = parse_program(source)
+        else:
+            base_source = print_program(source)
+            unit = fast_clone(source)
         planted: List[_PlantedMarker] = []
         for fn in unit.functions:
             if fn.body is not None:

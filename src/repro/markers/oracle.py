@@ -6,7 +6,9 @@ Two questions are answered about a :class:`~repro.markers.instrument.MarkedProgr
   The instrumented source is interpreted directly (no optimizer), with the
   VM's call hook recording every marker call in order.  Generated seed
   programs are closed and deterministic, so this single run *is* the
-  program's behaviour: an unreached marker is semantically dead.
+  program's behaviour: an unreached marker is semantically dead — if the
+  run finishes.  A run that exhausts its step budget (or fails) proves
+  nothing dead, so it has no liveness at all.
 * **elimination** — which markers survive compilation under a
   (compiler, version, opt-pipeline) configuration?  Each config is compiled
   through the normal driver with version-aware pipelines, and the emitted
@@ -92,28 +94,34 @@ class EliminationOracle:
                                    lambda: parse_program(source_text))
 
     def liveness(self, marked: MarkedProgram,
-                 analyzed=None) -> Tuple[str, ...]:
-        """The sequence of marker calls the reference execution performs.
+                 analyzed=None) -> Optional[Tuple[str, ...]]:
+        """The sequence of marker calls the reference execution performs,
+        or ``None`` when that execution does not end with status ``ok``.
 
         The un-optimized instrumented program is interpreted directly;
         marker calls are recorded through the VM call hook in execution
         order (duplicates included — the equivalence property suite
-        compares whole sequences).  *analyzed* (a ``(unit, sema)`` pair
-        from :meth:`analyzed_unit`) saves the cache lookup when the caller
+        compares whole sequences).  A run that hits the step budget (a
+        loop that never ends) or fails leaves markers unreached that are
+        not dead, so it yields ``None`` and no caller may call any marker
+        dead from it.  *analyzed* (a ``(unit, sema)`` pair from
+        :meth:`analyzed_unit`) saves the cache lookup when the caller
         already holds the master — the reduction predicate's hot path.
         """
         unit, sema = analyzed if analyzed is not None \
             else self.analyzed_unit(marked.source)
         reached: List[str] = []
         with telemetry.stage("oracle", kind="liveness"):
-            run_program(unit, sema, max_steps=self.max_steps,
-                        call_hook=lambda name: reached.append(name)
-                        if name.startswith(marked.prefix) else None)
-        return tuple(reached)
+            result = run_program(unit, sema, max_steps=self.max_steps,
+                                 call_hook=lambda name: reached.append(name)
+                                 if name.startswith(marked.prefix) else None)
+        return tuple(reached) if result.status == "ok" else None
 
-    def live_set(self, marked: MarkedProgram) -> frozenset:
-        """The set of markers the reference execution reaches."""
-        return frozenset(self.liveness(marked))
+    def live_set(self, marked: MarkedProgram) -> Optional[frozenset]:
+        """The set of markers the reference execution reaches (``None``
+        when it does not finish)."""
+        reached = self.liveness(marked)
+        return frozenset(reached) if reached is not None else None
 
     # -- elimination ------------------------------------------------------------
 

@@ -216,13 +216,16 @@ def make_marker_predicate(finding, oracle=None) -> Predicate:
     """Build the "still exhibits this marker finding" predicate.
 
     The candidate source (an already-instrumented program — reduction never
-    re-plants markers) stays interesting when the finding's marker is still
-    present, still dead on the reference execution, still inside an
-    executed function (missed optimizations only), retained by the
-    finding's configuration, and — for regressions — still eliminated by
-    the adjacent older release.  The finding's bucket key (kind, compiler,
-    marker site, responsible pass) only depends on the marker name and the
-    configs, so it survives any reduction this predicate accepts.
+    re-plants markers) stays interesting when its reference execution
+    still finishes, the finding's marker is still present, still dead on
+    that execution, still inside an executed function (missed
+    optimizations only), retained by the finding's configuration, and —
+    for regressions — still eliminated by the adjacent older release.  A
+    candidate whose execution never ends is rejected: its unreached
+    marker is not dead, just never got to.  The finding's bucket key
+    (kind, compiler, marker site, responsible pass) only depends on the
+    marker name and the configs, so it survives any reduction this
+    predicate accepts.
 
     *finding* is a :class:`~repro.markers.engine.MarkerFinding`.  *oracle*
     is the :class:`~repro.markers.oracle.EliminationOracle` that judges the
@@ -251,7 +254,10 @@ def make_marker_predicate(finding, oracle=None) -> Predicate:
             # function-liveness check and the reference execution; the
             # compiles below optimize clones of the same master.
             unit, sema = oracle.analyzed_unit(source)
-            live = frozenset(oracle.liveness(marked, analyzed=(unit, sema)))
+            reached = oracle.liveness(marked, analyzed=(unit, sema))
+            if reached is None:
+                return False
+            live = frozenset(reached)
             outcome = oracle.compile_one(marked, target)
             older = (oracle.compile_one(marked, witness)
                      if witness is not None else None)

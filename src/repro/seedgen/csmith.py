@@ -21,13 +21,13 @@ Generation is deterministic in (config.seed, program index).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional
+from typing import List, Optional, Tuple
 
 from repro.cdsl import ast_nodes as ast
 from repro.cdsl import ctypes_ as ct
 from repro.cdsl.parser import parse_program
 from repro.cdsl.printer import print_program
-from repro.cdsl.sema import analyze
+from repro.cdsl.sema import SemanticInfo, analyze
 from repro.cdsl.source import UNKNOWN_LOCATION
 from repro.seedgen.config import GeneratorConfig
 from repro.utils.errors import GenerationError
@@ -35,14 +35,30 @@ from repro.utils.rng import RandomSource, derive_seed
 from repro.vm.interpreter import run_program
 
 
+#: A parsed unit and the semantic information of its analysis.
+AnalyzedUnit = Tuple[ast.TranslationUnit, SemanticInfo]
+
+
 @dataclass
 class SeedProgram:
-    """One generated seed: its source text plus generation metadata."""
+    """One generated seed: its source text plus generation metadata.
+
+    ``analyzed`` is the ``(unit, sema)`` pair that validation built from
+    ``source`` (``None`` when the seed was generated without validation),
+    so the seed's consumers — :meth:`~repro.markers.MarkerPlanter.plant`
+    and :class:`~repro.core.ubgen.UBGenerator` — need not parse it again.
+    It is shared read-only: consumers work on a
+    :func:`~repro.cdsl.visitor.fast_clone`.  It takes no part in equality
+    or ``repr`` and is never persisted; whatever outlives the seed should
+    keep its text, not this pair.
+    """
 
     source: str
     index: int
     generator: str = "csmith"
     metadata: dict = field(default_factory=dict)
+    analyzed: Optional[AnalyzedUnit] = field(default=None, compare=False,
+                                             repr=False)
 
     def parse(self) -> ast.TranslationUnit:
         return parse_program(self.source)
@@ -76,7 +92,11 @@ class CsmithGenerator:
     # -- public API -------------------------------------------------------------
 
     def generate(self, index: int = 0, validate: bool = True) -> SeedProgram:
-        """Generate the *index*-th seed program for this configuration."""
+        """Generate the *index*-th seed program for this configuration.
+
+        With *validate*, the returned seed carries the analyzed parse its
+        validation built (:attr:`SeedProgram.analyzed`).
+        """
         last_error = "unknown"
         for attempt in range(4):
             # The salt folds the retry attempt into the index (attempts < 4,
@@ -87,9 +107,11 @@ class CsmithGenerator:
             source = print_program(unit)
             if not validate:
                 return SeedProgram(source, index, metadata={"attempt": attempt})
-            ok, reason = self._validate(source)
-            if ok:
-                return SeedProgram(source, index, metadata={"attempt": attempt})
+            analyzed, reason = self._validate(source)
+            if analyzed is not None:
+                return SeedProgram(source, index,
+                                   metadata={"attempt": attempt},
+                                   analyzed=analyzed)
             last_error = reason
         raise GenerationError(f"could not generate a valid seed for index "
                               f"{index}: {last_error}")
@@ -102,17 +124,21 @@ class CsmithGenerator:
     # -- internal ---------------------------------------------------------------
 
     @staticmethod
-    def _validate(source: str) -> tuple[bool, str]:
-        """Check the program parses, analyses and runs to completion."""
+    def _validate(source: str) -> tuple[Optional[AnalyzedUnit], str]:
+        """Check the program parses, analyses and runs to completion.
+
+        Returns the analyzed ``(unit, sema)`` of a valid program, or
+        ``None`` and the reason it is not valid.
+        """
         try:
             unit = parse_program(source)
             sema = analyze(unit)
         except Exception as exc:
-            return False, f"frontend: {exc}"
+            return None, f"frontend: {exc}"
         result = run_program(unit, sema, max_steps=100_000)
         if result.status != "ok":
-            return False, f"execution: {result.status} {result.error or ''}"
-        return True, ""
+            return None, f"execution: {result.status} {result.error or ''}"
+        return (unit, sema), ""
 
 
 class CsmithNoSafeGenerator(CsmithGenerator):

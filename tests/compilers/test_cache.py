@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import sys
+import threading
+import time
 from concurrent.futures import ThreadPoolExecutor
 
 import pytest
@@ -9,7 +12,7 @@ import pytest
 import repro.compilers.compiler as compiler_module
 from repro.cdsl import ast_nodes as ast
 from repro.cdsl.printer import print_program
-from repro.cdsl.visitor import find_nodes
+from repro.cdsl.visitor import find_nodes, walk
 from repro.compilers import (
     CompilationCache,
     GccCompiler,
@@ -21,7 +24,9 @@ from repro.core import CampaignConfig, FuzzingCampaign
 from repro.core.differential import DifferentialTester, TestConfig
 from repro.core.ub_types import ALL_UB_TYPES
 from repro.core.ubgen import UBGenerator
+from repro.optim.pipelines import pipeline_for
 from repro.seedgen import CsmithGenerator, GeneratorConfig
+from repro.utils.errors import CompilationError
 
 SOURCE = """\
 int g = 3;
@@ -74,6 +79,12 @@ def test_cache_eviction_is_bounded_and_harmless():
     # Recompiling an evicted source still produces the same behaviour.
     again = gcc.compile(_other_source(0), opt_level="-O0").run()
     assert again == results[0]
+    # The optimized layer holds the builds of one source: optimizing a
+    # second source drops the first one's.
+    gcc.compile(_other_source(0), opt_level="-O2")
+    assert cache.stats()["optimized_entries"] == 2
+    gcc.compile(_other_source(1), opt_level="-O1")
+    assert cache.stats()["optimized_entries"] == 1
 
 
 def test_cache_clear_resets_state():
@@ -174,7 +185,6 @@ def test_cached_differential_matrix_matches_uncached_on_ub_program():
 def test_parse_errors_are_not_cached_as_artifacts():
     cache = CompilationCache()
     gcc = GccCompiler(cache=cache)
-    from repro.utils.errors import CompilationError
     with pytest.raises(CompilationError, match="gcc: parse error"):
         gcc.compile("int main( {", opt_level="-O0")
     assert cache.stats()["frontend_entries"] == 0
@@ -187,8 +197,10 @@ def test_parse_errors_are_not_cached_as_artifacts():
 
 
 def test_cached_optimized_build_analyzes_once(monkeypatch):
-    """With the frontend master cached, building one more optimized
-    artifact runs semantic analysis once, after the pipeline."""
+    """An optimized master is analyzed once, on first demand: compiling
+    analyzes only the frontend master, a sanitizer-free binary's first run
+    or ``sema`` read analyzes its artifact, and a sanitizer compile
+    analyzes its new artifact before instrumenting a copy."""
     import repro.compilers.cache as cache_module
     analyses = []
     real_analyze = compiler_module.analyze
@@ -201,14 +213,131 @@ def test_cached_optimized_build_analyzes_once(monkeypatch):
         monkeypatch.setattr(module, "analyze", counting_analyze)
     cache = CompilationCache()
     gcc = GccCompiler(cache=cache)
-    gcc.compile(SOURCE, opt_level="-O0")
-    assert len(analyses) == 2  # the frontend master, the -O0 artifact
+    binary = gcc.compile(SOURCE, opt_level="-O0")
     master, _ = cache.frontend(cache_module.source_fingerprint(SOURCE),
                                lambda: pytest.fail("frontend entry evicted"))
-    del analyses[:]
-    binary = gcc.compile(SOURCE, opt_level="-O2")
-    assert analyses == [binary.unit]
+    assert analyses == [master]
     assert binary.unit is not master
+    del analyses[:]
+    first = binary.run()
+    assert analyses == [binary.unit]
+    assert binary.run() == first
+    assert gcc.compile(SOURCE, opt_level="-O0").sema is binary.sema
+    assert analyses == [binary.unit]
+    del analyses[:]
+    sanitized = gcc.compile(SOURCE, opt_level="-O2", sanitizer="asan")
+    o2_master = gcc.compile(SOURCE, opt_level="-O2")
+    assert analyses == [o2_master.unit]
+    assert sanitized.sema is o2_master.sema
+    assert analyses == [o2_master.unit]
+
+
+def test_concurrent_sema_demands_analyze_once(monkeypatch):
+    """Eight threads asking for one master's ``sema`` at once cause one
+    analysis, and all of them get its result."""
+    import repro.compilers.cache as cache_module
+    binary = GccCompiler(cache=CompilationCache()).compile(SOURCE,
+                                                           opt_level="-O2")
+    analyses = []
+    real_analyze = cache_module.analyze
+
+    def slow_analyze(unit):
+        analyses.append(unit)
+        time.sleep(0.05)  # widen the window for a second analysis
+        return real_analyze(unit)
+
+    monkeypatch.setattr(cache_module, "analyze", slow_analyze)
+    barrier = threading.Barrier(8, timeout=10)
+
+    def demand(_):
+        barrier.wait()
+        return binary.sema
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=8) as pool:
+            semas = list(pool.map(demand, range(8), timeout=30))
+    finally:
+        sys.setswitchinterval(interval)
+    assert analyses == [binary.unit]
+    assert all(sema is semas[0] for sema in semas)
+
+
+def test_ill_typed_pass_output_fails_at_first_demand(monkeypatch):
+    """A pass that leaves the unit ill-typed makes the post-pipeline
+    analysis fail with the compiler's semantic error: inside ``compile()``
+    for a sanitizer build, at ``run()`` for a sanitizer-free one."""
+    pass_cls = type(pipeline_for("gcc", "-O2").passes[0])
+    real_run = pass_cls.run
+
+    def ill_typed_run(self, unit, sema, ctx):
+        changed = real_run(self, unit, sema, ctx)
+        for node in walk(unit):
+            if isinstance(node, ast.Identifier):
+                node.name = "undeclared_by_the_pass"
+        return changed
+
+    monkeypatch.setattr(pass_cls, "run", ill_typed_run)
+    gcc = GccCompiler(cache=CompilationCache())
+    with pytest.raises(CompilationError, match="gcc: semantic error"):
+        gcc.compile(SOURCE, opt_level="-O2", sanitizer="asan")
+    binary = gcc.compile(SOURCE, opt_level="-O2")
+    with pytest.raises(CompilationError, match="gcc: semantic error"):
+        binary.run()
+
+
+def test_one_source_optimized_layer_keeps_every_matrix_hit(monkeypatch):
+    """On a campaign with all five levels and triage, the optimized layer
+    hits inside each program's matrix exactly as often as an unbounded map
+    of the same lookups would.  What it gives up are triage's returns to an
+    earlier program: the first probe of such a program rebuilds its
+    master, and the probes after it hit that build."""
+    lookups = []
+    phase = ["triage"]
+    real_optimized = CompilationCache.optimized
+    real_run_seed = FuzzingCampaign.run_seed
+
+    def logged(self, fingerprint, compiler, opt_level, pass_names, builder):
+        built = []
+
+        def counted_builder():
+            built.append(True)
+            return builder()
+
+        artifact = real_optimized(self, fingerprint, compiler, opt_level,
+                                  pass_names, counted_builder)
+        lookups.append((phase[0], (fingerprint, compiler, opt_level,
+                                   pass_names), not built))
+        return artifact
+
+    def run_seed(self, seed_index):
+        phase[0] = "matrix"
+        try:
+            return real_run_seed(self, seed_index)
+        finally:
+            phase[0] = "triage"
+
+    monkeypatch.setattr(CompilationCache, "optimized", logged)
+    monkeypatch.setattr(FuzzingCampaign, "run_seed", run_seed)
+    config = CampaignConfig(num_seeds=2, rng_seed=7, max_programs_per_type=1)
+    assert len(config.opt_levels) == 5 and config.triage
+    FuzzingCampaign(config).run()
+
+    def unbounded_hits(keys):
+        seen = set()
+        hits = 0
+        for key in keys:
+            hits += key in seen
+            seen.add(key)
+        return hits
+
+    matrix = [(key, hit) for where, key, hit in lookups if where == "matrix"]
+    triage = [(key, hit) for where, key, hit in lookups if where == "triage"]
+    assert triage, "the campaign triages nothing"
+    assert sum(hit for _key, hit in matrix) == \
+        unbounded_hits(key for key, _hit in matrix) > 0
+    assert any(hit for _key, hit in triage)
 
 
 # -- concurrent sharing --------------------------------------------------------

@@ -2,18 +2,24 @@
 
 from __future__ import annotations
 
+import sys
+from collections import Counter
+
 import pytest
 
+from repro.cdsl import parser, sema
 from repro.markers import (
     MISSED_OPTIMIZATION,
     REGRESSION,
     UNSOUND_ELIMINATION,
     MarkerCampaignConfig,
     MarkerEngine,
+    MarkerPlanter,
 )
 from repro.optim.pipelines import effective_pass_names
 from repro.orchestrator import OrchestratedCampaign
 from repro.orchestrator.cli import main as cli_main
+from repro.seedgen import CsmithGenerator, GeneratorConfig
 
 SMALL = dict(num_seeds=2, rng_seed=7,
              versions={"gcc": [10, 11, 12, 14], "llvm": [13, 14, 16, 18]})
@@ -65,6 +71,62 @@ def test_survival_accounting_is_consistent(small_result):
         assert survival.eliminated == survival.planted - survival.retained
         assert survival.dead_retained <= survival.retained
         assert 0.0 <= survival.survival_rate <= 1.0
+
+
+def test_engine_parses_each_source_once_and_analyzes_twice_per_seed(
+        monkeypatch):
+    """A seed is parsed and analyzed once, by the generator's validation,
+    and planted from that parse; its marked program is parsed and
+    analyzed once, as the frontend master every build starts from.  No
+    optimized build is analyzed, however many the survey makes."""
+    real_parse, real_analyze = parser.parse_program, sema.analyze
+    parses = Counter()
+    analyses = []
+
+    def counting_parse(source):
+        parses[source] += 1
+        return real_parse(source)
+
+    def counting_analyze(unit):
+        analyses.append(unit)
+        return real_analyze(unit)
+
+    for name, module in list(sys.modules.items()):
+        if name == "repro" or name.startswith("repro."):
+            for attr, value in list(vars(module).items()):
+                if value is real_parse:
+                    monkeypatch.setattr(module, attr, counting_parse)
+                elif value is real_analyze:
+                    monkeypatch.setattr(module, attr, counting_analyze)
+    config = MarkerCampaignConfig(**dict(SMALL, num_seeds=3))
+    engine = MarkerEngine(config)
+    batches = [engine.run_seed(index) for index in range(3)]
+    monkeypatch.undo()
+    assert all(batch.generated for batch in batches)
+    builds = engine.oracle.cache.stats()["misses"] - 3
+    assert builds > 2 * len(batches)
+    assert len(analyses) == 2 * len(batches)
+    generator = CsmithGenerator(GeneratorConfig(seed=config.rng_seed))
+    seeds = [generator.generate(index).source for index in range(3)]
+    marked = [MarkerPlanter().plant(source).source for source in seeds]
+    assert dict(parses) == dict.fromkeys(seeds + marked, 1)
+
+
+def test_engine_draws_no_findings_from_a_run_that_never_finishes():
+    """A program whose loop never ends leaves markers unreached that are
+    not dead: the engine classifies none of them."""
+    source = """\
+int main(void) {
+  unsigned int crc = 0;
+  for (int i = 0; 1; i++) { crc ^= 0; }
+  if (crc) { crc = 2; }
+  return 0;
+}
+"""
+    engine = MarkerEngine(MarkerCampaignConfig(**SMALL))
+    marked, findings = engine.analyze_source(source)
+    assert marked.sites and engine.oracle.liveness(marked) is None
+    assert findings == []
 
 
 def test_run_seed_is_a_pure_function_of_config_and_index():

@@ -6,8 +6,17 @@ import pytest
 
 from repro.compilers import CompilationCache, all_versions
 from repro.compilers.compiler import SimulatedCompiler
-from repro.markers import EliminationOracle, MarkerConfig, MarkerPlanter
+from repro.markers import (
+    MISSED_OPTIMIZATION,
+    EliminationOracle,
+    MarkedProgram,
+    MarkerConfig,
+    MarkerFinding,
+    MarkerPlanter,
+    MarkerSite,
+)
 from repro.optim.pipelines import effective_pass_names
+from repro.reduction import make_marker_predicate
 
 SOURCE = """\
 int main() {
@@ -118,3 +127,41 @@ def test_compilers_are_memoized_per_version():
     assert first is again
     assert first is not other
     assert first.versioned_pipelines
+
+
+#: A reduced reproducer whose loop never ends: ``__ubfm_13_`` is unreached
+#: because execution never gets past the loop, not because it is dead.
+NEVER_FINISHES = """\
+void __ubfm_6_(void);
+void __ubfm_13_(void);
+int main(void) { __ubfm_6_(); unsigned int crc_21 = 0;
+  for (int i_24 = 0; 1; i_24++) crc_21 ^= 0;
+  __ubfm_13_(); }
+"""
+
+
+def test_liveness_of_a_run_that_never_finishes_is_none():
+    oracle = EliminationOracle()
+    marked = MarkedProgram(source=NEVER_FINISHES, base_source=NEVER_FINISHES,
+                           sites=())
+    assert oracle.liveness(marked) is None
+    assert oracle.live_set(marked) is None
+
+
+def test_marker_predicate_rejects_a_program_that_never_finishes():
+    """The marker is retained and unreached, but the reference run hits
+    the step budget, so the candidate shows no missed optimization."""
+    version = all_versions("gcc")[-1]
+    finding = MarkerFinding(
+        kind=MISSED_OPTIMIZATION, compiler="gcc", opt_level="-O2",
+        version=version,
+        marker=MarkerSite(name="__ubfm_13_", function="main",
+                          context="if-then"),
+        responsible_pass="constant-fold", seed_index=0,
+        source=NEVER_FINISHES, live=False)
+    oracle = EliminationOracle()
+    marked = MarkedProgram(source=NEVER_FINISHES, base_source=NEVER_FINISHES,
+                           sites=())
+    target = oracle.compile_one(marked, MarkerConfig("gcc", version, "-O2"))
+    assert {"__ubfm_6_", "__ubfm_13_"} <= target.retained
+    assert not make_marker_predicate(finding, oracle=oracle)(NEVER_FINISHES)

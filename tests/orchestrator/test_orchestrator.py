@@ -24,6 +24,7 @@ from repro.orchestrator import (
     config_fingerprint,
 )
 from repro.orchestrator.cli import main as cli_main
+from repro.seedgen import CsmithGenerator, GeneratorConfig
 
 #: One shared small campaign scale for the whole module (seeds are the unit
 #: of parallelism, so three seeds exercise sharding across two workers).
@@ -111,7 +112,8 @@ def test_pooled_campaign_needs_fork(monkeypatch, config):
 def test_serial_campaign_parses_each_ub_program_once(monkeypatch):
     """One campaign per process: triage runs on the campaign object whose
     seeds ran, so it finds every UB program's parse in that campaign's
-    compilation cache instead of parsing the program again."""
+    compilation cache instead of parsing the program again.  Each seed is
+    parsed once too: UB generation reads the parse its validation built."""
     real_parse = parser.parse_program
     parses = Counter()
 
@@ -128,11 +130,15 @@ def test_serial_campaign_parses_each_ub_program_once(monkeypatch):
                             max_programs_per_type=1,
                             opt_levels=("-O0", "-O2"))
     result = OrchestratedCampaign(config).run()
+    monkeypatch.undo()
     assert result.bug_reports
     sources = {diff.program.source for diff in result.differential_results}
     assert len(sources) == result.stats.programs_tested
-    assert {source: parses[source] for source in sources} == dict.fromkeys(
-        sources, 1)
+    generator = CsmithGenerator(GeneratorConfig(seed=config.rng_seed))
+    seeds = {generator.generate(index).source
+             for index in range(config.num_seeds)}
+    assert {source: parses[source] for source in sources | seeds} == \
+        dict.fromkeys(sources | seeds, 1)
 
 
 # ---------------------------------------------------------------------------
