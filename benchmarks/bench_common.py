@@ -35,8 +35,8 @@ def bench_print(*parts) -> None:
 
 
 #: Version of the ``bench_<name>.json`` artifact layout.  2 added the
-#: ``stamp`` block (git sha, timestamp, hostname) used by the telemetry
-#: store and the regression checker to key baselines.
+#: ``stamp`` block (git sha, timestamp, hostname) that names the commit and
+#: machine a record measured.
 BENCH_SCHEMA = 2
 
 
@@ -47,8 +47,8 @@ def write_bench_record(name: str, **fields) -> str:
     the human-readable report lands in; CI uploads both), so throughput
     numbers can be tracked across runs without scraping captured stdout.
     Each record is stamped with the schema version, git sha, wall-clock
-    timestamp and hostname so ``scripts/check_bench_regression.py`` can
-    compare it against the store's trailing baseline.
+    timestamp and hostname, so a record read later names the commit and
+    machine that measured it.
     Returns the written path."""
     import json
     import os

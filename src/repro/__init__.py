@@ -82,7 +82,6 @@ from repro.telemetry import (
     CampaignProfile,
     HealthMonitor,
     MetricsRegistry,
-    TelemetryStore,
     Tracer,
     WatchView,
     configure_logging,
@@ -127,9 +126,9 @@ __all__ = [
     "MarkerCampaignResult", "MarkerConfig", "MarkerEngine", "MarkerFinding",
     "MarkerPlanter", "MarkerSite",
     "CorpusStore", "OrchestratedCampaign",
-    "CampaignProfile", "HealthMonitor", "MetricsRegistry", "TelemetryStore",
-    "Tracer", "WatchView", "configure_logging", "load_profile",
-    "write_chrome_trace", "write_folded_stacks",
+    "CampaignProfile", "HealthMonitor", "MetricsRegistry", "Tracer",
+    "WatchView", "configure_logging", "load_profile", "write_chrome_trace",
+    "write_folded_stacks",
     "CsmithGenerator", "CsmithNoSafeGenerator", "GeneratorConfig",
     "MusicMutator", "SeedProgram", "generate_juliet_suite",
     "Attribution", "BisectionResult", "CrashProbe", "MarkerProbe",

@@ -33,7 +33,6 @@ from repro.analysis.tables import (
     table_attribution,
     table_bucket_lifetimes,
     table_campaign_recurrence,
-    table_campaign_trend,
     table_known_bugs,
     table_marker_findings,
     table_marker_survival,
@@ -54,7 +53,7 @@ __all__ = [
     "bug_summary_rows", "table2_sanitizer_support", "table3_bug_status",
     "table4_generator_comparison", "table5_coverage", "table6_root_causes",
     "table_attribution", "table_bucket_lifetimes",
-    "table_campaign_recurrence", "table_campaign_trend", "table_known_bugs",
+    "table_campaign_recurrence", "table_known_bugs",
     "table_marker_findings", "table_marker_survival",
     "table_reduction_quality", "table_stage_profile",
 ]

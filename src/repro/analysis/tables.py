@@ -196,30 +196,6 @@ def table_stage_profile(profile) -> Table:
     return headers, rows
 
 
-def table_campaign_trend(metric: str, points) -> Table:
-    """One metric's value across stored campaign runs, oldest first.
-
-    *points* is a sequence of :class:`~repro.telemetry.store.TrendPoint`
-    (from :meth:`~repro.telemetry.store.TelemetryStore.trend`).  ``Δ%`` is
-    the change relative to the previous run, so a creeping slowdown in,
-    say, ``stage.differential.execute.self_seconds`` shows up as a column
-    of positive deltas long before it trips the regression checker.
-    """
-    headers = ["Run", "Git", "Campaign", metric, "Δ%"]
-    rows: Rows = []
-    previous: float | None = None
-    for point in points:
-        if previous in (None, 0.0):
-            delta = "-"
-        else:
-            delta = f"{100 * (point.value - previous) / previous:+.1f}%"
-        rows.append([point.run_id, (point.git_sha or "?")[:10],
-                     (point.campaign or "?")[:16],
-                     f"{point.value:.6g}", delta])
-        previous = point.value
-    return headers, rows
-
-
 def table_bucket_lifetimes(buckets: Sequence[dict]) -> Table:
     """Cross-campaign lifetime of every finding bucket.
 

@@ -220,9 +220,6 @@ class FuzzingCampaign:
             with telemetry.span("seed", seed=seed_index):
                 batch = self._run_seed(seed_index)
             if scope is not None:
-                # Liveness pulse: rides back in the batch payload so the
-                # parent's merged metrics always carry the latest heartbeat.
-                telemetry.heartbeat(seed_index)
                 batch.telemetry = scope.payload()
         return batch
 

@@ -9,8 +9,8 @@ first-/last-seen recurrence tracking), surveyed outcome cells (what
 :class:`FindingsDB`, which holds the only persisted copy of a fuzz
 campaign's corpus; the ``query`` CLI subcommand reads it directly.
 Connection plumbing (WAL, busy timeouts, ``BEGIN IMMEDIATE`` retry
-transactions) lives in :mod:`repro.corpusdb.connection` and is shared with
-the telemetry store, so one ``--db`` file can hold both schemas.
+transactions) lives in :mod:`repro.corpusdb.connection`.  This package is
+the only code that owns a SQLite schema.
 """
 
 from repro.corpusdb.connection import connect, immediate

@@ -1,11 +1,8 @@
-"""Shared SQLite connection plumbing for the persistent stores.
+"""SQLite connection plumbing for the findings database.
 
-Both the findings database (:mod:`repro.corpusdb.db`) and the telemetry
-store (:mod:`repro.telemetry.store`) open their databases through
-:func:`connect`, so one physical file can hold both schemas — a campaign
-started with ``--db findings.sqlite`` writes its findings *and* its
-telemetry into the same database, and every connection agrees on journal
-mode and timeouts.
+:class:`~repro.corpusdb.db.FindingsDB` opens its file through
+:func:`connect`, so every connection to a shared ``--db`` file agrees on
+journal mode and timeouts.
 
 Multi-statement ingests go through :func:`immediate`, which opens a
 ``BEGIN IMMEDIATE`` transaction (taking the write lock up front, so a
@@ -30,20 +27,21 @@ logger = logging.getLogger(__name__)
 #: raising (milliseconds).  Generous: ingests are short, contention rare.
 BUSY_TIMEOUT_MS = 5_000
 
-#: How many times :func:`immediate` re-attempts to open its transaction
-#: when the write lock is held, and the backoff between attempts.
+#: How many times a locked statement (the WAL switch of :func:`connect`,
+#: the ``BEGIN`` of :func:`immediate`) is re-attempted, and the backoff
+#: between attempts.
 LOCK_RETRIES = 10
 LOCK_RETRY_DELAY_SECONDS = 0.05
 
 
 def connect(path: str, timeout_ms: int = BUSY_TIMEOUT_MS) -> sqlite3.Connection:
-    """Open (creating directories as needed) one store database.
+    """Open (creating directories as needed) one findings database.
 
-    Applies the house settings every store relies on: WAL journaling
+    Applies the house settings the database relies on: WAL journaling
     (readers coexist with one writer), ``synchronous=NORMAL`` (durable
     enough — a torn final transaction loses one ingest, never corrupts),
     foreign keys on, a busy timeout, and :class:`sqlite3.Row` rows.
-    ``":memory:"`` is accepted for ephemeral stores.
+    ``":memory:"`` is accepted for ephemeral databases.
     """
     path = str(path)
     if path != ":memory:":
@@ -56,7 +54,10 @@ def connect(path: str, timeout_ms: int = BUSY_TIMEOUT_MS) -> sqlite3.Connection:
     conn = sqlite3.connect(path, timeout=timeout_ms / 1000.0,
                            check_same_thread=False)
     conn.row_factory = sqlite3.Row
-    conn.execute("PRAGMA journal_mode=WAL")
+    # When two processes switch one new file to WAL together, SQLite
+    # answers one with "database is locked" immediately rather than
+    # waiting out the busy timeout, so the switch retries like a BEGIN.
+    _retry_locked(lambda: conn.execute("PRAGMA journal_mode=WAL"))
     conn.execute("PRAGMA synchronous=NORMAL")
     conn.execute("PRAGMA foreign_keys=ON")
     conn.execute(f"PRAGMA busy_timeout={int(timeout_ms)}")
@@ -66,6 +67,25 @@ def connect(path: str, timeout_ms: int = BUSY_TIMEOUT_MS) -> sqlite3.Connection:
 def _is_locked(exc: sqlite3.OperationalError) -> bool:
     message = str(exc).lower()
     return "locked" in message or "busy" in message
+
+
+def _retry_locked(statement, retries: int = LOCK_RETRIES,
+                  retry_delay: float = LOCK_RETRY_DELAY_SECONDS,
+                  sleep=time.sleep):
+    """Run *statement* (a callable), retrying while the database is locked.
+
+    Backs off linearly; after ``retries`` failed attempts the underlying
+    ``OperationalError`` propagates, as does any other error at once."""
+    attempt = 0
+    while True:
+        try:
+            return statement()
+        except sqlite3.OperationalError as exc:
+            if not _is_locked(exc) or attempt >= retries:
+                raise
+            attempt += 1
+            logger.debug("database locked, retry %d/%d", attempt, retries)
+            sleep(retry_delay * attempt)
 
 
 @contextlib.contextmanager
@@ -82,17 +102,8 @@ def immediate(conn: sqlite3.Connection,
     Commits on clean exit, rolls back on exception.  After ``retries``
     failed attempts the underlying ``OperationalError`` propagates.
     """
-    attempt = 0
-    while True:
-        try:
-            conn.execute("BEGIN IMMEDIATE")
-            break
-        except sqlite3.OperationalError as exc:
-            if not _is_locked(exc) or attempt >= retries:
-                raise
-            attempt += 1
-            logger.debug("database locked, retry %d/%d", attempt, retries)
-            sleep(retry_delay * attempt)
+    _retry_locked(lambda: conn.execute("BEGIN IMMEDIATE"), retries,
+                  retry_delay, sleep)
     try:
         yield conn
     except BaseException:

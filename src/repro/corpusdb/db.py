@@ -1,8 +1,8 @@
 """The cross-campaign findings database.
 
 One SQLite file (stdlib :mod:`sqlite3`, WAL — opened through
-:mod:`repro.corpusdb.connection`, so it can share a file with the
-telemetry store) accumulates what every campaign ever found:
+:mod:`repro.corpusdb.connection`) accumulates what every campaign ever
+found:
 
 * ``corpus_programs``  — every tested program, zlib-compressed and keyed
   by the sha256 content digest, stored once no matter how many campaigns
@@ -50,8 +50,8 @@ from repro.corpusdb.connection import connect, immediate
 
 logger = logging.getLogger(__name__)
 
-#: Schema version, recorded in ``corpus_meta`` (never ``PRAGMA
-#: user_version``, which the telemetry store owns on a shared file).
+#: Schema version, recorded in ``corpus_meta``, where existing files
+#: already carry it (``PRAGMA user_version`` stays unused).
 #: v2 added the known-bug patch database (``corpus_known_bugs`` /
 #: ``corpus_attributions`` / ``corpus_suppressions``); every table is
 #: ``CREATE TABLE IF NOT EXISTS``, so v1 files upgrade on open.

@@ -277,9 +277,6 @@ class MarkerEngine:
             with telemetry.span("seed", seed=seed_index):
                 batch = self._run_seed(seed_index)
             if scope is not None:
-                # Liveness pulse (see repro.telemetry.runtime.heartbeat):
-                # travels in the batch payload like the rest of the scope.
-                telemetry.heartbeat(seed_index)
                 batch.telemetry = scope.payload()
         return batch
 

@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import logging
 import multiprocessing
+import os
 import time
 from typing import Callable, Dict, Iterator, List, Optional, Union
 
@@ -76,6 +77,13 @@ class OrchestratedCampaign:
     ``reduce=True`` shrinks one representative finding per dedup bucket via
     :func:`repro.reduction.reduce_marker_finding`.  Checkpoint/corpus
     storage is fuzzing-specific and rejected in marker mode.
+
+    ``db_path`` names the findings database and nothing else: a fuzzing
+    campaign hands it to its corpus store (so it needs ``corpus=<dir>``),
+    and a marker campaign ingests its finding buckets into it.  Every run
+    watches its fresh batches with its own
+    :class:`~repro.telemetry.monitor.HealthMonitor`, whose summary lands in
+    ``telemetry_summary`` and ``metrics.json``.
     """
 
     def __init__(self, config: Optional[CampaignConfig] = None,
@@ -88,8 +96,7 @@ class OrchestratedCampaign:
                  reduce: bool = False,
                  trace: bool = False,
                  db_path: Optional[str] = None,
-                 resurvey: bool = False,
-                 health_monitor: Optional[HealthMonitor] = None) -> None:
+                 resurvey: bool = False) -> None:
         self.config = config if config is not None else CampaignConfig()
         if not isinstance(self.config, CampaignConfig):
             if checkpoint_path is not None or corpus is not None:
@@ -115,7 +122,7 @@ class OrchestratedCampaign:
                                               flush_interval=checkpoint_interval)
                            if checkpoint_path is not None else None)
         if isinstance(corpus, (str, bytes)):
-            # A shared --db file also hosts the findings tables, so two
+            # A shared --db file holds the findings tables, so two
             # campaigns over different corpus dirs dedupe against each
             # other; without one the store keeps a per-corpus database.
             corpus = CorpusStore(root=corpus, db_path=db_path)
@@ -129,11 +136,18 @@ class OrchestratedCampaign:
                 "trace=True requires a persistent corpus (corpus=<dir>) to "
                 "hold telemetry/trace.jsonl")
         self.db_path = db_path
-        if (db_path is not None and isinstance(self.config, CampaignConfig)
-                and (self.corpus is None or self.corpus.root is None)):
-            raise ValueError(
-                "db_path requires a persistent corpus (corpus=<dir>): "
-                "store ingestion reads the telemetry the corpus persists")
+        if db_path is not None and isinstance(self.config, CampaignConfig):
+            if self.corpus is None or self.corpus.root is None:
+                raise ValueError(
+                    "db_path requires a persistent corpus (corpus=<dir>): a "
+                    "fuzzing campaign writes its findings database through "
+                    "the corpus store, so without one db_path would be "
+                    "ignored")
+            if os.path.abspath(self.corpus.db_path) != os.path.abspath(db_path):
+                raise ValueError(
+                    f"db_path {db_path!r} is not the corpus store's findings "
+                    f"database {self.corpus.db_path!r}, so it would be "
+                    f"ignored; open the CorpusStore with db_path= instead")
         self.resurvey = resurvey
         if resurvey and self.corpus is None:
             raise ValueError(
@@ -147,10 +161,7 @@ class OrchestratedCampaign:
         self.monitor: Optional[ThroughputMonitor] = None
         #: Stall/straggler detection over freshly executed batches; the
         #: summary lands in ``telemetry_summary`` and ``metrics.json``.
-        self.health = (health_monitor if health_monitor is not None
-                       else HealthMonitor())
-        #: Run id assigned by the telemetry store when ``db_path`` is set.
-        self.db_run_id: Optional[int] = None
+        self.health = HealthMonitor()
         #: Seed indices restored from the checkpoint on the last run().
         self.resumed_indices: list[int] = []
         #: Per-bucket reduction records from the last run() (``reduce=True``).
@@ -189,7 +200,6 @@ class OrchestratedCampaign:
                 else:
                     result = self._run_markers(MarkerEngine(self.config))
             self._finish_telemetry(session)
-            self._ingest_into_store()
             return result
         finally:
             if owned:
@@ -275,20 +285,6 @@ class OrchestratedCampaign:
                 "metrics": registry.to_json(),
                 "health": summary["health"],
             })
-
-    def _ingest_into_store(self) -> None:
-        """Auto-ingest the finished campaign into the telemetry store.
-
-        Fuzzing-only: marker campaigns persist their findings straight into
-        the findings database (:meth:`_run_markers`) and keep no corpus
-        directory for the telemetry store to read."""
-        if self.db_path is None or self.corpus is None:
-            return
-        from repro.telemetry.store import TelemetryStore
-        with TelemetryStore(self.db_path) as store:
-            self.db_run_id = store.ingest_campaign(self.corpus.root)
-        logger.info("campaign ingested into %s as run %s", self.db_path,
-                    self.db_run_id)
 
     # -- marker mode ------------------------------------------------------------
 

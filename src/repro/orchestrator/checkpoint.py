@@ -85,10 +85,6 @@ class CampaignCheckpoint:
         return {index: batch_from_record(record)
                 for index, record in self._records.items()}
 
-    @property
-    def completed_indices(self) -> list[int]:
-        return sorted(self._records)
-
     # -- writing ---------------------------------------------------------------
 
     def record(self, batch: SeedBatch) -> None:

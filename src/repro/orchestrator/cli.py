@@ -13,6 +13,10 @@ replay it into a per-stage profile with::
 
     python -m repro.orchestrator stats corpus/
 
+``--db PATH`` puts the findings database at PATH instead of
+``<corpus>/corpus.sqlite``, so campaigns sharing it dedupe against each
+other; the ``query``, ``bisect`` and ``known-bugs`` subcommands read it.
+
 Status output goes through :mod:`logging` (configure with ``-v``/``-q``);
 the result summary itself prints to stdout (``--json`` for machines).
 """
@@ -92,11 +96,11 @@ def build_parser() -> argparse.ArgumentParser:
                              "<corpus>/telemetry/trace.jsonl (requires "
                              "--corpus; replay with the 'stats' subcommand)")
     parser.add_argument("--db", default=None, metavar="PATH", dest="db_path",
-                        help="cross-campaign database (SQLite); fuzzing "
-                             "campaigns auto-ingest telemetry on completion "
-                             "(requires --corpus; query with the 'db' "
-                             "subcommand), marker campaigns persist their "
-                             "finding buckets (query with 'query')")
+                        help="cross-campaign findings database (SQLite) "
+                             "instead of <corpus>/corpus.sqlite; fuzzing "
+                             "campaigns write it through the corpus store "
+                             "(requires --corpus), marker campaigns persist "
+                             "their finding buckets (query with 'query')")
     parser.add_argument("--resurvey", action="store_true",
                         help="incremental re-run: skip (program, config) "
                              "outcome cells the findings database already "
@@ -157,50 +161,6 @@ def build_watch_parser() -> argparse.ArgumentParser:
                              "(default: 5)")
     parser.add_argument("--json", action="store_true", dest="as_json",
                         help="print one JSON snapshot per refresh")
-    return parser
-
-
-def build_db_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="python -m repro.orchestrator db",
-        description="The cross-campaign telemetry store: ingest persisted "
-                    "campaign telemetry and bench artifacts into a SQLite "
-                    "database, list the stored runs, and chart metric "
-                    "trends across them.")
-    parser.add_argument("--db", required=True, metavar="PATH", dest="db_path",
-                        help="path of the SQLite telemetry database "
-                             "(created on first use)")
-    sub = parser.add_subparsers(dest="db_command", required=True)
-
-    ingest = sub.add_parser("ingest",
-                            help="ingest campaign dirs / bench artifacts")
-    ingest.add_argument("campaign_dirs", nargs="*", metavar="CAMPAIGN_DIR",
-                        help="traced campaign corpus directories")
-    ingest.add_argument("--bench-dir", default=None, metavar="DIR",
-                        help="also ingest every bench_*.json under DIR")
-
-    query = sub.add_parser("query", help="list the stored campaign runs")
-    query.add_argument("--campaign", default=None, metavar="FINGERPRINT",
-                       help="only runs of this config fingerprint")
-    query.add_argument("--last", type=int, default=None, metavar="N",
-                       help="only the most recent N runs")
-    query.add_argument("--metrics", action="store_true",
-                       help="also list the metric names the runs recorded")
-    query.add_argument("--json", action="store_true", dest="as_json",
-                       help="machine-readable output")
-
-    trend = sub.add_parser("trend",
-                           help="one metric's series across stored runs")
-    trend.add_argument("--metric", required=True,
-                       help="metric name, e.g. stage.execute.self_seconds "
-                            "or cache.hits ('db query --metrics' lists "
-                            "them)")
-    trend.add_argument("--last", type=int, default=20, metavar="N",
-                       help="series length (default: 20 most recent runs)")
-    trend.add_argument("--campaign", default=None, metavar="FINGERPRINT",
-                       help="restrict to one config fingerprint")
-    trend.add_argument("--json", action="store_true", dest="as_json",
-                       help="machine-readable output")
     return parser
 
 
@@ -383,8 +343,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         return _stats_main(argv[1:])
     if argv[:1] == ["watch"]:
         return _watch_main(argv[1:])
-    if argv[:1] == ["db"]:
-        return _db_main(argv[1:])
     if argv[:1] == ["query"]:
         return _query_main(argv[1:])
     if argv[:1] == ["bisect"]:
@@ -429,8 +387,9 @@ def _run(args: argparse.Namespace) -> int:
         raise CLIError("--trace requires --corpus DIR (the trace persists "
                        "as <corpus>/telemetry/trace.jsonl)")
     if args.db_path is not None and args.corpus is None:
-        raise CLIError("--db requires --corpus DIR (store ingestion reads "
-                       "the telemetry persisted under the corpus)")
+        raise CLIError("--db requires --corpus DIR (a fuzzing campaign "
+                       "writes the findings database through its corpus "
+                       "store; without one --db would be ignored)")
     if args.resurvey and args.corpus is None:
         raise CLIError("--resurvey requires --corpus DIR (the skip set is "
                        "the findings database's recorded outcome cells)")
@@ -496,8 +455,6 @@ def _run(args: argparse.Namespace) -> int:
         summary["telemetry_dir"] = os.path.join(args.corpus, "telemetry")
     if orchestrated.telemetry_summary is not None:
         summary["health"] = orchestrated.telemetry_summary["health"]
-    if orchestrated.db_run_id is not None:
-        summary["db"] = {"path": args.db_path, "run": orchestrated.db_run_id}
     if orchestrated.reductions:
         summary["reductions"] = [record.to_json()
                                  for record in orchestrated.reductions]
@@ -550,10 +507,6 @@ def _run(args: argparse.Namespace) -> int:
                   f"{health['worst_gap_seconds']}s"
                   if health["stalls"] else "")
         print(f"health                : {health['status']}{stalls}")
-    if "db" in summary:
-        print(f"telemetry store       : run {summary['db']['run']} in "
-              f"{summary['db']['path']} (query: python -m "
-              f"repro.orchestrator db --db {summary['db']['path']} query)")
     print(f"wall-clock            : {summary['duration_seconds']}s "
           f"({summary['workers']} worker(s))")
     if orchestrated.reductions:
@@ -783,100 +736,6 @@ def _watch_main(argv: List[str]) -> int:
             print("watch timeout reached; campaign still running")
             return 0
         _time.sleep(max(0.05, args.interval))
-
-
-def _db_main(argv: List[str]) -> int:
-    """The ``db`` subcommand: the cross-campaign telemetry store CLI."""
-    from repro.telemetry.store import TelemetryStore
-    args = build_db_parser().parse_args(argv)
-    with TelemetryStore(args.db_path) as store:
-        if args.db_command == "ingest":
-            return _db_ingest(store, args)
-        if args.db_command == "query":
-            return _db_query(store, args)
-        return _db_trend(store, args)
-
-
-def _db_ingest(store, args: argparse.Namespace) -> int:
-    if not args.campaign_dirs and args.bench_dir is None:
-        print("error: nothing to ingest — pass campaign directories and/or "
-              "--bench-dir", file=sys.stderr)
-        return 2
-    for campaign_dir in args.campaign_dirs:
-        try:
-            run_id = store.ingest_campaign(campaign_dir)
-        except FileNotFoundError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
-        except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
-            print(f"error: telemetry under {campaign_dir!r} is unreadable "
-                  f"({exc})", file=sys.stderr)
-            return 2
-        print(f"ingested {campaign_dir} as run {run_id}")
-    if args.bench_dir is not None:
-        added = store.ingest_bench_dir(args.bench_dir)
-        total = sum(added.values())
-        print(f"ingested {total} bench sample(s) from "
-              f"{len(added)} artifact(s) under {args.bench_dir}")
-    counts = store.summary()
-    print(f"store: {counts['runs']} runs, {counts['spans']} spans, "
-          f"{counts['metric_points']} metric points, "
-          f"{counts['bench_samples']} bench samples")
-    return 0
-
-
-def _db_query(store, args: argparse.Namespace) -> int:
-    runs = store.runs(campaign=args.campaign, last=args.last)
-    if args.as_json:
-        payload = {"runs": [run.to_json() for run in runs]}
-        if args.metrics:
-            payload["metrics"] = store.metric_names()
-        print(json.dumps(payload, indent=2))
-        return 0
-    if not runs:
-        print("no runs stored"
-              + (f" for campaign {args.campaign}" if args.campaign else "")
-              + " — ingest one with: python -m repro.orchestrator db "
-                "--db ... ingest <campaign-dir>")
-        return 0
-    from repro.utils.text import format_table
-    headers = ["Run", "Ingested", "Campaign", "Git", "Seeds", "Spans",
-               "Wall (s)", "Health"]
-    rows = []
-    for run in runs:
-        import datetime
-        stamp = datetime.datetime.fromtimestamp(run.ingested_at)
-        rows.append([run.id, stamp.strftime("%Y-%m-%d %H:%M"),
-                     (run.campaign or "?")[:16],
-                     (run.git_sha or "?")[:10], run.seeds, run.spans,
-                     f"{run.wall_seconds:.2f}" if run.wall_seconds else "-",
-                     run.health or "-"])
-    print(format_table(headers, rows))
-    if args.metrics:
-        print(f"metrics: {', '.join(store.metric_names())}")
-    return 0
-
-
-def _db_trend(store, args: argparse.Namespace) -> int:
-    points = store.trend(args.metric, last=args.last,
-                         campaign=args.campaign)
-    if args.as_json:
-        print(json.dumps({"metric": args.metric,
-                          "points": [p.to_json() for p in points]},
-                         indent=2))
-        return 0
-    if not points:
-        known = store.metric_names()
-        hint = (f" (known metrics include: {', '.join(known[:8])}...)"
-                if known else " (the store is empty — ingest campaigns "
-                              "first)")
-        print(f"no data for metric {args.metric!r}{hint}")
-        return 0
-    from repro.analysis import table_campaign_trend
-    from repro.utils.text import format_table
-    headers, rows = table_campaign_trend(args.metric, points)
-    print(format_table(headers, rows))
-    return 0
 
 
 def _parse_since(spec: str) -> float:

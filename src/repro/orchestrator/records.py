@@ -133,7 +133,11 @@ def _wrong_record(candidate: WrongReportCandidate) -> dict:
 
 
 def batch_to_record(batch: SeedBatch) -> dict:
-    """Flatten one seed batch into a JSON-serializable record."""
+    """Flatten one seed batch into a JSON-serializable record.
+
+    The seed's wall-clock duration is left out: nothing reads it from a
+    restored batch, and without it one config always writes the same
+    bytes."""
     diffs: List[dict] = []
     for diff in batch.diff_results:
         diffs.append({
@@ -145,7 +149,6 @@ def batch_to_record(batch: SeedBatch) -> dict:
     return {
         "seed_index": batch.seed_index,
         "generated": batch.generated,
-        "duration_seconds": batch.duration_seconds,
         "programs_generated": {ub.value: count
                                for ub, count in batch.programs_generated.items()},
         "surveyed_cells": batch.surveyed_cells,
@@ -215,6 +218,5 @@ def batch_from_record(record: dict) -> SeedBatch:
                      generated=record["generated"],
                      programs_generated=programs_generated,
                      diff_results=diff_results,
-                     duration_seconds=record["duration_seconds"],
                      surveyed_cells=record["surveyed_cells"],
                      skipped_cells=record["skipped_cells"])

@@ -84,17 +84,6 @@ class ReductionResult:
         before = max(1, self.original_tokens)
         return 1.0 - self.reduced_tokens / before
 
-    @property
-    def reduction_ratio(self) -> float:
-        """Fraction of source lines removed (line-based, legacy metric)."""
-        before = max(1, len(self.original_source.splitlines()))
-        return 1.0 - len(self.reduced_source.splitlines()) / before
-
-    @property
-    def attempts(self) -> int:
-        """Alias of :attr:`predicate_evaluations` (pre-hierarchical API)."""
-        return self.predicate_evaluations
-
 
 class HierarchicalReducer:
     """Multi-pass hierarchical delta debugging over the C-subset AST.

@@ -1,10 +1,10 @@
 """Campaign telemetry: structured tracing, metrics, logging and profiling.
 
-The layer has seven pieces:
+The layer has six pieces:
 
-* :mod:`repro.telemetry.metrics` — :class:`MetricsRegistry` with counters,
-  gauges and fixed-edge histograms that merge deterministically across
-  worker processes;
+* :mod:`repro.telemetry.metrics` — :class:`MetricsRegistry` with counters
+  and fixed-edge histograms that merge deterministically across worker
+  processes;
 * :mod:`repro.telemetry.tracer` — :class:`Tracer` spans emitting structured
   JSONL events with parent nesting and seed identity;
 * :mod:`repro.telemetry.runtime` — the process-wide nullable state every
@@ -13,13 +13,13 @@ The layer has seven pieces:
 * :mod:`repro.telemetry.profile` — replays a persisted
   ``telemetry/trace.jsonl`` + ``metrics.json`` pair into the per-stage
   profile behind ``python -m repro.orchestrator stats``;
-* :mod:`repro.telemetry.store` — :class:`TelemetryStore`, the SQLite
-  cross-campaign database behind ``python -m repro.orchestrator db`` and
-  the perf-regression checker;
 * :mod:`repro.telemetry.monitor` — :class:`HealthMonitor` stall detection
   and the :class:`WatchView` live view behind the ``watch`` subcommand;
 * :mod:`repro.telemetry.export` — Chrome trace-event and folded-stacks
   (flamegraph) exporters behind ``stats --export-chrome/--export-folded``.
+
+(:mod:`repro.telemetry.store` is not part of the layer: it holds the
+provenance stamp of bench artifacts, and this package does not import it.)
 
 Everything is disabled by default; the instrumented hot paths reduce to a
 single module-global ``is None`` check (see the fast-path rule in
@@ -29,24 +29,20 @@ single module-global ``is None`` check (see the fast-path rule in
 from repro.telemetry.export import (parse_chrome_trace, parse_folded_stacks,
                                     to_chrome_trace, to_folded_stacks,
                                     write_chrome_trace, write_folded_stacks)
-from repro.telemetry.metrics import (DEFAULT_TIME_EDGES, Counter, Gauge,
-                                     Histogram, MetricsRegistry)
+from repro.telemetry.metrics import (DEFAULT_TIME_EDGES, Counter, Histogram,
+                                     MetricsRegistry)
 from repro.telemetry.monitor import (HealthMonitor, TraceFollower, WatchView)
 from repro.telemetry.profile import (CampaignProfile, StageStats,
                                      load_profile, profile_from_events,
                                      telemetry_paths)
 from repro.telemetry.runtime import (STAGES, TelemetrySession,
                                      configure_logging, current, disable,
-                                     enable, heartbeat, merge_batch,
-                                     seed_scope)
-from repro.telemetry.store import (RunRecord, TelemetryStore, TrendPoint,
-                                   current_git_sha, stamp_fields)
+                                     enable, merge_batch, seed_scope)
 from repro.telemetry.tracer import Tracer, TraceWriter, read_trace
 
 __all__ = [
     "DEFAULT_TIME_EDGES",
     "Counter",
-    "Gauge",
     "Histogram",
     "MetricsRegistry",
     "CampaignProfile",
@@ -60,17 +56,11 @@ __all__ = [
     "current",
     "disable",
     "enable",
-    "heartbeat",
     "merge_batch",
     "seed_scope",
     "Tracer",
     "TraceWriter",
     "read_trace",
-    "TelemetryStore",
-    "RunRecord",
-    "TrendPoint",
-    "current_git_sha",
-    "stamp_fields",
     "HealthMonitor",
     "TraceFollower",
     "WatchView",

@@ -1,4 +1,4 @@
-"""Deterministic metrics primitives: counters, gauges and histograms.
+"""Deterministic metrics primitives: counters and histograms.
 
 A :class:`MetricsRegistry` is a plain in-process container — no threads, no
 global state, no clocks.  Each orchestrator worker process populates its own
@@ -19,7 +19,7 @@ used by the parallel-equals-serial acceptance test.
 from __future__ import annotations
 
 from bisect import bisect_right
-from typing import Dict, Iterable, Optional, Sequence, Tuple
+from typing import Dict, Optional, Sequence, Tuple
 
 #: Default histogram edges for stage durations, in seconds.  Spanning 0.5ms
 #: to 10s covers everything from a single cached compile to a full reduction.
@@ -42,19 +42,6 @@ class Counter:
         if amount < 0:
             raise ValueError(f"counter {self.name!r} cannot decrease")
         self.value += amount
-
-
-class Gauge:
-    """A point-in-time value; merges take the maximum across processes."""
-
-    __slots__ = ("name", "value")
-
-    def __init__(self, name: str) -> None:
-        self.name = name
-        self.value = 0.0
-
-    def set(self, value: float) -> None:
-        self.value = value
 
 
 class Histogram:
@@ -87,7 +74,7 @@ class Histogram:
 
 
 class MetricsRegistry:
-    """Named counters, gauges and histograms with deterministic merge.
+    """Named counters and histograms with deterministic merge.
 
     Example::
 
@@ -100,7 +87,6 @@ class MetricsRegistry:
 
     def __init__(self) -> None:
         self._counters: Dict[str, Counter] = {}
-        self._gauges: Dict[str, Gauge] = {}
         self._histograms: Dict[str, Histogram] = {}
 
     # -- instrument accessors ---------------------------------------------------------
@@ -110,12 +96,6 @@ class MetricsRegistry:
         if counter is None:
             counter = self._counters[name] = Counter(name)
         return counter
-
-    def gauge(self, name: str) -> Gauge:
-        gauge = self._gauges.get(name)
-        if gauge is None:
-            gauge = self._gauges[name] = Gauge(name)
-        return gauge
 
     def histogram(self, name: str,
                   edges: Sequence[float] = DEFAULT_TIME_EDGES) -> Histogram:
@@ -143,8 +123,6 @@ class MetricsRegistry:
         return {
             "counters": {name: counter.value
                          for name, counter in sorted(self._counters.items())},
-            "gauges": {name: gauge.value
-                       for name, gauge in sorted(self._gauges.items())},
             "histograms": {
                 name: {
                     "edges": list(histogram.edges),
@@ -161,19 +139,17 @@ class MetricsRegistry:
     def merge_json(self, payload: Optional[dict]) -> None:
         """Fold a :meth:`to_json` payload into this registry.
 
-        Counters and histogram bucket counts add; gauges keep the maximum;
-        histogram min/max combine.  Merging the same payloads in the same
-        order always produces the same integer totals — float sums are the
-        only order-sensitive figures, and they are excluded from
+        Counters and histogram bucket counts add; histogram min/max
+        combine.  Keys other than ``counters`` and ``histograms`` are
+        ignored.  Merging the same payloads in the same order always
+        produces the same integer totals — float sums are the only
+        order-sensitive figures, and they are excluded from
         :meth:`deterministic_totals` for exactly that reason.
         """
         if not payload:
             return
         for name, value in payload.get("counters", {}).items():
             self.counter(name).inc(value)
-        for name, value in payload.get("gauges", {}).items():
-            gauge = self.gauge(name)
-            gauge.set(max(gauge.value, value))
         for name, data in payload.get("histograms", {}).items():
             histogram = self.histogram(name, data["edges"])
             for index, count in enumerate(data["counts"]):
@@ -212,6 +188,3 @@ class MetricsRegistry:
     def counter_value(self, name: str) -> int:
         counter = self._counters.get(name)
         return counter.value if counter is not None else 0
-
-    def names(self) -> Iterable[str]:
-        return sorted({*self._counters, *self._gauges, *self._histograms})

@@ -245,27 +245,6 @@ def span(name: str, **attrs: Any):
     return active.span(name, **attrs)
 
 
-def heartbeat(seed_index: int) -> None:
-    """Record a worker liveness pulse for the seed that just completed.
-
-    Sets the ``worker.heartbeat.time`` (wall clock) and
-    ``worker.heartbeat.seed`` gauges and bumps the ``worker.heartbeats``
-    counter.  Gauges merge by maximum, so after the parent-side batch merge
-    the session metrics always carry the *latest* pulse any worker sent —
-    the liveness signal health monitoring reads.  The counter increments
-    exactly once per seed, keeping ``deterministic_totals()`` identical
-    between serial and parallel runs.  Disabled: one global check.
-    """
-    session = _STATE
-    if session is None:
-        return
-    registry = session.scope.metrics if session.scope is not None \
-        else session.metrics
-    registry.gauge("worker.heartbeat.time").set(time.time())
-    registry.gauge("worker.heartbeat.seed").set(float(seed_index))
-    registry.inc("worker.heartbeats")
-
-
 class _StageContext:
     """Times one pipeline stage: histogram observation plus optional span."""
 

@@ -166,9 +166,6 @@ class Memory:
     def object_by_base(self, addr: int) -> Optional[MemoryObject]:
         return self._by_base.get(addr)
 
-    def live_objects(self) -> List[MemoryObject]:
-        return [o for o in self.objects if o.is_live]
-
     def nearest_object(self, addr: int, max_distance: int) -> Optional[MemoryObject]:
         """Return the closest object whose end/start is within *max_distance*."""
         best: Optional[MemoryObject] = None
@@ -192,18 +189,11 @@ class Memory:
     def is_poisoned(self, addr: int, size: int = 1) -> bool:
         return any(a in self._poisoned for a in range(addr, addr + size))
 
-    def poison_object(self, obj: MemoryObject, redzone: int = 0) -> None:
-        """Poison an object body and optionally its surrounding red zones."""
-        self.poison(obj.base - redzone, obj.size + 2 * redzone)
-
     def poison_redzones(self, obj: MemoryObject, redzone: int) -> None:
         """Poison only the red zones around *obj* (allocation-time ASan)."""
         redzone = min(redzone, self.guard_gap)
         self.poison(obj.base - redzone, redzone)
         self.poison(obj.end, redzone)
-
-    def unpoison_object(self, obj: MemoryObject, redzone: int = 0) -> None:
-        self.unpoison(obj.base - redzone, obj.size + 2 * redzone)
 
     # -- byte access ---------------------------------------------------------
 

@@ -76,12 +76,3 @@ def coerce(value: RuntimeValue, ctype: ct.CType) -> RuntimeValue:
 
 def combine_taint(*values: RuntimeValue) -> bool:
     return any(v.tainted for v in values)
-
-
-def int_from_bytes(data: bytes, signed: bool) -> int:
-    return int.from_bytes(data, "little", signed=signed)
-
-
-def int_to_bytes(value: int, size: int) -> bytes:
-    mask = (1 << (8 * size)) - 1
-    return (value & mask).to_bytes(size, "little")

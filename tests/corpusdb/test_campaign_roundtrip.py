@@ -247,6 +247,26 @@ def test_query_round_trip(baseline_dir, capsys):
     assert "database:" in out
 
 
+def test_cli_db_holds_the_campaigns_findings(baseline_dir, tmp_path, capsys):
+    """``--db PATH`` moves the findings database out of the corpus
+    directory and changes nothing else: the file at PATH holds the buckets
+    the default ``<corpus>/corpus.sqlite`` does for the same config."""
+    corpus = tmp_path / "corpus"
+    db_path = str(tmp_path / "shared" / "findings.sqlite")
+    assert cli_main(["--seeds", "3", "--rng-seed", "5",
+                     "--max-programs-per-type", "1", "--opt-levels=-O0,-O2",
+                     "--corpus", str(corpus), "--db", db_path,
+                     "--quiet", "--json"]) == 0
+    summary = json.loads(capsys.readouterr().out)
+    assert not os.path.exists(_db(str(corpus)))
+    assert _normalized_buckets(db_path) == _normalized_buckets(
+        _db(baseline_dir))
+    with FindingsDB(db_path) as db:
+        assert db.summary()["programs"] == summary["corpus"]["programs"]
+        assert [row["key"] for row in db.campaigns()] == [
+            os.path.abspath(str(corpus))]
+
+
 def test_query_cli_error_paths(tmp_path, capsys):
     missing = str(tmp_path / "missing.sqlite")
     assert cli_main(["query", "--db", missing]) == 2

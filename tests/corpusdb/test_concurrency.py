@@ -1,5 +1,6 @@
-"""Concurrent-writer tolerance: BEGIN IMMEDIATE lock retries in-process,
-and the regression test with two real processes ingesting into one file."""
+"""SQLite connection plumbing: the settings every findings-database
+connection shares, BEGIN IMMEDIATE lock retries in-process, and the
+regression test with two real processes ingesting into one file."""
 
 from __future__ import annotations
 
@@ -12,8 +13,39 @@ import textwrap
 import pytest
 
 from repro.corpusdb import FindingsDB, connect, immediate
+from repro.corpusdb.connection import BUSY_TIMEOUT_MS
 
 REPO_SRC = os.path.join(os.path.dirname(__file__), "..", "..", "src")
+
+
+def test_connect_applies_the_house_settings(tmp_path):
+    conn = connect(str(tmp_path / "db.sqlite"))
+    try:
+        assert conn.execute("PRAGMA journal_mode").fetchone()[0] == "wal"
+        assert conn.execute("PRAGMA synchronous").fetchone()[0] == 1  # NORMAL
+        assert conn.execute("PRAGMA foreign_keys").fetchone()[0] == 1
+        assert (conn.execute("PRAGMA busy_timeout").fetchone()[0]
+                == BUSY_TIMEOUT_MS)
+        assert conn.execute("SELECT 7 AS seven").fetchone()["seven"] == 7
+    finally:
+        conn.close()
+
+
+def test_connect_creates_missing_directories(tmp_path):
+    path = tmp_path / "nested" / "deeper" / "db.sqlite"
+    connect(str(path)).close()
+    assert path.is_file()
+
+
+def test_connect_opens_in_memory_databases_without_touching_disk(
+        tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    conn = connect(":memory:")
+    conn.execute("CREATE TABLE t (x)")
+    conn.execute("INSERT INTO t VALUES (1)")
+    assert conn.execute("SELECT x FROM t").fetchone()["x"] == 1
+    conn.close()
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_immediate_commits_on_success_and_rolls_back_on_error(tmp_path):
@@ -72,11 +104,67 @@ def test_immediate_gives_up_after_bounded_retries(tmp_path):
     contender.close()
 
 
+def test_immediate_rolls_back_when_interrupted(tmp_path):
+    """Rollback covers every exception, a KeyboardInterrupt included."""
+    conn = connect(str(tmp_path / "db.sqlite"))
+    conn.execute("CREATE TABLE t (x)")
+    with pytest.raises(KeyboardInterrupt):
+        with immediate(conn):
+            conn.execute("INSERT INTO t VALUES (1)")
+            raise KeyboardInterrupt
+    assert not conn.in_transaction
+    assert conn.execute("SELECT COUNT(*) FROM t").fetchone()[0] == 0
+    conn.close()
+
+
+class _FlakyBegin:
+    """A connection stand-in whose ``BEGIN`` fails *failures* times with
+    an ``OperationalError`` carrying *message*."""
+
+    def __init__(self, message: str, failures: int) -> None:
+        self.message = message
+        self.failures = failures
+        self.log = []
+
+    def execute(self, sql: str) -> None:
+        self.log.append(sql)
+        if sql == "BEGIN IMMEDIATE" and self.failures:
+            self.failures -= 1
+            raise sqlite3.OperationalError(self.message)
+
+    def commit(self) -> None:
+        self.log.append("COMMIT")
+
+    def rollback(self) -> None:
+        self.log.append("ROLLBACK")
+
+
+def test_immediate_retries_a_busy_database_like_a_locked_one():
+    conn = _FlakyBegin("database is busy", failures=2)
+    naps = []
+    with immediate(conn, retries=5, retry_delay=0.01, sleep=naps.append):
+        pass
+    assert naps == [0.01, 0.02]
+    assert conn.log == ["BEGIN IMMEDIATE"] * 3 + ["COMMIT"]
+
+
+def test_immediate_raises_other_errors_without_retrying():
+    conn = _FlakyBegin("disk I/O error", failures=1)
+    naps = []
+    with pytest.raises(sqlite3.OperationalError, match="disk I/O"):
+        with immediate(conn, retries=5, retry_delay=0.01, sleep=naps.append):
+            pass  # pragma: no cover - BEGIN itself fails
+    assert naps == []
+    assert conn.log == ["BEGIN IMMEDIATE"]
+
+
 _WRITER = textwrap.dedent("""\
     import sys
     from repro.corpusdb import FindingsDB, crash_signature, program_digest
 
     path, label, count = sys.argv[1], sys.argv[2], int(sys.argv[3])
+    print("ready", flush=True)
+    sys.stdin.readline()  # the go signal: both writers open the file at once
     with FindingsDB(path) as db:
         campaign = db.open_campaign(f"camp-{label}")
         for index in range(count):
@@ -106,17 +194,23 @@ _WRITER = textwrap.dedent("""\
 
 def test_two_processes_ingest_into_one_database(tmp_path):
     """The satellite regression test: two concurrent writer processes,
-    every delta lands, nothing deadlocks or double-counts."""
+    every delta lands, nothing deadlocks or double-counts.  Both open the
+    new file at the same moment, so both switch it to WAL at once."""
     path = str(tmp_path / "shared.sqlite")
     deltas = 25
     env = dict(os.environ, PYTHONPATH=REPO_SRC)
     workers = [
         subprocess.Popen([sys.executable, "-c", _WRITER, path, label,
                           str(deltas)],
-                         stdout=subprocess.PIPE, stderr=subprocess.PIPE,
-                         env=env, text=True)
+                         stdin=subprocess.PIPE, stdout=subprocess.PIPE,
+                         stderr=subprocess.PIPE, env=env, text=True)
         for label in ("a", "b")
     ]
+    for worker in workers:
+        assert worker.stdout.readline().strip() == "ready"
+    for worker in workers:
+        worker.stdin.write("go\n")
+        worker.stdin.flush()
     for worker in workers:
         out, err = worker.communicate(timeout=120)
         assert worker.returncode == 0, err

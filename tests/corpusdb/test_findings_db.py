@@ -4,6 +4,7 @@ cross-campaign recurrence, query filters and marker persistence."""
 from __future__ import annotations
 
 import json
+import sqlite3
 
 import pytest
 
@@ -17,7 +18,7 @@ from repro.corpusdb import (
     program_digest,
     signature_json,
 )
-from repro.corpusdb.db import compress_source
+from repro.corpusdb.db import CORPUS_SCHEMA_VERSION, compress_source
 
 SOURCE = "int main() { return 0; }\n"
 
@@ -275,15 +276,60 @@ def test_marker_ingest_is_idempotent():
                 "") in db.recorded_cells()
 
 
-def test_shared_file_hosts_corpus_and_telemetry_tables(tmp_path):
-    """One --db file holds both schemas without table collisions."""
-    from repro.telemetry.store import TelemetryStore
-    path = str(tmp_path / "shared.sqlite")
+
+# ---------------------------------------------------------------------------
+# File databases
+# ---------------------------------------------------------------------------
+
+def test_file_database_survives_reopen(tmp_path):
+    path = str(tmp_path / "findings.sqlite")
+    signature = crash_signature("buffer-overflow-array", "3:7", "asan")
     with FindingsDB(path) as db:
         campaign = db.open_campaign("camp-a")
-        db.ingest_delta(campaign, programs=[_program()])
-    with TelemetryStore(path) as store:
-        assert store.summary()["runs"] == 0
+        db.ingest_delta(campaign, seeds=[0], programs=[_program()],
+                        hits=[_hit(signature)])
+        before = db.summary()
     with FindingsDB(path) as db:
+        assert db.summary() == before
+        assert db.campaign_id("camp-a") == campaign
+        assert db.ingested_seeds(campaign) == [0]
+        assert db.find_bucket(CRASH_KIND, signature)["count"] == 1
+        assert db.get_program(program_digest(SOURCE)) == SOURCE
+
+
+def test_file_database_records_its_schema_version(tmp_path):
+    """The version lives in ``corpus_meta``, where existing files carry it."""
+    path = str(tmp_path / "findings.sqlite")
+    with FindingsDB(path) as db:
+        assert db.schema_version() == CORPUS_SCHEMA_VERSION
+    conn = sqlite3.connect(path)
+    try:
+        [(value,)] = conn.execute(
+            "SELECT value FROM corpus_meta WHERE key = 'schema_version'")
+    finally:
+        conn.close()
+    assert int(value) == CORPUS_SCHEMA_VERSION
+
+
+def _set_recorded_version(path: str, version: int) -> None:
+    conn = sqlite3.connect(path)
+    try:
+        conn.execute("UPDATE corpus_meta SET value = ? "
+                     "WHERE key = 'schema_version'", (str(version),))
+        conn.commit()
+    finally:
+        conn.close()
+
+
+def test_opening_an_older_file_upgrades_it_in_place(tmp_path):
+    path = str(tmp_path / "findings.sqlite")
+    with FindingsDB(path) as db:
+        db.ingest_delta(db.open_campaign("camp-a"), programs=[_program()])
+    _set_recorded_version(path, CORPUS_SCHEMA_VERSION - 1)
+    with FindingsDB(path) as db:
+        assert db.schema_version() == CORPUS_SCHEMA_VERSION
         assert db.summary()["programs"] == 1
-        assert db.schema_version() >= 1
+    # A file some newer release wrote keeps its version: no downgrade.
+    _set_recorded_version(path, CORPUS_SCHEMA_VERSION + 1)
+    with FindingsDB(path) as db:
+        assert db.schema_version() == CORPUS_SCHEMA_VERSION + 1

@@ -192,6 +192,32 @@ def test_killed_then_resumed_campaign_matches(tmp_path, config, serial_result):
     assert _stat_tuple(replay_result) == _stat_tuple(serial_result)
 
 
+def test_checkpoint_bytes_repeat_run_to_run(tmp_path):
+    """One config always writes the same checkpoint bytes: no wall-clock
+    figure (such as a seed's duration) lands in a record."""
+    config = CampaignConfig(num_seeds=2, rng_seed=5, max_programs_per_type=1,
+                            opt_levels=("-O0", "-O2"), triage=False)
+    snapshots = []
+    for run in range(2):
+        path = str(tmp_path / f"campaign-{run}.json")
+        OrchestratedCampaign(config, checkpoint_path=path).run()
+        with open(path, "rb") as handle:
+            snapshots.append(handle.read())
+    assert snapshots[0] == snapshots[1]
+
+
+def test_db_path_must_be_the_corpus_stores_database(tmp_path, config):
+    """A fuzzing campaign writes findings only through its corpus store, so
+    a ``db_path`` that store does not use is refused, not ignored."""
+    store = CorpusStore(root=str(tmp_path / "corpus"))
+    with pytest.raises(ValueError, match="findings database"):
+        OrchestratedCampaign(config, corpus=store,
+                             db_path=str(tmp_path / "other.sqlite"))
+    shared = str(tmp_path / "shared.sqlite")
+    OrchestratedCampaign(config, corpus=CorpusStore(
+        root=str(tmp_path / "corpus-b"), db_path=shared), db_path=shared)
+
+
 def test_checkpoint_refuses_other_config(tmp_path, config):
     checkpoint_path = str(tmp_path / "campaign.json")
     CampaignCheckpoint(checkpoint_path, config).record(
@@ -226,6 +252,34 @@ def test_checkpoint_with_metadata_key_still_loads(tmp_path, config):
     with open(path, "w", encoding="utf-8") as handle:
         json.dump(snapshot, handle)
     assert sorted(CampaignCheckpoint(path, config).load()) == [0]
+
+
+def test_checkpoint_with_seed_durations_still_loads(tmp_path, config):
+    """Snapshots once carried each seed's ``duration_seconds``; loading
+    ignores it, and seeds recorded after the resume carry none."""
+    path = str(tmp_path / "old.json")
+    CampaignCheckpoint(path, config).record(
+        SeedBatch(seed_index=0, generated=True))
+    with open(path, encoding="utf-8") as handle:
+        snapshot = json.load(handle)
+    snapshot["seeds"]["0"]["duration_seconds"] = 2.5
+    with open(path, "w", encoding="utf-8") as handle:
+        json.dump(snapshot, handle)
+    checkpoint = CampaignCheckpoint(path, config)
+    assert sorted(checkpoint.load()) == [0]
+    checkpoint.record(SeedBatch(seed_index=1, generated=True))
+    with open(path, encoding="utf-8") as handle:
+        rewritten = json.load(handle)
+    assert sorted(rewritten["seeds"]) == ["0", "1"]
+    assert "duration_seconds" not in rewritten["seeds"]["1"]
+
+
+def test_batch_record_leaves_out_the_seed_duration():
+    fast = SeedBatch(seed_index=4, generated=True, duration_seconds=0.25)
+    slow = SeedBatch(seed_index=4, generated=True, duration_seconds=9.5)
+    assert batch_to_record(fast) == batch_to_record(slow)
+    assert "duration_seconds" not in batch_to_record(fast)
+    assert batch_from_record(batch_to_record(slow)).duration_seconds == 0.0
 
 
 def test_batch_record_roundtrip_preserves_reports(config):

@@ -27,13 +27,13 @@ SCALE = dict(num_seeds=3, rng_seed=5, max_programs_per_type=1,
 def traced_runs(tmp_path_factory):
     """One serial and one two-worker traced campaign over identical configs.
 
-    The parallel run also gets a telemetry store (``--db`` equivalent), so
-    the auto-ingestion tests ride the same campaign."""
+    The parallel run also gets a findings database of its own (the CLI's
+    ``--db``), so the one-SQLite-owner test rides the same campaign."""
     telemetry.disable()
     runs = {}
     for label, workers in (("serial", 1), ("parallel", 2)):
         root = str(tmp_path_factory.mktemp(label))
-        db_path = (os.path.join(root, "telemetry.sqlite")
+        db_path = (os.path.join(root, "findings.sqlite")
                    if workers == 2 else None)
         campaign = OrchestratedCampaign(
             CampaignConfig(**SCALE), workers=workers, corpus=root,
@@ -112,6 +112,17 @@ def test_campaign_summary_checkpoint_and_corpus(traced_runs):
     assert snapshot["health"] == summary["health"]
     with open(os.path.join(root, "checkpoint.json"), encoding="utf-8") as handle:
         assert "metadata" not in json.load(handle)
+
+
+def test_serial_and_sharded_checkpoints_are_byte_identical(traced_runs):
+    """A checkpoint record holds no wall-clock figure, so one config writes
+    the same bytes whether one worker or two ran its seeds."""
+    snapshots = []
+    for label in ("serial", "parallel"):
+        root, _ = traced_runs[label]
+        with open(os.path.join(root, "checkpoint.json"), "rb") as handle:
+            snapshots.append(handle.read())
+    assert snapshots[0] == snapshots[1]
 
 
 def test_load_profile_replays_stage_breakdown(traced_runs):
@@ -229,21 +240,26 @@ def test_untraced_persistent_run_still_records_metrics(tmp_path):
 
 
 # ---------------------------------------------------------------------------
-# Observatory: store auto-ingestion, db CLI, exports, watch
+# Observatory: one SQLite owner, exports, watch
 # ---------------------------------------------------------------------------
 
 
-def test_parallel_campaign_auto_ingests_into_store(traced_runs):
-    from repro.telemetry import TelemetryStore
-    root, campaign = traced_runs["parallel"]
-    assert campaign.db_run_id is not None
-    with TelemetryStore(os.path.join(root, "telemetry.sqlite")) as store:
-        runs = store.runs()
-        assert [run.id for run in runs] == [campaign.db_run_id]
-        assert runs[0].seeds == 3
-        assert runs[0].health == "ok"
-        points = store.trend("stage.execute.self_seconds", last=20)
-        assert len(points) >= 1 and points[0].value > 0
+def test_db_file_holds_only_findings_tables(traced_runs):
+    """``--db`` names the findings database alone: after a fuzz campaign
+    the file holds ``corpus_*`` tables and nothing else (SQLite's own
+    ``sqlite_*`` tables aside)."""
+    import sqlite3
+    root, _ = traced_runs["parallel"]
+    conn = sqlite3.connect(os.path.join(root, "findings.sqlite"))
+    try:
+        tables = {row[0] for row in conn.execute(
+            "SELECT name FROM sqlite_master WHERE type = 'table'")
+            if not row[0].startswith("sqlite_")}
+    finally:
+        conn.close()
+    assert "corpus_buckets" in tables
+    assert sorted(name for name in tables
+                  if not name.startswith("corpus_")) == []
 
 
 def test_campaign_summary_includes_health(traced_runs):
@@ -253,34 +269,13 @@ def test_campaign_summary_includes_health(traced_runs):
     assert health["batches"] == 3 and health["stalls"] == 0
 
 
-def test_db_cli_query_and_trend(traced_runs, capsys):
-    root, _ = traced_runs["parallel"]
-    db = os.path.join(root, "telemetry.sqlite")
-    assert cli_main(["db", "--db", db, "query", "--metrics"]) == 0
-    out = capsys.readouterr().out
-    assert "Run" in out and "Seeds" in out
-    assert "cache.hits" in out
-
-    assert cli_main(["db", "--db", db, "trend",
-                     "--metric", "campaign.wall_seconds", "--json"]) == 0
-    series = json.loads(capsys.readouterr().out)
-    assert series["metric"] == "campaign.wall_seconds"
-    assert len(series["points"]) == 1
-    assert series["points"][0]["value"] > 0
-
-    # An unknown metric is a hint, not an error.
-    assert cli_main(["db", "--db", db, "trend",
-                     "--metric", "no.such.metric"]) == 0
-    assert "no data" in capsys.readouterr().out
-
-
-def test_db_cli_reingest_is_idempotent(traced_runs, tmp_path, capsys):
-    root, _ = traced_runs["parallel"]
-    db = str(tmp_path / "fresh.sqlite")
-    assert cli_main(["db", "--db", db, "ingest", root]) == 0
-    assert cli_main(["db", "--db", db, "ingest", root]) == 0
-    out = capsys.readouterr().out
-    assert "1 runs" in out  # second ingest found the same content digest
+def test_db_is_not_a_subcommand(capsys):
+    # The campaign parser takes no positional argument, so the retired
+    # telemetry-store subcommand is a usage error, not a campaign.
+    with pytest.raises(SystemExit) as exited:
+        cli_main(["db", "--db", "x.sqlite", "query"])
+    assert exited.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
 
 
 def test_cli_db_requires_persistent_corpus(capsys):

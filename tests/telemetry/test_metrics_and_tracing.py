@@ -32,7 +32,6 @@ def test_counter_gauge_histogram_basics():
     registry = MetricsRegistry()
     registry.inc("cache.hits")
     registry.inc("cache.hits", 4)
-    registry.gauge("pool.workers").set(8)
     registry.observe("stage.execute.seconds", 0.003)
     registry.observe("stage.execute.seconds", 99.0)  # overflow bucket
 
@@ -53,13 +52,11 @@ def test_counter_gauge_histogram_basics():
 def test_registry_json_roundtrip_and_merge():
     a = MetricsRegistry()
     a.inc("vm.runs", 3)
-    a.gauge("pool.workers").set(2)
     a.observe("stage.frontend.seconds", 0.01)
 
     b = MetricsRegistry()
     b.inc("vm.runs", 5)
     b.inc("cache.misses")
-    b.gauge("pool.workers").set(4)
     b.observe("stage.frontend.seconds", 0.5)
 
     merged = MetricsRegistry.from_json(a.to_json())
@@ -67,12 +64,17 @@ def test_registry_json_roundtrip_and_merge():
 
     assert merged.counter_value("vm.runs") == 8
     assert merged.counter_value("cache.misses") == 1
-    assert merged.gauge("pool.workers").value == 4  # gauges merge by max
     histogram = merged.histogram("stage.frontend.seconds")
     assert histogram.count == 2
     assert histogram.min == 0.01 and histogram.max == 0.5
     # The payload is JSON-safe end to end.
     json.dumps(merged.to_json())
+    # A metrics.json written before gauges were dropped still merges: keys
+    # other than counters and histograms are ignored.
+    merged.merge_json({"counters": {"vm.runs": 1},
+                       "gauges": {"pool.workers": 4.0}})
+    assert merged.counter_value("vm.runs") == 9
+    assert set(merged.to_json()) == {"counters", "histograms"}
 
 
 def test_merge_is_order_insensitive_on_deterministic_totals():

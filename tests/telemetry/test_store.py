@@ -1,133 +1,32 @@
-"""The cross-campaign telemetry store: ingestion is idempotent, queries
-return ordered series, and bench artifacts land keyed by their stamp."""
+"""The provenance stamp bench artifacts carry: git sha, time and host."""
 
 from __future__ import annotations
 
+import importlib.util
 import json
 import os
-import sqlite3
+import shutil
+import socket
+import subprocess
+import sys
+import time
 
-import pytest
+from repro.telemetry.store import current_git_sha, stamp_fields
 
-from repro.core import CampaignConfig
-from repro.orchestrator import OrchestratedCampaign
-from repro.telemetry.store import (TelemetryStore, current_git_sha,
-                                   stamp_fields)
-
-SCALE = dict(num_seeds=2, rng_seed=5, max_programs_per_type=1,
-             opt_levels=("-O0", "-O2"), triage=False)
-
-
-@pytest.fixture(scope="module")
-def traced_campaign(tmp_path_factory):
-    """One traced campaign whose telemetry every test here ingests."""
-    from repro.telemetry import runtime as telemetry
-    telemetry.disable()
-    root = str(tmp_path_factory.mktemp("store-campaign"))
-    OrchestratedCampaign(CampaignConfig(**SCALE), corpus=root,
-                         trace=True).run()
-    telemetry.disable()
-    return root
-
-
-def test_ingest_campaign_records_run_spans_and_metrics(traced_campaign,
-                                                       tmp_path):
-    with TelemetryStore(str(tmp_path / "t.sqlite")) as store:
-        run_id = store.ingest_campaign(traced_campaign)
-        runs = store.runs()
-        assert [run.id for run in runs] == [run_id]
-        run = runs[0]
-        assert run.seeds == 2 and run.spans > 0
-        assert run.wall_seconds and run.wall_seconds > 0
-        assert run.git_sha == current_git_sha()
-        assert run.health == "ok"
-        # Spans landed with their nesting intact.
-        assert len(store.span_durations("execute", run_id)) > 0
-        # Counters, histograms and replayed profile stages all queryable.
-        names = store.metric_names(run_id)
-        assert "cache.hits" in names
-        assert "stage.execute.seconds.count" in names
-        assert "stage.execute.self_seconds" in names
-        assert "campaign.wall_seconds" in names
-
-
-def test_ingest_is_idempotent(traced_campaign, tmp_path):
-    with TelemetryStore(str(tmp_path / "t.sqlite")) as store:
-        first = store.ingest_campaign(traced_campaign)
-        second = store.ingest_campaign(traced_campaign)
-        assert first == second
-        counts = store.summary()
-        assert counts["runs"] == 1
-
-
-def test_trend_orders_runs_oldest_first(traced_campaign, tmp_path):
-    with TelemetryStore(str(tmp_path / "t.sqlite")) as store:
-        store.ingest_campaign(traced_campaign)
-        points = store.trend("campaign.wall_seconds", last=20)
-        assert len(points) == 1
-        assert points[0].value > 0
-        assert points[0].git_sha == current_git_sha()
-        # An unknown metric is an empty series, not an error.
-        assert store.trend("no.such.metric") == []
-
-
-def test_store_survives_reopen(traced_campaign, tmp_path):
-    path = str(tmp_path / "t.sqlite")
-    with TelemetryStore(path) as store:
-        store.ingest_campaign(traced_campaign)
-    with TelemetryStore(path) as store:
-        assert store.summary()["runs"] == 1
-        assert len(store.trend("campaign.wall_seconds")) == 1
-
-
-def test_ingest_missing_telemetry_raises(tmp_path):
-    empty = tmp_path / "not-a-campaign"
-    empty.mkdir()
-    with TelemetryStore(str(tmp_path / "t.sqlite")) as store:
-        with pytest.raises(FileNotFoundError):
-            store.ingest_campaign(str(empty))
-
-
-def _bench_record(path, **fields):
-    record = {"bench": "demo", "schema": 2, "stamp": stamp_fields(), **fields}
-    path.write_text(json.dumps(record), encoding="utf-8")
-    return record
-
-
-def test_bench_ingestion_stores_stamped_numeric_fields(tmp_path):
-    arts = tmp_path / "artifacts"
-    arts.mkdir()
-    record = _bench_record(arts / "bench_demo.json", uncached_ms=12.5,
-                           speedup=3.0, label="x", flag=True)
-    with TelemetryStore(str(tmp_path / "t.sqlite")) as store:
-        added = store.ingest_bench_dir(str(arts))
-        # Strings, booleans and the schema version are not samples.
-        assert added == {"bench_demo.json": 2}
-        series = store.bench_series("demo", "uncached_ms")
-        assert [s["value"] for s in series] == [12.5]
-        assert series[0]["git_sha"] == record["stamp"]["git_sha"]
-        assert series[0]["hostname"] == record["stamp"]["hostname"]
-        assert series[0]["schema"] == 2
-        assert store.bench_fields("demo") == [("demo", "speedup"),
-                                              ("demo", "uncached_ms")]
-        # Same bytes again: no duplicate samples.
-        assert store.ingest_bench_dir(str(arts)) == {"bench_demo.json": 0}
-
-
-def test_bench_series_orders_samples_oldest_first(tmp_path):
-    arts = tmp_path / "artifacts"
-    arts.mkdir()
-    with TelemetryStore(str(tmp_path / "t.sqlite")) as store:
-        for value in (10.0, 11.0, 12.0):
-            _bench_record(arts / "bench_demo.json", uncached_ms=value)
-            store.ingest_bench_dir(str(arts))
-        series = store.bench_series("demo", "uncached_ms", last=2)
-        assert [s["value"] for s in series] == [11.0, 12.0]
+REPO = os.path.join(os.path.dirname(__file__), "..", "..")
 
 
 def test_git_sha_env_override(monkeypatch):
     monkeypatch.setenv("REPRO_GIT_SHA", "deadbeef")
     assert current_git_sha() == "deadbeef"
+
+
+def test_git_sha_is_unknown_outside_a_checkout(tmp_path, monkeypatch):
+    monkeypatch.delenv("REPRO_GIT_SHA", raising=False)
+    monkeypatch.delenv("GIT_DIR", raising=False)
+    # Keep git from finding a repository above the scratch directory.
+    monkeypatch.setenv("GIT_CEILING_DIRECTORIES", str(tmp_path.parent))
+    assert current_git_sha(cwd=str(tmp_path)) == "unknown"
 
 
 def test_stamp_fields_shape():
@@ -136,14 +35,48 @@ def test_stamp_fields_shape():
     assert isinstance(stamp["recorded_at"], float)
 
 
-def test_store_uses_wal_mode(tmp_path):
-    path = str(tmp_path / "t.sqlite")
-    with TelemetryStore(path):
-        pass
-    conn = sqlite3.connect(path)
-    try:
-        assert conn.execute("PRAGMA journal_mode").fetchone()[0] in (
-            "wal", "delete")  # delete after clean close is fine
-        assert conn.execute("PRAGMA user_version").fetchone()[0] >= 1
-    finally:
-        conn.close()
+def test_stamp_names_the_commit_host_and_time(monkeypatch):
+    monkeypatch.setenv("REPRO_GIT_SHA", "cafef00d")
+    before = time.time()
+    stamp = stamp_fields()
+    assert stamp["git_sha"] == "cafef00d"
+    assert stamp["hostname"] == socket.gethostname()
+    assert before <= stamp["recorded_at"] <= time.time()
+
+
+def test_bench_record_carries_the_stamp(tmp_path, monkeypatch):
+    """``write_bench_record`` writes ``artifacts/bench_<name>.json`` next to
+    the benchmark directory; a copy of the helper module keeps the artifact
+    out of the checkout."""
+    monkeypatch.setenv("REPRO_GIT_SHA", "deadbeef")
+    bench_dir = tmp_path / "benchmarks"
+    bench_dir.mkdir()
+    shutil.copy(os.path.join(REPO, "benchmarks", "bench_common.py"),
+                bench_dir / "bench_common.py")
+    spec = importlib.util.spec_from_file_location(
+        "bench_common_copy", bench_dir / "bench_common.py")
+    bench_common = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(bench_common)
+
+    path = bench_common.write_bench_record("demo", uncached_ms=12.5,
+                                           label="x")
+    assert os.path.samefile(path, tmp_path / "artifacts" / "bench_demo.json")
+    with open(path, encoding="utf-8") as handle:
+        record = json.load(handle)
+    assert record["bench"] == "demo"
+    assert record["schema"] == bench_common.BENCH_SCHEMA
+    assert (record["uncached_ms"], record["label"]) == (12.5, "x")
+    assert set(record["stamp"]) == {"git_sha", "recorded_at", "hostname"}
+    assert record["stamp"]["git_sha"] == "deadbeef"
+
+
+def test_importing_repro_leaves_the_stamp_module_unloaded():
+    """Only the bench helpers load the stamp module (and with it
+    ``subprocess`` and ``socket``); a campaign never does."""
+    code = ("import sys, repro, repro.orchestrator; "
+            "print('repro.telemetry.store' in sys.modules)")
+    env = dict(os.environ, PYTHONPATH=os.path.join(REPO, "src"))
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"

@@ -1,6 +1,9 @@
-"""Static check: no program module keeps an import it does not use."""
+"""Static checks: no program module keeps an import it does not use, and
+every package exports only names it has."""
 
 import ast
+import importlib
+from collections import Counter
 from pathlib import Path
 
 import repro
@@ -36,3 +39,19 @@ def test_no_module_keeps_an_unused_import():
               if path.name != "__init__.py"
               for entry in _unused_imports(path)]
     assert unused == []
+
+
+def test_every_package_export_resolves():
+    """Each package's ``__all__`` lists only attributes the package has,
+    each once: a re-export dropped without its ``__all__`` entry would
+    break ``from repro... import *``."""
+    broken = []
+    for path in sorted(ROOT.rglob("__init__.py")):
+        name = ".".join(path.parent.relative_to(ROOT.parent).parts)
+        package = importlib.import_module(name)
+        exported = list(getattr(package, "__all__", ()))
+        broken += [f"{name}.{attr} is missing" for attr in exported
+                   if not hasattr(package, attr)]
+        broken += [f"{name}.{attr} is listed twice"
+                   for attr, count in Counter(exported).items() if count > 1]
+    assert broken == []
