@@ -6,7 +6,8 @@ Uncached, each configuration repeats the full ``parse → sema → optimize``
 pipeline; through the shared :class:`~repro.compilers.cache.CompilationCache`
 the frontend runs once per program and the optimizer once per *effective
 pipeline signature* — releases between which no pass was introduced, none
-defect-disabled share one optimizer artifact.
+defect-disabled share one optimizer artifact — and all those pipelines run
+as one walk that runs the steps their schedules share once.
 
 This bench measures a full matrix (gcc × 10 releases + llvm × 14 releases,
 each at -O0/-O2/-O3) both ways and asserts:

@@ -16,6 +16,7 @@ afterwards.
 
 from __future__ import annotations
 
+import functools
 import re
 from typing import List, Optional
 
@@ -52,6 +53,12 @@ _CHAR_LITERAL = re.compile(
     r"'(?:([^\\])|\\([0-7]{1,3})|\\x([0-9a-fA-F]+)|\\([^x]))'")
 _SIMPLE_ESCAPES = {"a": 7, "b": 8, "f": 12, "n": 10, "r": 13, "t": 9,
                    "v": 11}
+
+# One frozen location per (line, column), shared by every parse.  Parsed
+# units stay alive in the frontend cache, and each full garbage collection
+# walks every object they hold; interned locations are walked once.  The
+# bound is far above the positions of any generated program.
+_location = functools.lru_cache(maxsize=1 << 16)(SourceLocation)
 
 
 class Parser:
@@ -93,7 +100,7 @@ class Parser:
 
     @staticmethod
     def _loc(tok: Token) -> SourceLocation:
-        return SourceLocation(tok.line, tok.col)
+        return _location(tok.line, tok.col)
 
     # -- entry points --------------------------------------------------------
 

@@ -14,7 +14,11 @@ the pipeline's phases actually depend on the configuration:
 
 :class:`CompilationCache` memoizes the first two phases, keyed by a source
 fingerprint, so an N-config differential matrix costs 1 parse +
-O(opt levels) optimizations instead of N full compiles.  Cached units are
+O(opt levels) optimizations instead of N full compiles.  One request to
+the optimized layer may ask for several keys of a source: a compile asks
+for one, and a marker survey asks for all its pipelines at once and
+builds the missing ones in one :func:`~repro.optim.passes.run_pipelines`
+walk, which runs the steps their schedules share once.  Cached units are
 immutable masters.  A frontend master is analyzed once, when it is built,
 and shared read-only: UB-program validation, marker liveness and
 reduction screening read it, and the optimizer works on a
@@ -22,7 +26,9 @@ reduction screening read it, and the optimizer works on a
 optimized master (:class:`OptimizedArtifact`) is analyzed on first
 demand, because the marker survey only scans its calls: a sanitizer
 overlay asks before it instruments a ``fast_clone`` that shares the
-master's annotations, and a sanitizer-free binary asks when it runs.
+master's annotations, and a sanitizer-free binary asks when it runs.  An
+empty schedule (llvm -O0) builds nothing: its optimized master is the
+frontend master, with the frontend's analysis.
 Every produced binary behaves bit-identically to an uncached compile.
 
 The two layers keep what their readers reuse.  Frontend masters stay in
@@ -33,7 +39,8 @@ the one optimized most recently, and optimizing another source drops
 them.  Logging every lookup showed why that is enough: all optimized hits
 of the bench ``fuzz`` campaign (82 of 521 lookups) reuse a build at most
 3 builds old and of the same source, within one program's matrix or its
-triage, and the ``markers`` survey never hits (0 of 640).  A larger layer
+triage, and the ``markers`` survey never hits (0 of the 640 keys its 80
+requests ask for).  A larger layer
 keeps dead masters alive, and every full garbage collection walks them.
 
 The cache is shared per process: :class:`~repro.core.differential.DifferentialTester`
@@ -48,7 +55,7 @@ import hashlib
 import logging
 import threading
 from collections import OrderedDict
-from typing import Callable, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.cdsl import ast_nodes as ast
 from repro.cdsl.sema import SemanticInfo, analyze
@@ -68,28 +75,38 @@ DEFAULT_MAX_ENTRIES = 128
 #: its semantic information.
 FrontendArtifact = Tuple[ast.TranslationUnit, SemanticInfo]
 
+#: An optimized-layer key: (compiler, opt level, effective pass names).
+OptimizedKey = Tuple[str, str, Tuple[str, ...]]
+
+#: One key's build: the optimized unit, the names of the passes that
+#: changed it, and its semantic information if the unit is already
+#: analyzed (``None`` otherwise).
+Build = Tuple[ast.TranslationUnit, tuple, Optional[SemanticInfo]]
+
 
 class OptimizedArtifact:
     """An optimized-layer entry: the master unit one pipeline produced, the
     names of the passes that changed it, and its semantic information,
-    computed on first demand.
+    computed on first demand unless the build brought it.
 
     :attr:`sema` analyzes the unit the first time it is read, exactly
     once, under the artifact's lock, and returns the same
     :class:`~repro.cdsl.sema.SemanticInfo` on every later read.  An
     analysis failure raises ``CompilationError("<compiler>: semantic
-    error: ...")`` to the reader, and the next read tries again.  The unit
-    is shared read-only, like its analysis.
+    error: ...")`` to the reader, and the next read tries again.  A build
+    of an empty schedule is the analyzed frontend master itself and
+    brings the master's sema.  The unit is shared read-only, like its
+    analysis.
     """
 
     __slots__ = ("unit", "passes_run", "compiler", "_sema", "_lock")
 
     def __init__(self, unit: ast.TranslationUnit, passes_run: tuple,
-                 compiler: str) -> None:
+                 compiler: str, sema: Optional[SemanticInfo] = None) -> None:
         self.unit = unit
         self.passes_run = passes_run
         self.compiler = compiler
-        self._sema: Optional[SemanticInfo] = None
+        self._sema = sema
         self._lock = threading.Lock()
 
     @property
@@ -142,9 +159,9 @@ class CompilationCache:
     """Fingerprint-keyed cache of frontend and optimizer artifacts.
 
     ``frontend(...)`` and ``optimized(...)`` both take a *builder* callable
-    producing the artifact on a miss; the artifact is stored as an immutable
-    master and returned as-is — callers must :func:`fast_clone` it before
-    mutating it (``SimulatedCompiler`` does).  *max_entries* bounds the
+    producing the artifacts of a miss; an artifact is stored as an
+    immutable master and returned as-is — callers must :func:`fast_clone`
+    it before mutating it (``SimulatedCompiler`` does).  *max_entries* bounds the
     frontend layer; the optimized layer holds the builds of the source
     optimized most recently, and ``evictions`` counts the frontend masters
     the LRU drops plus the builds a new source drops.
@@ -187,50 +204,72 @@ class CompilationCache:
         self._note_miss(evicted)
         return entry
 
-    def optimized(self, fingerprint: str, compiler: str, opt_level: str,
-                  pass_names: Tuple[str, ...],
-                  builder: Callable[[], Tuple[ast.TranslationUnit, tuple]]
-                  ) -> OptimizedArtifact:
-        """The optimized master of one (source, compiler, opt level,
-        effective pass list), as an :class:`OptimizedArtifact`.
+    def optimized(self, fingerprint: str, keys: Sequence[OptimizedKey],
+                  builder: Callable[[], Sequence[Build]]
+                  ) -> List[OptimizedArtifact]:
+        """The optimized masters of one source under several (compiler,
+        opt level, effective pass list) *keys*, as one
+        :class:`OptimizedArtifact` per key, in order.
 
-        On a miss, *builder* returns ``(unit, passes_run)`` and the cache
-        stores them as an artifact that analyzes the unit on first demand.
-        Storing a build of another source than the layer holds drops that
-        source's builds first.  The key is the pass list, not the release:
-        no pass reads the release and the iteration count depends only on
-        compiler and level, so every release running the same passes —
-        flat pipelines always, version-aware ones between pass
-        introductions and defect windows — shares one artifact.
+        When any key is missing, *builder* is called once, without
+        arguments, and returns one ``(unit, passes_run, sema)`` build per
+        key, in order; ``sema`` is ``None`` unless the unit is already
+        analyzed.  The cache stores the builds of the missing keys, as
+        artifacts that analyze their unit on first demand, and keys whose
+        builds are the same unit (identical schedules) share one artifact.
+        A stored key keeps its artifact and its build is dropped: callers
+        ask for keys that hit or miss together (one compile's key, one
+        survey's pipelines).  Hits and misses are counted per key.  Storing builds of another
+        source than the layer holds drops that source's builds first.  The
+        key is the pass list, not the release: no pass reads the release
+        and the iteration count depends only on compiler and level, so
+        every release running the same passes — flat pipelines always,
+        version-aware ones between pass introductions and defect windows —
+        shares one artifact.
         """
-        key = (compiler, opt_level, pass_names)
         with self._lock:
-            if fingerprint == self._optimized_source:
-                entry = self._optimized.get(key)
-                if entry is not None:
-                    self.hits += 1
-                    telemetry.inc("cache.hits")
-                    return entry
-        with telemetry.stage("optimize", compiler=compiler, opt=opt_level):
-            unit, passes_run = builder()
-        entry = OptimizedArtifact(unit, passes_run, compiler)
+            stored = (self._optimized
+                      if fingerprint == self._optimized_source else {})
+            artifacts = [stored.get(key) for key in keys]
+            missing = [index for index, artifact in enumerate(artifacts)
+                       if artifact is None]
+            hits = len(keys) - len(missing)
+            self.hits += hits
+        if hits:
+            telemetry.inc("cache.hits", hits)
+        if not missing:
+            return artifacts
+        with telemetry.stage(
+                "optimize",
+                compiler=",".join(dict.fromkeys(keys[i][0] for i in missing)),
+                opt=",".join(dict.fromkeys(keys[i][1] for i in missing))):
+            builds = builder()
+        shared: Dict[int, OptimizedArtifact] = {}
+        for index in missing:
+            unit, passes_run, sema = builds[index]
+            artifact = shared.get(id(unit))
+            if artifact is None:
+                artifact = shared[id(unit)] = OptimizedArtifact(
+                    unit, tuple(passes_run), keys[index][0], sema)
+            artifacts[index] = artifact
         with self._lock:
-            self.misses += 1
+            self.misses += len(missing)
             evicted = 0
             if fingerprint != self._optimized_source:
                 evicted = len(self._optimized)
                 self._optimized_evictions += evicted
                 self._optimized = {}
                 self._optimized_source = fingerprint
-            self._optimized[key] = entry
-        self._note_miss(evicted)
-        return entry
+            for index in missing:
+                self._optimized[keys[index]] = artifacts[index]
+        self._note_miss(evicted, len(missing))
+        return artifacts
 
     @staticmethod
-    def _note_miss(evicted: int) -> None:
+    def _note_miss(evicted: int, misses: int = 1) -> None:
         registry = telemetry.metrics()
         if registry is not None:
-            registry.inc("cache.misses")
+            registry.inc("cache.misses", misses)
             if evicted:
                 registry.inc("cache.evictions", evicted)
 

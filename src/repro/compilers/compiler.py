@@ -23,13 +23,14 @@ from repro.cdsl.visitor import clone, fast_clone
 from repro.compilers.binary import CompiledBinary
 from repro.compilers.cache import (
     CompilationCache,
+    FrontendArtifact,
     OptimizedArtifact,
     source_fingerprint,
 )
 from repro.compilers.options import CompileOptions
 from repro.compilers.versions import trunk_version
-from repro.optim.passes import OptimizationContext
-from repro.optim.pipelines import effective_pass_names, pipeline_for
+from repro.optim.passes import OptimizationContext, PassPipeline
+from repro.optim.pipelines import pipeline_for
 from repro.sanitizers.base import InstrumentationContext
 from repro.sanitizers.registry import build_pass, sanitizers_supported_by
 from repro.utils.errors import CompilationError
@@ -119,7 +120,8 @@ class SimulatedCompiler:
         else:
             unit, source_text = self._frontend(source)
             sema = self._analyze(unit, source_text)
-            passes_run = self._optimize(unit, sema, options.opt_level)
+            passes_run = self._optimize(unit, sema, options.opt_level,
+                                        self._pipeline(options.opt_level))
             # Passes may have created new nodes (literals, rewritten
             # branches): re-run semantic analysis so types and symbols are
             # consistent.
@@ -143,17 +145,18 @@ class SimulatedCompiler:
 
     # -- cacheable phases --------------------------------------------------------
 
-    def _pipeline_version(self) -> Optional[int]:
-        """The release the optimizer pipeline models (``None``: flat)."""
-        return self.version if self.versioned_pipelines else None
+    def _pipeline(self, opt_level: str) -> PassPipeline:
+        """The optimizer pipeline of *opt_level*: flat, or with versioned
+        pipelines the one of this release."""
+        version = self.version if self.versioned_pipelines else None
+        return pipeline_for(self.name, opt_level, version)
 
-    def _optimize(self, unit: ast.TranslationUnit, sema,
-                  opt_level: str) -> list:
+    def _optimize(self, unit: ast.TranslationUnit, sema, opt_level: str,
+                  pipeline: PassPipeline) -> list:
         """Run the optimizer pipeline (Figure 2: before the sanitizer pass)."""
         opt_ctx = OptimizationContext(compiler=self.name, version=self.version,
                                       opt_level=opt_level,
                                       coverage=self.coverage)
-        pipeline = pipeline_for(self.name, opt_level, self._pipeline_version())
         return pipeline.run(unit, sema, opt_ctx)
 
     def _cached_phases(self, source_text: str,
@@ -166,31 +169,24 @@ class SimulatedCompiler:
         works on a :func:`fast_clone` of it that shares its annotations and
         runs with the master's sema.  The pipeline's unit is analyzed on
         first demand, as the uncached path analyzes it after the pipeline.
+        An empty schedule (llvm -O0) changes nothing, so its build is the
+        frontend master itself, with the master's sema: no clone, no
+        analysis.
         """
         fingerprint = source_fingerprint(source_text)
-
-        def build_frontend() -> ast.TranslationUnit:
-            try:
-                return parse_program(source_text)
-            except Exception as exc:
-                raise CompilationError(
-                    f"{self.name}: parse error: {exc}") from exc
+        pipeline = self._pipeline(opt_level)
 
         def build_optimized():
-            try:
-                master, sema = self.cache.frontend(fingerprint, build_frontend)
-            except CompilationError:
-                raise
-            except Exception as exc:
-                raise CompilationError(
-                    f"{self.name}: semantic error: {exc}") from exc
+            master, sema = cached_frontend(self.cache, source_text,
+                                           fingerprint, self.name)
+            if not pipeline.passes:
+                return [(master, (), sema)]
             work = fast_clone(master)
-            return work, tuple(self._optimize(work, sema, opt_level))
+            passes_run = self._optimize(work, sema, opt_level, pipeline)
+            return [(work, passes_run, None)]
 
-        pass_names = tuple(effective_pass_names(self.name, opt_level,
-                                                self._pipeline_version()))
-        return self.cache.optimized(fingerprint, self.name, opt_level,
-                                    pass_names, build_optimized)
+        key = (self.name, opt_level, tuple(pipeline.pass_names))
+        return self.cache.optimized(fingerprint, [key], build_optimized)[0]
 
     # -- helpers ----------------------------------------------------------------
 
@@ -211,6 +207,26 @@ class SimulatedCompiler:
             return analyze(unit)
         except Exception as exc:
             raise CompilationError(f"{self.name}: semantic error: {exc}") from exc
+
+
+def cached_frontend(cache: CompilationCache, source_text: str,
+                    fingerprint: str, compiler: str) -> FrontendArtifact:
+    """The cache's analyzed frontend master of *source_text*, whose
+    fingerprint is *fingerprint*.  A parse or analysis failure raises
+    ``CompilationError("<compiler>: parse error: ...")`` or ``"...:
+    semantic error: ..."``."""
+    def parse() -> ast.TranslationUnit:
+        try:
+            return parse_program(source_text)
+        except Exception as exc:
+            raise CompilationError(f"{compiler}: parse error: {exc}") from exc
+
+    try:
+        return cache.frontend(fingerprint, parse)
+    except CompilationError:
+        raise
+    except Exception as exc:
+        raise CompilationError(f"{compiler}: semantic error: {exc}") from exc
 
 
 class GccCompiler(SimulatedCompiler):

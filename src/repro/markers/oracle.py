@@ -10,31 +10,39 @@ Two questions are answered about a :class:`~repro.markers.instrument.MarkedProgr
   run finishes.  A run that exhausts its step budget (or fails) proves
   nothing dead, so it has no liveness at all.
 * **elimination** — which markers survive compilation under a
-  (compiler, version, opt-pipeline) configuration?  Each config is compiled
-  through the normal driver with version-aware pipelines, and the emitted
-  unit is scanned for surviving marker calls.
+  (compiler, version, opt-pipeline) configuration?  Each config is
+  optimized with its version-aware pipeline, and the emitted unit is
+  scanned for surviving marker calls.
 
-A survey compiles and scans once per distinct *effective pipeline* —
-(compiler, opt level, pass list) — and hands every other config of that
-pipeline the same outcome: releases between which no pass was introduced
-and no defect window opened or closed emit the same unit.  All compiles of
-one oracle share a :class:`~repro.compilers.cache.CompilationCache`, so the
-frontend runs once per program and the optimizer once per effective
-pipeline, which is what makes full config matrices affordable (see
+A survey asks the shared :class:`~repro.compilers.cache.CompilationCache`
+for every distinct *effective pipeline* — (compiler, opt level, pass
+list) — of its configs in one request, so the frontend runs once per
+program and the missing pipelines run as one
+:func:`~repro.optim.passes.run_pipelines` walk, in which the steps their
+schedules share run once.  It scans each distinct emitted unit once and
+hands every config of a pipeline that outcome: releases between which no
+pass was introduced and no defect window opened or closed emit the same
+unit.  This is what makes full config matrices affordable (see
 ``benchmarks/test_marker_throughput.py``).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.compilers.cache import CompilationCache, source_fingerprint
-from repro.compilers.compiler import SimulatedCompiler, make_compiler
-from repro.compilers.versions import version_label
 from repro.cdsl.parser import parse_program
+from repro.cdsl.visitor import fast_clone
+from repro.compilers.cache import CompilationCache, source_fingerprint
+from repro.compilers.compiler import cached_frontend
+from repro.compilers.versions import version_label
 from repro.markers.instrument import MarkedProgram, marker_calls
-from repro.optim.pipelines import effective_pass_names
+from repro.optim.passes import (
+    OptimizationContext,
+    PassPipeline,
+    run_pipelines,
+)
+from repro.optim.pipelines import pipeline_for
 from repro.telemetry import runtime as telemetry
 from repro.vm.interpreter import run_program
 
@@ -73,13 +81,14 @@ class MarkerOutcome:
 
 
 class EliminationOracle:
-    """Compiles marked programs across configs and classifies each marker."""
+    """Runs marked programs (liveness) and optimizes them across configs
+    (elimination) through one :class:`~repro.compilers.cache.CompilationCache`;
+    it builds no compiler driver."""
 
     def __init__(self, cache: Optional[CompilationCache] = None,
                  max_steps: int = DEFAULT_MAX_STEPS) -> None:
         self.cache = cache if cache is not None else CompilationCache()
         self.max_steps = max_steps
-        self._compilers: Dict[Tuple[str, int], SimulatedCompiler] = {}
 
     # -- liveness ---------------------------------------------------------------
 
@@ -129,50 +138,58 @@ class EliminationOracle:
                configs: Sequence[MarkerConfig]) -> Dict[MarkerConfig, MarkerOutcome]:
         """Compile *marked* under every config; map each to its outcome.
 
-        One :meth:`compile_one` per distinct (compiler, opt level,
-        effective pass list); the other configs of that pipeline get its
-        outcome under their own config.  The number of compiles is added
-        to the ``marker.compiles`` counter.
+        Each config maps to its key, (compiler, opt level, effective pass
+        list), and its version-aware pipeline.  One cache request asks
+        for every distinct key: the missing ones are optimized in one
+        :func:`~repro.optim.passes.run_pipelines` walk from a clone of the
+        frontend master, so steps their schedules share run once, and an
+        empty schedule's build is the master itself.  Each distinct
+        emitted unit is scanned once, and each config gets its key's
+        outcome under its own config.  The number of distinct keys is
+        added to the ``marker.compiles`` counter.  A source that does not
+        parse or analyze raises ``CompilationError``.
         """
-        outcomes: Dict[MarkerConfig, MarkerOutcome] = {}
-        compiled: Dict[tuple, MarkerOutcome] = {}
+        keys: Dict[MarkerConfig, tuple] = {}
+        pipelines: Dict[tuple, PassPipeline] = {}
+        for config in configs:
+            pipeline = pipeline_for(config.compiler, config.opt_level,
+                                    config.version)
+            key = (config.compiler, config.opt_level,
+                   tuple(pipeline.pass_names))
+            keys[config] = key
+            pipelines.setdefault(key, pipeline)
+        fingerprint = source_fingerprint(marked.source)
+
+        def build():
+            compiler = next(iter(pipelines))[0]
+            master, sema = cached_frontend(self.cache, marked.source,
+                                           fingerprint, compiler)
+            # An empty schedule changes nothing: its build is the master.
+            walked = [p for p in pipelines.values() if p.passes]
+            walks = iter(run_pipelines(fast_clone(master), sema, walked,
+                                       OptimizationContext())
+                         if walked else ())
+            return [(*next(walks), None) if p.passes else (master, (), sema)
+                    for p in pipelines.values()]
+
         with telemetry.stage("oracle", kind="survey", configs=len(configs)):
-            for config in configs:
-                key = (config.compiler, config.opt_level, _pipeline(config))
-                outcome = compiled.get(key)
-                if outcome is None:
-                    outcome = compiled[key] = self.compile_one(marked, config)
-                else:
-                    outcome = replace(outcome, config=config)
-                outcomes[config] = outcome
-        telemetry.inc("marker.compiles", len(compiled))
+            artifacts = dict(zip(pipelines, self.cache.optimized(
+                fingerprint, list(pipelines), build)))
+            scans: Dict[int, frozenset] = {}
+            outcomes = {}
+            for config, key in keys.items():
+                artifact = artifacts[key]
+                if id(artifact) not in scans:
+                    scans[id(artifact)] = frozenset(
+                        marker_calls(artifact.unit, marked.prefix))
+                outcomes[config] = MarkerOutcome(
+                    config=config, retained=scans[id(artifact)],
+                    pipeline=key[2], passes_run=artifact.passes_run)
+        telemetry.inc("marker.compiles", len(pipelines))
         return outcomes
 
     def compile_one(self, marked: MarkedProgram,
                     config: MarkerConfig) -> MarkerOutcome:
-        """Compile under one config and scan the emitted unit for markers."""
-        compiler = self._compiler_for(config.compiler, config.version)
-        binary = compiler.compile(marked.source, opt_level=config.opt_level)
-        retained = frozenset(marker_calls(binary.unit, marked.prefix))
-        return MarkerOutcome(config=config, retained=retained,
-                             pipeline=_pipeline(config),
-                             passes_run=tuple(binary.passes_run))
-
-    # -- internals --------------------------------------------------------------
-
-    def _compiler_for(self, name: str, version: int) -> SimulatedCompiler:
-        key = (name, version)
-        compiler = self._compilers.get(key)
-        if compiler is None:
-            compiler = make_compiler(name, version=version,
-                                     defect_registry=[], cache=self.cache,
-                                     versioned_pipelines=True)
-            self._compilers[key] = compiler
-        return compiler
-
-
-def _pipeline(config: MarkerConfig) -> Tuple[str, ...]:
-    """The effective (version-aware) pass names of *config*: the pipeline
-    the compiler keys its optimized artifact on."""
-    return tuple(effective_pass_names(config.compiler, config.opt_level,
-                                      config.version))
+        """The one-config :meth:`survey`: compile under *config* and scan
+        the emitted unit for markers."""
+        return self.survey(marked, [config])[config]

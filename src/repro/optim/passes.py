@@ -15,10 +15,11 @@ exactly what we are modelling).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.cdsl import ast_nodes as ast
 from repro.cdsl.sema import SemanticInfo
+from repro.cdsl.visitor import fast_clone
 
 
 @dataclass
@@ -51,7 +52,7 @@ class OptimizationPass:
 
 
 class PassPipeline:
-    """An ordered list of passes, optionally iterated to a fixed point."""
+    """An ordered list of passes, iterated in rounds to a fixed point."""
 
     def __init__(self, passes: List[OptimizationPass], max_iterations: int = 2) -> None:
         self.passes = list(passes)
@@ -63,18 +64,91 @@ class PassPipeline:
 
     def run(self, unit: ast.TranslationUnit, sema: SemanticInfo,
             ctx: OptimizationContext) -> List[str]:
-        """Run the pipeline; returns the names of passes that changed the AST."""
-        changed_passes: List[str] = []
-        for _ in range(self.max_iterations):
-            changed_this_round = False
-            for opt_pass in self.passes:
-                if opt_pass.run(unit, sema, ctx):
-                    changed_this_round = True
-                    changed_passes.append(opt_pass.name)
-                    ctx.cover_point(f"{opt_pass.name}.changed")
-            if not changed_this_round:
+        """Run the pipeline on *unit* in place; returns the names of passes
+        that changed the AST.  It is the one-pipeline case of
+        :func:`run_pipelines`, so it makes no clone."""
+        return list(run_pipelines(unit, sema, [self], ctx)[0][1])
+
+
+#: Next steps of a pipeline that are not passes: start the next round, or
+#: stop with the unit as it is.
+_NEXT_ROUND = object()
+_STOP = object()
+
+
+def _next_step(pipeline: PassPipeline, round_: int, position: int,
+               changed: bool):
+    """The step *pipeline* takes at *position* of round *round_* (both
+    0-based), given whether that round has changed the unit so far: the
+    name of the pass it runs next, :data:`_NEXT_ROUND` or :data:`_STOP`."""
+    if round_ < pipeline.max_iterations:
+        if position < len(pipeline.passes):
+            return pipeline.passes[position].name
+        if changed and round_ + 1 < pipeline.max_iterations:
+            return _NEXT_ROUND
+    return _STOP
+
+
+def run_pipelines(unit: ast.TranslationUnit, sema: SemanticInfo,
+                  pipelines: Sequence[PassPipeline], ctx: OptimizationContext
+                  ) -> List[Tuple[ast.TranslationUnit, Tuple[str, ...]]]:
+    """Run several pipelines from *unit* as one trie walk; returns
+    ``(unit, passes_run)`` per pipeline, in order.
+
+    Each pipeline runs as if it ran alone: in rounds over its passes,
+    stopping after a round in which no pass changed the unit or after
+    ``max_iterations`` rounds, and ``passes_run`` names each pass that
+    changed the unit, in execution order.  Pipelines whose executed steps
+    so far are identical (the same passes in the same rounds) share them,
+    so each shared step runs once.  Where their next steps differ, or one
+    stops while another goes on, each branch but one goes on with a
+    :func:`~repro.cdsl.visitor.fast_clone` of the unit.  *unit* itself is
+    transformed in place and serves one result, and pipelines that stop
+    at the same step get the same unit.
+
+    All pipelines share *ctx*, which passes read only for its
+    ``coverage``: a step that runs once for several pipelines records its
+    coverage once.
+    """
+    results: list = [None] * len(pipelines)
+    # A branch: the pipelines whose executed steps are identical so far,
+    # their unit, the passes that changed it, the round, the position in
+    # that round, and whether the round has changed the unit.
+    branches = [(list(range(len(pipelines))), unit, (), 0, 0, False)]
+    while branches:
+        members, current, passes_run, round_, position, changed = \
+            branches.pop()
+        while True:
+            steps: Dict[object, List[int]] = {}
+            for index in members:
+                steps.setdefault(_next_step(pipelines[index], round_,
+                                            position, changed),
+                                 []).append(index)
+            stopped = steps.pop(_STOP, ())
+            for index in stopped:
+                results[index] = (current, passes_run)
+            groups = list(steps.items())
+            if not groups:
                 break
-        return changed_passes
+            # The unit goes on with one group, unless it is the result of
+            # the pipelines that stopped; every other group gets a clone.
+            if not stopped:
+                step, members = groups.pop()
+            for _, group in groups:
+                branches.append((group, fast_clone(current), passes_run,
+                                 round_, position, changed))
+            if stopped:
+                break
+            if step is _NEXT_ROUND:
+                round_, position, changed = round_ + 1, 0, False
+                continue
+            opt_pass = pipelines[members[0]].passes[position]
+            if opt_pass.run(current, sema, ctx):
+                changed = True
+                passes_run += (opt_pass.name,)
+                ctx.cover_point(f"{opt_pass.name}.changed")
+            position += 1
+    return results
 
 
 # ---------------------------------------------------------------------------

@@ -242,6 +242,7 @@ def make_marker_predicate(finding, oracle=None) -> Predicate:
                             finding.opt_level)
                if finding.kind == REGRESSION and finding.prev_version is not None
                else None)
+    configs = [target] if witness is None else [target, witness]
     name = finding.marker.name
 
     def predicate(source: str) -> bool:
@@ -252,15 +253,17 @@ def make_marker_predicate(finding, oracle=None) -> Predicate:
             # The analyzed frontend master (shared through the cache, and
             # already built by the reducer's validity check) serves the
             # function-liveness check and the reference execution; the
-            # compiles below optimize clones of the same master.
+            # survey below optimizes a clone of the same master.
             unit, sema = oracle.analyzed_unit(source)
             reached = oracle.liveness(marked, analyzed=(unit, sema))
             if reached is None:
                 return False
             live = frozenset(reached)
-            outcome = oracle.compile_one(marked, target)
-            older = (oracle.compile_one(marked, witness)
-                     if witness is not None else None)
+            # One survey: a regression's target and witness share the
+            # steps their schedules have in common.
+            outcomes = oracle.survey(marked, configs)
+            outcome = outcomes[target]
+            older = outcomes[witness] if witness is not None else None
         except Exception:
             # Candidates that no longer parse, analyze or execute are
             # simply uninteresting.

@@ -5,7 +5,8 @@ import pytest
 from repro.cdsl import ast_nodes as ast
 from repro.cdsl import ctypes_ as ct
 from repro.cdsl.parser import parse_expression, parse_program
-from repro.cdsl.printer import print_expr
+from repro.cdsl.printer import print_expr, print_program
+from repro.cdsl.visitor import walk
 from repro.utils.errors import LexError, ParseError, ReproError
 
 
@@ -289,3 +290,17 @@ def test_deeper_nesting_is_a_parse_error():
     with pytest.raises(ParseError, match="nested too deeply") as excinfo:
         parse_program(f"int main() {{\n  return {_nested(1000)};\n}}")
     assert excinfo.value.line == 2
+
+
+def test_two_parses_share_location_objects_and_print_identically():
+    """Locations are interned per (line, column): a second parse of a text
+    holds the first one's location objects, and prints the same."""
+    source = ("struct S { int f; };\nint g[2] = {1, 2};\n"
+              "int main(void) {\n  struct S s; s.f = g[1];\n"
+              "  for (int i = 0; i < 2; i++) { s.f += i; }\n"
+              "  return s.f > 1 ? 0 : 1;\n}\n")
+    first, second = parse_program(source), parse_program(source)
+    locations = [(a.loc, b.loc) for a, b in zip(walk(first), walk(second))]
+    assert len(locations) == len(list(walk(first))) > 20
+    assert all(a is b for a, b in locations)
+    assert print_program(first) == print_program(second)

@@ -11,6 +11,7 @@ import pytest
 
 import repro.compilers.compiler as compiler_module
 from repro.cdsl import ast_nodes as ast
+from repro.cdsl.parser import parse_program
 from repro.cdsl.printer import print_program
 from repro.cdsl.visitor import find_nodes, walk
 from repro.compilers import (
@@ -149,6 +150,45 @@ def test_sanitizer_overlays_never_instrument_the_master(compiler_cls,
         assert find_nodes(binary.unit, ast.SanitizerCheck), sanitizer
     assert not find_nodes(master, ast.SanitizerCheck)
     assert print_program(master) == text
+
+
+def test_empty_schedule_build_is_the_analyzed_frontend_master(monkeypatch):
+    """llvm -O0 runs no pass, so a sanitizer-free compile returns the
+    frontend master and its sema, and neither clones nor analyzes."""
+    import repro.compilers.cache as cache_module
+    cache = CompilationCache()
+    master, sema = cache.frontend(cache_module.source_fingerprint(SOURCE),
+                                  lambda: parse_program(SOURCE))
+    calls = []
+    for module, name in ((compiler_module, "fast_clone"),
+                         (compiler_module, "analyze"),
+                         (cache_module, "analyze")):
+        def counted(*args, _name=name, _original=getattr(module, name)):
+            calls.append(_name)
+            return _original(*args)
+        monkeypatch.setattr(module, name, counted)
+    binary = LlvmCompiler(cache=cache).compile(SOURCE, opt_level="-O0")
+    assert binary.unit is master
+    assert binary.sema is sema
+    assert binary.passes_run == ()
+    assert calls == []
+    monkeypatch.undo()
+    assert binary.run() == LlvmCompiler().compile(SOURCE,
+                                                  opt_level="-O0").run()
+
+
+@pytest.mark.parametrize("sanitizer", ["asan", "ubsan", "msan"])
+def test_empty_schedule_overlay_leaves_the_master_unchanged(sanitizer):
+    cache = CompilationCache()
+    llvm = LlvmCompiler(cache=cache)
+    master = llvm.compile(SOURCE, opt_level="-O0").unit
+    text = print_program(master)
+    binary = llvm.compile(SOURCE, opt_level="-O0", sanitizer=sanitizer)
+    assert binary.unit is not master
+    assert find_nodes(binary.unit, ast.SanitizerCheck)
+    assert print_program(master) == text
+    assert binary.run() == LlvmCompiler().compile(
+        SOURCE, opt_level="-O0", sanitizer=sanitizer).run()
 
 
 @pytest.mark.parametrize("level", ["-O0", "-O1", "-Os", "-O2", "-O3"])
@@ -298,18 +338,17 @@ def test_one_source_optimized_layer_keeps_every_matrix_hit(monkeypatch):
     real_optimized = CompilationCache.optimized
     real_run_seed = FuzzingCampaign.run_seed
 
-    def logged(self, fingerprint, compiler, opt_level, pass_names, builder):
+    def logged(self, fingerprint, keys, builder):
         built = []
 
         def counted_builder():
             built.append(True)
             return builder()
 
-        artifact = real_optimized(self, fingerprint, compiler, opt_level,
-                                  pass_names, counted_builder)
-        lookups.append((phase[0], (fingerprint, compiler, opt_level,
-                                   pass_names), not built))
-        return artifact
+        artifacts = real_optimized(self, fingerprint, keys, counted_builder)
+        assert len(keys) == 1, "a fuzz compile asks for one key"
+        lookups.append((phase[0], (fingerprint, *keys[0]), not built))
+        return artifacts
 
     def run_seed(self, seed_index):
         phase[0] = "matrix"

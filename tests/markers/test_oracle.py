@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import pytest
 
+from repro.cdsl import analyze, parse_program
+from repro.cdsl.visitor import fast_clone
 from repro.compilers import CompilationCache, all_versions
 from repro.compilers.compiler import SimulatedCompiler
 from repro.markers import (
@@ -15,7 +17,8 @@ from repro.markers import (
     MarkerPlanter,
     MarkerSite,
 )
-from repro.optim.pipelines import effective_pass_names
+from repro.optim import OptimizationContext
+from repro.optim.pipelines import effective_pass_names, pipeline_for
 from repro.reduction import make_marker_predicate
 
 SOURCE = """\
@@ -66,29 +69,49 @@ def test_survey_covers_every_config(marked):
         assert outcome.pipeline == tuple(outcome.pipeline)
 
 
-def test_survey_compiles_each_distinct_pipeline_once(marked, monkeypatch):
+def test_survey_runs_each_shared_pass_prefix_once(marked, monkeypatch):
+    """A survey optimizes its distinct pipelines in one walk: each step
+    that their schedules share (the same passes in the same rounds) runs
+    once, nothing compiles through a driver, and every config's outcome
+    equals its own one-config survey."""
     configs = [MarkerConfig(compiler, version, level)
                for compiler in ("gcc", "llvm")
                for version in all_versions(compiler)
                for level in ("-O2", "-O3")]
     pipelines = {(c.compiler, c.opt_level,
                   tuple(effective_pass_names(c.compiler, c.opt_level,
-                                             c.version)))
+                                             c.version))):
+                 pipeline_for(c.compiler, c.opt_level, c.version)
                  for c in configs}
     assert (len(configs), len(pipelines)) == (48, 16)
     reference = {config: EliminationOracle(cache=CompilationCache())
                  .compile_one(marked, config) for config in configs}
 
+    runs = []
+    for cls in {type(p) for pipeline in pipelines.values()
+                for p in pipeline.passes}:
+        def recorded(self, unit, sema, ctx, _run=cls.run):
+            runs.append(self.name)
+            return _run(self, unit, sema, ctx)
+        monkeypatch.setattr(cls, "run", recorded)
+    master = parse_program(marked.source)
+    sema = analyze(master)
+    prefixes, alone = set(), 0
+    for pipeline in pipelines.values():
+        del runs[:]
+        pipeline.run(fast_clone(master), sema, OptimizationContext())
+        steps = [(index // len(pipeline.passes), name)
+                 for index, name in enumerate(runs)]
+        prefixes.update(tuple(steps[:end]) for end in range(1, len(steps) + 1))
+        alone += len(steps)
+
     compiles = []
-    original = SimulatedCompiler.compile
-
-    def counted(self, *args, **kwargs):
-        compiles.append((self.name, self.version))
-        return original(self, *args, **kwargs)
-
-    monkeypatch.setattr(SimulatedCompiler, "compile", counted)
+    monkeypatch.setattr(SimulatedCompiler, "compile",
+                        lambda *args, **kwargs: compiles.append(args))
+    del runs[:]
     outcomes = EliminationOracle().survey(marked, configs)
-    assert len(compiles) == len(pipelines)
+    assert len(runs) == len(prefixes) < alone
+    assert compiles == []
     assert list(outcomes) == configs
     for config in configs:
         assert outcomes[config] == reference[config], config
@@ -117,16 +140,6 @@ def test_shared_cache_does_not_change_outcomes(marked):
         assert second[config].retained == reference[config].retained
         assert first[config].passes_run == reference[config].passes_run
     assert warm.cache.stats()["hits"] > 0
-
-
-def test_compilers_are_memoized_per_version():
-    oracle = EliminationOracle()
-    first = oracle._compiler_for("gcc", 10)
-    again = oracle._compiler_for("gcc", 10)
-    other = oracle._compiler_for("gcc", 11)
-    assert first is again
-    assert first is not other
-    assert first.versioned_pipelines
 
 
 #: A reduced reproducer whose loop never ends: ``__ubfm_13_`` is unreached
