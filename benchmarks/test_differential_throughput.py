@@ -1,18 +1,19 @@
-"""Differential-matrix throughput — shared compilation vs. full recompiles.
+"""Differential-matrix throughput — one shared cache vs. no sharing.
 
 The hot path of every campaign is ``DifferentialTester.test``: one UB
 program compiled and executed under every relevant (compiler, sanitizer,
-optimization level) configuration.  Without the
-:class:`~repro.compilers.cache.CompilationCache` each configuration repeats
-the full ``parse → sema → optimize → instrument`` pipeline; with it, a
-matrix performs one parse and one optimizer run per opt level and only the
-per-configuration sanitizer overlay + execution remain.
+optimization level) configuration.  Through one shared
+:class:`~repro.compilers.cache.CompilationCache` a matrix performs one
+parse and one optimizer run per opt level, and only the per-configuration
+sanitizer overlay + execution remain.  Without sharing — a fresh tester,
+and so a fresh cache, per configuration — each configuration repeats the
+full ``parse → sema → optimize → instrument`` pipeline.
 
 This bench measures a full 9-configuration matrix (LLVM × {ASan, UBSan,
 MSan} × {-O0, -O2, -O3}) both ways and asserts:
 
-* the cached matrix is at least 2x faster than the uncached one (each
-  cached round starts from a *cold* cache, so the speedup measured is the
+* the shared matrix is at least 2x faster than the unshared one (each
+  shared round starts from a *cold* cache, so the speedup measured is the
   intra-matrix phase sharing, not warm-cache replay), and
 * the produced outcomes are bit-identical.
 """
@@ -68,15 +69,19 @@ def _best_of(rounds, func):
 def test_differential_throughput(benchmark):
     program = _ub_program()
 
-    def uncached_matrix():
-        return DifferentialTester(cache=False).test(program, configs=MATRIX)
+    def unshared_matrix():
+        # A fresh tester per configuration = a fresh cache per
+        # configuration: nothing is shared.
+        outcomes = [DifferentialTester().run_config(program, config)
+                    for config in MATRIX]
+        return DifferentialTester().analyze(program, outcomes)
 
     def cold_cached_matrix():
         # A fresh tester per round = a cold cache per round: the measured
         # speedup comes from phase sharing within one matrix.
         return DifferentialTester().test(program, configs=MATRIX)
 
-    uncached_seconds, uncached = _best_of(ROUNDS, uncached_matrix)
+    unshared_seconds, unshared = _best_of(ROUNDS, unshared_matrix)
     cached_seconds, cached = _best_of(ROUNDS, cold_cached_matrix)
     run_once(benchmark, cold_cached_matrix)
 
@@ -87,27 +92,27 @@ def test_differential_throughput(benchmark):
     warm_seconds, _ = _best_of(ROUNDS,
                                lambda: warm_tester.test(program, configs=MATRIX))
 
-    speedup = uncached_seconds / cached_seconds
+    speedup = unshared_seconds / cached_seconds
     bench_print()
     bench_print("=== Differential matrix throughput (9 configs, one UB program) ===")
-    bench_print(f"uncached      : {uncached_seconds * 1000:7.1f} ms")
+    bench_print(f"unshared      : {unshared_seconds * 1000:7.1f} ms")
     bench_print(f"cached (cold) : {cached_seconds * 1000:7.1f} ms = {speedup:4.2f}x")
     bench_print(f"cached (warm) : {warm_seconds * 1000:7.1f} ms = "
-                f"{uncached_seconds / warm_seconds:4.2f}x")
+                f"{unshared_seconds / warm_seconds:4.2f}x")
 
     # Bit-identical bug reports: every outcome of every configuration.
-    assert len(cached.outcomes) == len(uncached.outcomes) == len(MATRIX)
-    for a, b in zip(cached.outcomes, uncached.outcomes):
+    assert len(cached.outcomes) == len(unshared.outcomes) == len(MATRIX)
+    for a, b in zip(cached.outcomes, unshared.outcomes):
         assert a.config == b.config
         assert a.result == b.result
         assert a.error == b.error
-    assert len(cached.fn_candidates) == len(uncached.fn_candidates)
-    assert cached.optimization_discrepancies == uncached.optimization_discrepancies
+    assert len(cached.fn_candidates) == len(unshared.fn_candidates)
+    assert cached.optimization_discrepancies == unshared.optimization_discrepancies
 
     write_bench_record(
         "differential_throughput",
         matrix_configs=len(MATRIX),
-        uncached_ms=round(uncached_seconds * 1000, 2),
+        unshared_ms=round(unshared_seconds * 1000, 2),
         cached_cold_ms=round(cached_seconds * 1000, 2),
         cached_warm_ms=round(warm_seconds * 1000, 2),
         speedup=round(speedup, 3),

@@ -1,19 +1,21 @@
-"""Marker config-matrix throughput — shared compilation vs. full recompiles.
+"""Marker config-matrix throughput — one shared cache vs. no sharing.
 
 The marker engine's hot path is the elimination survey: one marked program
-compiled under every (compiler, version, opt-pipeline) configuration.
-Uncached, each configuration repeats the full ``parse → sema → optimize``
-pipeline; through the shared :class:`~repro.compilers.cache.CompilationCache`
-the frontend runs once per program and the optimizer once per *effective
-pipeline signature* — releases between which no pass was introduced, none
-defect-disabled share one optimizer artifact — and all those pipelines run
-as one walk that runs the steps their schedules share once.
+optimized under every (compiler, version, opt-pipeline) configuration.
+Without sharing — a fresh :class:`~repro.markers.EliminationOracle`, and so
+a fresh cache, per configuration — each configuration repeats the full
+``parse → sema → optimize`` pipeline; through one shared
+:class:`~repro.compilers.cache.CompilationCache` the frontend runs once per
+program and the optimizer once per *effective pipeline signature* —
+releases between which no pass was introduced, none defect-disabled share
+one optimizer artifact — and all those pipelines run as one walk that runs
+the steps their schedules share once.
 
 This bench measures a full matrix (gcc × 10 releases + llvm × 14 releases,
 each at -O0/-O2/-O3) both ways and asserts:
 
-* the cached matrix is at least 2x faster than the uncached one (each
-  cached round starts from a *cold* cache: the speedup is intra-matrix
+* the shared matrix is at least 2x faster than the unshared one (each
+  shared round starts from a *cold* cache: the speedup is intra-matrix
   phase sharing, not warm-cache replay), and
 * the produced outcomes (retained marker sets, passes run) are
   bit-identical.
@@ -26,10 +28,9 @@ import time
 
 from bench_common import bench_print, run_once, write_bench_record
 
-from repro.compilers import all_versions, make_compiler
+from repro.compilers import all_versions
 from repro.compilers.cache import CompilationCache
 from repro.markers import EliminationOracle, MarkerConfig, MarkerPlanter
-from repro.markers.instrument import marker_calls
 from repro.seedgen import CsmithGenerator, GeneratorConfig
 
 MATRIX = [MarkerConfig(compiler, version, level)
@@ -60,16 +61,13 @@ def _cached_matrix(marked):
             for config, outcome in outcomes.items()}, oracle.cache.stats()
 
 
-def _uncached_matrix(marked):
-    """Compile every configuration from scratch (no artifact sharing)."""
+def _unshared_matrix(marked):
+    """Survey every configuration alone, through a fresh oracle and so a
+    fresh cache (no artifact sharing)."""
     outcomes = {}
     for config in MATRIX:
-        compiler = make_compiler(config.compiler, version=config.version,
-                                 defect_registry=[],
-                                 versioned_pipelines=True)
-        binary = compiler.compile(marked.source, opt_level=config.opt_level)
-        outcomes[config] = (frozenset(marker_calls(binary.unit, marked.prefix)),
-                            tuple(binary.passes_run))
+        outcome = EliminationOracle().compile_one(marked, config)
+        outcomes[config] = (outcome.retained, outcome.passes_run)
     return outcomes
 
 
@@ -87,18 +85,18 @@ def _measure(func, rounds=ROUNDS):
 def test_marker_matrix_cache_speedup(benchmark):
     marked = _marked_program()
 
-    uncached_time, uncached = _measure(lambda: _uncached_matrix(marked))
+    unshared_time, unshared = _measure(lambda: _unshared_matrix(marked))
     cached_time, (cached, cache_stats) = run_once(
         benchmark, lambda: _measure(lambda: _cached_matrix(marked)))
 
-    assert cached == uncached, \
-        "shared-cache outcomes must be bit-identical to full recompiles"
+    assert cached == unshared, \
+        "shared-cache outcomes must be bit-identical to unshared surveys"
 
-    speedup = uncached_time / cached_time
+    speedup = unshared_time / cached_time
     bench_print()
     bench_print("=== Marker config-matrix throughput ===")
     bench_print(f"configs               : {len(MATRIX)}")
-    bench_print(f"uncached matrix       : {uncached_time * 1000:.1f} ms")
+    bench_print(f"unshared matrix       : {unshared_time * 1000:.1f} ms")
     bench_print(f"cached matrix (cold)  : {cached_time * 1000:.1f} ms")
     bench_print(f"speedup               : {speedup:.2f}x "
                 f"(required: {MIN_SPEEDUP}x)")
@@ -109,7 +107,7 @@ def test_marker_matrix_cache_speedup(benchmark):
     write_bench_record(
         "marker_throughput",
         matrix_configs=len(MATRIX),
-        uncached_ms=round(uncached_time * 1000, 2),
+        unshared_ms=round(unshared_time * 1000, 2),
         cached_cold_ms=round(cached_time * 1000, 2),
         speedup=round(speedup, 3),
         min_speedup=MIN_SPEEDUP,
@@ -117,5 +115,5 @@ def test_marker_matrix_cache_speedup(benchmark):
         cache_misses=cache_stats["misses"])
 
     assert speedup >= MIN_SPEEDUP, (
-        f"shared compilation cache gives only {speedup:.2f}x over uncached "
+        f"shared compilation cache gives only {speedup:.2f}x over unshared "
         f"(required: {MIN_SPEEDUP}x)")

@@ -8,7 +8,7 @@ from repro.compilers.compiler import (
     SimulatedCompiler,
     make_compiler,
 )
-from repro.compilers.options import ALL_OPT_LEVELS, CompileOptions, CompilerConfig
+from repro.compilers.options import ALL_OPT_LEVELS, CompileOptions
 from repro.compilers.versions import (
     FIRST_SANITIZER_VERSION,
     LATEST_STABLE_VERSION,
@@ -29,7 +29,6 @@ __all__ = [
     "make_compiler",
     "ALL_OPT_LEVELS",
     "CompileOptions",
-    "CompilerConfig",
     "FIRST_SANITIZER_VERSION",
     "LATEST_STABLE_VERSION",
     "all_versions",

@@ -31,15 +31,14 @@ class CompiledBinary:
     report plus execution trace).
 
     ``analysis`` is where :attr:`sema` comes from.  A binary compiled
-    through a :class:`~repro.compilers.cache.CompilationCache` without a
-    sanitizer holds the cache's optimized master: ``unit`` is the master's
-    unit and ``analysis`` its
+    without a sanitizer holds the compiler's
+    :class:`~repro.compilers.cache.CompilationCache` optimized master:
+    ``unit`` is the master's unit and ``analysis`` its
     :class:`~repro.compilers.cache.OptimizedArtifact`, which analyzes the
-    unit when :meth:`run` or a ``sema`` read first needs it (the marker
-    scan reads only ``unit`` and never does).  Every such binary of one
-    master sees the same ``sema``.  Read them, never mutate them.  Any
-    other binary holds its unit's
-    :class:`~repro.cdsl.sema.SemanticInfo` itself.
+    unit when :meth:`run` or a ``sema`` read first needs it.  Every such
+    binary of one master sees the same ``sema``.  Read them, never mutate
+    them.  A sanitizer binary holds its own instrumented copy of the
+    master and the master's :class:`~repro.cdsl.sema.SemanticInfo`.
     """
 
     unit: ast.TranslationUnit

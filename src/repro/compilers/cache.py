@@ -14,12 +14,16 @@ the pipeline's phases actually depend on the configuration:
 
 :class:`CompilationCache` memoizes the first two phases, keyed by a source
 fingerprint, so an N-config differential matrix costs 1 parse +
-O(opt levels) optimizations instead of N full compiles.  One request to
-the optimized layer may ask for several keys of a source: a compile asks
-for one, and a marker survey asks for all its pipelines at once and
-builds the missing ones in one :func:`~repro.optim.passes.run_pipelines`
-walk, which runs the steps their schedules share once.  Cached units are
-immutable masters.  A frontend master is analyzed once, when it is built,
+O(opt levels) optimizations instead of N full compiles.  Every build reads
+through a cache, and outside this module only two functions of
+:mod:`repro.compilers.compiler` call its layers:
+:func:`~repro.compilers.compiler.frontend_master` and
+:func:`~repro.compilers.compiler.optimized_masters`.  One request to the
+optimized layer may ask for several keys of a source: a compile asks for
+one, and a marker survey asks for all its pipelines at once and builds the
+missing ones in one :func:`~repro.optim.passes.run_pipelines` walk, which
+runs the steps their schedules share once.  Cached units are immutable
+masters.  A frontend master is analyzed once, when it is built,
 and shared read-only: UB-program validation, marker liveness and
 reduction screening read it, and the optimizer works on a
 :func:`~repro.cdsl.visitor.fast_clone` that shares its annotations.  An
@@ -29,7 +33,8 @@ overlay asks before it instruments a ``fast_clone`` that shares the
 master's annotations, and a sanitizer-free binary asks when it runs.  An
 empty schedule (llvm -O0) builds nothing: its optimized master is the
 frontend master, with the frontend's analysis.
-Every produced binary behaves bit-identically to an uncached compile.
+Every produced binary behaves bit-identically to a compile that shares
+nothing: parse, analyze, pipeline, analyze, instrument.
 
 The two layers keep what their readers reuse.  Frontend masters stay in
 an LRU of ``max_entries`` sources: fuzz triage and
@@ -43,10 +48,11 @@ triage, and the ``markers`` survey never hits (0 of the 640 keys its 80
 requests ask for).  A larger layer
 keeps dead masters alive, and every full garbage collection walks them.
 
-The cache is shared per process: :class:`~repro.core.differential.DifferentialTester`
-and the campaign attach one cache to all their compilers, and each
-orchestrator pool worker owns the cache of its process-local campaign (the
-cache is additionally lock-protected so threaded callers cannot corrupt it).
+A compiler, tester, triager, oracle or reducer handed no cache keeps a
+private one.  A campaign hands one cache to its generator, compilers,
+triage and reduction, and each orchestrator pool worker owns the cache of
+its process-local campaign (the cache is additionally lock-protected so
+threaded callers cannot corrupt it).
 """
 
 from __future__ import annotations

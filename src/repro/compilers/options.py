@@ -35,16 +35,3 @@ class CompileOptions:
         parts.append(source)
         return " ".join(parts)
 
-
-@dataclass(frozen=True)
-class CompilerConfig:
-    """Identifies one tested configuration: compiler, version, options."""
-
-    compiler: str
-    version: int
-    options: CompileOptions
-
-    @property
-    def label(self) -> str:
-        sanitizer = self.options.sanitizer or "nosan"
-        return f"{self.compiler}-{self.version} {self.options.opt_level} {sanitizer}"

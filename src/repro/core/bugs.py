@@ -25,6 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
+from repro.compilers.cache import CompilationCache
 from repro.compilers.compiler import make_compiler
 from repro.compilers.options import ALL_OPT_LEVELS, CompileOptions
 from repro.compilers.versions import (all_versions, stable_versions,
@@ -56,11 +57,13 @@ def verdict_of(result: Optional[ExecutionResult]) -> Verdict:
 
 
 def run_cell(source: str, compiler: str, version: int, sanitizer: str,
-             opt_level: str, registry: Sequence[Defect], cache,
-             max_steps: int) -> Verdict:
-    """Compile *source* for one release with *registry* and run it: the
-    compile-and-run path of triage and :class:`~repro.triage.CrashProbe`.
-    A compile error counts in ``compile.errors`` and reads as ``None``."""
+             opt_level: str, registry: Sequence[Defect],
+             cache: CompilationCache, max_steps: int) -> Verdict:
+    """Compile *source* for one release with *registry* through *cache*
+    and run it: the compile-and-run path of triage and
+    :class:`~repro.triage.CrashProbe`, whose cells of one program share
+    its frontend and optimizer builds.  A compile error counts in
+    ``compile.errors`` and reads as ``None``."""
     simulated = make_compiler(compiler, version=version,
                               defect_registry=registry, cache=cache)
     try:
@@ -118,19 +121,23 @@ class BugTriager:
     Args:
         registry: defect registry to attribute to (default: the seeded one).
         max_steps: VM step budget per run.
-        compilation_cache: optional shared
-            :class:`~repro.compilers.cache.CompilationCache`.
+        compilation_cache: the
+            :class:`~repro.compilers.cache.CompilationCache` every cell
+            compiles through (a campaign passes its own); by default the
+            triager keeps a private one.
     """
 
     def __init__(self, registry: Optional[Sequence[Defect]] = None,
                  max_steps: int = 200_000,
-                 compilation_cache=None) -> None:
+                 compilation_cache: Optional[CompilationCache] = None) -> None:
         self.registry = list(registry) if registry is not None else default_defects()
         self.max_steps = max_steps
-        # With the campaign's CompilationCache, all cells of one program at
-        # one level share its parse and optimizer run: releases share flat
-        # pipelines, and registries only affect the sanitizer overlay.
-        self.compilation_cache = compilation_cache
+        # All cells of one program at one level share its parse and
+        # optimizer run: releases share flat pipelines, and registries only
+        # affect the sanitizer overlay.
+        self.compilation_cache = (compilation_cache
+                                  if compilation_cache is not None
+                                  else CompilationCache())
         #: (source, compiler, version, sanitizer, opt level, disabled
         #: defect id or None) -> that cell's verdict.
         self._cells: Dict[tuple, Verdict] = {}

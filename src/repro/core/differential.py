@@ -14,10 +14,10 @@ binaries, and look for discrepancies:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Union
+from typing import List, Optional, Sequence
 
 from repro.compilers.cache import CompilationCache
-from repro.compilers.compiler import SimulatedCompiler, make_compiler
+from repro.compilers.compiler import make_compiler
 from repro.compilers.options import ALL_OPT_LEVELS, CompileOptions
 from repro.core.crash_site import OracleVerdict, is_sanitizer_bug_from_results
 from repro.core.insertion import UBProgram
@@ -119,39 +119,24 @@ class DifferentialTester:
     """Compiles and runs UB programs across configurations and applies the
     crash-site mapping oracle to every discrepancy.
 
-    A single :class:`CompilationCache` is shared by all the tester's
-    compilers (``cache=True``, the default), so one program's N-config
-    matrix performs one parse and one optimizer run per opt level instead of
-    N full compiles.  ``cache=False`` selects the uncached behaviour.  With
-    caller-provided *compilers*, the default never touches them (each keeps
-    whatever cache it was built with); passing an explicit
-    :class:`CompilationCache` instance attaches it to any provided compiler
-    that has none.
+    The tester builds one trunk compiler per name in *compilers*, with
+    *defect_registry* (``None``: the seeded defects), all on one
+    :class:`CompilationCache`: *cache*, or a private one.  So one
+    program's N-config matrix performs one parse and one optimizer run per
+    opt level instead of N full compiles, and a reducer handed
+    :attr:`cache` screens candidates through the cache the compiles read.
     """
 
-    def __init__(self, compilers: Optional[Dict[str, SimulatedCompiler]] = None,
+    def __init__(self, compilers: Sequence[str] = ("gcc", "llvm"),
+                 defect_registry: Optional[Sequence] = None,
                  opt_levels: Sequence[str] = ALL_OPT_LEVELS,
                  max_steps: int = 200_000,
-                 cache: Union[CompilationCache, bool] = True) -> None:
-        explicit_cache = isinstance(cache, CompilationCache)
-        if compilers is None:
-            if cache is True:
-                cache = CompilationCache()
-            elif cache is False:
-                cache = None
-            self.cache = cache
-            compilers = {"gcc": make_compiler("gcc", cache=cache),
-                         "llvm": make_compiler("llvm", cache=cache)}
-        elif explicit_cache:
-            self.cache = cache
-            for compiler in compilers.values():
-                if compiler.cache is None:
-                    compiler.cache = cache
-        else:
-            # Caller-provided compilers keep whatever cache they were built
-            # with; without an explicit instance there is nothing to attach.
-            self.cache = None
-        self.compilers = compilers
+                 cache: Optional[CompilationCache] = None) -> None:
+        self.cache = cache if cache is not None else CompilationCache()
+        self.compilers = {name: make_compiler(name,
+                                              defect_registry=defect_registry,
+                                              cache=self.cache)
+                          for name in compilers}
         self.opt_levels = tuple(opt_levels)
         self.max_steps = max_steps
 

@@ -23,7 +23,6 @@ from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Sequence
 
 from repro.compilers.cache import CompilationCache
-from repro.compilers.compiler import make_compiler
 from repro.compilers.options import ALL_OPT_LEVELS
 from repro.core.bugs import BugReport, BugTriager
 from repro.core.differential import (
@@ -178,10 +177,8 @@ class FuzzingCampaign:
             seed=self.config.rng_seed,
             max_programs_per_type=self.config.max_programs_per_type,
             cache=self.compilation_cache)
-        compilers = {name: make_compiler(name, defect_registry=registry,
-                                         cache=self.compilation_cache)
-                     for name in self.config.compilers}
-        self.tester = DifferentialTester(compilers=compilers,
+        self.tester = DifferentialTester(compilers=self.config.compilers,
+                                         defect_registry=registry,
                                          opt_levels=self.config.opt_levels,
                                          max_steps=self.config.max_steps,
                                          cache=self.compilation_cache)

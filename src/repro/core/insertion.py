@@ -13,10 +13,10 @@ and produces a new, self-contained UB program:
    re-parse — exactly like the real tool writes out a mutated ``.c`` file.
 
 The printed source is parsed and analyzed once more to check it is still
-valid C.  Given the campaign's :class:`~repro.compilers.cache.CompilationCache`,
-that check is the cache's frontend lookup, so the analyzed master it
-builds is the very artifact the compiles of the program start from instead
-of a second parse and analysis.
+valid C.  That check is :func:`~repro.compilers.compiler.frontend_master`:
+given the campaign's :class:`~repro.compilers.cache.CompilationCache`, the
+analyzed master it builds is the very artifact the compiles of the program
+start from instead of a second parse and analysis.
 """
 
 from __future__ import annotations
@@ -27,12 +27,12 @@ from typing import Dict, Optional
 from repro.cdsl import ast_nodes as ast
 from repro.cdsl.parser import parse_program
 from repro.cdsl.printer import print_program
-from repro.cdsl.sema import analyze
 from repro.cdsl.visitor import fast_clone, insert_before, replace_node, walk
-from repro.compilers.cache import CompilationCache, source_fingerprint
+from repro.compilers.cache import CompilationCache
+from repro.compilers.compiler import frontend_master
 from repro.core.synthesis import ShadowMutation
 from repro.core.ub_types import UBType, sanitizers_for
-from repro.utils.errors import GenerationError
+from repro.utils.errors import CompilationError, GenerationError
 
 
 @dataclass
@@ -61,7 +61,8 @@ def apply_mutation(unit: ast.TranslationUnit, mutation: ShadowMutation,
     """Apply *mutation* to a clone of *unit* and return the UB program.
 
     The program is validated by parsing its source, through *cache* when
-    one is given (see the module docstring).
+    one is given and else through a cache of its own (see the module
+    docstring).
     """
     mutated = fast_clone(unit)
     by_id: Dict[int, ast.Node] = {node.node_id: node for node in walk(mutated)}
@@ -114,14 +115,11 @@ def _check_still_valid(source: str,
     """The mutated program must still be statically valid C (it only has
     *runtime* undefined behaviour).
 
-    With a cache, the check is the cache's frontend lookup for *source*,
-    which parses and analyzes it once and keeps the analyzed master.
+    The check is the frontend lookup of *source*, which parses and
+    analyzes it once; *cache* keeps the analyzed master.
     """
     try:
-        if cache is None:
-            analyze(parse_program(source))
-        else:
-            cache.frontend(source_fingerprint(source),
-                           lambda: parse_program(source))
-    except Exception as exc:
+        frontend_master(cache if cache is not None else CompilationCache(),
+                        source)
+    except CompilationError as exc:
         raise GenerationError(f"mutation produced an invalid program: {exc}") from exc

@@ -31,17 +31,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.cdsl.parser import parse_program
-from repro.cdsl.visitor import fast_clone
-from repro.compilers.cache import CompilationCache, source_fingerprint
-from repro.compilers.compiler import cached_frontend
+from repro.compilers.cache import CompilationCache
+from repro.compilers.compiler import frontend_master, optimized_masters
 from repro.compilers.versions import version_label
 from repro.markers.instrument import MarkedProgram, marker_calls
-from repro.optim.passes import (
-    OptimizationContext,
-    PassPipeline,
-    run_pipelines,
-)
+from repro.optim.passes import PassPipeline
 from repro.optim.pipelines import pipeline_for
 from repro.telemetry import runtime as telemetry
 from repro.vm.interpreter import run_program
@@ -92,16 +86,6 @@ class EliminationOracle:
 
     # -- liveness ---------------------------------------------------------------
 
-    def analyzed_unit(self, source_text: str):
-        """The analyzed frontend master of *source_text*: ``(unit, sema)``.
-
-        It is the cache's frontend entry, which every compile of the source
-        also starts from, so it is shared and must not be mutated;
-        liveness and the marker predicate only read it.
-        """
-        return self.cache.frontend(source_fingerprint(source_text),
-                                   lambda: parse_program(source_text))
-
     def liveness(self, marked: MarkedProgram,
                  analyzed=None) -> Optional[Tuple[str, ...]]:
         """The sequence of marker calls the reference execution performs,
@@ -113,12 +97,14 @@ class EliminationOracle:
         compares whole sequences).  A run that hits the step budget (a
         loop that never ends) or fails leaves markers unreached that are
         not dead, so it yields ``None`` and no caller may call any marker
-        dead from it.  *analyzed* (a ``(unit, sema)`` pair from
-        :meth:`analyzed_unit`) saves the cache lookup when the caller
-        already holds the master — the reduction predicate's hot path.
+        dead from it.  The run reads the cache's analyzed frontend master
+        (:func:`~repro.compilers.compiler.frontend_master`), shared with
+        every build of the source; *analyzed*, that ``(unit, sema)`` pair,
+        saves the lookup when the caller already holds it — the reduction
+        predicate's hot path.
         """
         unit, sema = analyzed if analyzed is not None \
-            else self.analyzed_unit(marked.source)
+            else frontend_master(self.cache, marked.source)
         reached: List[str] = []
         with telemetry.stage("oracle", kind="liveness"):
             result = run_program(unit, sema, max_steps=self.max_steps,
@@ -139,7 +125,8 @@ class EliminationOracle:
         """Compile *marked* under every config; map each to its outcome.
 
         Each config maps to its key, (compiler, opt level, effective pass
-        list), and its version-aware pipeline.  One cache request asks
+        list), and its version-aware pipeline.  One
+        :func:`~repro.compilers.compiler.optimized_masters` request asks
         for every distinct key: the missing ones are optimized in one
         :func:`~repro.optim.passes.run_pipelines` walk from a clone of the
         frontend master, so steps their schedules share run once, and an
@@ -158,23 +145,9 @@ class EliminationOracle:
                    tuple(pipeline.pass_names))
             keys[config] = key
             pipelines.setdefault(key, pipeline)
-        fingerprint = source_fingerprint(marked.source)
-
-        def build():
-            compiler = next(iter(pipelines))[0]
-            master, sema = cached_frontend(self.cache, marked.source,
-                                           fingerprint, compiler)
-            # An empty schedule changes nothing: its build is the master.
-            walked = [p for p in pipelines.values() if p.passes]
-            walks = iter(run_pipelines(fast_clone(master), sema, walked,
-                                       OptimizationContext())
-                         if walked else ())
-            return [(*next(walks), None) if p.passes else (master, (), sema)
-                    for p in pipelines.values()]
-
         with telemetry.stage("oracle", kind="survey", configs=len(configs)):
-            artifacts = dict(zip(pipelines, self.cache.optimized(
-                fingerprint, list(pipelines), build)))
+            artifacts = dict(zip(pipelines, optimized_masters(
+                self.cache, marked.source, pipelines)))
             scans: Dict[int, frozenset] = {}
             outcomes = {}
             for config, key in keys.items():

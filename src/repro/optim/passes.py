@@ -24,11 +24,10 @@ from repro.cdsl.visitor import fast_clone
 
 @dataclass
 class OptimizationContext:
-    """Configuration shared by all passes of one compilation."""
+    """What the passes of one build share: the coverage tracker they
+    record into, if any.  Passes read nothing else, which is what lets
+    one walk share steps across compilers, releases and levels."""
 
-    compiler: str = "gcc"
-    version: int = 14
-    opt_level: str = "-O0"
     coverage: object = None
 
     def cover_branch(self, site: str, taken: bool) -> None:

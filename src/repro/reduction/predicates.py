@@ -26,6 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Sequence, Tuple
 
+from repro.compilers.compiler import frontend_master
 from repro.core.crash_site import format_crash_site, is_sanitizer_bug_from_results
 from repro.core.differential import (
     DifferentialTester,
@@ -254,7 +255,7 @@ def make_marker_predicate(finding, oracle=None) -> Predicate:
             # already built by the reducer's validity check) serves the
             # function-liveness check and the reference execution; the
             # survey below optimizes a clone of the same master.
-            unit, sema = oracle.analyzed_unit(source)
+            unit, sema = frontend_master(oracle.cache, source)
             reached = oracle.liveness(marked, analyzed=(unit, sema))
             if reached is None:
                 return False

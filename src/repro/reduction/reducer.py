@@ -23,11 +23,12 @@ passes' deterministic order and in this process, and the first accepted
 one is applied: most steps accept an early candidate, so judging more of
 them at once would mostly be wasted work.
 
-The reducer runs one frontend per candidate.  The validity check is a
-frontend lookup in the :class:`~repro.compilers.cache.CompilationCache`
-the predicate compiles through, so the predicate's compiles start from
-the analyzed master it built, and each pass reads the master of the
-current program instead of parsing it again.
+The reducer runs one frontend per candidate.  The validity check is
+:func:`~repro.compilers.compiler.frontend_master` on the
+:class:`~repro.compilers.cache.CompilationCache` the predicate compiles
+through, so the predicate's compiles start from the analyzed master it
+built, and each pass reads the master of the current program instead of
+parsing it again.
 """
 
 from __future__ import annotations
@@ -39,8 +40,8 @@ from typing import Callable, List, Optional, Sequence, Set
 
 from repro.cdsl import ast_nodes as ast
 from repro.cdsl.lexer import tokenize
-from repro.cdsl.parser import parse_program
-from repro.compilers.cache import CompilationCache, source_fingerprint
+from repro.compilers.cache import CompilationCache
+from repro.compilers.compiler import frontend_master
 from repro.reduction import passes
 from repro.telemetry import runtime as telemetry
 from repro.utils.errors import ReductionError, ReproError
@@ -125,7 +126,7 @@ class HierarchicalReducer:
         rejects every candidate simply returns the input unchanged.
         """
         try:
-            self._frontend(source)
+            frontend_master(self.cache, source)
         except ReproError as exc:
             raise ReductionError(f"cannot reduce invalid source: {exc}") from exc
         start = time.perf_counter()
@@ -172,7 +173,7 @@ class HierarchicalReducer:
         changed = False
         granularity = 2
         while True:
-            unit, _ = self._frontend(self._current)
+            unit, _ = frontend_master(self.cache, self._current)
             items = items_fn(unit)
             if not items:
                 break
@@ -194,7 +195,7 @@ class HierarchicalReducer:
         """Apply one AST pass repeatedly until no candidate is accepted."""
         changed = False
         while True:
-            unit, _ = self._frontend(self._current)
+            unit, _ = frontend_master(self.cache, self._current)
             if pass_name == "flatten":
                 candidates = list(passes.flatten_candidates(unit))
             elif pass_name == "unswitch":
@@ -237,19 +238,12 @@ class HierarchicalReducer:
 
     # -- frontend -------------------------------------------------------------------
 
-    def _frontend(self, source: str):
-        """The cache's analyzed master of *source*: ``(unit, sema)``.  The
-        passes read it and edit clones."""
-        return self.cache.frontend(source_fingerprint(source),
-                                   lambda: parse_program(source))
-
     def _is_valid(self, source: str) -> bool:
-        """Whether *source* parses and passes semantic analysis."""
+        """Whether *source* parses and passes semantic analysis; deeply
+        nested candidates fail it too, as a ``CompilationError``."""
         try:
-            self._frontend(source)
+            frontend_master(self.cache, source)
         except ReproError:
-            return False
-        except RecursionError:  # deeply nested candidates - reject, don't crash
             return False
         return True
 

@@ -67,7 +67,7 @@ def test_layout_holds_through_frontend_and_every_pass(compiler, sample_ub_progra
     assert_declared_layout(unit)
     sema = analyze(unit)
     assert_declared_layout(unit)
-    ctx = OptimizationContext(compiler=compiler, opt_level="-O3")
+    ctx = OptimizationContext()
     for opt_pass in pipeline_for(compiler, "-O3").passes:
         opt_pass.run(unit, sema, ctx)
         assert_declared_layout(unit)

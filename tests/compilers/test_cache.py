@@ -15,6 +15,7 @@ from repro.cdsl.parser import parse_program
 from repro.cdsl.printer import print_program
 from repro.cdsl.visitor import find_nodes, walk
 from repro.compilers import (
+    ALL_OPT_LEVELS,
     CompilationCache,
     GccCompiler,
     LlvmCompiler,
@@ -22,12 +23,14 @@ from repro.compilers import (
     make_compiler,
 )
 from repro.core import CampaignConfig, FuzzingCampaign
-from repro.core.differential import DifferentialTester, TestConfig
+from repro.core.differential import ConfigOutcome, DifferentialTester, TestConfig
 from repro.core.ub_types import ALL_UB_TYPES
 from repro.core.ubgen import UBGenerator
 from repro.optim.pipelines import pipeline_for
 from repro.seedgen import CsmithGenerator, GeneratorConfig
 from repro.utils.errors import CompilationError
+
+from reference_compile import reference_compile
 
 SOURCE = """\
 int g = 3;
@@ -103,16 +106,27 @@ def test_cache_clear_resets_state():
 @pytest.mark.parametrize("compiler_cls,sanitizers",
                          [(GccCompiler, ("asan", "ubsan")),
                           (LlvmCompiler, ("asan", "ubsan", "msan"))])
-def test_cached_compiles_are_bit_identical_to_uncached(compiler_cls, sanitizers):
-    cached = compiler_cls(cache=CompilationCache())
-    uncached = compiler_cls()
-    for sanitizer in (None,) + sanitizers:
-        for level in ("-O0", "-O2", "-O3"):
-            a = cached.compile(SOURCE, opt_level=level, sanitizer=sanitizer)
-            b = uncached.compile(SOURCE, opt_level=level, sanitizer=sanitizer)
-            assert a.passes_run == b.passes_run
-            assert print_program(a.unit) == print_program(b.unit)
-            assert a.run() == b.run(), (sanitizer, level)
+def test_cached_compiles_are_bit_identical_to_uncached(compiler_cls, sanitizers,
+                                                       sample_seeds,
+                                                       sample_ub_programs):
+    """Every compile through the cache equals the reference compile (parse,
+    analyze, pipeline, analyze, instrument; nothing shared) on passes run,
+    printed unit and run result: a handwritten program, generated seeds
+    and UB programs of three types, at every level and sanitizer."""
+    sources = [SOURCE] + [seed.source for seed in sample_seeds[:2]]
+    sources += [programs[0].source
+                for programs in sample_ub_programs.values() if programs][:3]
+    compiler = compiler_cls()
+    for source in sources:
+        for level in ALL_OPT_LEVELS:
+            for sanitizer in (None,) + sanitizers:
+                a = compiler.compile(source, opt_level=level,
+                                     sanitizer=sanitizer)
+                b = reference_compile(source, compiler.name, level, sanitizer)
+                label = (sources.index(source), level, sanitizer)
+                assert a.passes_run == b.passes_run, label
+                assert print_program(a.unit) == print_program(b.unit), label
+                assert a.run() == b.run(), label
 
 
 # -- analyzed, shared masters --------------------------------------------------
@@ -121,17 +135,20 @@ def test_cached_compiles_are_bit_identical_to_uncached(compiler_cls, sanitizers)
 @pytest.mark.parametrize("compiler_cls", [GccCompiler, LlvmCompiler])
 def test_sanitizer_free_compiles_share_the_analyzed_master(compiler_cls,
                                                            monkeypatch):
+    import repro.compilers.cache as cache_module
     compiler = compiler_cls(cache=CompilationCache())
     first = compiler.compile(SOURCE, opt_level="-O2")
+    sema = first.sema
     calls = []
-    for name in ("fast_clone", "analyze"):
-        def counted(*args, _name=name, _original=getattr(compiler_module, name)):
+    for module, name in ((compiler_module, "fast_clone"),
+                         (cache_module, "analyze")):
+        def counted(*args, _name=name, _original=getattr(module, name)):
             calls.append(_name)
             return _original(*args)
-        monkeypatch.setattr(compiler_module, name, counted)
+        monkeypatch.setattr(module, name, counted)
     second = compiler.compile(SOURCE, opt_level="-O2")
     assert second.unit is first.unit
-    assert second.sema is first.sema
+    assert second.sema is sema
     assert calls == []
     assert second.run() == first.run()
 
@@ -161,7 +178,6 @@ def test_empty_schedule_build_is_the_analyzed_frontend_master(monkeypatch):
                                   lambda: parse_program(SOURCE))
     calls = []
     for module, name in ((compiler_module, "fast_clone"),
-                         (compiler_module, "analyze"),
                          (cache_module, "analyze")):
         def counted(*args, _name=name, _original=getattr(module, name)):
             calls.append(_name)
@@ -173,8 +189,7 @@ def test_empty_schedule_build_is_the_analyzed_frontend_master(monkeypatch):
     assert binary.passes_run == ()
     assert calls == []
     monkeypatch.undo()
-    assert binary.run() == LlvmCompiler().compile(SOURCE,
-                                                  opt_level="-O0").run()
+    assert binary.run() == reference_compile(SOURCE, "llvm", "-O0").run()
 
 
 @pytest.mark.parametrize("sanitizer", ["asan", "ubsan", "msan"])
@@ -187,8 +202,8 @@ def test_empty_schedule_overlay_leaves_the_master_unchanged(sanitizer):
     assert binary.unit is not master
     assert find_nodes(binary.unit, ast.SanitizerCheck)
     assert print_program(master) == text
-    assert binary.run() == LlvmCompiler().compile(
-        SOURCE, opt_level="-O0", sanitizer=sanitizer).run()
+    assert binary.run() == reference_compile(SOURCE, "llvm", "-O0",
+                                             sanitizer).run()
 
 
 @pytest.mark.parametrize("level", ["-O0", "-O1", "-Os", "-O2", "-O3"])
@@ -212,14 +227,19 @@ def test_cached_differential_matrix_matches_uncached_on_ub_program():
     configs = [TestConfig("llvm", sanitizer, level)
                for sanitizer in ("asan", "ubsan", "msan")
                for level in ("-O0", "-O2", "-O3")]
-    cached = DifferentialTester().test(program, configs=configs)
-    uncached = DifferentialTester(cache=False).test(program, configs=configs)
-    assert len(cached.outcomes) == len(uncached.outcomes) == 9
-    for a, b in zip(cached.outcomes, uncached.outcomes):
+    tester = DifferentialTester()
+    cached = tester.test(program, configs=configs)
+    reference = tester.analyze(program, [
+        ConfigOutcome(config, reference_compile(
+            program.source, config.compiler, config.opt_level,
+            config.sanitizer).run(max_steps=tester.max_steps))
+        for config in configs])
+    assert len(cached.outcomes) == len(reference.outcomes) == 9
+    for a, b in zip(cached.outcomes, reference.outcomes):
         assert a.config == b.config
         assert a.result == b.result
-        assert a.error == b.error
-    assert len(cached.fn_candidates) == len(uncached.fn_candidates)
+        assert a.error is None
+    assert len(cached.fn_candidates) == len(reference.fn_candidates)
 
 
 def test_parse_errors_are_not_cached_as_artifacts():
@@ -243,14 +263,13 @@ def test_cached_optimized_build_analyzes_once(monkeypatch):
     analyzes its new artifact before instrumenting a copy."""
     import repro.compilers.cache as cache_module
     analyses = []
-    real_analyze = compiler_module.analyze
+    real_analyze = cache_module.analyze
 
     def counting_analyze(unit):
         analyses.append(unit)
         return real_analyze(unit)
 
-    for module in (cache_module, compiler_module):
-        monkeypatch.setattr(module, "analyze", counting_analyze)
+    monkeypatch.setattr(cache_module, "analyze", counting_analyze)
     cache = CompilationCache()
     gcc = GccCompiler(cache=cache)
     binary = gcc.compile(SOURCE, opt_level="-O0")
@@ -413,21 +432,27 @@ def test_threaded_compilers_share_one_cache_without_corruption():
 
 
 def test_campaign_shares_cache_and_stays_deterministic():
-    """A campaign's seeds (cache attached) produce batches identical to a
-    cache-disabled campaign's, and actually exercise the cache."""
+    """A campaign's seeds share one cache across generation, matrix and
+    triage, and every matrix outcome equals the run of the reference
+    compile, which shares nothing."""
     config = CampaignConfig(num_seeds=2, rng_seed=7, max_programs_per_type=1,
                             opt_levels=("-O0", "-O2"))
     campaign = FuzzingCampaign(config)
     cached_batches = [campaign.run_seed(i) for i in range(2)]
     assert campaign.compilation_cache.stats()["hits"] > 0
+    for compiler in campaign.tester.compilers.values():
+        assert compiler.cache is campaign.compilation_cache
+    assert campaign.triager.compilation_cache is campaign.compilation_cache
 
-    plain = FuzzingCampaign(config)
-    for compiler in plain.tester.compilers.values():
-        compiler.cache = None
-    for batch, index in zip(cached_batches, range(2)):
-        uncached = plain.run_seed(index)
-        assert batch.seed_index == uncached.seed_index
-        assert batch.programs_generated == uncached.programs_generated
-        assert len(batch.diff_results) == len(uncached.diff_results)
-        for a, b in zip(batch.diff_results, uncached.diff_results):
-            assert [o.result for o in a.outcomes] == [o.result for o in b.outcomes]
+    outcomes = 0
+    for batch in cached_batches:
+        for result in batch.diff_results:
+            for outcome in result.outcomes:
+                cell = outcome.config
+                reference = reference_compile(
+                    result.program.source, cell.compiler, cell.opt_level,
+                    cell.sanitizer, defect_registry=campaign.registry)
+                assert outcome.result == reference.run(
+                    max_steps=config.max_steps), outcome.config
+                outcomes += 1
+    assert outcomes

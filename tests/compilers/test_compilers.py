@@ -5,7 +5,6 @@ import pytest
 from repro.compilers import (
     ALL_OPT_LEVELS,
     CompileOptions,
-    CompilerConfig,
     GccCompiler,
     LlvmCompiler,
     all_versions,
@@ -27,11 +26,6 @@ def test_compile_options_command_line():
     options = CompileOptions(opt_level="-O2", sanitizer="asan")
     line = options.command_line("gcc", "a.c")
     assert line == "gcc -O2 -fsanitize=address -g a.c"
-
-
-def test_compiler_config_label():
-    config = CompilerConfig("llvm", 17, CompileOptions(opt_level="-O1", sanitizer="msan"))
-    assert config.label == "llvm-17 -O1 msan"
 
 
 def test_make_compiler_factory():
@@ -61,14 +55,6 @@ def test_compile_and_run_simple_program(simple_source, clean_gcc):
     result = binary.run()
     assert result.status == "ok"
     assert result.exit_code == 10 + 3 + 5
-
-
-def test_compile_accepts_parsed_unit_without_mutating_it(simple_unit, clean_gcc):
-    from repro.cdsl import print_program
-    before = print_program(simple_unit)
-    binary = clean_gcc.compile(simple_unit, opt_level="-O3")
-    assert binary.run().status == "ok"
-    assert print_program(simple_unit) == before
 
 
 def test_compile_all_opt_levels_same_behaviour(simple_source, clean_gcc, clean_llvm):

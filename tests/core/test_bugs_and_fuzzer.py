@@ -115,6 +115,26 @@ def test_triager_attributes_candidate_to_defect(small_campaign):
     assert report.ub_type == candidate.program.ub_type
 
 
+def test_standalone_triager_compiles_every_cell_through_one_cache(
+        small_campaign, monkeypatch):
+    """A triager built without a cache keeps one private cache for its
+    lifetime: every cell it compiles reads through it, so one program's
+    cells share its frontend master."""
+    triager = BugTriager()
+    caches = set()
+    real_compile = SimulatedCompiler.compile
+
+    def recording_compile(self, *args, **kwargs):
+        caches.add(id(self.cache))
+        return real_compile(self, *args, **kwargs)
+
+    monkeypatch.setattr(SimulatedCompiler, "compile", recording_compile)
+    triager.triage_fn_candidate(small_campaign.fn_candidates[0])
+    assert caches == {id(triager.compilation_cache)}
+    assert triager.compilation_cache.stats()["frontend_entries"] == 1
+    assert triager.compilation_cache.stats()["hits"] > 0
+
+
 def test_triager_status_fixed_requires_fixed_version(small_campaign):
     for report in small_campaign.bug_reports:
         if report.status == STATUS_FIXED:

@@ -286,10 +286,8 @@ def test_differential_tester_finds_fn_candidate_for_figure1(figure1_source):
 def test_differential_tester_reports_no_bug_without_discrepancy():
     program = UBProgram(source="int d = 0; int main() { return 5 / d; }",
                         ub_type=UBType.DIVIDE_BY_ZERO)
-    tester = DifferentialTester(
-        compilers={"gcc": GccCompiler(defect_registry=[]),
-                   "llvm": LlvmCompiler(defect_registry=[])},
-        opt_levels=("-O0", "-O1"))
+    tester = DifferentialTester(compilers=("gcc", "llvm"), defect_registry=[],
+                                opt_levels=("-O0", "-O1"))
     result = tester.test(program)
     assert result.any_detection
     assert not result.fn_candidates

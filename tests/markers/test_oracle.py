@@ -117,7 +117,7 @@ def test_survey_runs_each_shared_pass_prefix_once(marked, monkeypatch):
         assert outcomes[config] == reference[config], config
 
 
-def test_versioned_pipelines_differ_across_releases(marked):
+def test_version_aware_pipelines_differ_across_releases(marked):
     oracle = EliminationOracle()
     # The seeded gcc constprop defect window is [11, 12): -O2 loses the pass.
     healthy = oracle.compile_one(marked, MarkerConfig("gcc", 10, "-O2"))

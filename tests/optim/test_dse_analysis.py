@@ -85,7 +85,6 @@ def test_every_fixpoint_step_matches_the_reference(
                 unit = parse_program(source)
                 sema = analyze(unit)
                 pipeline_for(compiler, level).run(
-                    unit, sema, OptimizationContext(compiler=compiler,
-                                                    opt_level=level))
+                    unit, sema, OptimizationContext())
     assert len(sources) >= 10
     assert any(steps) and not all(steps)

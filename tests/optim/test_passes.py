@@ -319,7 +319,7 @@ def test_pipeline_runs_to_fixpoint_and_reports_changes():
     unit = parse_program(source)
     info = analyze(unit)
     pipeline = pipeline_for("gcc", "-O2")
-    changed = pipeline.run(unit, info, OptimizationContext(opt_level="-O2"))
+    changed = pipeline.run(unit, info, OptimizationContext())
     assert "constant-fold" in changed or "constprop" in changed
 
 

@@ -24,8 +24,9 @@ from hypothesis import strategies as st
 
 from repro.cdsl import analyze, parse_program
 from repro.compilers import CompilationCache, all_versions, make_compiler
-from repro.markers import MarkerPlanter
-from repro.optim.pipelines import OPT_LEVELS
+from repro.compilers.compiler import optimized_masters
+from repro.markers import EliminationOracle, MarkerConfig, MarkerPlanter
+from repro.optim.pipelines import OPT_LEVELS, pipeline_for
 from repro.seedgen import CsmithGenerator, GeneratorConfig
 from repro.vm.interpreter import run_program
 
@@ -82,22 +83,40 @@ def test_flat_pipelines_preserve_observable_behaviour(compiler_name,
 
 @pytest.mark.parametrize("compiler_name", ["gcc", "llvm"])
 @settings(max_examples=6, deadline=None)
-@given(data=st.data())
-def test_versioned_pipelines_preserve_observable_behaviour(compiler_name,
-                                                           data):
+@given(seed_index=st.integers(min_value=0, max_value=40))
+def test_version_aware_pipelines_preserve_observable_behaviour(compiler_name,
+                                                               seed_index):
     """Release-history pipelines (pass introductions and seeded optimizer
-    defect windows) only ever retain more — they never change behaviour."""
-    seed_index = data.draw(st.integers(min_value=0, max_value=40),
-                           label="seed_index")
-    version = data.draw(st.sampled_from(all_versions(compiler_name)),
-                        label="version")
-    opt_level = data.draw(st.sampled_from(list(OPT_LEVELS)),
-                          label="opt_level")
+    defect windows) only ever retain more — they never change behaviour.
+
+    The units checked are the ones a marker survey builds: a survey of
+    every release and level of the compiler optimizes all its distinct
+    versioned pipelines in one walk, cloning where schedules diverge, and
+    each distinct unit is analyzed and run."""
     seed = _generator.generate(seed_index)
     marked = _planter.plant(seed.source, seed_index=seed_index)
     reference = _reference(marked)
-    compiler = make_compiler(compiler_name, version=version, cache=_cache,
-                             versioned_pipelines=True)
-    binary = compiler.compile(marked.source, opt_level=opt_level)
-    _assert_equivalent(marked, reference, _observe(binary, marked),
-                       f"{compiler_name}-{version} {opt_level} (versioned)")
+    configs = [MarkerConfig(compiler_name, version, opt_level)
+               for version in all_versions(compiler_name)
+               for opt_level in OPT_LEVELS]
+    oracle = EliminationOracle()
+    oracle.survey(marked, configs)
+    pipelines = {}
+    for config in configs:
+        pipeline = pipeline_for(config.compiler, config.opt_level,
+                                config.version)
+        pipelines.setdefault((config.compiler, config.opt_level,
+                              tuple(pipeline.pass_names)), pipeline)
+    misses = oracle.cache.stats()["misses"]
+    artifacts = optimized_masters(oracle.cache, marked.source, pipelines)
+    assert oracle.cache.stats()["misses"] == misses, "not the survey's builds"
+    units = {id(artifact): (key, artifact)
+             for key, artifact in zip(pipelines, artifacts)}
+    assert len(units) > 1
+    for key, artifact in units.values():
+        reached = []
+        result = run_program(artifact.unit, artifact.sema, max_steps=MAX_STEPS,
+                             call_hook=lambda name: reached.append(name)
+                             if name.startswith(marked.prefix) else None)
+        _assert_equivalent(marked, reference, (result, tuple(reached)),
+                           f"{key} (versioned)")

@@ -19,6 +19,7 @@ from repro.reduction import (
 )
 from repro.reduction.reducer import token_count
 from repro.reduction import passes
+from repro.sanitizers.defects import default_defects
 from repro.utils.errors import ReductionError
 
 NESTED_LOOP_SOURCE = """\
@@ -148,6 +149,44 @@ def test_reducer_runs_one_frontend_per_candidate(monkeypatch):
         candidate.program.source)
     assert private.reduced_source == result.reduced_source
     assert private.predicate_evaluations == result.predicate_evaluations
+
+
+def test_reduction_through_a_tester_of_chosen_compilers_parses_once(
+        figure1_source, monkeypatch):
+    """A tester built from compiler names and a registry compiles through
+    one cache, and the reducer screens candidates through it: each
+    candidate the predicate judges is parsed once, by the validity check,
+    and its compiles reuse that parse."""
+    program = UBProgram(source=figure1_source,
+                        ub_type=UBType.BUFFER_OVERFLOW_POINTER)
+    tester = DifferentialTester(compilers=("gcc",),
+                                defect_registry=default_defects(),
+                                opt_levels=("-O0", "-O2"))
+    candidate = tester.test(program).fn_candidates[0]
+    parses = Counter()
+    real_parse = parser_module.parse_program
+
+    def counting_parse(source):
+        parses[source] += 1
+        return real_parse(source)
+
+    for module in list(sys.modules.values()):
+        if (module is not None and module.__name__.startswith("repro")
+                and getattr(module, "parse_program", None) is real_parse):
+            monkeypatch.setattr(module, "parse_program", counting_parse)
+    judged = set()
+    real_run_config = tester.run_config
+
+    def recording_run_config(candidate_program, config):
+        judged.add(candidate_program.source)
+        return real_run_config(candidate_program, config)
+
+    monkeypatch.setattr(tester, "run_config", recording_run_config)
+    _, result = reduce_fn_candidate(candidate, tester=tester, max_rounds=2)
+    assert result.edits_applied >= 1
+    assert len(judged) > 1
+    assert all(parses[source] == 1 for source in judged)
+    assert max(parses.values()) == 1
 
 
 # -- pass-level sanity --------------------------------------------------------------
