@@ -4,10 +4,9 @@
 Two overlapping fuzzing campaigns write into a single SQLite findings
 database.  The second campaign re-finds the first one's crash buckets and
 the database marks them as *recurrences* (first seen by campaign A) instead
-of double-counting them; a third campaign runs in ``resurvey`` mode and
-skips every (program, compiler, opt-level, sanitizer) outcome cell the
-database already recorded — the incremental re-run that makes a long-lived
-bug-finding service cheap to keep fresh.
+of double-counting them.  The database changes how buckets are counted,
+never which configurations run, so each campaign files the bugs its own
+config finds.
 
 Run:  python examples/findings_service.py [--smoke]
 
@@ -29,19 +28,14 @@ from repro.utils.text import format_table
 
 
 def run_campaign(label: str, config: CampaignConfig, corpus_dir: str,
-                 db_path: str, resurvey: bool = False):
+                 db_path: str):
     store = CorpusStore(root=corpus_dir, db_path=db_path, campaign_key=label)
-    campaign = OrchestratedCampaign(config, corpus=store, resurvey=resurvey)
+    campaign = OrchestratedCampaign(config, corpus=store)
     result = campaign.run()
     print(f"-> {label}: {result.stats.programs_tested} programs tested, "
           f"{store.unique_crashes} buckets "
           f"({store.new_global_buckets} new, "
           f"{store.recurrent_buckets} recurrent)")
-    if resurvey:
-        total = campaign.surveyed_cells + campaign.skipped_cells
-        share = campaign.skipped_cells / total if total else 0.0
-        print(f"   resurvey skipped {campaign.skipped_cells}/{total} "
-              f"outcome cells already in the database ({share:.0%})")
     return campaign
 
 
@@ -67,10 +61,6 @@ def main() -> None:
             origin = (f"first seen by {bucket.first_seen['campaign']}"
                       if bucket.recurrence else "new in this campaign")
             print(f"   {bucket.slug}: {origin}")
-
-        print("\n=== campaign C (--resurvey: incremental re-run) ===")
-        run_campaign("campaign-c", wide, str(Path(workdir) / "c"),
-                     db_path, resurvey=True)
 
         print("\n=== the cross-campaign ledger ===")
         with FindingsDB(db_path) as db:

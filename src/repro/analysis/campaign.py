@@ -14,8 +14,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 from typing import Dict, List, Optional, Tuple
 
+from repro.compilers.cache import CompilationCache
 from repro.compilers.compiler import make_compiler
 from repro.compilers.options import CompileOptions
+from repro.core.differential import TestConfig, run_cell
 from repro.core.fuzzer import CampaignConfig, CampaignResult
 from repro.core.insertion import UBProgram
 from repro.core.ub_types import ALL_UB_TYPES, UBType, ub_type_of_report
@@ -27,7 +29,7 @@ from repro.seedgen.config import GeneratorConfig
 from repro.seedgen.csmith import CsmithGenerator, CsmithNoSafeGenerator, SeedProgram
 from repro.seedgen.juliet import generate_juliet_suite
 from repro.seedgen.music import MusicMutator
-from repro.utils.errors import CompilationError, GenerationError, ReproError
+from repro.utils.errors import GenerationError, ReproError
 
 # ---------------------------------------------------------------------------
 # RQ1: bug finding (Table 3, Table 6, Figures 7/10/11)
@@ -134,19 +136,15 @@ def classify_ub(source: str, max_steps: int = 120_000) -> Optional[UBType]:
     Returns the UB type of the first sanitizer report, or None when no
     sanitizer reports anything (the program is treated as UB-free).  This is
     the paper's procedure for labelling MUSIC / Csmith-NoSafe programs
-    (§4.3, footnote 4).
+    (§4.3, footnote 4).  The configs share one compilation cache, so the
+    source is parsed once.
     """
+    cache = CompilationCache()
     for compiler_name, sanitizer in _UB_CLASSIFIER_CONFIGS:
-        if sanitizer not in sanitizers_supported_by(compiler_name):
-            continue
-        compiler = make_compiler(compiler_name, defect_registry=[])
-        try:
-            binary = compiler.compile(source, CompileOptions(opt_level="-O0",
-                                                             sanitizer=sanitizer))
-        except CompilationError:
-            continue
-        result = binary.run(max_steps=max_steps)
-        if result.crashed and result.report is not None:
+        result = run_cell(cache, source,
+                          TestConfig(compiler_name, sanitizer, "-O0"), [],
+                          max_steps).result
+        if result is not None and result.crashed and result.report is not None:
             ub = ub_type_of_report(result.report.kind)
             if ub is not None:
                 return ub
@@ -306,6 +304,7 @@ def evaluate_oracle_accuracy(campaign: CampaignResult,
     the miss was caused by a seeded defect (a true bug); if it still misses,
     the UB was optimized away and the discrepancy was optimization-caused.
     """
+    cache = CompilationCache()
     selected = 0
     true_positives = 0
     false_positives = 0
@@ -316,7 +315,8 @@ def evaluate_oracle_accuracy(campaign: CampaignResult,
             continue
         for candidate in diff.fn_candidates:
             selected += 1
-            if _ground_truth_is_bug(candidate.program, candidate.missing.config):
+            if _ground_truth_is_bug(cache, candidate.program,
+                                    candidate.missing.config):
                 true_positives += 1
             else:
                 false_positives += 1
@@ -332,7 +332,7 @@ def evaluate_oracle_accuracy(campaign: CampaignResult,
     missed = 0
     sample = dropped_cases[:dropped_sample]
     for program, config in sample:
-        if _ground_truth_is_bug(program, config):
+        if _ground_truth_is_bug(cache, program, config):
             missed += 1
 
     discrepant = sum(1 for d in campaign.differential_results if d.has_discrepancy)
@@ -344,17 +344,11 @@ def evaluate_oracle_accuracy(campaign: CampaignResult,
                           missed_bugs_in_sample=missed)
 
 
-def _ground_truth_is_bug(program: UBProgram, config) -> bool:
+def _ground_truth_is_bug(cache: CompilationCache, program: UBProgram,
+                         config: TestConfig) -> bool:
     """Would a defect-free build of this configuration detect the UB?"""
-    compiler = make_compiler(config.compiler, defect_registry=[])
-    try:
-        binary = compiler.compile(program.source,
-                                  CompileOptions(opt_level=config.opt_level,
-                                                 sanitizer=config.sanitizer))
-    except CompilationError:
-        return False
-    result = binary.run(max_steps=150_000)
-    return result.crashed
+    result = run_cell(cache, program.source, config, [], 150_000).result
+    return result is not None and result.crashed
 
 
 # ---------------------------------------------------------------------------

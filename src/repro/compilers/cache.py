@@ -37,11 +37,12 @@ Every produced binary behaves bit-identically to a compile that shares
 nothing: parse, analyze, pipeline, analyze, instrument.
 
 The two layers keep what their readers reuse.  Frontend masters stay in
-an LRU of ``max_entries`` sources: fuzz triage and
-:func:`~repro.core.bugs.run_cell` come back to a program's master long
-after it was built.  The optimized layer holds the builds of one source,
-the one optimized most recently, and optimizing another source drops
-them.  Logging every lookup showed why that is enough: all optimized hits
+an LRU of ``max_entries`` sources: fuzz triage and its
+:class:`~repro.triage.CrashProbe` (both through
+:func:`~repro.core.differential.run_cell`) come back to a program's
+master long after it was built.  The optimized layer holds the builds
+of one source, the one optimized most recently, and optimizing another
+source drops them.  Logging every lookup showed why that is enough: all optimized hits
 of the bench ``fuzz`` campaign (82 of 521 lookups) reuse a build at most
 3 builds old and of the same source, within one program's matrix or its
 triage, and the ``markers`` survey never hits (0 of the 640 keys its 80

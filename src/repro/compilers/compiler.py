@@ -20,7 +20,7 @@ for a marker survey (all its pipelines) alike.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence, Type
 
 from repro.cdsl.parser import parse_program
 from repro.cdsl.visitor import fast_clone
@@ -199,6 +199,15 @@ class LlvmCompiler(SimulatedCompiler):
 _COMPILER_CLASSES = {"gcc": GccCompiler, "llvm": LlvmCompiler}
 
 
+def compiler_class(name: str) -> Type[SimulatedCompiler]:
+    """The simulated compiler class called *name*: ``"gcc"`` or ``"llvm"``
+    (raises ``KeyError`` otherwise)."""
+    try:
+        return _COMPILER_CLASSES[name]
+    except KeyError as exc:
+        raise KeyError(f"unknown compiler {name!r}") from exc
+
+
 def make_compiler(name: str, version: Optional[int] = None,
                   defect_registry: Optional[Sequence] = None,
                   coverage=None,
@@ -219,9 +228,6 @@ def make_compiler(name: str, version: Optional[int] = None,
         result = compiler.compile("int main() { return 0; }",
                                   opt_level="-O2", sanitizer="asan").run()
     """
-    try:
-        cls = _COMPILER_CLASSES[name]
-    except KeyError as exc:
-        raise KeyError(f"unknown compiler {name!r}") from exc
-    return cls(version=version, defect_registry=defect_registry,
-               coverage=coverage, cache=cache)
+    return compiler_class(name)(version=version,
+                                defect_registry=defect_registry,
+                                coverage=coverage, cache=cache)

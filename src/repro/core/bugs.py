@@ -23,62 +23,24 @@ reported their findings:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence
 
 from repro.compilers.cache import CompilationCache
-from repro.compilers.compiler import make_compiler
-from repro.compilers.options import ALL_OPT_LEVELS, CompileOptions
+from repro.compilers.options import ALL_OPT_LEVELS
 from repro.compilers.versions import (all_versions, stable_versions,
                                       trunk_version)
 from repro.core.differential import (DifferentialResult, FNBugCandidate,
-                                     WrongReportCandidate)
+                                     TestConfig, Verdict,
+                                     WrongReportCandidate, detected,
+                                     run_cell, verdict_of)
 from repro.core.insertion import UBProgram
-from repro.core.ub_types import UBType, detects
+from repro.core.ub_types import UBType
 from repro.sanitizers.defects import Defect, default_defects
-from repro.telemetry import runtime as telemetry
-from repro.utils.errors import CompilationError
-from repro.vm.errors import ExecutionResult
 
 STATUS_REPORTED = "reported"
 STATUS_CONFIRMED = "confirmed"
 STATUS_FIXED = "fixed"
 STATUS_INVALID = "invalid"
-
-#: What triage reads of one compile+run: the run's status and its
-#: report's kind, or ``None`` when the program did not compile.
-Verdict = Optional[Tuple[str, Optional[str]]]
-
-
-def verdict_of(result: Optional[ExecutionResult]) -> Verdict:
-    if result is None:
-        return None
-    report = result.report
-    return result.status, report.kind if report is not None else None
-
-
-def run_cell(source: str, compiler: str, version: int, sanitizer: str,
-             opt_level: str, registry: Sequence[Defect],
-             cache: CompilationCache, max_steps: int) -> Verdict:
-    """Compile *source* for one release with *registry* through *cache*
-    and run it: the compile-and-run path of triage and
-    :class:`~repro.triage.CrashProbe`, whose cells of one program share
-    its frontend and optimizer builds.  A compile error counts in
-    ``compile.errors`` and reads as ``None``."""
-    simulated = make_compiler(compiler, version=version,
-                              defect_registry=registry, cache=cache)
-    try:
-        binary = simulated.compile(source, CompileOptions(
-            opt_level=opt_level, sanitizer=sanitizer))
-    except CompilationError:
-        telemetry.inc("compile.errors")
-        return None
-    return verdict_of(binary.run(max_steps=max_steps))
-
-
-def detected(verdict: Verdict, ub_type: UBType) -> bool:
-    """Did the run abort with a report that detects *ub_type*?"""
-    return (verdict is not None and verdict[0] == "sanitizer_report"
-            and detects(ub_type, verdict[1]))
 
 
 @dataclass
@@ -224,10 +186,11 @@ class BugTriager:
         key = (program.source, compiler, version, sanitizer, opt_level,
                disabled.defect_id if disabled is not None else None)
         if key not in self._cells:
-            self._cells[key] = run_cell(
-                program.source, compiler, version, sanitizer, opt_level,
+            self._cells[key] = verdict_of(run_cell(
+                self.compilation_cache, program.source,
+                TestConfig(compiler, sanitizer, opt_level),
                 [d for d in self.registry if d is not disabled],
-                self.compilation_cache, self.max_steps)
+                self.max_steps, version=version).result)
         return self._cells[key]
 
     def _attribute_defect(self, candidate: FNBugCandidate) -> Optional[Defect]:

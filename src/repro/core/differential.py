@@ -9,23 +9,30 @@ binaries, and look for discrepancies:
   sanitizer false-negative bug;
 * two configurations both report the UB but disagree on the report (kind or
   source line) → a *wrong report* candidate (the paper found 2 such bugs).
+
+Each configuration is compiled and run by :func:`run_cell`, which triage,
+:class:`~repro.triage.CrashProbe` and the analysis drivers share.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence
+from typing import List, Optional, Sequence, Tuple
 
 from repro.compilers.cache import CompilationCache
-from repro.compilers.compiler import make_compiler
+from repro.compilers.compiler import compiler_class, make_compiler
 from repro.compilers.options import ALL_OPT_LEVELS, CompileOptions
 from repro.core.crash_site import OracleVerdict, is_sanitizer_bug_from_results
 from repro.core.insertion import UBProgram
-from repro.core.ub_types import detects, sanitizers_for
+from repro.core.ub_types import UBType, detects, sanitizers_for
 from repro.sanitizers.registry import sanitizers_supported_by
 from repro.telemetry import runtime as telemetry
 from repro.utils.errors import CompilationError
 from repro.vm.errors import ExecutionResult
+
+#: What the oracle and triage read of one cell: the run's status and its
+#: report's kind, or ``None`` when the program did not compile.
+Verdict = Optional[Tuple[str, Optional[str]]]
 
 
 @dataclass(frozen=True)
@@ -115,16 +122,65 @@ def default_configs(ub_type, compilers: Sequence[str] = ("gcc", "llvm"),
     return configs
 
 
+def verdict_of(result: Optional[ExecutionResult]) -> Verdict:
+    if result is None:
+        return None
+    report = result.report
+    return result.status, report.kind if report is not None else None
+
+
+def detected(verdict: Verdict, ub_type: UBType) -> bool:
+    """Did the run abort with a report that detects *ub_type*?"""
+    return (verdict is not None and verdict[0] == "sanitizer_report"
+            and detects(ub_type, verdict[1]))
+
+
+def run_cell(cache: CompilationCache, source: str, config: TestConfig,
+             registry: Optional[Sequence], max_steps: int,
+             version: Optional[int] = None) -> ConfigOutcome:
+    """Compile *source* for *config* at release *version* (``None``:
+    trunk) with the defect *registry* (``None``: the seeded defects)
+    through *cache*, and run it under the ``execute`` stage.
+
+    This is the one compile-and-run path: the differential tester,
+    triage, :class:`~repro.triage.CrashProbe` and the Table 4 / RQ3
+    drivers all read their cells from it.  A compile error counts in
+    ``compile.errors`` and comes back as an outcome with ``error`` set.
+    """
+    compiler = make_compiler(config.compiler, version=version,
+                             defect_registry=registry, cache=cache)
+    try:
+        binary = compiler.compile(source,
+                                  CompileOptions(opt_level=config.opt_level,
+                                                 sanitizer=config.sanitizer))
+    except CompilationError as exc:
+        telemetry.inc("compile.errors")
+        return ConfigOutcome(config, None, error=str(exc))
+    with telemetry.stage("execute", compiler=config.compiler,
+                         opt=config.opt_level, sanitizer=config.sanitizer):
+        result = binary.run(max_steps=max_steps)
+    metrics = telemetry.metrics()
+    if metrics is not None:
+        if result.crashed and result.report is not None:
+            metrics.inc("verdict.report")
+        elif result.exited_normally:
+            metrics.inc("verdict.silent")
+        else:
+            metrics.inc("verdict.abnormal")
+    return ConfigOutcome(config, result)
+
+
 class DifferentialTester:
     """Compiles and runs UB programs across configurations and applies the
     crash-site mapping oracle to every discrepancy.
 
-    The tester builds one trunk compiler per name in *compilers*, with
-    *defect_registry* (``None``: the seeded defects), all on one
-    :class:`CompilationCache`: *cache*, or a private one.  So one
+    Every cell is a :func:`run_cell` of a trunk compiler named in
+    *compilers*, with *defect_registry* (``None``: the seeded defects), on
+    one :class:`CompilationCache`: *cache*, or a private one.  So one
     program's N-config matrix performs one parse and one optimizer run per
     opt level instead of N full compiles, and a reducer handed
     :attr:`cache` screens candidates through the cache the compiles read.
+    An unknown compiler name raises ``KeyError`` here.
     """
 
     def __init__(self, compilers: Sequence[str] = ("gcc", "llvm"),
@@ -132,52 +188,28 @@ class DifferentialTester:
                  opt_levels: Sequence[str] = ALL_OPT_LEVELS,
                  max_steps: int = 200_000,
                  cache: Optional[CompilationCache] = None) -> None:
-        self.cache = cache if cache is not None else CompilationCache()
-        self.compilers = {name: make_compiler(name,
-                                              defect_registry=defect_registry,
-                                              cache=self.cache)
-                          for name in compilers}
+        for name in compilers:
+            compiler_class(name)
+        self.compilers = tuple(compilers)
+        self.defect_registry = defect_registry
         self.opt_levels = tuple(opt_levels)
         self.max_steps = max_steps
+        self.cache = cache if cache is not None else CompilationCache()
 
     # -- running --------------------------------------------------------------------
 
     def run_config(self, program: UBProgram, config: TestConfig) -> ConfigOutcome:
-        compiler = self.compilers[config.compiler]
-        try:
-            binary = compiler.compile(program.source,
-                                      CompileOptions(opt_level=config.opt_level,
-                                                     sanitizer=config.sanitizer))
-        except CompilationError as exc:
-            telemetry.inc("compile.errors")
-            return ConfigOutcome(config, None, error=str(exc))
-        with telemetry.stage("execute", compiler=config.compiler,
-                             opt=config.opt_level,
-                             sanitizer=config.sanitizer):
-            result = binary.run(max_steps=self.max_steps)
-        registry = telemetry.metrics()
-        if registry is not None:
-            if result.crashed and result.report is not None:
-                registry.inc("verdict.report")
-            elif result.exited_normally:
-                registry.inc("verdict.silent")
-            else:
-                registry.inc("verdict.abnormal")
-        return ConfigOutcome(config, result)
-
-    def run_configs(self, program: UBProgram,
-                    configs: Sequence[TestConfig]) -> List[ConfigOutcome]:
-        """Compile and execute one program's whole configuration batch."""
-        return [self.run_config(program, config) for config in configs]
+        return run_cell(self.cache, program.source, config,
+                        self.defect_registry, self.max_steps)
 
     def test(self, program: UBProgram,
              configs: Optional[Sequence[TestConfig]] = None) -> DifferentialResult:
         """Differentially test one UB program across all configurations."""
         if configs is None:
             configs = default_configs(program.ub_type,
-                                      compilers=tuple(self.compilers),
+                                      compilers=self.compilers,
                                       opt_levels=self.opt_levels)
-        outcomes = self.run_configs(program, configs)
+        outcomes = [self.run_config(program, config) for config in configs]
         return self.analyze(program, outcomes)
 
     # -- analysis -------------------------------------------------------------------
@@ -185,7 +217,8 @@ class DifferentialTester:
     def analyze(self, program: UBProgram,
                 outcomes: List[ConfigOutcome]) -> DifferentialResult:
         result = DifferentialResult(program=program, outcomes=outcomes)
-        detectors = [o for o in outcomes if self._valid_detection(program, o)]
+        detectors = [o for o in outcomes
+                     if detected(verdict_of(o.result), program.ub_type)]
         silent = [o for o in outcomes
                   if o.result is not None and o.result.exited_normally]
 
@@ -213,12 +246,6 @@ class DifferentialTester:
             registry.inc("diff.opt_discrepancies",
                          result.optimization_discrepancies)
         return result
-
-    @staticmethod
-    def _valid_detection(program: UBProgram, outcome: ConfigOutcome) -> bool:
-        if not outcome.detected:
-            return False
-        return detects(program.ub_type, outcome.result.report.kind)
 
     @staticmethod
     def _wrong_reports(program: UBProgram,

@@ -5,7 +5,9 @@ The loop is exactly the paper's:
 1. use the Csmith-like generator to produce a well-formed seed program;
 2. for every supported UB type, run the UB generator on the seed;
 3. compile every UB program with every relevant (compiler, sanitizer,
-   optimization level) configuration and run the binaries;
+   optimization level) configuration and run the binaries — always the
+   whole matrix, since crash-site mapping pairs a configuration that
+   reports the UB with one that stays silent;
 4. on a discrepancy, apply crash-site mapping to decide whether it is a
    sanitizer FN bug;
 5. triage, deduplicate and record the resulting bug reports.
@@ -30,9 +32,7 @@ from repro.core.differential import (
     DifferentialTester,
     FNBugCandidate,
     WrongReportCandidate,
-    default_configs,
 )
-from repro.corpusdb.db import program_digest
 from repro.core.insertion import UBProgram
 from repro.core.ub_types import ALL_UB_TYPES, UBType
 from repro.core.ubgen import UBGenerator
@@ -140,12 +140,6 @@ class SeedBatch:
     programs_generated: Dict[UBType, int] = field(default_factory=dict)
     diff_results: List[DifferentialResult] = field(default_factory=list)
     duration_seconds: float = 0.0
-    #: Incremental re-run accounting: how many (program, config) outcome
-    #: cells this seed actually surveyed vs. skipped because the findings
-    #: database already recorded them (``--resurvey``).  Both stay 0 when
-    #: no skip set is installed.
-    surveyed_cells: int = 0
-    skipped_cells: int = 0
     #: Telemetry captured while this seed ran (see
     #: :func:`repro.telemetry.seed_scope`); ``None`` when telemetry is
     #: disabled or the batch was restored from a checkpoint record.
@@ -154,6 +148,11 @@ class SeedBatch:
     @property
     def programs_tested(self) -> int:
         return len(self.diff_results)
+
+    @property
+    def finding_count(self) -> int:
+        """This seed's FN candidates."""
+        return sum(len(diff.fn_candidates) for diff in self.diff_results)
 
 
 class FuzzingCampaign:
@@ -187,12 +186,6 @@ class FuzzingCampaign:
         self.triager = BugTriager(registry=registry,
                                   max_steps=self.config.max_steps,
                                   compilation_cache=self.compilation_cache)
-        #: Incremental re-runs: already-surveyed ``(program digest,
-        #: compiler, version, pipeline, sanitizer)`` cells to skip.  Set by
-        #: the orchestrator (``--resurvey``), never part of the config — the
-        #: skip set changes which work *re-executes*, not what the campaign
-        #: is, so checkpoint fingerprints stay comparable.
-        self.survey_skip: frozenset = frozenset()
 
     # -- public ---------------------------------------------------------------------
 
@@ -236,40 +229,14 @@ class FuzzingCampaign:
             counts[ub_type] = len(generated)
             programs.extend(generated)
         diff_results = []
-        surveyed_cells = skipped_cells = 0
         for program in programs:
-            kept, skipped = self._partition_configs(program)
-            skipped_cells += skipped
-            if not kept:
-                # Every cell of this program is already in the findings
-                # database: nothing left to survey, drop the program.
-                continue
-            surveyed_cells += len(kept)
             with telemetry.span("test", ub=program.ub_type.value):
-                diff_results.append(self.tester.test(program, configs=kept))
+                diff_results.append(self.tester.test(program))
         logger.debug("seed %d: %d programs in %.2fs", seed_index,
                      len(programs), time.time() - start)
         return SeedBatch(seed_index=seed_index, generated=True,
                          programs_generated=counts, diff_results=diff_results,
-                         duration_seconds=time.time() - start,
-                         surveyed_cells=surveyed_cells,
-                         skipped_cells=skipped_cells)
-
-    def _partition_configs(self, program: UBProgram):
-        """Split a program's config matrix into (to survey, skipped count).
-
-        Without a skip set the fast path hands the tester ``None`` (its own
-        default matrix) — zero overhead and byte-identical behaviour."""
-        configs = default_configs(program.ub_type,
-                                  compilers=tuple(self.tester.compilers),
-                                  opt_levels=self.tester.opt_levels)
-        if not self.survey_skip:
-            return configs, 0
-        digest = program_digest(program.source)
-        kept = [config for config in configs
-                if (digest, config.compiler, "", config.opt_level,
-                    config.sanitizer) not in self.survey_skip]
-        return kept, len(configs) - len(kept)
+                         duration_seconds=time.time() - start)
 
     def collect(self, batches: Iterable[SeedBatch]) -> CampaignResult:
         """Merge per-seed batches (in seed order) into the campaign result.

@@ -17,7 +17,7 @@ found:
 * ``corpus_bucket_hits`` / ``corpus_bucket_campaigns`` — every individual
   finding folded into a bucket, and the per-campaign hit counts;
 * ``corpus_outcomes``  — one row per surveyed ``(program, compiler,
-  version, pipeline, sanitizer)`` cell, the unit ``--resurvey`` skips;
+  version, pipeline, sanitizer)`` cell with its run status;
 * ``corpus_reductions``/``corpus_seeds`` — reduced reproducers per bucket
   and the seeds each campaign committed, which a resumed campaign replays
   without writing them again;
@@ -44,7 +44,7 @@ import logging
 import sqlite3
 import time
 import zlib
-from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.corpusdb.connection import connect, immediate
 
@@ -222,12 +222,6 @@ def marker_signature(kind: str, compiler: str, function: str, context: str,
     :attr:`repro.markers.engine.MarkerFinding.bucket`."""
     return signature_json((kind, compiler, function, context, name,
                            responsible_pass))
-
-
-def outcome_cell(compiler: str, sanitizer: str, pipeline: str,
-                 version: str = "") -> Tuple[str, str, str, str]:
-    """The key of one surveyed outcome cell, as ``--resurvey`` sees it."""
-    return (compiler, str(version), pipeline, sanitizer)
 
 
 class FindingsDB:
@@ -460,7 +454,7 @@ class FindingsDB:
              campaign_id, stamp))
         return 1
 
-    # -- dedup / resurvey lookups ----------------------------------------------
+    # -- dedup lookups ----------------------------------------------------------
 
     def find_bucket(self, kind: str, signature: str) -> Optional[dict]:
         """The bucket row for one signature, or None — the cross-campaign
@@ -472,15 +466,6 @@ class FindingsDB:
             "WHERE b.kind = ? AND b.signature = ?",
             (kind, signature)).fetchone()
         return dict(row) if row is not None else None
-
-    def recorded_cells(self) -> Set[Tuple[str, str, str, str, str]]:
-        """Every surveyed ``(digest, compiler, version, pipeline,
-        sanitizer)`` cell in the store — the skip set for ``--resurvey``."""
-        rows = self._conn.execute(
-            "SELECT program_digest, compiler, version, pipeline, sanitizer "
-            "FROM corpus_outcomes")
-        return {(row["program_digest"], row["compiler"], row["version"],
-                 row["pipeline"], row["sanitizer"]) for row in rows}
 
     def ingested_seeds(self, campaign_id: int) -> List[int]:
         rows = self._conn.execute(

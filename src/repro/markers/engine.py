@@ -190,9 +190,6 @@ class MarkerBatch:
     survival: Dict[str, ConfigSurvival] = field(default_factory=dict)
     configs_surveyed: int = 0
     duration_seconds: float = 0.0
-    #: Compatibility with the orchestrator's throughput monitor, which
-    #: counts per-batch work items and FN candidates for its status line.
-    diff_results: tuple = ()
     #: Telemetry captured while this seed ran (see
     #: :func:`repro.telemetry.seed_scope`); ``None`` when disabled.
     telemetry: Optional[dict] = None
@@ -200,6 +197,11 @@ class MarkerBatch:
     @property
     def programs_tested(self) -> int:
         return self.configs_surveyed
+
+    @property
+    def finding_count(self) -> int:
+        """This seed's raw findings."""
+        return len(self.findings)
 
 
 @dataclass
@@ -256,19 +258,14 @@ class MarkerEngine:
         """Instrument and classify one externally-supplied program.
 
         The gallery tests and examples use this to run the engine over
-        handcrafted sources instead of generated seeds; the classification
-        is exactly the one :meth:`run_seed` applies.
+        handcrafted sources instead of generated seeds; the survey and
+        classification are :meth:`run_seed`'s own.
         """
         marked = self.planter.plant(source, seed_index=seed_index)
         reached = self.oracle.liveness(marked)
         if reached is None:
             return marked, []
-        live = frozenset(reached)
-        findings: List[MarkerFinding] = []
-        for compiler in self.config.compilers:
-            outcomes = self.oracle.survey(marked,
-                                          self.config.configs_for(compiler))
-            findings.extend(self._classify(marked, live, outcomes))
+        findings, _, _ = self._survey(marked, frozenset(reached))
         return marked, findings
 
     def run_seed(self, seed_index: int) -> MarkerBatch:
@@ -294,23 +291,10 @@ class MarkerEngine:
                                         seed_index=seed_index)
         reached = self.oracle.liveness(marked)
         live = frozenset(reached or ())
-        findings: List[MarkerFinding] = []
-        survival: Dict[str, ConfigSurvival] = {}
-        configs_surveyed = 0
         # A reference run that does not finish calls no marker dead, so
         # such a seed is neither surveyed nor classified.
-        compilers = self.config.compilers if reached is not None else ()
-        for compiler in compilers:
-            configs = self.config.configs_for(compiler)
-            outcomes = self.oracle.survey(marked, configs)
-            configs_surveyed += len(configs)
-            findings.extend(self._classify(marked, live, outcomes))
-            for config, outcome in outcomes.items():
-                survival[config.label] = ConfigSurvival(
-                    planted=len(marked.sites),
-                    retained=len(outcome.retained),
-                    dead_retained=len(outcome.retained - live),
-                    pipeline=outcome.pipeline)
+        findings, survival, configs_surveyed = (
+            self._survey(marked, live) if reached is not None else ([], {}, 0))
         registry = telemetry.metrics()
         if registry is not None:
             registry.inc("marker.planted", len(marked.sites))
@@ -373,6 +357,27 @@ class MarkerEngine:
                                     buckets=buckets, survival=survival)
 
     # -- classification ---------------------------------------------------------
+
+    def _survey(self, marked: MarkedProgram, live: frozenset
+                ) -> Tuple[List[MarkerFinding], Dict[str, ConfigSurvival], int]:
+        """Survey *marked* across every compiler's configs and classify the
+        outcomes against the *live* markers: ``(findings, survival per
+        config label, configs surveyed)``."""
+        findings: List[MarkerFinding] = []
+        survival: Dict[str, ConfigSurvival] = {}
+        configs_surveyed = 0
+        for compiler in self.config.compilers:
+            configs = self.config.configs_for(compiler)
+            outcomes = self.oracle.survey(marked, configs)
+            configs_surveyed += len(configs)
+            findings.extend(self._classify(marked, live, outcomes))
+            for config, outcome in outcomes.items():
+                survival[config.label] = ConfigSurvival(
+                    planted=len(marked.sites),
+                    retained=len(outcome.retained),
+                    dead_retained=len(outcome.retained - live),
+                    pipeline=outcome.pipeline)
+        return findings, survival, configs_surveyed
 
     def _classify(self, marked: MarkedProgram, live: frozenset,
                   outcomes: Dict[MarkerConfig, MarkerOutcome]

@@ -95,8 +95,7 @@ class OrchestratedCampaign:
                  max_seeds_per_session: Optional[int] = None,
                  reduce: bool = False,
                  trace: bool = False,
-                 db_path: Optional[str] = None,
-                 resurvey: bool = False) -> None:
+                 db_path: Optional[str] = None) -> None:
         self.config = config if config is not None else CampaignConfig()
         if not isinstance(self.config, CampaignConfig):
             if checkpoint_path is not None or corpus is not None:
@@ -108,10 +107,6 @@ class OrchestratedCampaign:
                     "max_seeds_per_session requires checkpoint/resume, "
                     "which marker campaigns do not support — a capped run "
                     "would silently return a partial result")
-            if resurvey:
-                raise ValueError(
-                    "resurvey applies to fuzzing campaigns; marker "
-                    "campaigns dedupe by bucket signature instead")
         if workers > 1 and "fork" not in multiprocessing.get_all_start_methods():
             raise ValueError(
                 "workers > 1 runs seeds on a 'fork' process pool, and this "
@@ -148,15 +143,6 @@ class OrchestratedCampaign:
                     f"db_path {db_path!r} is not the corpus store's findings "
                     f"database {self.corpus.db_path!r}, so it would be "
                     f"ignored; open the CorpusStore with db_path= instead")
-        self.resurvey = resurvey
-        if resurvey and self.corpus is None:
-            raise ValueError(
-                "resurvey needs a corpus store: the skip set is the "
-                "findings database's recorded outcome cells")
-        #: Resurvey accounting over freshly executed batches (run() with
-        #: ``resurvey=True``).
-        self.surveyed_cells = 0
-        self.skipped_cells = 0
         #: Populated by run(); exposes live throughput/ETA while running.
         self.monitor: Optional[ThroughputMonitor] = None
         #: Stall/straggler detection over freshly executed batches; the
@@ -213,11 +199,6 @@ class OrchestratedCampaign:
                    if index not in completed]
         if self.max_seeds_per_session is not None:
             pending = pending[:self.max_seeds_per_session]
-        if self.resurvey:
-            # Set before any seed runs, so pool workers inherit it.
-            campaign.survey_skip = frozenset(self.corpus.recorded_cells())
-            logger.info("resurvey: %d recorded outcome cells eligible to "
-                        "skip", len(campaign.survey_skip))
         logger.info("campaign start: %d seeds (%d restored), %d workers",
                     self.config.num_seeds, len(completed), self.workers)
         result = campaign.collect(
@@ -429,9 +410,6 @@ class OrchestratedCampaign:
                         self.checkpoint.record(batch)
                     self.monitor.observe(batch)
                     self.health.observe(batch.duration_seconds)
-                    if self.resurvey:
-                        self.surveyed_cells += batch.surveyed_cells
-                        self.skipped_cells += batch.skipped_cells
                 yield batch
         finally:
             fresh.close()
@@ -449,7 +427,7 @@ def _run_seeds(campaign, seed_indices: List[int],
 
     With ``workers <= 1`` the seeds run in this process.  Otherwise they
     run on a ``fork`` pool: every worker inherits *campaign* as it stands
-    (its skip set, defect registry and step budget included), so only the
+    (its defect registry and step budget included), so only the
     seed index goes out per task and only the batch comes back.  ``imap``
     with ``chunksize=1`` hands seeds to workers as they free up but yields
     them in seed order, which keeps the merge deterministic.

@@ -101,11 +101,6 @@ def build_parser() -> argparse.ArgumentParser:
                              "campaigns write it through the corpus store "
                              "(requires --corpus), marker campaigns persist "
                              "their finding buckets (query with 'query')")
-    parser.add_argument("--resurvey", action="store_true",
-                        help="incremental re-run: skip (program, config) "
-                             "outcome cells the findings database already "
-                             "recorded, surveying only new cells (requires "
-                             "--corpus)")
     parser.add_argument("-q", "--quiet", action="store_true",
                         help="suppress per-seed progress lines and other "
                              "status logging (warnings still shown)")
@@ -259,10 +254,10 @@ def _parse_ub_types(spec: str) -> Sequence[UBType]:
 
 
 def _check_compilers(names: Sequence[str]) -> None:
-    from repro.compilers.compiler import make_compiler
+    from repro.compilers.compiler import compiler_class
     for name in names:
         try:
-            make_compiler(name)
+            compiler_class(name)
         except KeyError:
             raise CLIError(f"unknown compiler {name!r} "
                            f"(choose from: gcc, llvm)") from None
@@ -379,9 +374,6 @@ def _run(args: argparse.Namespace) -> int:
         if args.trace:
             raise CLIError("--trace is fuzzing-only: marker campaigns have "
                            "no corpus directory to persist the trace into")
-        if args.resurvey:
-            raise CLIError("--resurvey is fuzzing-only: marker campaigns "
-                           "dedupe by bucket signature instead")
         return _run_markers(args, config, progress)
     if args.trace and args.corpus is None:
         raise CLIError("--trace requires --corpus DIR (the trace persists "
@@ -390,9 +382,6 @@ def _run(args: argparse.Namespace) -> int:
         raise CLIError("--db requires --corpus DIR (a fuzzing campaign "
                        "writes the findings database through its corpus "
                        "store; without one --db would be ignored)")
-    if args.resurvey and args.corpus is None:
-        raise CLIError("--resurvey requires --corpus DIR (the skip set is "
-                       "the findings database's recorded outcome cells)")
     orchestrated = OrchestratedCampaign(
         config,
         workers=args.workers,
@@ -403,8 +392,7 @@ def _run(args: argparse.Namespace) -> int:
         max_seeds_per_session=args.max_seeds_per_session,
         reduce=args.reduce,
         trace=args.trace,
-        db_path=args.db_path,
-        resurvey=args.resurvey)
+        db_path=args.db_path)
     try:
         result = orchestrated.run()
     except CheckpointMismatch as exc:
@@ -446,9 +434,6 @@ def _run(args: argparse.Namespace) -> int:
                                  corpus_summary["suppressed_buckets"]}
         if corpus_summary["suppressed_buckets"]:
             summary["suppressions"] = orchestrated.corpus.suppressions()
-    if args.resurvey:
-        summary["resurvey"] = {"surveyed_cells": orchestrated.surveyed_cells,
-                               "skipped_cells": orchestrated.skipped_cells}
     if orchestrated.telemetry_summary is not None:
         summary["cache"] = orchestrated.telemetry_summary["cache"]
     if args.trace:
@@ -487,14 +472,6 @@ def _run(args: argparse.Namespace) -> int:
             for line in summary.get("suppressions", ()):
                 print(f"  suppressed_by {line['suppressed_by']}: "
                       f"{line['slug']} — {line['hits']} hit(s)")
-    if "resurvey" in summary:
-        resurvey = summary["resurvey"]
-        total = resurvey["surveyed_cells"] + resurvey["skipped_cells"]
-        pct = (f" ({resurvey['skipped_cells'] / total:.0%} of "
-               f"{total})" if total else "")
-        print(f"resurvey              : {resurvey['surveyed_cells']} cell(s) "
-              f"surveyed, {resurvey['skipped_cells']} already "
-              f"recorded{pct}")
     if "cache" in summary:
         print(f"compilation cache     : {_cache_line(summary['cache'])}")
     if "telemetry_dir" in summary:

@@ -216,8 +216,8 @@ class CorpusStore:
                     self._write_program(program_id, source)
                 self._pending_programs.append(
                     {"program_id": program_id, "source": source, **program})
-                # Every surveyed (program, config) cell becomes an outcome
-                # row — the unit --resurvey skips on the next campaign.
+                # Every surveyed (program, config) cell becomes an
+                # outcome row.
                 for outcome in diff.outcomes:
                     config = outcome.config
                     self._pending_outcomes.append({
@@ -322,12 +322,6 @@ class CorpusStore:
     @property
     def total_crashes(self) -> int:
         return sum(bucket.count for bucket in self.buckets.values())
-
-    def recorded_cells(self):
-        """Every surveyed (program digest, compiler, version, pipeline,
-        sanitizer) cell in the findings database — the ``--resurvey`` skip
-        set, including cells other campaigns recorded."""
-        return self.db.recorded_cells()
 
     def summary(self) -> dict:
         return {

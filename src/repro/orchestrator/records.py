@@ -151,8 +151,6 @@ def batch_to_record(batch: SeedBatch) -> dict:
         "generated": batch.generated,
         "programs_generated": {ub.value: count
                                for ub, count in batch.programs_generated.items()},
-        "surveyed_cells": batch.surveyed_cells,
-        "skipped_cells": batch.skipped_cells,
         "diffs": diffs,
     }
 
@@ -217,6 +215,4 @@ def batch_from_record(record: dict) -> SeedBatch:
     return SeedBatch(seed_index=record["seed_index"],
                      generated=record["generated"],
                      programs_generated=programs_generated,
-                     diff_results=diff_results,
-                     surveyed_cells=record["surveyed_cells"],
-                     skipped_cells=record["skipped_cells"])
+                     diff_results=diff_results)

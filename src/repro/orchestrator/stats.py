@@ -4,7 +4,10 @@ The monitor observes completed seed batches and derives rolling rates
 (seeds/sec, programs-tested/sec) and an ETA from the per-seed average.  It
 is deliberately passive: the orchestrator feeds it batches and an optional
 ``emit`` callable (e.g. ``print``) receives one formatted line per seed, so
-tests can capture progress without touching stdout.
+tests can capture progress without touching stdout.  A batch is a fuzzing
+:class:`~repro.core.fuzzer.SeedBatch` or a marker
+:class:`~repro.markers.engine.MarkerBatch`: the monitor reads its
+``programs_tested`` and ``finding_count``.
 """
 
 from __future__ import annotations
@@ -12,8 +15,6 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 from typing import Callable, Optional
-
-from repro.core.fuzzer import SeedBatch
 
 
 @dataclass
@@ -30,7 +31,7 @@ class ThroughputSnapshot:
     seeds_total: int
     seeds_restored: int
     programs_tested: int
-    fn_candidates: int
+    findings: int
     elapsed_seconds: float
     programs_per_second: float
     eta_seconds: Optional[float]
@@ -42,7 +43,7 @@ class ThroughputSnapshot:
         return (f"seeds {self.seeds_done}/{self.seeds_total}{restored} | "
                 f"programs {self.programs_tested} "
                 f"({self.programs_per_second:.2f}/s) | "
-                f"fn-candidates {self.fn_candidates} | "
+                f"findings {self.findings} | "
                 f"elapsed {self.elapsed_seconds:6.1f}s | eta {eta}")
 
 
@@ -65,35 +66,31 @@ class ThroughputMonitor:
         self.seeds_restored = 0
         self.programs_tested = 0
         self.programs_restored = 0
-        self.fn_candidates = 0
-        self.history: list[ThroughputSnapshot] = []
+        self.findings = 0
 
     def start(self) -> None:
         self._start = self._clock()
         self._fresh_start = self._start
 
-    def note_restored(self, batch: SeedBatch) -> None:
+    def note_restored(self, batch) -> None:
         """Record a checkpoint-restored batch: campaign position advances,
         but nothing is emitted and rates/ETA ignore it (no work was done)."""
         self.seeds_restored += 1
         self.programs_restored += batch.programs_tested
-        self.fn_candidates += sum(len(diff.fn_candidates)
-                                  for diff in batch.diff_results)
+        self.findings += batch.finding_count
         if self.seeds_done == 0:
             # Still replaying the checkpoint: the wall-clock consumed so far
             # is restore overhead, not execution, so fresh work starts now.
             self._fresh_start = self._clock()
 
-    def observe(self, batch: SeedBatch) -> ThroughputSnapshot:
+    def observe(self, batch) -> ThroughputSnapshot:
         """Record one completed batch; returns (and optionally emits) a snapshot."""
         if self._start is None:
             self.start()
         self.seeds_done += 1
         self.programs_tested += batch.programs_tested
-        self.fn_candidates += sum(len(diff.fn_candidates)
-                                  for diff in batch.diff_results)
+        self.findings += batch.finding_count
         snapshot = self.snapshot()
-        self.history.append(snapshot)
         if self.emit is not None:
             self.emit(snapshot.format_line())
         return snapshot
@@ -115,7 +112,7 @@ class ThroughputMonitor:
                                   seeds_total=self.seeds_total,
                                   seeds_restored=self.seeds_restored,
                                   programs_tested=self.programs_tested,
-                                  fn_candidates=self.fn_candidates,
+                                  findings=self.findings,
                                   elapsed_seconds=elapsed,
                                   programs_per_second=rate,
                                   eta_seconds=eta)

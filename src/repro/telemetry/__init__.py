@@ -3,8 +3,8 @@
 The layer has six pieces:
 
 * :mod:`repro.telemetry.metrics` — :class:`MetricsRegistry` with counters
-  and fixed-edge histograms that merge deterministically across worker
-  processes;
+  and per-name observation counts and sums that merge deterministically
+  across worker processes;
 * :mod:`repro.telemetry.tracer` — :class:`Tracer` spans emitting structured
   JSONL events with parent nesting and seed identity;
 * :mod:`repro.telemetry.runtime` — the process-wide nullable state every
@@ -29,8 +29,7 @@ single module-global ``is None`` check (see the fast-path rule in
 from repro.telemetry.export import (parse_chrome_trace, parse_folded_stacks,
                                     to_chrome_trace, to_folded_stacks,
                                     write_chrome_trace, write_folded_stacks)
-from repro.telemetry.metrics import (DEFAULT_TIME_EDGES, Counter, Histogram,
-                                     MetricsRegistry)
+from repro.telemetry.metrics import Counter, Histogram, MetricsRegistry
 from repro.telemetry.monitor import (HealthMonitor, TraceFollower, WatchView)
 from repro.telemetry.profile import (CampaignProfile, StageStats,
                                      load_profile, profile_from_events,
@@ -41,7 +40,6 @@ from repro.telemetry.runtime import (STAGES, TelemetrySession,
 from repro.telemetry.tracer import Tracer, TraceWriter, read_trace
 
 __all__ = [
-    "DEFAULT_TIME_EDGES",
     "Counter",
     "Histogram",
     "MetricsRegistry",

@@ -8,25 +8,16 @@ the seed batch; the parent folds payloads back in with
 :meth:`MetricsRegistry.merge_json` **in seed order**, so a parallel campaign
 merges to exactly the per-seed totals a serial campaign accumulates.
 
-Histograms use *fixed* bucket edges chosen at creation time (default
-:data:`DEFAULT_TIME_EDGES`).  Fixed edges are what makes the merge
-deterministic: bucket counts are integers and add associatively, unlike any
-adaptive-bucketing scheme.  Observation *sums* are floats and therefore
-excluded from :meth:`MetricsRegistry.deterministic_totals`, the projection
-used by the parallel-equals-serial acceptance test.
+A histogram keeps the count and the sum of the values observed under one
+name (a stage's seconds): what ``stats`` reads.  Counts are integers and
+add associatively; sums are floats and therefore excluded from
+:meth:`MetricsRegistry.deterministic_totals`, the projection used by the
+parallel-equals-serial acceptance test.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_right
-from typing import Dict, Optional, Sequence, Tuple
-
-#: Default histogram edges for stage durations, in seconds.  Spanning 0.5ms
-#: to 10s covers everything from a single cached compile to a full reduction.
-DEFAULT_TIME_EDGES: Tuple[float, ...] = (
-    0.0005, 0.001, 0.0025, 0.005, 0.01, 0.025, 0.05,
-    0.1, 0.25, 0.5, 1.0, 2.5, 5.0, 10.0,
-)
+from typing import Dict, Optional
 
 
 class Counter:
@@ -45,32 +36,17 @@ class Counter:
 
 
 class Histogram:
-    """Fixed-edge histogram: ``len(edges) + 1`` buckets plus count/sum/min/max.
+    """The count and sum of the values observed under one name."""
 
-    ``counts[i]`` holds observations ``<= edges[i]``; the final bucket is the
-    overflow (``> edges[-1]``).
-    """
+    __slots__ = ("count", "sum")
 
-    __slots__ = ("name", "edges", "counts", "count", "sum", "min", "max")
-
-    def __init__(self, name: str,
-                 edges: Sequence[float] = DEFAULT_TIME_EDGES) -> None:
-        if not edges or list(edges) != sorted(edges):
-            raise ValueError(f"histogram {name!r} needs sorted non-empty edges")
-        self.name = name
-        self.edges = tuple(float(edge) for edge in edges)
-        self.counts = [0] * (len(self.edges) + 1)
+    def __init__(self) -> None:
         self.count = 0
         self.sum = 0.0
-        self.min: Optional[float] = None
-        self.max: Optional[float] = None
 
     def observe(self, value: float) -> None:
-        self.counts[bisect_right(self.edges, value)] += 1
         self.count += 1
         self.sum += value
-        self.min = value if self.min is None else min(self.min, value)
-        self.max = value if self.max is None else max(self.max, value)
 
 
 class MetricsRegistry:
@@ -97,14 +73,10 @@ class MetricsRegistry:
             counter = self._counters[name] = Counter(name)
         return counter
 
-    def histogram(self, name: str,
-                  edges: Sequence[float] = DEFAULT_TIME_EDGES) -> Histogram:
+    def histogram(self, name: str) -> Histogram:
         histogram = self._histograms.get(name)
         if histogram is None:
-            histogram = self._histograms[name] = Histogram(name, edges)
-        elif histogram.edges != tuple(edges):
-            raise ValueError(f"histogram {name!r} already exists with "
-                             f"different edges")
+            histogram = self._histograms[name] = Histogram()
         return histogram
 
     # -- shorthands -------------------------------------------------------------------
@@ -112,9 +84,8 @@ class MetricsRegistry:
     def inc(self, name: str, amount: int = 1) -> None:
         self.counter(name).inc(amount)
 
-    def observe(self, name: str, value: float,
-                edges: Sequence[float] = DEFAULT_TIME_EDGES) -> None:
-        self.histogram(name, edges).observe(value)
+    def observe(self, name: str, value: float) -> None:
+        self.histogram(name).observe(value)
 
     # -- serialization and merge ------------------------------------------------------
 
@@ -124,14 +95,7 @@ class MetricsRegistry:
             "counters": {name: counter.value
                          for name, counter in sorted(self._counters.items())},
             "histograms": {
-                name: {
-                    "edges": list(histogram.edges),
-                    "counts": list(histogram.counts),
-                    "count": histogram.count,
-                    "sum": histogram.sum,
-                    "min": histogram.min,
-                    "max": histogram.max,
-                }
+                name: {"count": histogram.count, "sum": histogram.sum}
                 for name, histogram in sorted(self._histograms.items())
             },
         }
@@ -139,30 +103,21 @@ class MetricsRegistry:
     def merge_json(self, payload: Optional[dict]) -> None:
         """Fold a :meth:`to_json` payload into this registry.
 
-        Counters and histogram bucket counts add; histogram min/max
-        combine.  Keys other than ``counters`` and ``histograms`` are
-        ignored.  Merging the same payloads in the same order always
-        produces the same integer totals — float sums are the only
-        order-sensitive figures, and they are excluded from
-        :meth:`deterministic_totals` for exactly that reason.
+        Counters and histogram counts and sums add.  Keys other than
+        ``counters`` and ``histograms``, and histogram fields other than
+        ``count`` and ``sum``, are ignored.  Merging the same payloads in
+        the same order always produces the same integer totals — float
+        sums are the only order-sensitive figures, and they are excluded
+        from :meth:`deterministic_totals` for exactly that reason.
         """
         if not payload:
             return
         for name, value in payload.get("counters", {}).items():
             self.counter(name).inc(value)
         for name, data in payload.get("histograms", {}).items():
-            histogram = self.histogram(name, data["edges"])
-            for index, count in enumerate(data["counts"]):
-                histogram.counts[index] += count
+            histogram = self.histogram(name)
             histogram.count += data["count"]
             histogram.sum += data["sum"]
-            for bound, pick in (("min", min), ("max", max)):
-                theirs = data.get(bound)
-                if theirs is None:
-                    continue
-                ours = getattr(histogram, bound)
-                setattr(histogram, bound,
-                        theirs if ours is None else pick(ours, theirs))
 
     @classmethod
     def from_json(cls, payload: Optional[dict]) -> "MetricsRegistry":

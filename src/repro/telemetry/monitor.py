@@ -90,19 +90,6 @@ class HealthMonitor:
         if len(self._durations) > self.window:
             del self._durations[0]
 
-    def check(self) -> str:
-        """Live status right now: ``"ok"`` or ``"stalled"``.
-
-        Unlike :meth:`observe`, checking never logs and never mutates the
-        stall counters — it answers "is the campaign making progress"
-        for pollers (the watch view asks the trace file the same question).
-        """
-        threshold = self.threshold_seconds()
-        if threshold is None or self._last_progress is None:
-            return "ok"
-        gap = self._clock() - self._last_progress
-        return "stalled" if gap > threshold else "ok"
-
     def _check_gap(self, now: float) -> None:
         threshold = self.threshold_seconds()
         if threshold is None or self._last_progress is None:

@@ -10,8 +10,8 @@ phases:
 * :class:`CrashProbe` — "bad" means the sanitizer stays *silent* on a UB
   program (the campaign's false-negative signal).  The probe recompiles
   the program for one release with the full defect registry and runs it
-  through :func:`repro.core.bugs.run_cell`, as triage does; the window it
-  bisects is the responsible sanitizer defect's active range.
+  through :func:`repro.core.differential.run_cell`, as triage does; the
+  window it bisects is the responsible sanitizer defect's active range.
 * :class:`MarkerProbe` — "bad" means a semantically dead marker call is
   *retained* by one release's version-aware pipeline (the marker engine's
   missed-optimization / regression signal).  The window is an optimizer
@@ -26,7 +26,7 @@ from __future__ import annotations
 from typing import Optional, Sequence
 
 from repro.compilers.cache import CompilationCache
-from repro.core.bugs import detected, run_cell
+from repro.core.differential import TestConfig, detected, run_cell, verdict_of
 from repro.core.ub_types import UBType, detects
 from repro.markers.instrument import MarkedProgram
 from repro.markers.oracle import EliminationOracle, MarkerConfig
@@ -55,9 +55,10 @@ class CrashProbe:
         self.max_steps = max_steps
 
     def __call__(self, version: int) -> bool:
-        verdict = run_cell(self.source, self.compiler, version,
-                           self.sanitizer, self.opt_level, self.registry,
-                           self.cache, self.max_steps)
+        verdict = verdict_of(run_cell(
+            self.cache, self.source,
+            TestConfig(self.compiler, self.sanitizer, self.opt_level),
+            self.registry, self.max_steps, version=version).result)
         # A program that does not compile hides no UB: not bad.
         return verdict is not None and not detected(verdict, self.ub_type)
 

@@ -90,6 +90,23 @@ def test_classify_ub_detects_and_rejects():
     assert classify_ub("int main() { return 0; }") is None
 
 
+def test_classify_ub_parses_its_source_once(monkeypatch):
+    """The three classifier configs compile through one cache, so a
+    program no sanitizer flags is parsed once, not once per config."""
+    from repro.compilers import compiler as compiler_module
+    parsed = []
+    real_parse = compiler_module.parse_program
+
+    def counting_parse(source):
+        parsed.append(source)
+        return real_parse(source)
+
+    monkeypatch.setattr(compiler_module, "parse_program", counting_parse)
+    source = "int main() { return 0; }"
+    assert classify_ub(source) is None
+    assert parsed == [source]
+
+
 def test_juliet_program_wrapper():
     programs = juliet_programs(cases_per_type=1)
     assert len(programs) == 9

@@ -1,12 +1,11 @@
 """Tests for bug triage, deduplication and the fuzzing campaign."""
 
-import ast
 import dataclasses
-from pathlib import Path
 
 import pytest
 
 from repro.compilers import CompilationCache
+from repro.compilers.binary import CompiledBinary
 from repro.compilers.compiler import SimulatedCompiler
 from repro.compilers.options import ALL_OPT_LEVELS
 from repro.compilers.versions import all_versions, trunk_version
@@ -22,7 +21,6 @@ from repro.core import (
     UBType,
     WrongReportCandidate,
 )
-from repro.core import bugs
 from repro.core.bugs import BugReport
 from repro.core.differential import TestConfig as Config
 from repro.core.fuzzer import (_fn_signature, _representatives,
@@ -133,6 +131,27 @@ def test_standalone_triager_compiles_every_cell_through_one_cache(
     assert caches == {id(triager.compilation_cache)}
     assert triager.compilation_cache.stats()["frontend_entries"] == 1
     assert triager.compilation_cache.stats()["hits"] > 0
+
+
+def test_triage_runs_are_execute_stages(small_campaign, monkeypatch):
+    """Triage runs its cells through the differential tester's
+    ``run_cell``: every binary it runs is one ``execute`` observation."""
+    runs = []
+    real_run = CompiledBinary.run
+
+    def counting_run(self, *args, **kwargs):
+        runs.append(self)
+        return real_run(self, *args, **kwargs)
+
+    monkeypatch.setattr(CompiledBinary, "run", counting_run)
+    session = telemetry.enable(campaign="t-triage-execute")
+    try:
+        BugTriager().triage_fn_candidate(small_campaign.fn_candidates[0])
+        executed = session.metrics.histogram("stage.execute.seconds").count
+    finally:
+        telemetry.disable()
+    assert runs
+    assert executed == len(runs)
 
 
 def test_triager_status_fixed_requires_fixed_version(small_campaign):
@@ -381,22 +400,3 @@ def test_triage_and_crash_probe_count_swallowed_compile_errors(
     assert failing_level not in report.affected_opt_levels
     assert triaged >= 1 and probed == 1
     assert triaged + probed == len(failed)
-
-
-def test_core_imports_nothing_from_triage():
-    """``repro.triage`` sits above ``repro.core``: no core module imports
-    it, lazily or not."""
-    root = Path(bugs.__file__).resolve().parent
-    imports = []
-    for path in sorted(root.rglob("*.py")):
-        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
-            if isinstance(node, ast.ImportFrom) and node.module:
-                modules = [node.module]
-            elif isinstance(node, ast.Import):
-                modules = [alias.name for alias in node.names]
-            else:
-                continue
-            imports += [f"{path.name}:{node.lineno} {module}"
-                        for module in modules
-                        if module.split(".")[:2] == ["repro", "triage"]]
-    assert imports == []

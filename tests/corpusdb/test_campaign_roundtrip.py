@@ -1,18 +1,21 @@
 """End-to-end findings-database behavior over real (small) campaigns:
 checkpoint/resume query equivalence (session cap and hard kill), serial vs
-parallel DB identity, incremental resurvey, and the query CLI round-trip."""
+parallel DB identity, findings independent of what a shared database holds,
+and the query CLI round-trip."""
 
 from __future__ import annotations
 
 import json
 import multiprocessing
 import os
+import sqlite3
 
 import pytest
 
 from repro.core import CampaignConfig
 from repro.corpusdb import CRASH_KIND, FindingsDB
 from repro.orchestrator import CorpusStore, OrchestratedCampaign
+from repro.orchestrator.corpus import signature_for
 from repro.orchestrator.cli import main as cli_main
 
 MODULE_SCALE = dict(num_seeds=3, rng_seed=5, max_programs_per_type=1,
@@ -188,42 +191,53 @@ def test_marker_reingest_yields_identical_query_set(tmp_path):
 
 
 # ---------------------------------------------------------------------------
-# Cross-campaign dedup and resurvey
+# Cross-campaign dedup and suppression
 # ---------------------------------------------------------------------------
 
-def test_second_campaign_reports_recurrences_and_resurvey_skips(
-        tmp_path, baseline_dir):
+def _filed(result) -> tuple:
+    """What a campaign files: its bug reports and its FN candidates."""
+    reports = [(report.bug_id, report.affected_opt_levels,
+                report.affected_versions) for report in result.bug_reports]
+    candidates = [(c.program.source, c.detecting.config, c.missing.config,
+                   c.verdict.crash_site, c.verdict.reason)
+                  for c in result.fn_candidates]
+    return reports, candidates
+
+
+def test_campaign_files_the_same_findings_whatever_its_db_holds(
+        tmp_path, baseline, baseline_dir):
+    """A wider campaign over the database a narrower one filled runs its
+    whole matrix: it files what it files on a fresh database, and the
+    shared database only changes how its buckets count (recurrent, or
+    suppressed by a recorded attribution)."""
     shared = str(tmp_path / "shared.sqlite")
-    first_dir = str(tmp_path / "first")
-    first = OrchestratedCampaign(_config(), corpus=CorpusStore(
-        root=first_dir, db_path=shared))
-    first.run()
+    with sqlite3.connect(_db(baseline_dir)) as source, \
+            sqlite3.connect(shared) as copy:
+        source.backup(copy)
+    attributed = sorted(baseline.corpus.buckets)[0]
     with FindingsDB(shared) as db:
-        recorded = len(db.recorded_cells())
-    assert recorded > 0
+        db.record_attribution(CRASH_KIND, signature_for(attributed),
+                              responsible="known-event")
 
-    # Second overlapping campaign, no resurvey: every bucket recurs.
-    second_dir = str(tmp_path / "second")
-    second = OrchestratedCampaign(_config(), corpus=CorpusStore(
-        root=second_dir, db_path=shared))
-    second.run()
-    assert second.corpus.new_global_buckets == 0
-    assert second.corpus.recurrent_buckets > 0
-    for bucket in second.corpus.buckets.values():
-        assert bucket.recurrence
-        assert bucket.first_seen["campaign"] == os.path.abspath(first_dir)
+    wider = CampaignConfig(**dict(MODULE_SCALE,
+                                  opt_levels=("-O0", "-O2", "-O3")))
+    over_shared = OrchestratedCampaign(wider, corpus=CorpusStore(
+        root=str(tmp_path / "over-shared"), db_path=shared))
+    on_fresh = OrchestratedCampaign(wider, corpus=str(tmp_path / "fresh"))
+    filed = _filed(over_shared.run())
+    assert filed == _filed(on_fresh.run())
+    assert filed[0] and filed[1]
 
-    # Third campaign with resurvey: >=90% of cells skipped (here: all),
-    # and the surviving result set is bit-identical (nothing new appears).
-    before = _normalized_buckets(shared)
-    third = OrchestratedCampaign(_config(), corpus=CorpusStore(
-        root=str(tmp_path / "third"), db_path=shared), resurvey=True)
-    third.run()
-    total = third.surveyed_cells + third.skipped_cells
-    assert total == recorded
-    assert third.skipped_cells / total >= 0.9
-    assert third.surveyed_cells == 0
-    assert _normalized_buckets(shared) == before
+    corpus = over_shared.corpus
+    assert set(corpus.buckets) == set(on_fresh.corpus.buckets)
+    assert on_fresh.corpus.new_global_buckets == len(corpus.buckets)
+    assert corpus.suppressed_buckets == 1
+    assert corpus.buckets[attributed].suppressed_by == "known-event"
+    recurrent = set(corpus.buckets) & set(baseline.corpus.buckets)
+    assert corpus.recurrent_buckets == len(recurrent) - 1 > 0
+    assert corpus.new_global_buckets == len(corpus.buckets) - len(recurrent)
+    for key in recurrent:
+        assert corpus.buckets[key].first_seen["campaign"] == baseline_dir
 
 
 # ---------------------------------------------------------------------------
@@ -277,8 +291,3 @@ def test_query_cli_error_paths(tmp_path, capsys):
     assert "--since" in capsys.readouterr().err
     assert cli_main(["query", "--db", db_path]) == 0
     assert "no matching buckets" in capsys.readouterr().out
-
-
-def test_resurvey_cli_requires_corpus(capsys):
-    assert cli_main(["--seeds", "1", "--resurvey", "--quiet"]) == 2
-    assert "--corpus" in capsys.readouterr().err

@@ -14,7 +14,6 @@ from repro.corpusdb import (
     crash_signature,
     decompress_source,
     marker_signature,
-    outcome_cell,
     program_digest,
     signature_json,
 )
@@ -68,11 +67,6 @@ def test_program_compression_roundtrip():
     assert decompress_source(blob) == SOURCE
     assert program_digest(SOURCE) == program_digest(SOURCE)
     assert program_digest(SOURCE) != program_digest(SOURCE + " ")
-
-
-def test_outcome_cell_is_a_plain_tuple():
-    assert outcome_cell("gcc", "asan", "-O2") == ("gcc", "", "-O2", "asan")
-    assert outcome_cell("gcc", "asan", "-O2", version=13)[1] == "13"
 
 
 # ---------------------------------------------------------------------------
@@ -141,15 +135,23 @@ def test_recurrence_tracks_first_and_last_campaign():
         assert rows["camp-b"]["recurrent_buckets"] == 1
 
 
-def test_recorded_cells_cover_every_outcome():
+def _outcome_cells(db: FindingsDB) -> list:
+    """Every ``corpus_outcomes`` row as its (program digest, compiler,
+    version, pipeline, sanitizer) cell."""
+    rows = db.connection.execute(
+        "SELECT program_digest, compiler, version, pipeline, sanitizer "
+        "FROM corpus_outcomes")
+    return [tuple(row) for row in rows]
+
+
+def test_ingest_writes_one_row_per_outcome_cell():
     with FindingsDB() as db:
         campaign = db.open_campaign("camp-a")
         db.ingest_delta(campaign, outcomes=[
             _outcome(), _outcome(compiler="llvm", sanitizer="ubsan")])
-        cells = db.recorded_cells()
-        assert (program_digest(SOURCE), "gcc", "", "-O2", "asan") in cells
-        assert (program_digest(SOURCE), "llvm", "", "-O2", "ubsan") in cells
-        assert len(cells) == 2
+        assert sorted(_outcome_cells(db)) == [
+            (program_digest(SOURCE), "gcc", "", "-O2", "asan"),
+            (program_digest(SOURCE), "llvm", "", "-O2", "ubsan")]
 
 
 # ---------------------------------------------------------------------------
@@ -273,7 +275,7 @@ def test_marker_ingest_is_idempotent():
         # The marker outcome occupies its (program, compiler, version,
         # pipeline) cell like any crash survey outcome.
         assert (program_digest(SOURCE), "gcc", "13", "-O2",
-                "") in db.recorded_cells()
+                "") in _outcome_cells(db)
 
 
 

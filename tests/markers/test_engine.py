@@ -150,6 +150,9 @@ def test_orchestrated_markers_mode_matches_plain_engine(small_result):
     result = orchestrated.run()
     assert _comparable(result) == _comparable(small_result)
     assert len(lines) == SMALL["num_seeds"]   # one monitor line per seed
+    # The last line counts every raw finding of the campaign.
+    assert result.stats.raw_findings
+    assert f"| findings {result.stats.raw_findings} |" in lines[-1]
 
 
 def test_orchestrated_markers_mode_rejects_fuzzing_only_features(tmp_path):

@@ -255,14 +255,16 @@ def test_checkpoint_with_metadata_key_still_loads(tmp_path, config):
 
 
 def test_checkpoint_with_seed_durations_still_loads(tmp_path, config):
-    """Snapshots once carried each seed's ``duration_seconds``; loading
-    ignores it, and seeds recorded after the resume carry none."""
+    """Snapshots once carried each seed's ``duration_seconds`` and its
+    surveyed/skipped cell counts; loading ignores them, and seeds recorded
+    after the resume carry none."""
     path = str(tmp_path / "old.json")
     CampaignCheckpoint(path, config).record(
         SeedBatch(seed_index=0, generated=True))
     with open(path, encoding="utf-8") as handle:
         snapshot = json.load(handle)
-    snapshot["seeds"]["0"]["duration_seconds"] = 2.5
+    snapshot["seeds"]["0"].update(duration_seconds=2.5, surveyed_cells=4,
+                                  skipped_cells=2)
     with open(path, "w", encoding="utf-8") as handle:
         json.dump(snapshot, handle)
     checkpoint = CampaignCheckpoint(path, config)
@@ -271,7 +273,8 @@ def test_checkpoint_with_seed_durations_still_loads(tmp_path, config):
     with open(path, encoding="utf-8") as handle:
         rewritten = json.load(handle)
     assert sorted(rewritten["seeds"]) == ["0", "1"]
-    assert "duration_seconds" not in rewritten["seeds"]["1"]
+    assert not {"duration_seconds", "surveyed_cells",
+                "skipped_cells"} & set(rewritten["seeds"]["1"])
 
 
 def test_batch_record_leaves_out_the_seed_duration():

@@ -281,11 +281,6 @@ def test_db_is_not_a_subcommand(capsys):
 def test_cli_db_requires_persistent_corpus(capsys):
     assert cli_main(["--seeds", "1", "--db", "x.sqlite", "--quiet"]) == 2
     assert "--corpus" in capsys.readouterr().err
-    # --db is fine for marker campaigns (findings persist directly), but
-    # --resurvey stays fuzzing-only.
-    assert cli_main(["--mode", "markers", "--seeds", "1",
-                     "--resurvey", "--quiet"]) == 2
-    assert "fuzzing-only" in capsys.readouterr().err
 
 
 def test_stats_cli_exports(traced_runs, tmp_path, capsys):

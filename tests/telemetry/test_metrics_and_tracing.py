@@ -13,7 +13,6 @@ import pytest
 
 from repro.analysis import table_stage_profile
 from repro.telemetry import (
-    DEFAULT_TIME_EDGES,
     MetricsRegistry,
     Tracer,
     TraceWriter,
@@ -33,20 +32,16 @@ def test_counter_gauge_histogram_basics():
     registry.inc("cache.hits")
     registry.inc("cache.hits", 4)
     registry.observe("stage.execute.seconds", 0.003)
-    registry.observe("stage.execute.seconds", 99.0)  # overflow bucket
+    registry.observe("stage.execute.seconds", 99.0)
 
     assert registry.counter_value("cache.hits") == 5
     assert registry.counter_value("never.touched") == 0
     histogram = registry.histogram("stage.execute.seconds")
     assert histogram.count == 2
-    assert histogram.min == 0.003 and histogram.max == 99.0
-    assert histogram.counts[-1] == 1  # > edges[-1] lands in overflow
-    assert sum(histogram.counts) == histogram.count
+    assert histogram.sum == pytest.approx(99.003)
 
     with pytest.raises(ValueError):
         registry.inc("cache.hits", -1)
-    with pytest.raises(ValueError):
-        registry.histogram("stage.execute.seconds", edges=(1.0, 2.0))
 
 
 def test_registry_json_roundtrip_and_merge():
@@ -66,7 +61,7 @@ def test_registry_json_roundtrip_and_merge():
     assert merged.counter_value("cache.misses") == 1
     histogram = merged.histogram("stage.frontend.seconds")
     assert histogram.count == 2
-    assert histogram.min == 0.01 and histogram.max == 0.5
+    assert histogram.sum == pytest.approx(0.51)
     # The payload is JSON-safe end to end.
     json.dumps(merged.to_json())
     # A metrics.json written before gauges were dropped still merges: keys
