@@ -14,7 +14,7 @@ Run:  python examples/crash_site_demo.py [--smoke]
 
 from repro import GccCompiler
 from repro.core import classify_discrepancy
-from repro.vm.trace import format_trace
+from repro.vm.trace import format_trace, get_executed_sites
 
 FIGURE1 = """\
 struct a { int x; };
@@ -45,7 +45,8 @@ int main() {
 def inspect(title: str, source: str, compiler: GccCompiler) -> None:
     print(f"=== {title} ===")
     print(source)
-    crashing = compiler.compile(source, opt_level="-O0", sanitizer="asan").run()
+    crashing_binary = compiler.compile(source, opt_level="-O0", sanitizer="asan")
+    crashing = crashing_binary.run()
     normal = compiler.compile(source, opt_level="-O2", sanitizer="asan").run()
     print(f"$ gcc -O0 -fsanitize=address a.c && ./a.out")
     if crashing.crashed:
@@ -57,7 +58,8 @@ def inspect(title: str, source: str, compiler: GccCompiler) -> None:
         print(f"  {normal.report.summary()}")
     else:
         print("  (exited normally)")
-    print(f"crash-site trace tail (-O0): {format_trace(crashing.site_trace, 6)}")
+    tail = format_trace(get_executed_sites(crashing_binary), 6)
+    print(f"crash-site trace tail (-O0): {tail}")
     print(f"oracle verdict: {classify_discrepancy(crashing, normal)}")
     print()
 

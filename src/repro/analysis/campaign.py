@@ -73,7 +73,6 @@ def run_bug_finding_campaign(num_seeds: int = 6, rng_seed: int = 2024,
                              opt_levels: Tuple[str, ...] = ("-O0", "-O1", "-Os",
                                                             "-O2", "-O3"),
                              max_programs_per_type: int = 2,
-                             use_cache: bool = True,
                              workers: int = 1,
                              **config_overrides) -> CampaignResult:
     """Run (or reuse) the scaled RQ1 campaign through the orchestrator.
@@ -90,13 +89,11 @@ def run_bug_finding_campaign(num_seeds: int = 6, rng_seed: int = 2024,
                             max_programs_per_type=max_programs_per_type,
                             **config_overrides)
     fingerprint = config_fingerprint(config)
-    if use_cache:
-        cached = _CAMPAIGN_CACHE.get(fingerprint)
-        if cached is not None:
-            return cached
+    cached = _CAMPAIGN_CACHE.get(fingerprint)
+    if cached is not None:
+        return cached
     result = OrchestratedCampaign(config, workers=workers).run()
-    if use_cache:
-        _CAMPAIGN_CACHE.put(fingerprint, result)
+    _CAMPAIGN_CACHE.put(fingerprint, result)
     return result
 
 
@@ -156,11 +153,12 @@ _COMPARISON_CACHE: Dict[tuple, "GeneratorComparison"] = {}
 
 def run_generator_comparison(num_seeds: int = 6, rng_seed: int = 7,
                              programs_per_seed: int = 12,
-                             max_programs_per_type: int = 2,
-                             use_cache: bool = True) -> GeneratorComparison:
-    """The Table 4 experiment: UBfuzz vs MUSIC vs Csmith-NoSafe."""
+                             max_programs_per_type: int = 2
+                             ) -> GeneratorComparison:
+    """The Table 4 experiment: UBfuzz vs MUSIC vs Csmith-NoSafe (cached
+    per argument set)."""
     cache_key = (num_seeds, rng_seed, programs_per_seed, max_programs_per_type)
-    if use_cache and cache_key in _COMPARISON_CACHE:
+    if cache_key in _COMPARISON_CACHE:
         return _COMPARISON_CACHE[cache_key]
     comparison = GeneratorComparison()
     seed_gen = CsmithGenerator(GeneratorConfig(seed=rng_seed))
@@ -228,8 +226,7 @@ def run_generator_comparison(num_seeds: int = 6, rng_seed: int = 7,
     comparison.no_ub["csmith-nosafe"] = nosafe_no_ub
     comparison.programs["csmith-nosafe"] = nosafe_programs
 
-    if use_cache:
-        _COMPARISON_CACHE[cache_key] = comparison
+    _COMPARISON_CACHE[cache_key] = comparison
     return comparison
 
 

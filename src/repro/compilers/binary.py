@@ -28,7 +28,7 @@ class CompiledBinary:
     Produced by ``SimulatedCompiler.compile``; ``run(max_steps=...)``
     interprets the instrumented AST on the VM and returns an
     :class:`~repro.vm.errors.ExecutionResult` (exit code or sanitizer
-    report plus execution trace).
+    report, crash site and executed-site set).
 
     ``analysis`` is where :attr:`sema` comes from.  A binary compiled
     without a sanitizer holds the compiler's
@@ -75,17 +75,17 @@ class CompiledBinary:
         return self.sanitizer_pass.build_runtime(self.sanitizer_context)
 
     def run(self, max_steps: int = DEFAULT_MAX_STEPS,
-            profile_collector=None, call_hook=None) -> ExecutionResult:
+            site_callback=None) -> ExecutionResult:
         """Execute the binary on the VM and return the result.
 
-        ``call_hook`` (if given) receives the name of every stubbed external
-        call the execution reaches — the marker oracle's liveness probe.
+        ``site_callback`` (if given) receives every executed
+        ``(line, offset)`` site in execution order — what the
+        :class:`~repro.vm.trace.Debugger` steps through.
         """
         interpreter = Interpreter(self.unit, self.sema,
                                   runtime=self.build_runtime(),
                                   max_steps=max_steps,
-                                  profile_collector=profile_collector,
-                                  call_hook=call_hook)
+                                  site_callback=site_callback)
         return interpreter.run()
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid

@@ -5,17 +5,21 @@ Given two binaries compiled from the same UB program, where running one
 normally, decide whether the discrepancy is a **sanitizer false-negative
 bug** or merely the effect of **compiler optimization**:
 
-* extract the crash site — the ``(line, offset)`` of the last executed
-  instruction of ``b_c`` (Definition 2);
+* extract the crash site — the ``(line, offset)`` where ``b_c`` aborted
+  (Definition 2): the VM's ``crash_site``, the UB expression's own site;
 * if that site is also executed by ``b_n``, the optimizer did not remove the
   UB expression, so the sanitizer in ``b_n`` missed it → a bug;
 * otherwise the UB was optimized away → not a sanitizer bug.
 
-Two implementations are provided: :func:`is_sanitizer_bug` follows
-Algorithm 2 literally (driving the LLDB-like :class:`~repro.vm.trace.Debugger`
-over both binaries), while :func:`is_sanitizer_bug_from_results` reuses
-already-collected execution results, which is what the fuzzing campaign uses
-to avoid re-running binaries.
+This is one algorithm over two kinds of input.  :func:`is_sanitizer_bug`
+takes binaries and follows Algorithm 2 literally: it runs ``b_c`` for its
+crash site and steps ``b_n`` under the LLDB-like
+:class:`~repro.vm.trace.Debugger` looking for it.
+:func:`is_sanitizer_bug_from_results` takes already-collected execution
+results and looks the crash site up in ``b_n``'s executed-site set, which
+is what the fuzzing campaign uses to avoid re-running binaries.  Both read
+the same two facts, so they agree on every pair where ``b_n`` exits
+without a report.
 """
 
 from __future__ import annotations
@@ -24,7 +28,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from repro.vm.errors import ExecutionResult
-from repro.vm.trace import Debugger, get_executed_sites
+from repro.vm.trace import Debugger
 
 
 @dataclass
@@ -50,11 +54,11 @@ def format_crash_site(crash_site: Optional[tuple]) -> str:
 
 
 def is_sanitizer_bug(crashing_binary, normal_binary) -> bool:
-    """Algorithm 2, literally: debug both binaries and map the crash site."""
-    crash_sites = get_executed_sites(crashing_binary)
-    if not crash_sites:
+    """Algorithm 2, literally: run the crashing binary for its crash site,
+    then step the normal binary's executed sites looking for it."""
+    crash_site = crashing_binary.run().crash_site
+    if crash_site is None:
         return False
-    crash_site = crash_sites[-1]
 
     debugger = Debugger()
     debugger.init(normal_binary)
@@ -74,16 +78,6 @@ def is_sanitizer_bug_from_results(crashing: ExecutionResult,
         return OracleVerdict(False, normal.crash_site,
                              "both binaries crashed: no discrepancy")
     crash_site = crashing.crash_site
-    if crash_site is None and crashing.site_trace:
-        if crashing.trace_truncated:
-            # The trace hit the recording cap, so its tail is some arbitrary
-            # mid-execution site, not the crash site.  Mapping it could
-            # mis-attribute an optimization discrepancy as a sanitizer bug,
-            # so the oracle declines to flag one (conservative).
-            return OracleVerdict(False, None,
-                                 "site trace truncated: the recorded tail is "
-                                 "not the crash site")
-        crash_site = crashing.site_trace[-1]
     if crash_site is None:
         return OracleVerdict(False, None, "no crash site information (missing -g?)")
     if crash_site in normal.executed_sites:

@@ -10,6 +10,9 @@ observations as an :class:`ExecutionProfile` exposing the paper's queries:
 * ``Q_mem`` — the memory object (buffer range, kind, freed/dead state) an
   observed pointer points into;
 * ``Q_scp`` — scope information, via the statement-level execution order.
+  The profiling run hands every executed site to the interpreter's
+  ``site_callback``, which keeps the index of each site's first execution
+  among the run's first :data:`SITE_ORDER_LIMIT` executed sites.
 
 One profiling run serves every UB type (the paper's implementation note:
 "the profiling overhead for all UB types is identical").
@@ -17,6 +20,7 @@ One profiling run serves every UB type (the paper's implementation note:
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Tuple
 
@@ -29,14 +33,27 @@ from repro.vm.errors import ExecutionResult
 from repro.vm.interpreter import Interpreter
 from repro.vm.profiler import ObservedBuffer, ProfileCollector, ValueObservation
 
+#: ``Q_scp`` orders statements by their first execution among this many
+#: executed sites of the profiling run; a statement first executed later
+#: has no order.  The bound keeps the generator's inputs unchanged: without
+#: it, long-running seeds answer differently for many statements, and the
+#: use-after-scope programs planted from those answers can change.
+SITE_ORDER_LIMIT = 20_000
+
 
 @dataclass
 class ExecutionProfile:
-    """The dynamic profile of one seed program run (Definition 1)."""
+    """The dynamic profile of one seed program run (Definition 1).
+
+    ``site_order`` maps each site first executed among the run's first
+    :data:`SITE_ORDER_LIMIT` executed sites to the index of that first
+    execution.
+    """
 
     collector: ProfileCollector
     result: ExecutionResult
     hooked_keys: Dict[str, List[str]] = field(default_factory=dict)
+    site_order: Dict[Tuple[int, int], int] = field(default_factory=dict)
 
     # -- the paper's queries -----------------------------------------------------
 
@@ -64,14 +81,11 @@ class ExecutionProfile:
         return stmt.loc.is_known and stmt.loc.site() in self.result.executed_sites
 
     def q_scp_order(self, stmt: ast.Stmt) -> Optional[int]:
-        """Index of the first execution of *stmt* in the run, or None."""
+        """Index of the first execution of *stmt* among the run's first
+        :data:`SITE_ORDER_LIMIT` executed sites, or None."""
         if not stmt.loc.is_known:
             return None
-        site = stmt.loc.site()
-        for i, executed in enumerate(self.result.site_trace):
-            if executed == site:
-                return i
-        return None
+        return self.site_order.get(stmt.loc.site())
 
     # -- helpers --------------------------------------------------------------------
 
@@ -134,13 +148,22 @@ class Profiler:
             raise ProfilingError(f"profiling instrumentation broke the "
                                  f"program: {exc}") from exc
         collector = ProfileCollector()
+        site_order: Dict[Tuple[int, int], int] = {}
+        ticks = itertools.count()
+
+        def record_order(site: Tuple[int, int]) -> None:
+            index = next(ticks)
+            if index < SITE_ORDER_LIMIT:
+                site_order.setdefault(site, index)
+
         interpreter = Interpreter(instrumented, sema, max_steps=self.max_steps,
-                                  profile_collector=collector)
+                                  profile_collector=collector,
+                                  site_callback=record_order)
         result = interpreter.run()
         if result.status == "vm_error":
             raise ProfilingError(f"profiling run failed: {result.error}")
         return ExecutionProfile(collector=collector, result=result,
-                                hooked_keys=hooked_keys)
+                                hooked_keys=hooked_keys, site_order=site_order)
 
 
 #: Where a node is held: (parent, field name, list position or None).

@@ -89,7 +89,6 @@ class OrchestratedCampaign:
     def __init__(self, config: Optional[CampaignConfig] = None,
                  workers: int = 1,
                  checkpoint_path: Optional[str] = None,
-                 checkpoint_interval: int = 1,
                  corpus: Union[CorpusStore, str, None] = None,
                  progress: Optional[Callable[[str], None]] = None,
                  max_seeds_per_session: Optional[int] = None,
@@ -113,8 +112,7 @@ class OrchestratedCampaign:
                 "platform has no 'fork' start method; use workers=1")
         #: Seed processes: 1 runs every seed in this process.
         self.workers = max(1, workers)
-        self.checkpoint = (CampaignCheckpoint(checkpoint_path, self.config,
-                                              flush_interval=checkpoint_interval)
+        self.checkpoint = (CampaignCheckpoint(checkpoint_path, self.config)
                            if checkpoint_path is not None else None)
         if isinstance(corpus, (str, bytes)):
             # A shared --db file holds the findings tables, so two
@@ -413,8 +411,6 @@ class OrchestratedCampaign:
                 yield batch
         finally:
             fresh.close()
-            if self.checkpoint is not None:
-                self.checkpoint.flush()
             if self.corpus is not None:
                 self.corpus.flush()
 

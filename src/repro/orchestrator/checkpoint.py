@@ -37,23 +37,15 @@ class CheckpointMismatch(Exception):
 class CampaignCheckpoint:
     """Persists completed seed batches for one campaign configuration.
 
-    ``flush_interval`` trades durability for I/O: the snapshot (which grows
-    with every completed seed, program sources included) is rewritten every
-    N recorded batches instead of every one.  A crash between flushes only
-    loses the unflushed seeds' *work* — they are simply recomputed on
-    resume — never correctness.
+    Every recorded batch rewrites the snapshot, so a killed campaign
+    recomputes only the seeds that had not finished.
     """
 
-    def __init__(self, path: str, config: CampaignConfig,
-                 flush_interval: int = 1) -> None:
-        if flush_interval < 1:
-            raise ValueError("flush_interval must be >= 1")
+    def __init__(self, path: str, config: CampaignConfig) -> None:
         self.path = str(path)
         self.fingerprint = config_fingerprint(config)
-        self.flush_interval = flush_interval
         self._records: Dict[int, dict] = {}
         self._loaded = False
-        self._unflushed = 0
 
     # -- reading ---------------------------------------------------------------
 
@@ -88,23 +80,14 @@ class CampaignCheckpoint:
     # -- writing ---------------------------------------------------------------
 
     def record(self, batch: SeedBatch) -> None:
-        """Add one completed batch; rewrites the snapshot atomically every
-        ``flush_interval`` batches (call :meth:`flush` to force a write)."""
+        """Add one completed batch and rewrite the snapshot (:meth:`flush`)."""
         if not self._loaded:
             self.load()
         self._records[batch.seed_index] = batch_to_record(batch)
-        self._unflushed += 1
-        if self._unflushed >= self.flush_interval:
-            self.flush()
+        self.flush()
 
     def flush(self) -> None:
-        """Write the snapshot now, if there is anything unflushed."""
-        if self._unflushed == 0:
-            return
-        self._write_snapshot()
-        self._unflushed = 0
-
-    def _write_snapshot(self) -> None:
+        """Rewrite the snapshot atomically from the recorded batches."""
         snapshot = {
             "version": RECORD_VERSION,
             "fingerprint": self.fingerprint,

@@ -17,6 +17,12 @@ replay it into a per-stage profile with::
 ``<corpus>/corpus.sqlite``, so campaigns sharing it dedupe against each
 other; the ``query``, ``bisect`` and ``known-bugs`` subcommands read it.
 
+Both modes build one :class:`OrchestratedCampaign` from the arguments; a
+combination it rejects (``--checkpoint``/``--corpus`` in marker mode,
+``--trace`` or ``--db`` without ``--corpus``, ``--workers N`` without the
+``fork`` start method) prints its message as ``error: ...`` and exits
+with status 2.
+
 Status output goes through :mod:`logging` (configure with ``-v``/``-q``);
 the result summary itself prints to stdout (``--json`` for machines).
 """
@@ -82,10 +88,6 @@ def build_parser() -> argparse.ArgumentParser:
                              "the corpus as reduced/<bucket>.c)")
     parser.add_argument("--checkpoint", default=None, metavar="PATH",
                         help="JSON snapshot to write/resume from")
-    parser.add_argument("--checkpoint-interval", type=int, default=1,
-                        help="rewrite the snapshot every N completed seeds "
-                             "(default: 1; larger = less I/O, a crash "
-                             "recomputes up to N-1 seeds)")
     parser.add_argument("--corpus", default=None, metavar="DIR",
                         help="directory for the persistent corpus store")
     parser.add_argument("--max-seeds-per-session", type=int, default=None,
@@ -149,11 +151,6 @@ def build_watch_parser() -> argparse.ArgumentParser:
     parser.add_argument("--timeout", type=float, default=None, metavar="S",
                         help="give up after S seconds (default: follow "
                              "until the campaign finishes)")
-    parser.add_argument("--stall-factor", type=float, default=None,
-                        metavar="X",
-                        help="flag a stall when the trace is silent for X "
-                             "times the rolling median seed duration "
-                             "(default: 5)")
     parser.add_argument("--json", action="store_true", dest="as_json",
                         help="print one JSON snapshot per refresh")
     return parser
@@ -362,37 +359,22 @@ def _run(args: argparse.Namespace) -> int:
     config = config_from_args(args)
     _check_compilers(config.compilers)
     _check_opt_levels(config.opt_levels)
-    progress = None if args.quiet else _progress
-    if args.mode == "markers":
-        if args.checkpoint is not None or args.corpus is not None:
-            raise CLIError("--checkpoint/--corpus are fuzzing-only "
-                           "(marker campaigns are cheap to re-run)")
-        if args.max_seeds_per_session is not None:
-            raise CLIError("--max-seeds-per-session is fuzzing-only: "
-                           "without a checkpoint a capped marker campaign "
-                           "could never process its remaining seeds")
-        if args.trace:
-            raise CLIError("--trace is fuzzing-only: marker campaigns have "
-                           "no corpus directory to persist the trace into")
-        return _run_markers(args, config, progress)
-    if args.trace and args.corpus is None:
-        raise CLIError("--trace requires --corpus DIR (the trace persists "
-                       "as <corpus>/telemetry/trace.jsonl)")
-    if args.db_path is not None and args.corpus is None:
-        raise CLIError("--db requires --corpus DIR (a fuzzing campaign "
-                       "writes the findings database through its corpus "
-                       "store; without one --db would be ignored)")
-    orchestrated = OrchestratedCampaign(
-        config,
-        workers=args.workers,
-        checkpoint_path=args.checkpoint,
-        checkpoint_interval=args.checkpoint_interval,
-        corpus=args.corpus,
-        progress=progress,
-        max_seeds_per_session=args.max_seeds_per_session,
-        reduce=args.reduce,
-        trace=args.trace,
-        db_path=args.db_path)
+    try:
+        # The campaign validates its own arguments (storage that a marker
+        # campaign cannot use, a trace or --db without a corpus, workers
+        # without fork); its ValueError is the CLI's error message.
+        orchestrated = OrchestratedCampaign(
+            config,
+            workers=args.workers,
+            checkpoint_path=args.checkpoint,
+            corpus=args.corpus,
+            progress=None if args.quiet else _progress,
+            max_seeds_per_session=args.max_seeds_per_session,
+            reduce=args.reduce,
+            trace=args.trace,
+            db_path=args.db_path)
+    except ValueError as exc:
+        raise CLIError(str(exc)) from None
     try:
         result = orchestrated.run()
     except CheckpointMismatch as exc:
@@ -401,6 +383,8 @@ def _run(args: argparse.Namespace) -> int:
     except json.JSONDecodeError as exc:
         raise CLIError(f"checkpoint {args.checkpoint} is not valid JSON "
                        f"({exc}) — delete it or pass a fresh path") from None
+    if args.mode == "markers":
+        return _print_markers(args, orchestrated, result)
 
     stats = result.stats
     summary = {
@@ -511,15 +495,9 @@ def _cache_line(cache: dict) -> str:
             f"{cache.get('evictions', 0)} evicted")
 
 
-def _run_markers(args: argparse.Namespace, config, progress) -> int:
-    """Run a marker campaign and print its summary."""
-    orchestrated = OrchestratedCampaign(
-        config,
-        workers=args.workers,
-        progress=progress,
-        reduce=args.reduce,
-        db_path=args.db_path)
-    result = orchestrated.run()
+def _print_markers(args: argparse.Namespace,
+                   orchestrated: OrchestratedCampaign, result) -> int:
+    """Print a finished marker campaign's summary."""
     stats = result.stats
     summary = {
         "mode": "markers",
@@ -685,16 +663,13 @@ def _watch_main(argv: List[str]) -> int:
     """The ``watch`` subcommand: live stats for a running traced campaign."""
     import time as _time
 
-    from repro.telemetry.monitor import DEFAULT_STALL_FACTOR, WatchView
+    from repro.telemetry.monitor import WatchView
     args = build_watch_parser().parse_args(argv)
     if not os.path.isdir(args.campaign_dir):
         print(f"error: {args.campaign_dir!r} is not a campaign directory",
               file=sys.stderr)
         return 2
-    view = WatchView(args.campaign_dir,
-                     stall_factor=(args.stall_factor
-                                   if args.stall_factor is not None
-                                   else DEFAULT_STALL_FACTOR))
+    view = WatchView(args.campaign_dir)
     deadline = (_time.monotonic() + args.timeout
                 if args.timeout is not None else None)
     while True:

@@ -192,17 +192,21 @@ _SIMPLIFIABLE = (ast.BinaryOp, ast.UnaryOp, ast.Conditional, ast.Cast,
                  ast.MemberAccess, ast.SizeofExpr)
 
 
+#: Expression sites :func:`simplify_candidates` tries per invocation.
+SIMPLIFY_CAP = 64
+
+
 def _subtree_size(node: ast.Node) -> int:
     return sum(1 for _ in walk(node))
 
 
-def simplify_candidates(unit: ast.TranslationUnit,
-                        cap: int = 64) -> Iterator[str]:
+def simplify_candidates(unit: ast.TranslationUnit) -> Iterator[str]:
     """Replace composite sub-expressions with the constants ``0`` and ``1``.
 
     Write targets (assignment left-hand sides, ``&`` and ``++``/``--``
     operands) are skipped — they cannot become literals.  Larger subtrees are
-    tried first; at most *cap* sites are attempted per invocation.
+    tried first; at most :data:`SIMPLIFY_CAP` sites are attempted per
+    invocation.
     """
     parents = parent_map(unit)
 
@@ -219,7 +223,7 @@ def simplify_candidates(unit: ast.TranslationUnit,
         if isinstance(node, _SIMPLIFIABLE) and not is_write_target(node):
             sites.append((-_subtree_size(node), order, node.node_id))
     sites.sort()
-    for _, _, node_id in sites[:cap]:
+    for _, _, node_id in sites[:SIMPLIFY_CAP]:
         for value in (0, 1):
             copy, by_id = _clone_indexed(unit)
             target = by_id[node_id]

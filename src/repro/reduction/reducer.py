@@ -95,7 +95,6 @@ class HierarchicalReducer:
             a shared tester and its
             :class:`~repro.compilers.cache.CompilationCache`.
         max_rounds: bound on coarse-to-fine fixpoint rounds.
-        simplify_cap: expression sites tried per simplification sweep.
         cache: the compilation cache the predicate compiles through (see
             the module docstring); by default the reducer keeps its own.
 
@@ -110,11 +109,9 @@ class HierarchicalReducer:
     AST_PASSES = ("flatten", "unswitch", "simplify", "prune")
 
     def __init__(self, predicate: Predicate, max_rounds: int = 8,
-                 simplify_cap: int = 64,
                  cache: Optional[CompilationCache] = None) -> None:
         self.predicate = predicate
         self.max_rounds = max_rounds
-        self.simplify_cap = simplify_cap
         self.cache = cache if cache is not None else CompilationCache()
 
     # -- public ---------------------------------------------------------------------
@@ -201,8 +198,7 @@ class HierarchicalReducer:
             elif pass_name == "unswitch":
                 candidates = list(passes.unswitch_candidates(unit))
             elif pass_name == "simplify":
-                candidates = list(passes.simplify_candidates(
-                    unit, cap=self.simplify_cap))
+                candidates = list(passes.simplify_candidates(unit))
             else:
                 candidates = list(passes.prune_candidates(unit))
             index = self._first_accepted(candidates)

@@ -4,17 +4,18 @@ Two consumers share this module:
 
 * the **orchestrator** feeds a :class:`HealthMonitor` every freshly
   executed batch.  The monitor keeps a rolling median of per-seed wall
-  times; a gap between batches exceeding ``stall_factor`` × that median is
-  flagged as a stall (one WARN log per incident) and the final summary —
-  status, stall count, worst gap — lands under ``health`` in the
-  campaign's ``telemetry/metrics.json`` (and its telemetry summary);
+  times; a gap between batches longer than :func:`stall_threshold` of
+  those times is flagged as a stall (one WARN log per incident) and the
+  final summary — status, stall count, worst gap — lands under ``health``
+  in the campaign's ``telemetry/metrics.json`` (and its telemetry summary);
 * the **watch subcommand** (``python -m repro.orchestrator watch <dir>``)
   attaches a :class:`TraceFollower` to a *running* campaign's
   ``telemetry/trace.jsonl``.  The follower tails the file read-only
   (complete lines only, partial tail retained for the next poll), so it can
   never disturb the writer, and feeds a :class:`WatchView` that renders
   throughput, ETA and the per-stage self-time breakdown from whatever spans
-  have been flushed so far.
+  have been flushed so far, and calls the trace stalled by the same
+  :func:`stall_threshold`.
 """
 
 from __future__ import annotations
@@ -31,10 +32,22 @@ from repro.telemetry.profile import profile_from_events, telemetry_paths
 logger = logging.getLogger(__name__)
 
 #: A batch gap this many times the rolling per-seed median flags a stall.
-DEFAULT_STALL_FACTOR = 5.0
+STALL_FACTOR = 5.0
 #: Gaps under this many seconds never flag, whatever the median says —
 #: sub-second seeds would otherwise make normal scheduling jitter "stalls".
 MIN_STALL_SECONDS = 2.0
+#: The rolling median covers this many of the latest seed durations.
+STALL_WINDOW = 16
+
+
+def stall_threshold(seed_durations: List[float]) -> Optional[float]:
+    """Seconds without progress that count as a stall, given the seed
+    durations so far: ``max(MIN_STALL_SECONDS, STALL_FACTOR × median)`` of
+    the latest :data:`STALL_WINDOW`, or None before the first seed."""
+    if not seed_durations:
+        return None
+    median = statistics.median(seed_durations[-STALL_WINDOW:])
+    return max(MIN_STALL_SECONDS, STALL_FACTOR * median)
 
 
 class HealthMonitor:
@@ -42,20 +55,13 @@ class HealthMonitor:
 
     ``observe(duration)`` records one freshly executed seed batch; the gap
     since the previous observation is compared against
-    ``max(min_stall_seconds, stall_factor * rolling_median)``.  The first
+    :func:`stall_threshold` of the durations seen so far.  The first
     flagged gap of an incident logs a WARN; :meth:`summary` reports the
-    campaign's final health for ``metrics.json``.
+    campaign's final health for ``metrics.json``.  ``clock`` is the time
+    source (tests substitute a fake one).
     """
 
-    def __init__(self, stall_factor: float = DEFAULT_STALL_FACTOR,
-                 window: int = 16,
-                 min_stall_seconds: float = MIN_STALL_SECONDS,
-                 clock: Callable[[], float] = time.monotonic) -> None:
-        if stall_factor <= 1.0:
-            raise ValueError("stall_factor must be > 1")
-        self.stall_factor = stall_factor
-        self.window = window
-        self.min_stall_seconds = min_stall_seconds
+    def __init__(self, clock: Callable[[], float] = time.monotonic) -> None:
         self._clock = clock
         self._durations: List[float] = []
         self._last_progress: Optional[float] = None
@@ -68,17 +74,15 @@ class HealthMonitor:
 
     @property
     def median_seed_seconds(self) -> Optional[float]:
-        """Rolling median duration of the last ``window`` seed batches."""
+        """Rolling median duration of the last :data:`STALL_WINDOW` seed
+        batches."""
         if not self._durations:
             return None
         return statistics.median(self._durations)
 
     def threshold_seconds(self) -> Optional[float]:
         """The current stall threshold, or None before any observation."""
-        median = self.median_seed_seconds
-        if median is None:
-            return None
-        return max(self.min_stall_seconds, self.stall_factor * median)
+        return stall_threshold(self._durations)
 
     def observe(self, duration_seconds: float) -> None:
         """Record one freshly executed batch (its per-seed wall time)."""
@@ -87,7 +91,7 @@ class HealthMonitor:
         self._last_progress = now
         self.batches += 1
         self._durations.append(max(0.0, duration_seconds))
-        if len(self._durations) > self.window:
+        if len(self._durations) > STALL_WINDOW:
             del self._durations[0]
 
     def _check_gap(self, now: float) -> None:
@@ -101,7 +105,7 @@ class HealthMonitor:
             logger.warning(
                 "campaign stall: no batch progress for %.1fs "
                 "(threshold %.1fs = %.1fx rolling median %.2fs)",
-                gap, threshold, self.stall_factor,
+                gap, threshold, STALL_FACTOR,
                 self.median_seed_seconds or 0.0)
 
     def summary(self) -> dict:
@@ -114,7 +118,7 @@ class HealthMonitor:
             "worst_gap_seconds": round(self.worst_gap_seconds, 3),
             "median_seed_seconds": (round(median, 3)
                                     if median is not None else None),
-            "stall_factor": self.stall_factor,
+            "stall_factor": STALL_FACTOR,
         }
 
 
@@ -175,13 +179,11 @@ class WatchView:
     seeds done and per-stage self time come from the flushed spans, totals
     from the ``campaign_start`` meta event the orchestrator emits, and
     health from how long ago the trace last grew versus the rolling median
-    seed duration (same rule as :class:`HealthMonitor`).
+    seed duration (:func:`stall_threshold`, as :class:`HealthMonitor`).
     """
 
-    def __init__(self, campaign_dir: str,
-                 stall_factor: float = DEFAULT_STALL_FACTOR) -> None:
+    def __init__(self, campaign_dir: str) -> None:
         self.campaign_dir = campaign_dir
-        self.stall_factor = stall_factor
         self.follower = TraceFollower(telemetry_paths(campaign_dir)[0])
 
     def refresh(self) -> int:
@@ -237,11 +239,7 @@ class WatchView:
         age = self.follower.last_event_age()
         if age is None:
             return {"status": "waiting", "last_event_age_seconds": None}
-        threshold = None
-        if seed_durations:
-            window = seed_durations[-16:]
-            threshold = max(MIN_STALL_SECONDS,
-                            self.stall_factor * statistics.median(window))
+        threshold = stall_threshold(seed_durations)
         status = "ok"
         if self.finished:
             status = "finished"

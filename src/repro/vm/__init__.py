@@ -1,4 +1,4 @@
-"""The execution substrate: flat memory, interpreter, tracing, profiling."""
+"""The execution substrate: flat memory, interpreter, debugger, profiling."""
 
 from repro.vm.errors import (
     ExecutionResult,
@@ -16,7 +16,7 @@ from repro.vm.interpreter import (
 )
 from repro.vm.memory import GUARD_GAP, Memory, MemoryObject
 from repro.vm.profiler import ObservedBuffer, ProfileCollector, ValueObservation
-from repro.vm.trace import Debugger, crash_site_of, get_executed_sites, sites_cover
+from repro.vm.trace import Debugger, get_executed_sites
 from repro.vm.values import RuntimeValue, coerce, make_value
 
 __all__ = [
@@ -37,9 +37,7 @@ __all__ = [
     "ProfileCollector",
     "ValueObservation",
     "Debugger",
-    "crash_site_of",
     "get_executed_sites",
-    "sites_cover",
     "RuntimeValue",
     "coerce",
     "make_value",

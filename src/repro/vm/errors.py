@@ -85,12 +85,12 @@ class ExecutionResult:
     """Outcome of running a compiled binary on the VM.
 
     ``status`` is one of ``"ok"``, ``"sanitizer_report"``, ``"timeout"`` or
-    ``"vm_error"``.  ``crash_site`` is the ``(line, offset)`` of the last
-    executed source site when the run aborted with a sanitizer report.
-    ``trace_truncated`` is set when ``site_trace`` hit the recording cap, in
-    which case its tail is *not* the last executed site (``executed_sites``
-    and ``crash_site`` stay complete); the crash-site oracle treats such
-    traces conservatively.
+    ``"vm_error"``.  ``crash_site`` is the ``(line, offset)`` where a run
+    aborted with a sanitizer report: the report's location, or the last
+    executed source site when the report has none.  ``executed_sites`` is
+    the set of every site the run executed.  These two are what crash-site
+    mapping reads; a run keeps no ordered site stream (pass the
+    interpreter a ``site_callback`` for one).
     """
 
     status: str
@@ -98,8 +98,6 @@ class ExecutionResult:
     report: Optional[SanitizerReport] = None
     crash_site: Optional[tuple[int, int]] = None
     executed_sites: frozenset = frozenset()
-    site_trace: tuple = ()
-    trace_truncated: bool = False
     stdout: str = ""
     steps: int = 0
     error: Optional[str] = None

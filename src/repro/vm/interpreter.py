@@ -12,8 +12,10 @@ real machine:
 * sanitizer checks: :class:`~repro.cdsl.ast_nodes.SanitizerCheck` nodes are
   evaluated by collecting their operands and asking the attached
   :class:`SanitizerRuntime` whether to abort with a report,
-* an execution trace of ``(line, offset)`` sites consumed by the crash-site
-  mapping oracle, and
+* the ``(line, offset)`` sites the crash-site mapping oracle reads: the
+  crash site of a sanitizer abort and the set of executed sites, plus a
+  per-site hook (``site_callback``) for the readers that need sites in
+  execution order, and
 * profiling hooks used by the UB program generator (paper §3.2.2).
 """
 
@@ -43,7 +45,6 @@ from repro.vm.values import RuntimeValue, coerce, make_value
 
 DEFAULT_MAX_STEPS = 200_000
 _MAX_CALL_DEPTH = 64
-_MAX_TRACE_LEN = 20_000
 
 
 class SanitizerRuntime(Protocol):
@@ -105,14 +106,19 @@ class Frame:
 
 
 class Interpreter:
-    """Executes one program.  Create a fresh instance per run."""
+    """Executes one program.  Create a fresh instance per run.
+
+    The result keeps the run's executed-site set and crash site, not the
+    order the sites ran in.  A reader that needs that order passes
+    ``site_callback``: it receives the ``(line, offset)`` site of every
+    step at a known location, in execution order.
+    """
 
     def __init__(self, unit: ast.TranslationUnit, sema: SemanticInfo,
                  runtime: Optional[SanitizerRuntime] = None,
                  max_steps: int = DEFAULT_MAX_STEPS,
                  profile_collector=None,
                  site_callback: Optional[Callable[[tuple[int, int]], None]] = None,
-                 max_trace_len: int = _MAX_TRACE_LEN,
                  call_hook: Optional[Callable[[str], None]] = None) -> None:
         self.unit = unit
         self.sema = sema
@@ -120,7 +126,6 @@ class Interpreter:
         self.max_steps = max_steps
         self.profile_collector = profile_collector
         self.site_callback = site_callback
-        self.max_trace_len = max_trace_len
         self.call_hook = call_hook
 
         self.memory = Memory()
@@ -133,8 +138,6 @@ class Interpreter:
         self.stdout: List[str] = []
         self.steps = 0
         self.executed_sites: set[tuple[int, int]] = set()
-        self.site_trace: List[tuple[int, int]] = []
-        self.trace_truncated = False
         self.last_site: Optional[tuple[int, int]] = None
         # Per-run evaluator caches (precomputed values keyed by node id;
         # node ids are unique within one translation unit and the annotated
@@ -183,8 +186,6 @@ class Interpreter:
             status=status, exit_code=exit_code, report=report,
             crash_site=crash_site,
             executed_sites=frozenset(self.executed_sites),
-            site_trace=tuple(self.site_trace),
-            trace_truncated=self.trace_truncated,
             stdout="".join(self.stdout), steps=self.steps, error=error)
 
     # --------------------------------------------------------------- setup
@@ -250,11 +251,6 @@ class Interpreter:
             site = (loc.line, loc.col)
             self.last_site = site
             self.executed_sites.add(site)
-            trace = self.site_trace
-            if len(trace) < self.max_trace_len:
-                trace.append(site)
-            else:
-                self.trace_truncated = True
             if self.site_callback is not None:
                 self.site_callback(site)
 

@@ -1,10 +1,11 @@
-"""Execution tracing and the debugger used by crash-site mapping.
+"""The debugger used by the literal form of crash-site mapping.
 
 The paper uses LLDB's Python API to single-step compiled binaries and record
 the source ``(line, offset)`` of every executed instruction (Algorithm 2,
-``GetExecutedSites``).  Our VM records the same information natively while
-interpreting; the :class:`Debugger` class exposes it through an LLDB-like
-stepping interface so the oracle code mirrors the paper's algorithm.
+``GetExecutedSites``).  Our VM reports every executed site, in order, to
+the interpreter's ``site_callback``; the :class:`Debugger` class records
+that stream for one run and exposes it through an LLDB-like stepping
+interface so the oracle code mirrors the paper's algorithm.
 """
 
 from __future__ import annotations
@@ -15,13 +16,13 @@ from repro.vm.errors import ExecutionResult
 
 
 class Debugger:
-    """An LLDB-flavoured wrapper over a completed execution trace.
+    """An LLDB-flavoured wrapper over one recorded execution.
 
     The debugger "runs" the target binary when :meth:`init` is called (the
-    VM interprets the whole program and records the site trace), then
-    exposes the recorded instruction stream through ``is_alive`` /
-    ``next_instruction`` / ``curr_line`` / ``curr_offset``, mirroring the
-    paper's Algorithm 2.
+    VM interprets the whole program and hands every executed site to the
+    debugger's ``site_callback``), then exposes the recorded instruction
+    stream through ``is_alive`` / ``next_instruction`` / ``curr_line`` /
+    ``curr_offset``, mirroring the paper's Algorithm 2.
     """
 
     def __init__(self) -> None:
@@ -30,9 +31,10 @@ class Debugger:
         self._result: Optional[ExecutionResult] = None
 
     def init(self, binary) -> None:
-        """Launch *binary* (anything with a ``run()`` returning ExecutionResult)."""
-        self._result = binary.run()
-        self._trace = list(self._result.site_trace)
+        """Launch *binary*: anything whose ``run(site_callback=...)``
+        returns an ExecutionResult."""
+        self._trace = []
+        self._result = binary.run(site_callback=self._trace.append)
         self._index = 0
 
     @property
@@ -71,23 +73,7 @@ def get_executed_sites(binary) -> List[tuple[int, int]]:
     return sites
 
 
-def crash_site_of(result: ExecutionResult) -> Optional[tuple[int, int]]:
-    """The crash site of a run, or None if the run did not crash."""
-    if not result.crashed:
-        return None
-    if result.crash_site is not None:
-        return result.crash_site
-    if result.site_trace:
-        return result.site_trace[-1]
-    return None
-
-
-def sites_cover(result: ExecutionResult, site: tuple[int, int]) -> bool:
-    """True if *site* was executed during *result*'s run."""
-    return site in result.executed_sites
-
-
 def format_trace(sites: Sequence[tuple[int, int]], limit: int = 20) -> str:
-    """Human-readable rendering of the tail of a site trace."""
+    """Human-readable rendering of the tail of a site stream."""
     tail = list(sites)[-limit:]
     return " -> ".join(f"{line}:{col}" for line, col in tail)

@@ -18,6 +18,7 @@ from repro.core.matching import get_matched_exprs
 from repro.core.profile import Profiler
 from repro.core.synthesis import synthesize
 from repro.core.ub_types import UBType
+from repro.seedgen import CsmithGenerator, GeneratorConfig
 from repro.utils.rng import RandomSource
 from repro.vm.interpreter import Interpreter
 from repro.vm.profiler import ProfileCollector
@@ -94,7 +95,8 @@ def test_profile_missing_key_gives_none(profiled):
 def _reference_profile(unit, matches, max_steps=200_000):
     """The hook insertion ``Profiler.profile`` used before its slot index:
     deep-copy the unit, then one whole-tree ``replace_node`` walk per
-    hooked operand.  Returns (hooked keys, collector, execution result)."""
+    hooked operand.  Returns (hooked keys, collector, execution result,
+    the run's executed sites in order)."""
     instrumented = clone(unit)
     hooked_keys = {}
     by_id = {node.node_id: node for node in walk(instrumented)}
@@ -113,10 +115,28 @@ def _reference_profile(unit, matches, max_steps=200_000):
                 keys.append(key)
         hooked_keys[match.key] = keys
     collector = ProfileCollector()
+    sites = []
     result = Interpreter(instrumented, analyze(instrumented),
                          max_steps=max_steps,
-                         profile_collector=collector).run()
-    return hooked_keys, collector, result
+                         profile_collector=collector,
+                         site_callback=sites.append).run()
+    return hooked_keys, collector, result, sites
+
+
+#: ``Q_scp`` answers from the first 20,000 executed sites of the profiling
+#: run; the generator's programs depend on that bound.
+_ORDER_WINDOW = 20_000
+
+
+def _scanned_order(sites, stmt):
+    """``Q_scp`` order by a linear scan of the first ``_ORDER_WINDOW``
+    sites: the index of the statement's first execution there, or None."""
+    if not stmt.loc.is_known:
+        return None
+    try:
+        return sites[:_ORDER_WINDOW].index(stmt.loc.site())
+    except ValueError:
+        return None
 
 
 def _renumbered(values):
@@ -141,10 +161,14 @@ def _renumbered(values):
 def test_profile_hooks_match_the_replace_node_reference(sample_seeds):
     """The slot-indexed hook insertion instruments exactly like one
     ``replace_node`` walk per operand, including operands shared by several
-    matches, whose later hooks wrap the earlier ones."""
+    matches, whose later hooks wrap the earlier ones; and ``Q_scp`` order
+    answers as a scan of the reference run's capped site stream.  The long
+    seed executes more sites than the window holds."""
+    long_seed = CsmithGenerator(GeneratorConfig(seed=0)).generate(0)
     matched_types = set()
     shared_operands = 0
-    for seed in sample_seeds:
+    longest = 0
+    for seed in [*sample_seeds, long_seed]:
         unit = parse_program(seed.source)
         analyze(unit)
         matches = []
@@ -158,13 +182,19 @@ def test_profile_hooks_match_the_replace_node_reference(sample_seeds):
         shared_operands += sum(1 for count in uses.values() if count > 1)
 
         profile = Profiler().profile(unit, matches)
-        hooked_keys, collector, result = _reference_profile(unit, matches)
+        hooked_keys, collector, result, sites = _reference_profile(unit,
+                                                                   matches)
         assert profile.hooked_keys == hooked_keys
         assert _renumbered(profile.collector.values) == _renumbered(collector.values)
-        assert profile.result.site_trace == result.site_trace
+        assert profile.result.executed_sites == result.executed_sites
         assert profile.result.steps == result.steps
+        for stmt in walk(unit):
+            if isinstance(stmt, ast.Stmt):
+                assert profile.q_scp_order(stmt) == _scanned_order(sites, stmt)
+        longest = max(longest, len(sites))
     assert matched_types == set(UBType)
     assert shared_operands > 0
+    assert longest > _ORDER_WINDOW
 
 
 # -- synthesis ------------------------------------------------------------------------

@@ -6,7 +6,9 @@ import json
 
 import pytest
 
-from repro.compilers import GccCompiler, LlvmCompiler
+from repro.compilers import CompilationCache, GccCompiler
+from repro.compilers.compiler import make_compiler
+from repro.compilers.options import CompileOptions
 from repro.core import (
     DifferentialTester,
     TestConfig,
@@ -19,11 +21,12 @@ from repro.core import (
     is_sanitizer_bug_from_results,
 )
 from repro.core import ubgen
+from repro.core.differential import detected, verdict_of
 from repro.core.profile import Profiler
 from repro.core.ub_types import ALL_UB_TYPES, EXPECTED_REPORT_KINDS, sanitizers_for
 from repro.reduction import HierarchicalReducer, make_fn_bug_predicate
 from repro.telemetry import runtime as telemetry
-from repro.utils.errors import ProfilingError
+from repro.utils.errors import CompilationError, ProfilingError
 
 #: SHA-256 of ``UBGenerator(seed=99, max_programs_per_type=2)`` over the three
 #: ``sample_seeds``: every program's UB type, source and description, then
@@ -216,49 +219,56 @@ def test_oracle_requires_a_crash():
     assert not verdict.is_bug
 
 
-def test_oracle_is_conservative_when_the_crash_trace_was_truncated():
-    """A truncated site trace ends at an arbitrary mid-execution site, so the
-    oracle must not use its tail as the crash site: doing so could turn an
-    optimization discrepancy into a bogus sanitizer-bug verdict."""
-    from repro.vm.errors import ExecutionResult, SanitizerReport
-    from repro.cdsl.source import UNKNOWN_LOCATION
+@pytest.fixture(scope="module")
+def sample_matrices(sample_ub_programs):
+    """Each sample UB program with its default differential matrix: one
+    ``(binary, result)`` per configuration that compiles, each binary
+    built once and run once."""
+    cache = CompilationCache()
+    matrices = []
+    for programs in sample_ub_programs.values():
+        for program in programs:
+            cells = []
+            for config in default_configs(program.ub_type):
+                compiler = make_compiler(config.compiler, cache=cache)
+                try:
+                    binary = compiler.compile(
+                        program.source,
+                        CompileOptions(opt_level=config.opt_level,
+                                       sanitizer=config.sanitizer))
+                except CompilationError:
+                    continue
+                cells.append((binary, binary.run()))
+            matrices.append((program, cells))
+    return matrices
 
-    report = SanitizerReport("asan", "stack-buffer-overflow", UNKNOWN_LOCATION)
-    site = (7, 3)
-    crashing = ExecutionResult(status="sanitizer_report", report=report,
-                               crash_site=None, site_trace=(site,),
-                               trace_truncated=True)
-    normal = ExecutionResult(status="ok", exit_code=0,
-                             executed_sites=frozenset([site]))
-    verdict = is_sanitizer_bug_from_results(crashing, normal)
-    assert not verdict.is_bug
-    assert "truncated" in verdict.reason
-    # The same pair with a complete trace is a sanitizer bug.
-    complete = ExecutionResult(status="sanitizer_report", report=report,
-                               crash_site=None, site_trace=(site,))
-    assert is_sanitizer_bug_from_results(complete, normal).is_bug
+
+def test_every_crashed_matrix_run_has_a_crash_site(sample_matrices):
+    """A sanitizer abort's crash site is the report's location, or the last
+    executed site when the report has none; so no crashed run the oracle
+    sees lacks one."""
+    crashed = [result for _, cells in sample_matrices
+               for _, result in cells if result.crashed]
+    assert crashed
+    assert all(result.crash_site is not None for result in crashed)
 
 
-def test_interpreter_records_trace_truncation():
-    from repro.vm.interpreter import Interpreter
-    from repro.cdsl import parse_program, analyze
-
-    source = """\
-int main() {
-  int total = 0;
-  for (int i = 0; i < 50; i++) {
-    total = total + i;
-  }
-  return total;
-}
-"""
-    unit = parse_program(source)
-    sema = analyze(unit)
-    capped = Interpreter(unit, sema, max_trace_len=10).run()
-    assert capped.trace_truncated and len(capped.site_trace) == 10
-    full = Interpreter(unit, sema).run()
-    assert not full.trace_truncated
-    assert full.site_trace[:10] == capped.site_trace
+def test_literal_algorithm2_agrees_with_the_results_oracle(sample_matrices):
+    """On every (detecting, silent) pair of the sample matrices, the
+    Debugger-driven Algorithm 2 and the campaign's oracle give one verdict."""
+    pairs = bugs = 0
+    for program, cells in sample_matrices:
+        detecting = [cell for cell in cells
+                     if detected(verdict_of(cell[1]), program.ub_type)]
+        silent = [cell for cell in cells if cell[1].exited_normally]
+        for crashing_binary, crashing in detecting:
+            for normal_binary, normal in silent:
+                verdict = is_sanitizer_bug_from_results(crashing, normal)
+                assert is_sanitizer_bug(crashing_binary, normal_binary) \
+                    == verdict.is_bug, (program.source, verdict)
+                pairs += 1
+                bugs += verdict.is_bug
+    assert 0 < bugs < pairs
 
 
 # -- differential testing -----------------------------------------------------------------

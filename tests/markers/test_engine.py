@@ -206,7 +206,8 @@ def test_cli_markers_mode_rejects_checkpoint(capsys):
     exit_code = cli_main([
         "--mode", "markers", "--seeds", "1", "--checkpoint", "cp.json"])
     assert exit_code == 2
-    assert "fuzzing-only" in capsys.readouterr().err
+    assert ("error: checkpoint/corpus storage is only supported for fuzzing "
+            "campaigns") in capsys.readouterr().err
 
 
 def test_cli_rejects_bad_versions_spec(capsys):
@@ -223,7 +224,8 @@ def test_cli_markers_mode_rejects_session_cap(capsys):
     exit_code = cli_main(["--mode", "markers", "--seeds", "2",
                           "--max-seeds-per-session", "1"])
     assert exit_code == 2
-    assert "fuzzing-only" in capsys.readouterr().err
+    assert ("error: max_seeds_per_session requires checkpoint/resume, which "
+            "marker campaigns do not support") in capsys.readouterr().err
 
 
 def test_cli_fuzz_mode_still_defaults_to_all_levels(capsys):

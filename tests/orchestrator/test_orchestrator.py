@@ -228,17 +228,15 @@ def test_checkpoint_refuses_other_config(tmp_path, config):
         CampaignCheckpoint(checkpoint_path, other).load()
 
 
-def test_checkpoint_flush_interval_batches_writes(tmp_path, config):
-    path = str(tmp_path / "interval.json")
-    checkpoint = CampaignCheckpoint(path, config, flush_interval=2)
-    checkpoint.record(SeedBatch(seed_index=0, generated=True))
-    assert not os.path.exists(path)  # below the interval: nothing written yet
-    checkpoint.record(SeedBatch(seed_index=1, generated=True))
-    assert os.path.exists(path)
-    checkpoint.record(SeedBatch(seed_index=2, generated=True))
-    checkpoint.flush()
-    restored = CampaignCheckpoint(path, config).load()
-    assert sorted(restored) == [0, 1, 2]
+def test_checkpoint_writes_after_every_recorded_seed(tmp_path, config):
+    """A killed campaign loses no recorded seed: each ``record`` rewrites
+    the snapshot before it returns."""
+    path = str(tmp_path / "every.json")
+    checkpoint = CampaignCheckpoint(path, config)
+    for index in range(3):
+        checkpoint.record(SeedBatch(seed_index=index, generated=True))
+        assert sorted(CampaignCheckpoint(path, config).load()) == \
+            list(range(index + 1))
 
 
 def test_checkpoint_with_metadata_key_still_loads(tmp_path, config):
@@ -393,3 +391,19 @@ def test_cli_rejects_bad_inputs(capsys):
     assert "unknown compiler" in capsys.readouterr().err
     assert cli_main(["--opt-levels=-O9"]) == 2
     assert "unknown optimization level" in capsys.readouterr().err
+
+
+def test_cli_reports_campaign_argument_errors(monkeypatch, capsys):
+    """A constructor ValueError of the campaign (here: workers without a
+    ``fork`` start method) is a one-line error with exit status 2, not a
+    traceback; fuzz and marker mode build the campaign the same way."""
+    import multiprocessing
+
+    monkeypatch.setattr(multiprocessing, "get_all_start_methods",
+                        lambda: ["spawn"])
+    for mode in ("fuzz", "markers"):
+        assert cli_main(["--mode", mode, "--seeds", "1", "--workers", "2",
+                         "--quiet"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: workers > 1 runs seeds on a 'fork' "
+                              "process pool")

@@ -48,10 +48,13 @@ def _reference(marked):
 
 
 def _observe(binary, marked):
+    """Run *binary* as :meth:`CompiledBinary.run` does, with the marker
+    oracle's call hook (as the oracle, through ``run_program``)."""
     reached = []
-    result = binary.run(max_steps=MAX_STEPS,
-                        call_hook=lambda name: reached.append(name)
-                        if name.startswith(marked.prefix) else None)
+    result = run_program(binary.unit, binary.sema,
+                         runtime=binary.build_runtime(), max_steps=MAX_STEPS,
+                         call_hook=lambda name: reached.append(name)
+                         if name.startswith(marked.prefix) else None)
     return result, tuple(reached)
 
 

@@ -9,8 +9,9 @@ import os
 
 import pytest
 
-from repro.telemetry.monitor import (DEFAULT_STALL_FACTOR, MIN_STALL_SECONDS,
-                                     HealthMonitor, TraceFollower, WatchView)
+from repro.telemetry.monitor import (MIN_STALL_SECONDS, STALL_FACTOR,
+                                     STALL_WINDOW, HealthMonitor,
+                                     TraceFollower, WatchView)
 from repro.telemetry.profile import telemetry_paths
 
 
@@ -36,12 +37,12 @@ def test_monitor_steady_progress_is_ok():
     assert summary["status"] == "ok"
     assert summary["batches"] == 8 and summary["stalls"] == 0
     assert summary["median_seed_seconds"] == 1.0
-    assert summary["stall_factor"] == DEFAULT_STALL_FACTOR
+    assert summary["stall_factor"] == STALL_FACTOR
 
 
 def test_monitor_flags_stall_and_logs_once(caplog):
     clock = FakeClock()
-    monitor = HealthMonitor(stall_factor=5.0, clock=clock)
+    monitor = HealthMonitor(clock=clock)
     monitor.start()
     for _ in range(4):
         clock.advance(1.0)
@@ -61,7 +62,7 @@ def test_monitor_flags_stall_and_logs_once(caplog):
 
 def test_monitor_min_stall_floor_tolerates_fast_seeds():
     clock = FakeClock()
-    monitor = HealthMonitor(stall_factor=5.0, clock=clock)
+    monitor = HealthMonitor(clock=clock)
     monitor.start()
     for _ in range(4):
         clock.advance(0.01)
@@ -75,17 +76,14 @@ def test_monitor_min_stall_floor_tolerates_fast_seeds():
 
 def test_monitor_rolling_window_drops_old_durations():
     clock = FakeClock()
-    monitor = HealthMonitor(window=4, clock=clock)
+    monitor = HealthMonitor(clock=clock)
     monitor.start()
-    for duration in (100.0, 100.0, 100.0, 100.0, 1.0, 1.0, 1.0, 1.0):
+    for duration in [100.0] * STALL_WINDOW + [1.0] * STALL_WINDOW:
         clock.advance(0.1)
         monitor.observe(duration)
     assert monitor.median_seed_seconds == 1.0
-
-
-def test_monitor_rejects_degenerate_factor():
-    with pytest.raises(ValueError):
-        HealthMonitor(stall_factor=1.0)
+    assert monitor.threshold_seconds() == max(MIN_STALL_SECONDS,
+                                              STALL_FACTOR * 1.0)
 
 
 def test_follower_reads_incrementally_and_buffers_partial_lines(tmp_path):
@@ -161,7 +159,7 @@ def test_watch_view_finished_and_stalled(tmp_path):
         {"ev": "span", "name": "seed", "id": 1, "parent": None,
          "t": 0.0, "dur": 0.1, "scope": 0},
     ])
-    view = WatchView(root, stall_factor=5.0)
+    view = WatchView(root)
     view.refresh()
     # Make the trace file look an hour old: stalled (0.1s median → 2s floor).
     os.utime(trace_path, (0, 0))
@@ -173,6 +171,28 @@ def test_watch_view_finished_and_stalled(tmp_path):
     view.refresh()
     assert view.finished
     assert view.snapshot()["health"]["status"] == "finished"
+
+
+def test_watch_view_and_monitor_share_the_stall_threshold(tmp_path):
+    """The watch view judges a trace's seeds by the monitor's rule: the
+    same threshold over the same durations, window included."""
+    durations = [10.0] * STALL_WINDOW + [1.0] * STALL_WINDOW
+    root = str(tmp_path)
+    _write_trace(root, [{"ev": "meta", "version": 1, "campaign": "abc"}] + [
+        {"ev": "span", "name": "seed", "id": index, "parent": None,
+         "t": float(index), "dur": duration, "scope": 0}
+        for index, duration in enumerate(durations)])
+    view = WatchView(root)
+    view.refresh()
+    clock = FakeClock()
+    monitor = HealthMonitor(clock=clock)
+    monitor.start()
+    for duration in durations:
+        clock.advance(duration)
+        monitor.observe(duration)
+    assert monitor.threshold_seconds() == STALL_FACTOR * 1.0
+    assert view.snapshot()["health"]["threshold_seconds"] == \
+        monitor.threshold_seconds()
 
 
 def test_watch_view_empty_dir_is_waiting(tmp_path):

@@ -234,8 +234,21 @@ def test_executed_sites_are_recorded():
 
 
 def test_site_trace_is_ordered_prefix_of_execution():
-    result = run_source("int main() {\n  int x = 0;\n  x = 1;\n  return x;\n}")
-    assert result.site_trace[0][0] <= result.site_trace[-1][0]
+    """The site stream follows execution order, and a run cut short by its
+    step budget streams a prefix of the complete run's stream."""
+    unit = parse_program("int main() {\n  int x = 0;\n  x = 1;\n"
+                         "  return x;\n}")
+    sema = analyze(unit)
+    full = []
+    Interpreter(unit, sema, site_callback=full.append).run()
+    lines = [line for line, _ in full]
+    assert lines == sorted(lines) and {2, 3, 4} <= set(lines)
+    for budget in range(1, len(full)):
+        cut = []
+        result = Interpreter(unit, sema, max_steps=budget,
+                             site_callback=cut.append).run()
+        assert result.status == "timeout"
+        assert cut == full[:budget]
 
 
 def test_comma_expression_evaluates_left_to_right():

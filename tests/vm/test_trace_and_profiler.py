@@ -3,8 +3,9 @@
 from repro.cdsl import analyze, parse_program
 from repro.cdsl import ast_nodes as ast
 from repro.cdsl.visitor import find_nodes, replace_node
+from repro.core.profile import SITE_ORDER_LIMIT, Profiler
 from repro.vm import Interpreter, ProfileCollector
-from repro.vm.trace import Debugger, crash_site_of, format_trace, get_executed_sites, sites_cover
+from repro.vm.trace import Debugger, format_trace, get_executed_sites
 
 
 class _FakeBinary:
@@ -14,8 +15,9 @@ class _FakeBinary:
         self.unit = parse_program(source)
         self.sema = analyze(self.unit)
 
-    def run(self):
-        return Interpreter(self.unit, self.sema).run()
+    def run(self, site_callback=None):
+        return Interpreter(self.unit, self.sema,
+                           site_callback=site_callback).run()
 
 
 SOURCE = """\
@@ -29,13 +31,17 @@ int main() {
 
 def test_debugger_steps_through_recorded_sites():
     debugger = Debugger()
-    debugger.init(_FakeBinary(SOURCE))
+    binary = _FakeBinary(SOURCE)
+    debugger.init(binary)
     seen = []
     while debugger.is_alive():
         seen.append((debugger.curr_line, debugger.curr_offset))
         debugger.next_instruction()
+    streamed = []
+    binary.run(site_callback=streamed.append)
     assert seen
-    assert seen == list(debugger.result.site_trace)
+    assert seen == streamed
+    assert set(seen) == debugger.result.executed_sites
 
 
 def test_get_executed_sites_matches_algorithm2_contract():
@@ -46,14 +52,53 @@ def test_get_executed_sites_matches_algorithm2_contract():
 
 def test_crash_site_of_normal_run_is_none():
     result = _FakeBinary(SOURCE).run()
-    assert crash_site_of(result) is None
+    assert result.exited_normally
+    assert result.crash_site is None
 
 
 def test_sites_cover():
-    result = _FakeBinary(SOURCE).run()
-    some_site = next(iter(result.executed_sites))
-    assert sites_cover(result, some_site)
-    assert not sites_cover(result, (999, 999))
+    """``executed_sites`` covers exactly the sites the run streams: the
+    sites of a branch not taken are not in it."""
+    source = ("int main() {\n"
+              "  int x = 1;\n"
+              "  if (x > 2) {\n"
+              "    x = 5;\n"
+              "  }\n"
+              "  return x;\n"
+              "}\n")
+    streamed = []
+    result = _FakeBinary(source).run(site_callback=streamed.append)
+    assert result.exit_code == 1
+    assert result.executed_sites == frozenset(streamed)
+    lines = {line for line, _ in result.executed_sites}
+    assert {2, 3, 6} <= lines
+    assert 4 not in lines
+    assert (999, 999) not in result.executed_sites
+
+
+def test_site_callback_outruns_truncated_trace():
+    """The site stream has no cap: the Debugger steps every executed site,
+    while ``Q_scp`` order answers only from the first
+    ``SITE_ORDER_LIMIT`` of them."""
+    source = ("int main() {\n"
+              "  int t = 0;\n"
+              "  for (int i = 0; i < 1500; i = i + 1) { t = t + 1; }\n"
+              "  t = t - 1;\n"
+              "  return t;\n"
+              "}\n")
+    binary = _FakeBinary(source)
+    sites = get_executed_sites(binary)
+    assert len(sites) > SITE_ORDER_LIMIT
+    assert sites[-1][0] == 5
+    profile = Profiler().profile(binary.unit, [])
+    assert profile.result.exit_code == 1499
+    statements = {stmt.loc.line: stmt for stmt in find_nodes(binary.unit, ast.Stmt)
+                  if stmt.loc.line in (2, 4)}
+    assert profile.q_scp_order(statements[2]) == \
+        sites.index(statements[2].loc.site())
+    assert sites.index(statements[4].loc.site()) >= SITE_ORDER_LIMIT
+    assert profile.q_scp_executed(statements[4])
+    assert profile.q_scp_order(statements[4]) is None
 
 
 def test_format_trace_renders_tail():
@@ -102,7 +147,7 @@ def test_profile_collector_alloc_hook_sees_allocations():
 # -- hook placement -------------------------------------------------------------
 #
 # Literal hook streams of the interpreter: every statement and expression
-# ticks once (``site_callback`` and the site trace), an assignment target
+# ticks once (``site_callback``), an assignment target
 # ticks again as an lvalue, loop heads re-tick per iteration, and profile
 # hooks and ``call_hook`` fire in execution order.
 
@@ -126,12 +171,11 @@ class _RecordingProfile:
         self.events.append(("free", obj.name))
 
 
-def _hooked_run(source, max_steps=10_000, max_trace_len=2_000):
+def _hooked_run(source, max_steps=10_000):
     """Run *source* with site and call hooks; returns (result, sites, calls)."""
     unit = parse_program(source)
     sites, calls = [], []
     result = Interpreter(unit, analyze(unit), max_steps=max_steps,
-                         max_trace_len=max_trace_len,
                          site_callback=sites.append,
                          call_hook=calls.append).run()
     return result, tuple(sites), tuple(calls)
@@ -145,7 +189,6 @@ def test_assignment_target_identifier_ticks_twice():
     assert result.status == "ok" and result.exit_code == 1
     assert [site for site in sites if site[0] == 3] == \
         [(3, 3), (3, 5), (3, 7), (3, 3)]
-    assert sites == result.site_trace
 
 
 def test_loop_head_ticks_once_per_iteration_plus_entry():
@@ -158,7 +201,7 @@ def test_loop_head_ticks_once_per_iteration_plus_entry():
               "}\n")
     result, sites, _ = _hooked_run(source)
     assert result.exit_code == 3
-    head = next(site for site in result.site_trace if site[0] == 3)
+    head = next(site for site in sites if site[0] == 3)
     # Statement tick + 4 head ticks (the head loc is the stmt loc).
     assert sites.count(head) == 5
 
@@ -171,20 +214,13 @@ def test_for_head_reticks_and_step_runs_after_body():
               "}\n")
     result, sites, _ = _hooked_run(source)
     assert result.exit_code == 1
-    assert sites == result.site_trace
-
-
-def test_site_callback_outruns_truncated_trace():
-    source = ("int main() {\n"
-              "  int t = 0;\n"
-              "  for (int i = 0; i < 20; i = i + 1) { t = t + i; }\n"
-              "  return t;\n"
-              "}\n")
-    result, sites, _ = _hooked_run(source, max_trace_len=10)
-    assert result.trace_truncated
-    assert len(result.site_trace) == 10
-    assert len(sites) > 10
-    assert sites[:10] == result.site_trace
+    init = [(3, 3), (3, 8), (3, 16)]
+    condition = [(3, 3), (3, 21), (3, 19), (3, 19), (3, 23)]
+    body = [(3, 37), (3, 39), (3, 41), (3, 45), (3, 43), (3, 43), (3, 47),
+            (3, 47), (3, 39)]
+    step = [(3, 28), (3, 32), (3, 30), (3, 30), (3, 34), (3, 26)]
+    assert [site for site in sites if site[0] == 3] == \
+        init + (condition + body + step) * 2 + condition
 
 
 def test_timeout_step_is_counted_but_its_site_is_not_recorded():
@@ -198,7 +234,6 @@ def test_timeout_step_is_counted_but_its_site_is_not_recorded():
     assert result.status == "timeout"
     assert result.steps == budget + 1
     assert len(sites) == budget  # the raising tick never reaches its hooks
-    assert len(result.site_trace) == budget
 
 
 def test_profile_hooks_fire_in_order():
