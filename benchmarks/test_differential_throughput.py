@@ -15,7 +15,7 @@ MSan} × {-O0, -O2, -O3}) both ways and asserts:
 * the shared matrix is at least 2x faster than the unshared one (each
   shared round starts from a *cold* cache, so the speedup measured is the
   intra-matrix phase sharing, not warm-cache replay), and
-* the produced outcomes are bit-identical.
+* the runs of every configuration are bit-identical.
 """
 
 from __future__ import annotations
@@ -72,14 +72,23 @@ def test_differential_throughput(benchmark):
     def unshared_matrix():
         # A fresh tester per configuration = a fresh cache per
         # configuration: nothing is shared.
-        outcomes = [DifferentialTester().run_config(program, config)
-                    for config in MATRIX]
-        return DifferentialTester().analyze(program, outcomes)
+        runs = [DifferentialTester().run_config(program, config)
+                for config in MATRIX]
+        return runs, DifferentialTester().analyze(program, runs)
 
     def cold_cached_matrix():
         # A fresh tester per round = a cold cache per round: the measured
-        # speedup comes from phase sharing within one matrix.
-        return DifferentialTester().test(program, configs=MATRIX)
+        # speedup comes from phase sharing within one matrix.  The runs
+        # are captured as the tester makes them: its result keeps cells.
+        tester, runs = DifferentialTester(), []
+        run_config = tester.run_config
+
+        def recording_run_config(program, config):
+            runs.append(run_config(program, config))
+            return runs[-1]
+
+        tester.run_config = recording_run_config
+        return runs, tester.test(program, configs=MATRIX)
 
     unshared_seconds, unshared = _best_of(ROUNDS, unshared_matrix)
     cached_seconds, cached = _best_of(ROUNDS, cold_cached_matrix)
@@ -100,14 +109,14 @@ def test_differential_throughput(benchmark):
     bench_print(f"cached (warm) : {warm_seconds * 1000:7.1f} ms = "
                 f"{unshared_seconds / warm_seconds:4.2f}x")
 
-    # Bit-identical bug reports: every outcome of every configuration.
-    assert len(cached.outcomes) == len(unshared.outcomes) == len(MATRIX)
-    for a, b in zip(cached.outcomes, unshared.outcomes):
+    # Bit-identical bug reports: every run of every configuration.
+    (cached_runs, cached), (unshared_runs, unshared) = cached, unshared
+    assert len(cached_runs) == len(unshared_runs) == len(MATRIX)
+    for a, b in zip(cached_runs, unshared_runs):
         assert a.config == b.config
         assert a.result == b.result
         assert a.error == b.error
-    assert len(cached.fn_candidates) == len(unshared.fn_candidates)
-    assert cached.optimization_discrepancies == unshared.optimization_discrepancies
+    assert cached == unshared
 
     write_bench_record(
         "differential_throughput",

@@ -9,7 +9,8 @@ screen per second.
 
 This bench takes a campaign-scale UB program (the same csmith-style
 program the differential-throughput bench uses), reduces it once with the
-full-matrix signature predicate while recording every candidate actually
+full-matrix signature predicate (UB type, report kind and missing
+configuration must survive) while recording every candidate actually
 screened, then replays a fixed slice of that candidate list two ways:
 
 * **shared cache** — one ``DifferentialTester()`` whose cache is shared
@@ -29,13 +30,10 @@ import time
 from bench_common import bench_print, run_once, write_bench_record
 
 from repro.core.differential import DifferentialTester, TestConfig
+from repro.core.insertion import UBProgram
 from repro.core.ub_types import ALL_UB_TYPES
 from repro.core.ubgen import UBGenerator
-from repro.reduction import (
-    HierarchicalReducer,
-    bug_signature,
-    make_signature_predicate,
-)
+from repro.reduction import HierarchicalReducer
 from repro.seedgen import CsmithGenerator, GeneratorConfig
 
 #: 9 configurations over 3 distinct opt levels: the optimizer phase is
@@ -55,13 +53,34 @@ REPLAY_CANDIDATES = 16
 MIN_SPEEDUP = 1.2 if os.environ.get("RELAXED_THROUGHPUT_GATE") else 2.0
 
 
+def _signature(candidate) -> tuple:
+    """What must survive reduction: UB type, report kind, missing config."""
+    return (candidate.program.ub_type, candidate.detecting.verdict[1],
+            candidate.missing.config)
+
+
 def _program_and_signature():
     seed = CsmithGenerator(GeneratorConfig(seed=555)).generate(6)
     program = UBGenerator(seed=1, max_programs_per_type=1).generate(
         seed, ALL_UB_TYPES[3])[0]
     diff = DifferentialTester().test(program, configs=MATRIX)
     assert diff.fn_candidates, "the pinned program must produce an FN"
-    return program, bug_signature(diff.fn_candidates[0])
+    return program, _signature(diff.fn_candidates[0])
+
+
+def _matrix_predicate(program, signature, tester):
+    """The full-matrix predicate: the candidate, differentially tested
+    across MATRIX, must reproduce *signature*."""
+
+    def predicate(source: str) -> bool:
+        candidate = UBProgram(source=source, ub_type=program.ub_type,
+                              seed_index=program.seed_index,
+                              description=program.description)
+        result = tester.test(candidate, configs=MATRIX)
+        return any(_signature(fn) == signature
+                   for fn in result.fn_candidates)
+
+    return predicate
 
 
 class _UnsharedTester(DifferentialTester):
@@ -86,8 +105,7 @@ def test_reduction_throughput(benchmark):
 
     # One real reduction, recording every candidate the predicate screened.
     candidates: list = []
-    inner = make_signature_predicate(program, signature, configs=MATRIX,
-                                     tester=DifferentialTester())
+    inner = _matrix_predicate(program, signature, DifferentialTester())
 
     def recording_predicate(source: str) -> bool:
         candidates.append(source)
@@ -100,8 +118,7 @@ def test_reduction_throughput(benchmark):
     assert len(replay_set) >= 10
 
     def replay(tester: DifferentialTester):
-        predicate = make_signature_predicate(program, signature,
-                                             configs=MATRIX, tester=tester)
+        predicate = _matrix_predicate(program, signature, tester)
         return [predicate(source) for source in replay_set]
 
     unshared_seconds, unshared = _best_of(

@@ -165,12 +165,14 @@ def main() -> None:
     print("=== reduced bug reports (C-Reduce step) ===")
     records = []
     last_result = None
+    tester = DifferentialTester()
     for title, program, detecting, missing in entries:
-        predicate = make_fn_bug_predicate(program, detecting, missing)
+        predicate = make_fn_bug_predicate(program, detecting, missing,
+                                          tester=tester)
         reducer = HierarchicalReducer(predicate, max_rounds=2 if smoke else 8)
         result = reducer.reduce(program.source)
         records.append(record_for(title.split(":")[0], _candidate_like(
-            program, detecting, missing), result))
+            tester, program, detecting, missing), result))
         last_result = result
     headers, rows = table_reduction_quality(records)
     print(format_table(headers, rows))
@@ -180,13 +182,14 @@ def main() -> None:
         print(last_result.reduced_source)
 
 
-def _candidate_like(program, detecting, missing):
-    """A minimal stand-in exposing what record_for() reads."""
-    from repro.core.differential import ConfigOutcome, FNBugCandidate
+def _candidate_like(tester, program, detecting, missing):
+    """A stand-in candidate over the cells of the pair's own runs, exposing
+    what record_for() reads."""
+    from repro.core.differential import FNBugCandidate
     from repro.core.crash_site import OracleVerdict
     return FNBugCandidate(program=program,
-                          detecting=ConfigOutcome(detecting, None),
-                          missing=ConfigOutcome(missing, None),
+                          detecting=tester.run_config(program, detecting).cell,
+                          missing=tester.run_config(program, missing).cell,
                           verdict=OracleVerdict(is_bug=True, crash_site=None,
                                                 reason="gallery"))
 

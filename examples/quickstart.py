@@ -19,7 +19,6 @@ from repro import (
     GeneratorConfig,
     UBGenerator,
 )
-from repro.core import is_sanitizer_bug_from_results
 
 
 def main() -> None:
@@ -50,14 +49,12 @@ def main() -> None:
             candidate = result.fn_candidates[0]
             print(f"\n=== sanitizer FN bug candidate ({ub_type.value}) ===")
             print(f"  detected by : {candidate.detecting.config.label}"
-                  f"  -> {candidate.detecting.result.report.kind}")
+                  f"  -> {candidate.detecting.verdict[1]}")
             print(f"  missed by   : {candidate.missing.config.label}")
             print(f"  crash site  : line {candidate.crash_site[0]}, "
                   f"offset {candidate.crash_site[1]}")
-            # 4. The oracle's verdict (already applied by the tester).
-            verdict = is_sanitizer_bug_from_results(candidate.detecting.result,
-                                                    candidate.missing.result)
-            print(f"  oracle      : {verdict.reason}")
+            # 4. The oracle's verdict, applied by the tester to the runs.
+            print(f"  oracle      : {candidate.verdict.reason}")
             return
     print("\nno FN bug candidate found on this seed "
           "(try more seeds, e.g. examples/fuzzing_campaign.py)")

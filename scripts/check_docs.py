@@ -11,13 +11,16 @@ Asserts that the docs and the code cannot drift apart:
    exists on disk — and conversely every example file is referenced;
 3. every referenced example runs successfully under ``--smoke``
    (skipped with ``--no-run``);
-4. every class/function re-exported in ``repro.__all__`` has a docstring.
+4. every class/function re-exported in ``repro.__all__`` has a docstring;
+5. every backticked dotted ``repro.…`` name in README.md or docs/*.md
+   imports and resolves, so the docs cannot name deleted code.
 
 Exit code 0 = consistent; 1 = at least one failure (all are reported).
 """
 
 from __future__ import annotations
 
+import importlib
 import inspect
 import re
 import subprocess
@@ -106,6 +109,36 @@ def check_public_docstrings() -> None:
         ok(f"every class/function in repro.__all__ has a docstring")
 
 
+def _resolves(name: str) -> bool:
+    """Does dotted *name* import as a module, or as attributes of one?"""
+    parts = name.split(".")
+    for split in range(len(parts), 0, -1):
+        try:
+            obj = importlib.import_module(".".join(parts[:split]))
+        except ImportError:
+            continue
+        for attr in parts[split:]:
+            if not hasattr(obj, attr):
+                return False
+            obj = getattr(obj, attr)
+        return True
+    return False
+
+
+def check_dotted_names() -> None:
+    """Every backticked dotted ``repro.…`` name in the docs resolves."""
+    sys.path.insert(0, str(REPO / "src"))
+    names = set()
+    for doc in DOC_FILES:
+        names.update(re.findall(r"`(repro(?:\.\w+)+)`",
+                                doc.read_text(encoding="utf-8")))
+    unresolved = [name for name in sorted(names) if not _resolves(name)]
+    for name in unresolved:
+        fail(f"docs name `{name}`, which does not import and resolve")
+    if not unresolved:
+        ok(f"all {len(names)} backticked repro.* names in docs resolve")
+
+
 def main() -> int:
     run_examples = "--no-run" not in sys.argv
     print("== README layout table ==")
@@ -117,6 +150,8 @@ def main() -> int:
         check_examples_run(runnable)
     print("== public API docstrings ==")
     check_public_docstrings()
+    print("== dotted names in docs ==")
+    check_dotted_names()
     if failures:
         print(f"\n{len(failures)} doc-consistency failure(s)")
         return 1

@@ -31,7 +31,6 @@ from repro.analysis.tables import (
     table5_coverage,
     table6_root_causes,
     table_attribution,
-    table_bucket_lifetimes,
     table_campaign_recurrence,
     table_known_bugs,
     table_marker_findings,
@@ -52,8 +51,7 @@ __all__ = [
     "figure11_affected_opt_levels",
     "bug_summary_rows", "table2_sanitizer_support", "table3_bug_status",
     "table4_generator_comparison", "table5_coverage", "table6_root_causes",
-    "table_attribution", "table_bucket_lifetimes",
-    "table_campaign_recurrence", "table_known_bugs",
+    "table_attribution", "table_campaign_recurrence", "table_known_bugs",
     "table_marker_findings", "table_marker_survival",
     "table_reduction_quality", "table_stage_profile",
 ]

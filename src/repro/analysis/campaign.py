@@ -319,12 +319,13 @@ def evaluate_oracle_accuracy(campaign: CampaignResult,
                 false_positives += 1
         # Optimization-classified discrepancies: the dropped set.
         if diff.optimization_discrepancies:
-            silent_outcomes = [o for o in diff.outcomes
-                               if o.result is not None and o.result.exited_normally]
-            for outcome in silent_outcomes:
-                if any(c.missing.config == outcome.config for c in diff.fn_candidates):
+            silent = [cell for cell in diff.cells
+                      if cell.verdict is not None and cell.verdict[0] == "ok"]
+            for cell in silent:
+                if any(c.missing.config == cell.config
+                       for c in diff.fn_candidates):
                     continue
-                dropped_cases.append((diff.program, outcome.config))
+                dropped_cases.append((diff.program, cell.config))
 
     missed = 0
     sample = dropped_cases[:dropped_sample]

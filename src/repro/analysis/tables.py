@@ -196,29 +196,6 @@ def table_stage_profile(profile) -> Table:
     return headers, rows
 
 
-def table_bucket_lifetimes(buckets: Sequence[dict]) -> Table:
-    """Cross-campaign lifetime of every finding bucket.
-
-    *buckets* is the output of
-    :meth:`~repro.corpusdb.db.FindingsDB.query_buckets`.  ``Lifetime`` is
-    last-seen minus first-seen; a bucket that keeps recurring across
-    campaigns (many campaigns, long lifetime) is a stable compiler defect,
-    while single-campaign buckets are either fresh or flaky.
-    """
-    headers = ["Bucket", "Kind", "Campaigns", "Hits", "First campaign",
-               "Lifetime (h)"]
-    rows: Rows = []
-    for bucket in buckets:
-        first = bucket.get("first_seen_at") or 0.0
-        last = bucket.get("last_seen_at") or first
-        lifetime = f"{(last - first) / 3600.0:.2f}" if first else "-"
-        rows.append([bucket["slug"], bucket["kind"], bucket["campaigns"],
-                     bucket["count"],
-                     (bucket.get("first_campaign_key") or "?")[-32:],
-                     lifetime])
-    return headers, rows
-
-
 def table_campaign_recurrence(campaigns: Sequence[dict]) -> Table:
     """Per-campaign new-vs-recurrent bucket split, oldest campaign first.
 

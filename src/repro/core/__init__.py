@@ -16,6 +16,7 @@ from repro.core.crash_site import (
     is_sanitizer_bug_from_results,
 )
 from repro.core.differential import (
+    Cell,
     ConfigOutcome,
     DifferentialResult,
     DifferentialTester,
@@ -47,7 +48,7 @@ __all__ = [
     "BugReport", "BugTriager",
     "OracleVerdict", "classify_discrepancy", "is_sanitizer_bug",
     "is_sanitizer_bug_from_results",
-    "ConfigOutcome", "DifferentialResult", "DifferentialTester",
+    "Cell", "ConfigOutcome", "DifferentialResult", "DifferentialTester",
     "FNBugCandidate", "TestConfig", "WrongReportCandidate", "default_configs",
     "CampaignConfig", "CampaignResult", "CampaignStats", "FuzzingCampaign",
     "SeedBatch",

@@ -32,7 +32,7 @@ from repro.compilers.versions import (all_versions, stable_versions,
 from repro.core.differential import (DifferentialResult, FNBugCandidate,
                                      TestConfig, Verdict,
                                      WrongReportCandidate, detected,
-                                     run_cell, verdict_of)
+                                     run_cell)
 from repro.core.insertion import UBProgram
 from repro.core.ub_types import UBType
 from repro.sanitizers.defects import Defect, default_defects
@@ -78,7 +78,8 @@ class BugTriager:
 
     Every run triage reads is a cell verdict in one table the triager
     keeps for its lifetime, so no cell runs twice; :meth:`observe` seeds
-    it with the differential matrix's runs.
+    it with the differential matrix's cells, fresh or restored from a
+    checkpoint.
 
     Args:
         registry: defect registry to attribute to (default: the seeded one).
@@ -107,17 +108,16 @@ class BugTriager:
     # -- public ------------------------------------------------------------------
 
     def observe(self, results: Iterable[DifferentialResult]) -> None:
-        """Record the matrix's outcomes as trunk cells of the full registry:
+        """Record the matrix's cells as trunk cells of the full registry:
         valid when its compilers share this triager's registry and
-        ``max_steps``, as in :class:`~repro.core.fuzzer.FuzzingCampaign`.
-        Batches restored from a checkpoint have no outcomes to record."""
+        ``max_steps``, as in :class:`~repro.core.fuzzer.FuzzingCampaign`."""
         for result in results:
-            for outcome in result.outcomes:
-                config = outcome.config
+            for cell in result.cells:
+                config = cell.config
                 key = (result.program.source, config.compiler,
                        trunk_version(config.compiler), config.sanitizer,
                        config.opt_level, None)
-                self._cells[key] = verdict_of(outcome.result)
+                self._cells[key] = cell.verdict
 
     def triage_fn_candidate(self, candidate: FNBugCandidate) -> BugReport:
         config = candidate.missing.config
@@ -186,11 +186,11 @@ class BugTriager:
         key = (program.source, compiler, version, sanitizer, opt_level,
                disabled.defect_id if disabled is not None else None)
         if key not in self._cells:
-            self._cells[key] = verdict_of(run_cell(
+            self._cells[key] = run_cell(
                 self.compilation_cache, program.source,
                 TestConfig(compiler, sanitizer, opt_level),
                 [d for d in self.registry if d is not disabled],
-                self.max_steps, version=version).result)
+                self.max_steps, version=version).cell.verdict
         return self._cells[key]
 
     def _attribute_defect(self, candidate: FNBugCandidate) -> Optional[Defect]:

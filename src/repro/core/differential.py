@@ -11,7 +11,13 @@ binaries, and look for discrepancies:
   source line) → a *wrong report* candidate (the paper found 2 such bugs).
 
 Each configuration is compiled and run by :func:`run_cell`, which triage,
-:class:`~repro.triage.CrashProbe` and the analysis drivers share.
+:class:`~repro.triage.CrashProbe` and the analysis drivers share.  Its
+:class:`ConfigOutcome` holds the whole run, crash site and executed-site
+set included, and only code that runs a configuration keeps one:
+:meth:`DifferentialTester.analyze` maps crash sites on the runs, then
+keeps each configuration's :class:`Cell` (its config and verdict).  A
+:class:`DifferentialResult` and the candidates in it hold cells only, which
+is all the merge, triage, the corpus store and the checkpoint read.
 """
 
 from __future__ import annotations
@@ -51,6 +57,23 @@ class TestConfig:
         return f"{self.compiler} {self.opt_level} -fsanitize={self.sanitizer}"
 
 
+@dataclass(frozen=True)
+class Cell:
+    """What a campaign keeps of one configuration's run: its verdict, or
+    the compile ``error`` (verdict ``None``) when the program did not
+    compile."""
+
+    config: TestConfig
+    verdict: Verdict
+    error: Optional[str] = None
+
+    @property
+    def detected(self) -> bool:
+        return (self.verdict is not None
+                and self.verdict[0] == "sanitizer_report"
+                and self.verdict[1] is not None)
+
+
 @dataclass
 class ConfigOutcome:
     """Result of compiling + running one UB program under one configuration."""
@@ -61,8 +84,11 @@ class ConfigOutcome:
 
     @property
     def detected(self) -> bool:
-        return (self.result is not None and self.result.crashed
-                and self.result.report is not None)
+        return self.cell.detected
+
+    @property
+    def cell(self) -> Cell:
+        return Cell(self.config, verdict_of(self.result), self.error)
 
 
 @dataclass
@@ -70,8 +96,8 @@ class FNBugCandidate:
     """A discrepancy the oracle attributes to a sanitizer FN bug."""
 
     program: UBProgram
-    detecting: ConfigOutcome
-    missing: ConfigOutcome
+    detecting: Cell
+    missing: Cell
     verdict: OracleVerdict
 
     @property
@@ -84,17 +110,19 @@ class WrongReportCandidate:
     """Two configurations detect the UB but disagree about the report."""
 
     program: UBProgram
-    first: ConfigOutcome
-    second: ConfigOutcome
+    first: Cell
+    second: Cell
     difference: str
 
 
 @dataclass
 class DifferentialResult:
-    """Everything observed while differentially testing one UB program."""
+    """What differentially testing one UB program found: each
+    configuration's cell and the candidates, whose cells are those of
+    ``cells``."""
 
     program: UBProgram
-    outcomes: List[ConfigOutcome]
+    cells: List[Cell]
     fn_candidates: List[FNBugCandidate] = field(default_factory=list)
     wrong_report_candidates: List[WrongReportCandidate] = field(default_factory=list)
     optimization_discrepancies: int = 0
@@ -103,10 +131,6 @@ class DifferentialResult:
     def has_discrepancy(self) -> bool:
         return bool(self.fn_candidates or self.wrong_report_candidates
                     or self.optimization_discrepancies)
-
-    @property
-    def any_detection(self) -> bool:
-        return any(o.detected for o in self.outcomes)
 
 
 def default_configs(ub_type, compilers: Sequence[str] = ("gcc", "llvm"),
@@ -216,21 +240,24 @@ class DifferentialTester:
 
     def analyze(self, program: UBProgram,
                 outcomes: List[ConfigOutcome]) -> DifferentialResult:
-        result = DifferentialResult(program=program, outcomes=outcomes)
-        detectors = [o for o in outcomes
-                     if detected(verdict_of(o.result), program.ub_type)]
-        silent = [o for o in outcomes
-                  if o.result is not None and o.result.exited_normally]
+        """Map crash sites and compare reports on the runs, and keep their
+        cells: the result holds no run."""
+        cells = [outcome.cell for outcome in outcomes]
+        result = DifferentialResult(program=program, cells=cells)
+        detectors = [(o, cell) for o, cell in zip(outcomes, cells)
+                     if detected(cell.verdict, program.ub_type)]
+        silent = [(o, cell) for o, cell in zip(outcomes, cells)
+                  if cell.verdict is not None and cell.verdict[0] == "ok"]
 
-        for missing in silent:
+        for missing, missing_cell in silent:
             verdict = None
-            for detecting in detectors:
+            for detecting, detecting_cell in detectors:
                 verdict = is_sanitizer_bug_from_results(detecting.result,
                                                         missing.result)
                 if verdict.is_bug:
                     result.fn_candidates.append(FNBugCandidate(
-                        program=program, detecting=detecting, missing=missing,
-                        verdict=verdict))
+                        program=program, detecting=detecting_cell,
+                        missing=missing_cell, verdict=verdict))
                     break
             if detectors and (verdict is None or not verdict.is_bug):
                 result.optimization_discrepancies += 1
@@ -249,13 +276,14 @@ class DifferentialTester:
 
     @staticmethod
     def _wrong_reports(program: UBProgram,
-                       detectors: List[ConfigOutcome]) -> List[WrongReportCandidate]:
+                       detectors: List[Tuple[ConfigOutcome, Cell]]
+                       ) -> List[WrongReportCandidate]:
         """Report-content mismatches between two detecting configurations of
         the *same* compiler+sanitizer (different levels)."""
         candidates: List[WrongReportCandidate] = []
         seen_pairs = set()
-        for i, first in enumerate(detectors):
-            for second in detectors[i + 1:]:
+        for i, (first, first_cell) in enumerate(detectors):
+            for second, second_cell in detectors[i + 1:]:
                 if (first.config.compiler != second.config.compiler
                         or first.config.sanitizer != second.config.sanitizer):
                     continue
@@ -266,8 +294,8 @@ class DifferentialTester:
                 if difference is not None:
                     seen_pairs.add(key)
                     candidates.append(WrongReportCandidate(
-                        program=program, first=first, second=second,
-                        difference=difference))
+                        program=program, first=first_cell,
+                        second=second_cell, difference=difference))
         return candidates
 
 

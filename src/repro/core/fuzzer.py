@@ -94,7 +94,8 @@ class CampaignResult:
 
     ``bug_reports`` holds the deduplicated, triaged reports; the raw
     ``fn_candidates`` / ``wrong_report_candidates`` and per-program
-    ``differential_results`` feed the analysis layer (Tables 3-6).
+    ``differential_results`` feed the analysis layer (Tables 3-6).  Like
+    the batches it merges, it holds each configuration's cell, not its run.
     """
 
     config: CampaignConfig
@@ -103,26 +104,6 @@ class CampaignResult:
     fn_candidates: List[FNBugCandidate] = field(default_factory=list)
     wrong_report_candidates: List[WrongReportCandidate] = field(default_factory=list)
     differential_results: List[DifferentialResult] = field(default_factory=list)
-
-    # -- convenience aggregations used by the analysis/benchmark layer --------------
-
-    def bugs_by_compiler_sanitizer(self) -> Dict[tuple, List[BugReport]]:
-        grouped: Dict[tuple, List[BugReport]] = {}
-        for report in self.bug_reports:
-            grouped.setdefault((report.compiler, report.sanitizer), []).append(report)
-        return grouped
-
-    def bugs_by_ub_type(self) -> Dict[UBType, List[BugReport]]:
-        grouped: Dict[UBType, List[BugReport]] = {}
-        for report in self.bug_reports:
-            grouped.setdefault(report.ub_type, []).append(report)
-        return grouped
-
-    def bugs_by_category(self) -> Dict[str, List[BugReport]]:
-        grouped: Dict[str, List[BugReport]] = {}
-        for report in self.bug_reports:
-            grouped.setdefault(report.category or "Unknown", []).append(report)
-        return grouped
 
 
 @dataclass
@@ -133,6 +114,12 @@ class SeedBatch:
     it into UB programs and differentially testing those programs depend only
     on ``(config, seed_index)``, so batches can be computed in any process in
     any order and merged back deterministically by seed index.
+
+    Its differential results keep each configuration's
+    :class:`~repro.core.differential.Cell`, never the run, so a batch a pool
+    worker sends back or a checkpoint record restores
+    (:func:`repro.orchestrator.records.batch_from_record`) equals the fresh
+    one but for ``duration_seconds`` and ``telemetry``.
     """
 
     seed_index: int
@@ -182,7 +169,7 @@ class FuzzingCampaign:
                                          max_steps=self.config.max_steps,
                                          cache=self.compilation_cache)
         # The tester's trunk compilers and the triager share one registry
-        # and step budget, so the matrix's runs are triage's trunk cells.
+        # and step budget, so the matrix's cells are triage's trunk cells.
         self.triager = BugTriager(registry=registry,
                                   max_steps=self.config.max_steps,
                                   compilation_cache=self.compilation_cache)
@@ -297,7 +284,7 @@ class FuzzingCampaign:
                        wrong_reports: List[WrongReportCandidate]) -> List[BugReport]:
         if not self.config.triage:
             return []
-        # Triage reads the matrix's runs instead of repeating them.
+        # Triage reads the matrix's cells instead of repeating them.
         self.triager.observe(diff_results)
         # Many programs expose the same defect, so only the first candidate
         # per behavioural signature is triaged.  Deduplication by defect id
@@ -321,10 +308,8 @@ def _representatives(candidates: list, signature) -> list:
 
 def _fn_signature(candidate: FNBugCandidate) -> tuple:
     config = candidate.missing.config
-    report = candidate.detecting.result.report
     return (config.compiler, config.sanitizer, config.opt_level,
-            candidate.program.ub_type,
-            report.kind if report is not None else None)
+            candidate.program.ub_type, candidate.detecting.verdict[1])
 
 
 def _wrong_report_signature(candidate: WrongReportCandidate) -> tuple:

@@ -76,7 +76,8 @@ class OrchestratedCampaign:
     marked-program surveys, the same monitor streams progress, and
     ``reduce=True`` shrinks one representative finding per dedup bucket via
     :func:`repro.reduction.reduce_marker_finding`.  Checkpoint/corpus
-    storage is fuzzing-specific and rejected in marker mode.
+    storage, the trace it holds and the session cap are fuzzing-specific
+    and rejected in marker mode.
 
     ``db_path`` names the findings database and nothing else: a fuzzing
     campaign hands it to its corpus store (so it needs ``corpus=<dir>``),
@@ -99,13 +100,20 @@ class OrchestratedCampaign:
         if not isinstance(self.config, CampaignConfig):
             if checkpoint_path is not None or corpus is not None:
                 raise ValueError(
-                    "checkpoint/corpus storage is only supported for "
-                    "fuzzing campaigns, not marker campaigns")
+                    "checkpoint_path (--checkpoint) and corpus (--corpus) "
+                    "storage is only supported for fuzzing campaigns, not "
+                    "marker campaigns")
             if max_seeds_per_session is not None:
                 raise ValueError(
-                    "max_seeds_per_session requires checkpoint/resume, "
-                    "which marker campaigns do not support — a capped run "
-                    "would silently return a partial result")
+                    "max_seeds_per_session (--max-seeds-per-session) "
+                    "requires checkpoint/resume, which marker campaigns do "
+                    "not support — a capped run would silently return a "
+                    "partial result")
+            if trace:
+                raise ValueError(
+                    "trace=True (--trace) writes its spans into "
+                    "corpus=<dir> (--corpus) storage, which marker "
+                    "campaigns do not support")
         if workers > 1 and "fork" not in multiprocessing.get_all_start_methods():
             raise ValueError(
                 "workers > 1 runs seeds on a 'fork' process pool, and this "
@@ -126,21 +134,22 @@ class OrchestratedCampaign:
         self.trace = trace
         if trace and (self.corpus is None or self.corpus.root is None):
             raise ValueError(
-                "trace=True requires a persistent corpus (corpus=<dir>) to "
+                "trace=True (--trace) requires corpus=<dir> (--corpus) to "
                 "hold telemetry/trace.jsonl")
         self.db_path = db_path
         if db_path is not None and isinstance(self.config, CampaignConfig):
             if self.corpus is None or self.corpus.root is None:
                 raise ValueError(
-                    "db_path requires a persistent corpus (corpus=<dir>): a "
+                    "db_path (--db) requires corpus=<dir> (--corpus): a "
                     "fuzzing campaign writes its findings database through "
                     "the corpus store, so without one db_path would be "
                     "ignored")
             if os.path.abspath(self.corpus.db_path) != os.path.abspath(db_path):
                 raise ValueError(
-                    f"db_path {db_path!r} is not the corpus store's findings "
-                    f"database {self.corpus.db_path!r}, so it would be "
-                    f"ignored; open the CorpusStore with db_path= instead")
+                    f"db_path {db_path!r} (--db) is not the corpus store's "
+                    f"findings database {self.corpus.db_path!r}, so it "
+                    f"would be ignored; open the CorpusStore with db_path= "
+                    f"instead")
         #: Populated by run(); exposes live throughput/ETA while running.
         self.monitor: Optional[ThroughputMonitor] = None
         #: Stall/straggler detection over freshly executed batches; the

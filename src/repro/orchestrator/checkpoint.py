@@ -1,8 +1,10 @@
 """Checkpoint/resume of interrupted campaigns via JSON snapshots.
 
-The snapshot is a single JSON document holding the campaign config
-fingerprint plus one record per completed seed (see
-:mod:`repro.orchestrator.records`).  It is rewritten atomically
+The snapshot is a single JSON document holding the record version, the
+campaign config fingerprint and one record per completed seed (see
+:mod:`repro.orchestrator.records`): the batch exactly, each
+configuration's cell verdict included, so a restored seed equals a fresh
+one.  It is rewritten atomically
 (temp file + ``os.replace``) after every recorded batch, so a campaign
 killed at any point can resume from the last completed seed.
 
@@ -53,9 +55,9 @@ class CampaignCheckpoint:
         """Return the completed batches recorded on disk, keyed by seed index.
 
         Missing file → empty dict (a fresh campaign).  A snapshot written by
-        a different configuration raises :class:`CheckpointMismatch`.  Keys
-        other than the version, fingerprint and seeds (such as the
-        ``metadata`` older snapshots carried) are ignored.
+        a different configuration, or of another record version (version 1
+        kept no cells), raises :class:`CheckpointMismatch`.  Keys other
+        than the version, fingerprint and seeds are ignored.
         """
         self._records = {}
         self._loaded = True

@@ -18,10 +18,11 @@ replay it into a per-stage profile with::
 other; the ``query``, ``bisect`` and ``known-bugs`` subcommands read it.
 
 Both modes build one :class:`OrchestratedCampaign` from the arguments; a
-combination it rejects (``--checkpoint``/``--corpus`` in marker mode,
-``--trace`` or ``--db`` without ``--corpus``, ``--workers N`` without the
-``fork`` start method) prints its message as ``error: ...`` and exits
-with status 2.
+combination it rejects (``--checkpoint``/``--corpus``,
+``--max-seeds-per-session`` or ``--trace`` in marker mode, ``--trace`` or
+``--db`` without ``--corpus``, ``--workers N`` without the ``fork`` start
+method) prints its message, which names the flag, as ``error: ...`` and
+exits with status 2.
 
 Status output goes through :mod:`logging` (configure with ``-v``/``-q``);
 the result summary itself prints to stdout (``--json`` for machines).

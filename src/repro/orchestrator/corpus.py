@@ -115,13 +115,11 @@ class CrashBucket:
         return self.first_seen is not None
 
 
-def _outcome_status(outcome) -> str:
-    """Classify one per-config outcome for its database cell."""
-    if outcome.error is not None:
+def _cell_status(cell) -> str:
+    """Classify one configuration's cell for its database row."""
+    if cell.verdict is None:
         return "compile-error"
-    if outcome.result is None:
-        return "error"
-    return "detected" if outcome.detected else "silent"
+    return "detected" if cell.detected else "silent"
 
 
 class CorpusStore:
@@ -218,16 +216,16 @@ class CorpusStore:
                     {"program_id": program_id, "source": source, **program})
                 # Every surveyed (program, config) cell becomes an
                 # outcome row.
-                for outcome in diff.outcomes:
-                    config = outcome.config
+                for cell in diff.cells:
+                    config = cell.config
                     self._pending_outcomes.append({
                         "program_digest": digest,
                         "compiler": config.compiler,
                         "version": "",
                         "pipeline": config.opt_level,
                         "sanitizer": config.sanitizer,
-                        "status": _outcome_status(outcome),
-                        "detail": outcome.error or "",
+                        "status": _cell_status(cell),
+                        "detail": cell.error or "",
                     })
             for candidate in diff.fn_candidates:
                 key = bucket_key_for(candidate)

@@ -1,17 +1,13 @@
 """JSON-stable records for checkpointing campaign state.
 
-A :class:`~repro.core.fuzzer.SeedBatch` carries full
-:class:`~repro.core.differential.DifferentialResult` objects, which are too
-heavy (per-config execution traces) to snapshot.  This module flattens a
-batch into plain JSON data holding exactly what the campaign's *finalization*
-needs — per-type generation counts, per-program discrepancy counters and the
-candidate fields consumed by representative selection and triage — and
-rebuilds "thin" batches from those records on resume.
-
-Thin batches reproduce the exact same deduplicated bug reports and campaign
-stats as the originals; only the raw per-configuration outcomes (used by the
-RQ3 oracle-accuracy analysis) are absent, since they never survive a
-checkpoint round-trip.
+A :class:`~repro.core.fuzzer.SeedBatch` holds, per tested program, each
+configuration's :class:`~repro.core.differential.Cell` and the candidates
+over those cells.  A record holds exactly that: per-type generation
+counts, then per program its source, its cells as compact rows
+``[compiler, sanitizer, level, status, kind, error]``, its discrepancy
+counter, and candidates that name their cells by index.  So
+``batch_from_record(batch_to_record(batch))`` equals *batch* but for the
+seed's wall-clock duration and telemetry, which no record carries.
 """
 
 from __future__ import annotations
@@ -20,12 +16,11 @@ import dataclasses
 import hashlib
 import json
 from enum import Enum
-from typing import Dict, List, Optional
+from typing import Dict
 
-from repro.cdsl.source import SourceLocation
 from repro.core.crash_site import OracleVerdict
 from repro.core.differential import (
-    ConfigOutcome,
+    Cell,
     DifferentialResult,
     FNBugCandidate,
     TestConfig,
@@ -34,9 +29,8 @@ from repro.core.differential import (
 from repro.core.fuzzer import CampaignConfig, SeedBatch
 from repro.core.insertion import UBProgram
 from repro.core.ub_types import UBType
-from repro.vm.errors import ExecutionResult, SanitizerReport
 
-RECORD_VERSION = 1
+RECORD_VERSION = 2
 
 
 # ---------------------------------------------------------------------------
@@ -106,29 +100,28 @@ def _program_record(program: UBProgram) -> dict:
     }
 
 
-def _config_record(config: TestConfig) -> dict:
-    return {"compiler": config.compiler, "sanitizer": config.sanitizer,
-            "opt_level": config.opt_level}
+def _cell_row(cell: Cell) -> list:
+    status, kind = cell.verdict if cell.verdict is not None else (None, None)
+    return [cell.config.compiler, cell.config.sanitizer,
+            cell.config.opt_level, status, kind, cell.error]
 
 
-def _fn_record(candidate: FNBugCandidate) -> dict:
-    report = (candidate.detecting.result.report
-              if candidate.detecting.result is not None else None)
+def _diff_record(diff: DifferentialResult) -> dict:
+    index = {id(cell): position for position, cell in enumerate(diff.cells)}
     return {
-        "missing": _config_record(candidate.missing.config),
-        "detecting": _config_record(candidate.detecting.config),
-        "detecting_kind": report.kind if report is not None else None,
-        "detecting_sanitizer": report.sanitizer if report is not None else None,
-        "crash_site": list(candidate.crash_site) if candidate.crash_site else None,
-        "reason": candidate.verdict.reason,
-    }
-
-
-def _wrong_record(candidate: WrongReportCandidate) -> dict:
-    return {
-        "first": _config_record(candidate.first.config),
-        "second": _config_record(candidate.second.config),
-        "difference": candidate.difference,
+        "program": _program_record(diff.program),
+        "cells": [_cell_row(cell) for cell in diff.cells],
+        "optimization_discrepancies": diff.optimization_discrepancies,
+        "fn_candidates": [
+            {"detecting": index[id(c.detecting)],
+             "missing": index[id(c.missing)],
+             "crash_site": list(c.crash_site) if c.crash_site else None,
+             "reason": c.verdict.reason}
+            for c in diff.fn_candidates],
+        "wrong_reports": [
+            {"first": index[id(c.first)], "second": index[id(c.second)],
+             "difference": c.difference}
+            for c in diff.wrong_report_candidates],
     }
 
 
@@ -138,20 +131,12 @@ def batch_to_record(batch: SeedBatch) -> dict:
     The seed's wall-clock duration is left out: nothing reads it from a
     restored batch, and without it one config always writes the same
     bytes."""
-    diffs: List[dict] = []
-    for diff in batch.diff_results:
-        diffs.append({
-            "program": _program_record(diff.program),
-            "optimization_discrepancies": diff.optimization_discrepancies,
-            "fn_candidates": [_fn_record(c) for c in diff.fn_candidates],
-            "wrong_reports": [_wrong_record(c) for c in diff.wrong_report_candidates],
-        })
     return {
         "seed_index": batch.seed_index,
         "generated": batch.generated,
         "programs_generated": {ub.value: count
                                for ub, count in batch.programs_generated.items()},
-        "diffs": diffs,
+        "diffs": [_diff_record(diff) for diff in batch.diff_results],
     }
 
 
@@ -166,53 +151,43 @@ def _program_from(record: dict) -> UBProgram:
                      description=record["description"])
 
 
-def _config_from(record: dict) -> TestConfig:
-    return TestConfig(compiler=record["compiler"], sanitizer=record["sanitizer"],
-                      opt_level=record["opt_level"])
+def _cell_from(row: list) -> Cell:
+    compiler, sanitizer, opt_level, status, kind, error = row
+    return Cell(TestConfig(compiler, sanitizer, opt_level),
+                (status, kind) if status is not None else None, error)
 
 
-def _fn_from(record: dict, program: UBProgram) -> FNBugCandidate:
-    detecting_result: Optional[ExecutionResult] = None
-    if record["detecting_kind"] is not None:
-        report = SanitizerReport(sanitizer=record["detecting_sanitizer"] or "",
-                                 kind=record["detecting_kind"],
-                                 location=SourceLocation())
-        detecting_result = ExecutionResult(status="sanitizer_report",
-                                           report=report)
-    crash_site = tuple(record["crash_site"]) if record["crash_site"] else None
-    return FNBugCandidate(
+def _diff_from(record: dict) -> DifferentialResult:
+    program = _program_from(record["program"])
+    cells = [_cell_from(row) for row in record["cells"]]
+    return DifferentialResult(
         program=program,
-        detecting=ConfigOutcome(_config_from(record["detecting"]),
-                                detecting_result),
-        missing=ConfigOutcome(_config_from(record["missing"]), None),
-        verdict=OracleVerdict(is_bug=True, crash_site=crash_site,
-                              reason=record["reason"]))
-
-
-def _wrong_from(record: dict, program: UBProgram) -> WrongReportCandidate:
-    return WrongReportCandidate(
-        program=program,
-        first=ConfigOutcome(_config_from(record["first"]), None),
-        second=ConfigOutcome(_config_from(record["second"]), None),
-        difference=record["difference"])
+        cells=cells,
+        fn_candidates=[
+            FNBugCandidate(
+                program=program, detecting=cells[c["detecting"]],
+                missing=cells[c["missing"]],
+                verdict=OracleVerdict(
+                    is_bug=True,
+                    crash_site=(tuple(c["crash_site"]) if c["crash_site"]
+                                else None),
+                    reason=c["reason"]))
+            for c in record["fn_candidates"]],
+        wrong_report_candidates=[
+            WrongReportCandidate(program=program, first=cells[c["first"]],
+                                 second=cells[c["second"]],
+                                 difference=c["difference"])
+            for c in record["wrong_reports"]],
+        optimization_discrepancies=record["optimization_discrepancies"])
 
 
 def batch_from_record(record: dict) -> SeedBatch:
-    """Rebuild a (thin) seed batch from a checkpoint record."""
-    diff_results: List[DifferentialResult] = []
-    for diff in record["diffs"]:
-        program = _program_from(diff["program"])
-        diff_results.append(DifferentialResult(
-            program=program,
-            outcomes=[],
-            fn_candidates=[_fn_from(c, program) for c in diff["fn_candidates"]],
-            wrong_report_candidates=[_wrong_from(c, program)
-                                     for c in diff["wrong_reports"]],
-            optimization_discrepancies=diff["optimization_discrepancies"]))
+    """Rebuild the seed batch a checkpoint record was written from."""
     programs_generated: Dict[UBType, int] = {
         UBType(value): count
         for value, count in record["programs_generated"].items()}
     return SeedBatch(seed_index=record["seed_index"],
                      generated=record["generated"],
                      programs_generated=programs_generated,
-                     diff_results=diff_results)
+                     diff_results=[_diff_from(diff)
+                                   for diff in record["diffs"]])

@@ -22,12 +22,9 @@ with the campaign's defect registry and step budget.
 """
 
 from repro.reduction.predicates import (
-    BugSignature,
     ReductionRecord,
-    bug_signature,
     make_fn_bug_predicate,
     make_marker_predicate,
-    make_signature_predicate,
     marker_record_for,
     record_for,
     reduce_fn_candidate,
@@ -41,8 +38,7 @@ from repro.reduction.reducer import (
 
 __all__ = [
     "HierarchicalReducer", "ReductionResult", "token_count",
-    "BugSignature", "ReductionRecord", "bug_signature",
-    "make_fn_bug_predicate", "make_signature_predicate", "record_for",
+    "ReductionRecord", "make_fn_bug_predicate", "record_for",
     "reduce_fn_candidate", "make_marker_predicate", "marker_record_for",
     "reduce_marker_finding",
 ]

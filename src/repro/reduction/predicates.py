@@ -1,19 +1,10 @@
 """Interestingness predicates and the campaign-facing reduction helper.
 
-Two predicate flavours are provided:
-
-* :func:`make_fn_bug_predicate` — the pairwise predicate the paper's
-  workflow uses while shrinking one report: the *detecting* configuration
-  must still report the right UB kind, the *missing* configuration must
-  still exit normally, and the crash-site mapping oracle must still call
-  the discrepancy a sanitizer bug;
-* :func:`make_signature_predicate` — the full-matrix predicate: the
-  candidate is differentially tested across a whole configuration matrix
-  and must reproduce the original bug signature (UB type, detected report
-  kind, missing configuration).  Sharing a
-  :class:`~repro.compilers.cache.CompilationCache` pays off heavily here —
-  one candidate's matrix performs one parse and one optimizer run per opt
-  level instead of one full compile per configuration.
+:func:`make_fn_bug_predicate` is the pairwise predicate the paper's
+workflow uses while shrinking one report: the *detecting* configuration
+must still report the right UB kind, the *missing* configuration must
+still exit normally, and the crash-site mapping oracle must still call
+the discrepancy a sanitizer bug.
 
 :func:`reduce_fn_candidate` packages the common campaign step: reduce one
 FN-bug candidate's program, re-run both configurations on the reduced
@@ -24,7 +15,7 @@ for the analysis layer.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence, Tuple
+from typing import Optional, Tuple
 
 from repro.compilers.compiler import frontend_master
 from repro.core.crash_site import format_crash_site, is_sanitizer_bug_from_results
@@ -32,7 +23,6 @@ from repro.core.differential import (
     DifferentialTester,
     FNBugCandidate,
     TestConfig,
-    default_configs,
 )
 from repro.core.insertion import UBProgram
 from repro.core.ub_types import detects
@@ -80,50 +70,6 @@ def make_fn_bug_predicate(program: UBProgram, detecting: TestConfig,
     return predicate
 
 
-@dataclass(frozen=True)
-class BugSignature:
-    """What must survive reduction: UB type, report kind, missing config."""
-
-    ub_type: str
-    report_kind: str
-    missing: TestConfig
-
-
-def bug_signature(candidate: FNBugCandidate) -> BugSignature:
-    report = (candidate.detecting.result.report
-              if candidate.detecting.result is not None else None)
-    return BugSignature(ub_type=candidate.program.ub_type.value,
-                        report_kind=report.kind if report is not None else "",
-                        missing=candidate.missing.config)
-
-
-def make_signature_predicate(program: UBProgram,
-                             signature: BugSignature,
-                             configs: Optional[Sequence[TestConfig]] = None,
-                             tester: Optional[DifferentialTester] = None) -> Predicate:
-    """Build the full-matrix predicate: the candidate must reproduce
-    *signature* when differentially tested across *configs* (default: every
-    configuration relevant to the program's UB type)."""
-    tester = tester or DifferentialTester()
-    if configs is None:
-        configs = default_configs(program.ub_type,
-                                  compilers=tuple(tester.compilers),
-                                  opt_levels=tester.opt_levels)
-    configs = list(configs)
-
-    def predicate(source: str) -> bool:
-        candidate = UBProgram(source=source, ub_type=program.ub_type,
-                              seed_index=program.seed_index,
-                              description=program.description)
-        result = tester.test(candidate, configs=configs)
-        for fn in result.fn_candidates:
-            if bug_signature(fn) == signature:
-                return True
-        return False
-
-    return predicate
-
-
 @dataclass
 class ReductionRecord:
     """One crash bucket's reduction, as consumed by the analysis tables."""
@@ -158,7 +104,7 @@ def reduce_fn_candidate(candidate: FNBugCandidate,
                         ) -> Tuple[FNBugCandidate, ReductionResult]:
     """Reduce one FN-bug candidate's program to a minimal reproducer.
 
-    Returns the rebuilt candidate (program, outcomes and oracle verdict all
+    Returns the rebuilt candidate (program, cells and oracle verdict all
     recomputed on the reduced source) plus the raw :class:`ReductionResult`.
     If reduction makes no progress, or the reduced program unexpectedly
     stops reproducing, the original candidate is returned untouched.
@@ -188,8 +134,8 @@ def reduce_fn_candidate(candidate: FNBugCandidate,
     if not verdict.is_bug:  # pragma: no cover - predicate guarantees this
         return candidate, result
     reduced = FNBugCandidate(program=reduced_program,
-                             detecting=detecting_outcome,
-                             missing=missing_outcome, verdict=verdict)
+                             detecting=detecting_outcome.cell,
+                             missing=missing_outcome.cell, verdict=verdict)
     return reduced, result
 
 

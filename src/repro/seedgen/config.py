@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 
 @dataclass
@@ -15,42 +15,9 @@ class GeneratorConfig:
     program is UB-free.  ``safe_math=False`` is the paper's *Csmith-NoSafe*
     baseline: the wrappers are dropped, which lets arithmetic UB (integer
     overflow, shift overflow, division by zero) slip into roughly half of
-    the generated programs but produces no memory-safety UB.
+    the generated programs but produces no memory-safety UB.  The shape of
+    the programs is fixed by the constants of :mod:`repro.seedgen.csmith`.
     """
 
     seed: int = 0
     safe_math: bool = True
-
-    # Program shape.
-    num_global_scalars: tuple = (3, 6)
-    num_global_arrays: tuple = (1, 3)
-    num_global_pointers: tuple = (1, 2)
-    num_helper_functions: tuple = (1, 2)
-    use_struct_array: bool = True
-    use_heap_buffer: bool = True
-
-    # Statement / expression limits.
-    main_statements: tuple = (6, 14)
-    function_statements: tuple = (3, 7)
-    max_expr_depth: int = 3
-    max_block_depth: int = 2
-    loop_bound_range: tuple = (2, 6)
-    array_length_range: tuple = (4, 10)
-
-    # Statement kind weights (assign, array store, pointer store, if, for,
-    # compound assign, call).
-    stmt_weights: dict = field(default_factory=lambda: {
-        "assign": 5,
-        "array_store": 4,
-        "pointer_store": 3,
-        "if": 3,
-        "for": 3,
-        "compound_assign": 2,
-        "call": 2,
-        "block_local": 2,
-    })
-
-    def clone_with(self, **overrides) -> "GeneratorConfig":
-        data = self.__dict__.copy()
-        data.update(overrides)
-        return GeneratorConfig(**data)

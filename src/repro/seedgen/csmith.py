@@ -145,8 +145,8 @@ class CsmithNoSafeGenerator(CsmithGenerator):
     """The Csmith-NoSafe baseline: identical generator, wrappers disabled."""
 
     def __init__(self, config: Optional[GeneratorConfig] = None) -> None:
-        base = config or GeneratorConfig()
-        super().__init__(base.clone_with(safe_math=False))
+        seed = config.seed if config is not None else 0
+        super().__init__(GeneratorConfig(seed=seed, safe_math=False))
 
     def generate(self, index: int = 0, validate: bool = True) -> SeedProgram:
         # NoSafe programs may contain arithmetic UB; they must still parse
@@ -161,6 +161,33 @@ class CsmithNoSafeGenerator(CsmithGenerator):
 # ---------------------------------------------------------------------------
 
 _SCALAR_TYPES = (ct.INT, ct.UINT, ct.SHORT, ct.LONG, ct.UCHAR)
+
+# Program shape: each ``(low, high)`` pair is an inclusive range drawn per
+# program.  Every program also gets a struct array and a heap buffer.
+NUM_GLOBAL_SCALARS = (3, 6)
+NUM_GLOBAL_ARRAYS = (1, 3)
+NUM_GLOBAL_POINTERS = (1, 2)
+NUM_HELPER_FUNCTIONS = (1, 2)
+
+# Statement / expression limits.
+MAIN_STATEMENTS = (6, 14)
+FUNCTION_STATEMENTS = (3, 7)
+MAX_EXPR_DEPTH = 3
+MAX_BLOCK_DEPTH = 2
+LOOP_BOUND_RANGE = (2, 6)
+ARRAY_LENGTH_RANGE = (4, 10)
+
+#: Statement kind weights; the generator draws the kinds in this order.
+STMT_WEIGHTS = {
+    "assign": 5,
+    "array_store": 4,
+    "pointer_store": 3,
+    "if": 3,
+    "for": 3,
+    "compound_assign": 2,
+    "call": 2,
+    "block_local": 2,
+}
 
 
 def _lit(value: int) -> ast.IntLiteral:
@@ -205,8 +232,6 @@ class _ProgramBuilder:
         return ast.TranslationUnit(decls)
 
     def _build_struct(self) -> List[ast.Node]:
-        if not self.config.use_struct_array:
-            return []
         tag = "s0"
         fields = [("f0", ct.INT), ("f1", ct.INT)]
         self.struct_type = ct.StructType.create(tag, fields)
@@ -219,7 +244,7 @@ class _ProgramBuilder:
                                           is_global=True)])]
 
     def _build_global_scalars(self) -> List[ast.Node]:
-        count = self.rng.randint(*self.config.num_global_scalars)
+        count = self.rng.randint(*NUM_GLOBAL_SCALARS)
         out: List[ast.Node] = []
         for _ in range(count):
             ctype = self.rng.choice(_SCALAR_TYPES)
@@ -232,11 +257,11 @@ class _ProgramBuilder:
         return out
 
     def _build_global_arrays(self) -> List[ast.Node]:
-        count = self.rng.randint(*self.config.num_global_arrays)
+        count = self.rng.randint(*NUM_GLOBAL_ARRAYS)
         out: List[ast.Node] = []
         for _ in range(count):
             elem = self.rng.choice((ct.INT, ct.INT, ct.SHORT, ct.UINT))
-            length = self.rng.randint(*self.config.array_length_range)
+            length = self.rng.randint(*ARRAY_LENGTH_RANGE)
             name = self._fresh("g_arr")
             items = [_lit(self.rng.randint(0, 9)) for _ in range(length)]
             var = _Var(name, ct.ArrayType(elem, length), "global", length=length)
@@ -247,7 +272,7 @@ class _ProgramBuilder:
         return out
 
     def _build_global_pointers(self) -> List[ast.Node]:
-        count = self.rng.randint(*self.config.num_global_pointers)
+        count = self.rng.randint(*NUM_GLOBAL_POINTERS)
         out: List[ast.Node] = []
         int_scalars = [v for v in self.globals if v.ctype == ct.INT]
         int_arrays = [v for v in self.arrays
@@ -281,7 +306,7 @@ class _ProgramBuilder:
     # -- helper functions --------------------------------------------------------
 
     def _build_helper_functions(self) -> List[ast.Node]:
-        count = self.rng.randint(*self.config.num_helper_functions)
+        count = self.rng.randint(*NUM_HELPER_FUNCTIONS)
         out: List[ast.Node] = []
         for _ in range(count):
             name = self._fresh("func")
@@ -292,7 +317,7 @@ class _ProgramBuilder:
             local_count = self.rng.randint(1, 2)
             for _ in range(local_count):
                 body_stmts.append(scope.declare_local())
-            stmt_count = self.rng.randint(*self.config.function_statements)
+            stmt_count = self.rng.randint(*FUNCTION_STATEMENTS)
             for _ in range(stmt_count):
                 body_stmts.append(scope.statement(depth=0))
             body_stmts.append(ast.ReturnStmt(scope.int_expr(1)))
@@ -311,9 +336,8 @@ class _ProgramBuilder:
         for _ in range(self.rng.randint(2, 4)):
             stmts.append(scope.declare_local())
         stmts.append(scope.declare_crc())
-        if self.config.use_heap_buffer:
-            stmts.extend(scope.declare_heap_buffer())
-        count = self.rng.randint(*self.config.main_statements)
+        stmts.extend(scope.declare_heap_buffer())
+        count = self.rng.randint(*MAIN_STATEMENTS)
         for _ in range(count):
             stmts.append(scope.statement(depth=0))
         stmts.extend(scope.checksum_statements())
@@ -404,7 +428,7 @@ class _Scope:
         return modded
 
     def int_expr(self, depth: int) -> ast.Expr:
-        if depth >= self.config.max_expr_depth or self.rng.flip(0.35):
+        if depth >= MAX_EXPR_DEPTH or self.rng.flip(0.35):
             return self._leaf_expr()
         return self._node_expr(depth)
 
@@ -495,9 +519,9 @@ class _Scope:
     # -- statements ---------------------------------------------------------------------
 
     def statement(self, depth: int) -> ast.Stmt:
-        weights = self.config.stmt_weights
+        weights = STMT_WEIGHTS
         kinds = list(weights)
-        if depth >= self.config.max_block_depth:
+        if depth >= MAX_BLOCK_DEPTH:
             kinds = [k for k in kinds if k not in ("if", "for", "block_local")]
         kind = self.rng.weighted_choice(kinds, [weights[k] for k in kinds])
         if kind == "assign":
@@ -578,7 +602,7 @@ class _Scope:
 
     def _for_stmt(self, depth: int) -> ast.Stmt:
         loop_var = self.b._fresh("i")
-        bound = self.rng.randint(*self.config.loop_bound_range)
+        bound = self.rng.randint(*LOOP_BOUND_RANGE)
         body_stmts = [self.statement(depth + 1)
                       for _ in range(self.rng.randint(1, 2))]
         # Accumulate something into the crc so the loop is never dead code.

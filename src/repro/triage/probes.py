@@ -26,7 +26,7 @@ from __future__ import annotations
 from typing import Optional, Sequence
 
 from repro.compilers.cache import CompilationCache
-from repro.core.differential import TestConfig, detected, run_cell, verdict_of
+from repro.core.differential import TestConfig, detected, run_cell
 from repro.core.ub_types import UBType, detects
 from repro.markers.instrument import MarkedProgram
 from repro.markers.oracle import EliminationOracle, MarkerConfig
@@ -55,10 +55,10 @@ class CrashProbe:
         self.max_steps = max_steps
 
     def __call__(self, version: int) -> bool:
-        verdict = verdict_of(run_cell(
+        verdict = run_cell(
             self.cache, self.source,
             TestConfig(self.compiler, self.sanitizer, self.opt_level),
-            self.registry, self.max_steps, version=version).result)
+            self.registry, self.max_steps, version=version).cell.verdict
         # A program that does not compile hides no UB: not bad.
         return verdict is not None and not detected(verdict, self.ub_type)
 

@@ -2,7 +2,6 @@
 
 from repro.utils.errors import (
     CompilationError,
-    ExecutionError,
     GenerationError,
     LexError,
     ParseError,
@@ -16,7 +15,6 @@ from repro.utils.text import format_table, indent, number_lines, percent
 
 __all__ = [
     "CompilationError",
-    "ExecutionError",
     "GenerationError",
     "LexError",
     "ParseError",

@@ -38,10 +38,6 @@ class CompilationError(ReproError):
     """Raised when a simulated compiler cannot produce a binary."""
 
 
-class ExecutionError(ReproError):
-    """Raised when the VM cannot execute a binary (not a program crash)."""
-
-
 class GenerationError(ReproError):
     """Raised by program generators when a request cannot be satisfied."""
 

@@ -973,11 +973,9 @@ _LVALUE_DISPATCH: Dict[type, Callable] = {
 def run_program(unit: ast.TranslationUnit, sema: SemanticInfo,
                 runtime: Optional[SanitizerRuntime] = None,
                 max_steps: int = DEFAULT_MAX_STEPS,
-                profile_collector=None,
                 call_hook: Optional[Callable[[str], None]] = None
                 ) -> ExecutionResult:
     """Convenience wrapper: build an interpreter and run the program."""
     interp = Interpreter(unit, sema, runtime=runtime, max_steps=max_steps,
-                         profile_collector=profile_collector,
                          call_hook=call_hook)
     return interp.run()

@@ -228,18 +228,35 @@ def test_cached_differential_matrix_matches_uncached_on_ub_program():
                for sanitizer in ("asan", "ubsan", "msan")
                for level in ("-O0", "-O2", "-O3")]
     tester = DifferentialTester()
+    runs = _record_runs(tester)
     cached = tester.test(program, configs=configs)
-    reference = tester.analyze(program, [
+    references = [
         ConfigOutcome(config, reference_compile(
             program.source, config.compiler, config.opt_level,
             config.sanitizer).run(max_steps=tester.max_steps))
-        for config in configs])
-    assert len(cached.outcomes) == len(reference.outcomes) == 9
-    for a, b in zip(cached.outcomes, reference.outcomes):
+        for config in configs]
+    assert len(runs) == len(references) == 9
+    for (_, a), b in zip(runs, references):
         assert a.config == b.config
         assert a.result == b.result
         assert a.error is None
-    assert len(cached.fn_candidates) == len(reference.fn_candidates)
+    assert cached == tester.analyze(program, references)
+
+
+def _record_runs(tester):
+    """Wrap *tester*'s ``run_config``: the returned list collects the
+    ``(source, outcome)`` of every configuration the tester runs, the whole
+    run included, which a result no longer keeps."""
+    runs = []
+    run_config = tester.run_config
+
+    def recording_run_config(program, config):
+        outcome = run_config(program, config)
+        runs.append((program.source, outcome))
+        return outcome
+
+    tester.run_config = recording_run_config
+    return runs
 
 
 def test_parse_errors_are_not_cached_as_artifacts():
@@ -438,20 +455,22 @@ def test_campaign_shares_cache_and_stays_deterministic():
     config = CampaignConfig(num_seeds=2, rng_seed=7, max_programs_per_type=1,
                             opt_levels=("-O0", "-O2"))
     campaign = FuzzingCampaign(config)
+    runs = _record_runs(campaign.tester)
     cached_batches = [campaign.run_seed(i) for i in range(2)]
     assert campaign.compilation_cache.stats()["hits"] > 0
     assert campaign.tester.cache is campaign.compilation_cache
     assert campaign.triager.compilation_cache is campaign.compilation_cache
 
-    outcomes = 0
-    for batch in cached_batches:
-        for result in batch.diff_results:
-            for outcome in result.outcomes:
-                cell = outcome.config
-                reference = reference_compile(
-                    result.program.source, cell.compiler, cell.opt_level,
-                    cell.sanitizer, defect_registry=campaign.registry)
-                assert outcome.result == reference.run(
-                    max_steps=config.max_steps), outcome.config
-                outcomes += 1
-    assert outcomes
+    # The batches keep exactly the cells of the runs the matrix made.
+    assert [(result.program.source, cell)
+            for batch in cached_batches for result in batch.diff_results
+            for cell in result.cells] == \
+        [(source, outcome.cell) for source, outcome in runs]
+    for source, outcome in runs:
+        cell = outcome.config
+        reference = reference_compile(
+            source, cell.compiler, cell.opt_level,
+            cell.sanitizer, defect_registry=campaign.registry)
+        assert outcome.result == reference.run(
+            max_steps=config.max_steps), outcome.config
+    assert runs

@@ -12,7 +12,7 @@ from repro.compilers.versions import all_versions, trunk_version
 from repro.core import (
     BugTriager,
     CampaignConfig,
-    ConfigOutcome,
+    Cell,
     FuzzingCampaign,
     STATUS_CONFIRMED,
     STATUS_FIXED,
@@ -67,15 +67,6 @@ def test_campaign_bug_reports_record_affected_levels_and_versions(small_campaign
         assert report.affected_opt_levels
         assert report.affected_versions
         assert all(isinstance(v, int) for v in report.affected_versions)
-
-
-def test_campaign_grouping_helpers(small_campaign):
-    by_cs = small_campaign.bugs_by_compiler_sanitizer()
-    assert sum(len(v) for v in by_cs.values()) == len(small_campaign.bug_reports)
-    by_ub = small_campaign.bugs_by_ub_type()
-    assert all(isinstance(k, UBType) for k in by_ub)
-    by_cat = small_campaign.bugs_by_category()
-    assert by_cat
 
 
 def test_campaign_counts_optimization_discrepancies(small_campaign):
@@ -314,11 +305,11 @@ def test_triage_runs_no_cell_twice(small_campaign, monkeypatch):
     running them again, and runs each of its own cells once."""
     campaign = FuzzingCampaign(small_campaign.config)
     registry = tuple(d.defect_id for d in campaign.registry)
-    matrix = {(result.program.source, outcome.config.compiler,
-               trunk_version(outcome.config.compiler), registry,
-               outcome.config.sanitizer, outcome.config.opt_level)
+    matrix = {(result.program.source, cell.config.compiler,
+               trunk_version(cell.config.compiler), registry,
+               cell.config.sanitizer, cell.config.opt_level)
               for result in small_campaign.differential_results
-              for outcome in result.outcomes}
+              for cell in result.cells}
     compiles = _record_compiles(monkeypatch)
     result = campaign.collect([SeedBatch(
         seed_index=0, generated=True,
@@ -357,8 +348,10 @@ def test_kind_and_line_mismatches_get_separate_representatives():
     word of the difference, which is "report" for every mismatch, so a kind
     mismatch and a line mismatch of one compiler and sanitizer shared one
     representative and only the first of them was triaged."""
-    first = ConfigOutcome(Config("gcc", "asan", "-O0"), result=None)
-    second = ConfigOutcome(Config("gcc", "asan", "-O2"), result=None)
+    first = Cell(Config("gcc", "asan", "-O0"), ("sanitizer_report",
+                                                 "stack-buffer-overflow"))
+    second = Cell(Config("gcc", "asan", "-O2"), ("sanitizer_report",
+                                                  "global-buffer-overflow"))
     kind, line = (WrongReportCandidate(program=None, first=first,
                                        second=second, difference=difference)
                   for difference in ("report kind stack-buffer-overflow vs "

@@ -287,7 +287,7 @@ def test_differential_tester_finds_fn_candidate_for_figure1(figure1_source):
                         ub_type=UBType.BUFFER_OVERFLOW_POINTER)
     tester = DifferentialTester(opt_levels=("-O0", "-O2"))
     result = tester.test(program)
-    assert result.any_detection
+    assert any(cell.detected for cell in result.cells)
     assert result.fn_candidates
     missing_configs = {c.missing.config.label for c in result.fn_candidates}
     assert any("gcc -O2" in label for label in missing_configs)
@@ -299,7 +299,7 @@ def test_differential_tester_reports_no_bug_without_discrepancy():
     tester = DifferentialTester(compilers=("gcc", "llvm"), defect_registry=[],
                                 opt_levels=("-O0", "-O1"))
     result = tester.test(program)
-    assert result.any_detection
+    assert any(cell.detected for cell in result.cells)
     assert not result.fn_candidates
 
 
@@ -307,7 +307,7 @@ def test_differential_tester_handles_uncompilable_program():
     program = UBProgram(source="int main( {", ub_type=UBType.DIVIDE_BY_ZERO)
     tester = DifferentialTester(opt_levels=("-O0",))
     result = tester.test(program)
-    assert all(o.result is None for o in result.outcomes)
+    assert all(cell.verdict is None and cell.error for cell in result.cells)
     assert not result.fn_candidates
 
 

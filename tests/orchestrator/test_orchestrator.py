@@ -3,14 +3,20 @@ checkpoint/resume, throughput stats and the CLI."""
 
 from __future__ import annotations
 
+import dataclasses
+import io
 import json
 import os
+import pickle
 import sys
 from collections import Counter
 
 import pytest
 
+import repro.core.bugs as bugs_module
+from repro.analysis import evaluate_oracle_accuracy
 from repro.cdsl import parser
+from repro.compilers.versions import trunk_version
 from repro.core import CampaignConfig, FuzzingCampaign, SeedBatch
 from repro.corpusdb import FindingsDB
 from repro.orchestrator import (
@@ -41,6 +47,13 @@ def config() -> CampaignConfig:
 def serial_result(config):
     """The ground truth: the plain serial campaign."""
     return FuzzingCampaign(config).run()
+
+
+@pytest.fixture(scope="module")
+def fresh_batches(config):
+    """Every seed batch of the module's campaign, as ``run_seed`` makes it."""
+    campaign = FuzzingCampaign(config)
+    return [campaign.run_seed(index) for index in range(config.num_seeds)]
 
 
 def _report_keys(result):
@@ -145,7 +158,8 @@ def test_serial_campaign_parses_each_ub_program_once(monkeypatch):
 # Checkpoint / resume
 # ---------------------------------------------------------------------------
 
-def test_killed_then_resumed_campaign_matches(tmp_path, config, serial_result):
+def test_killed_then_resumed_campaign_matches(tmp_path, monkeypatch, config,
+                                             serial_result):
     checkpoint = str(tmp_path / "campaign.json")
     corpus_dir = str(tmp_path / "corpus")
 
@@ -164,6 +178,7 @@ def test_killed_then_resumed_campaign_matches(tmp_path, config, serial_result):
     assert resumed.resumed_indices == [0]
     assert _report_keys(result) == _report_keys(serial_result)
     assert _stat_tuple(result) == _stat_tuple(serial_result)
+    assert result.differential_results == serial_result.differential_results
     # Restored seeds advance the position but not the throughput figures.
     assert resumed.monitor.seeds_restored == 1
     assert resumed.monitor.seeds_done == 2
@@ -184,12 +199,49 @@ def test_killed_then_resumed_campaign_matches(tmp_path, config, serial_result):
     program_files = os.listdir(os.path.join(corpus_dir, "programs"))
     assert len(program_files) == serial_result.stats.programs_tested
 
-    # Session 3 is a pure replay: every seed restored, same reports again.
+    # Session 3 is a pure replay: every seed restored, same reports again,
+    # and triage reads the restored matrix cells instead of running them.
+    trunk_matrix = {(diff.program.source, cell.config,
+                     trunk_version(cell.config.compiler))
+                    for diff in serial_result.differential_results
+                    for cell in diff.cells}
+    triage_runs = []
+    run_cell = bugs_module.run_cell
+
+    def recording_run_cell(cache, source, cell_config, registry, max_steps,
+                           version=None):
+        triage_runs.append((source, cell_config, version, len(registry)))
+        return run_cell(cache, source, cell_config, registry, max_steps,
+                        version=version)
+
+    monkeypatch.setattr(bugs_module, "run_cell", recording_run_cell)
     replay = OrchestratedCampaign(config, checkpoint_path=checkpoint)
     replay_result = replay.run()
     assert replay.resumed_indices == [0, 1, 2]
     assert _report_keys(replay_result) == _report_keys(serial_result)
     assert _stat_tuple(replay_result) == _stat_tuple(serial_result)
+    assert replay_result.differential_results == \
+        serial_result.differential_results
+    full_registry = len(FuzzingCampaign(config).registry)
+    assert triage_runs
+    assert not [run for run in triage_runs
+                if run[:3] in trunk_matrix and run[3] == full_registry]
+
+
+def test_resumed_campaign_keeps_the_oracle_accuracy(tmp_path, config,
+                                                   serial_result):
+    """RQ3 reads the restored seeds' silent cells, so a resumed campaign
+    drops the same optimization-caused discrepancies as an uninterrupted
+    one instead of none."""
+    checkpoint = str(tmp_path / "campaign.json")
+    OrchestratedCampaign(config, checkpoint_path=checkpoint,
+                         max_seeds_per_session=2).run()
+    resumed = OrchestratedCampaign(config, checkpoint_path=checkpoint)
+    result = resumed.run()
+    assert resumed.resumed_indices == [0, 1]
+    accuracy = evaluate_oracle_accuracy(serial_result)
+    assert accuracy.dropped
+    assert evaluate_oracle_accuracy(result) == accuracy
 
 
 def test_checkpoint_bytes_repeat_run_to_run(tmp_path):
@@ -252,27 +304,20 @@ def test_checkpoint_with_metadata_key_still_loads(tmp_path, config):
     assert sorted(CampaignCheckpoint(path, config).load()) == [0]
 
 
-def test_checkpoint_with_seed_durations_still_loads(tmp_path, config):
-    """Snapshots once carried each seed's ``duration_seconds`` and its
-    surveyed/skipped cell counts; loading ignores them, and seeds recorded
-    after the resume carry none."""
+def test_checkpoint_refuses_version_1(tmp_path, config):
+    """Version 1 records kept no cells; no loader reads them."""
     path = str(tmp_path / "old.json")
     CampaignCheckpoint(path, config).record(
         SeedBatch(seed_index=0, generated=True))
     with open(path, encoding="utf-8") as handle:
         snapshot = json.load(handle)
-    snapshot["seeds"]["0"].update(duration_seconds=2.5, surveyed_cells=4,
-                                  skipped_cells=2)
+    assert snapshot["version"] == 2
+    snapshot["version"] = 1
     with open(path, "w", encoding="utf-8") as handle:
         json.dump(snapshot, handle)
-    checkpoint = CampaignCheckpoint(path, config)
-    assert sorted(checkpoint.load()) == [0]
-    checkpoint.record(SeedBatch(seed_index=1, generated=True))
-    with open(path, encoding="utf-8") as handle:
-        rewritten = json.load(handle)
-    assert sorted(rewritten["seeds"]) == ["0", "1"]
-    assert not {"duration_seconds", "surveyed_cells",
-                "skipped_cells"} & set(rewritten["seeds"]["1"])
+    with pytest.raises(CheckpointMismatch,
+                       match="unsupported checkpoint version 1"):
+        CampaignCheckpoint(path, config).load()
 
 
 def test_batch_record_leaves_out_the_seed_duration():
@@ -283,26 +328,56 @@ def test_batch_record_leaves_out_the_seed_duration():
     assert batch_from_record(batch_to_record(slow)).duration_seconds == 0.0
 
 
-def test_batch_record_roundtrip_preserves_reports(config):
-    """A checkpointed (thin) batch triages to the same reports as the original."""
-    campaign = FuzzingCampaign(config)
-    batch = campaign.run_seed(0)
-    thin = batch_from_record(batch_to_record(batch))
-    assert thin.seed_index == batch.seed_index
-    assert thin.programs_generated == batch.programs_generated
-    assert thin.programs_tested == batch.programs_tested
-    original = FuzzingCampaign(config).collect([batch])
-    restored = FuzzingCampaign(config).collect([thin])
-    assert _report_keys(restored) == _report_keys(original)
-    assert _stat_tuple(restored) == _stat_tuple(original)
+def test_batch_record_roundtrip_preserves_reports(config, fresh_batches):
+    """A checkpoint record restores its batch exactly, cells and
+    candidates included, but for the seed's duration and telemetry; so
+    restored batches triage to the same reports as fresh ones."""
+    batches = fresh_batches
+    diffs = [diff for batch in batches for diff in batch.diff_results]
+    assert any(diff.fn_candidates for diff in diffs)
+    assert any(diff.wrong_report_candidates for diff in diffs)
+    restored = [batch_from_record(json.loads(json.dumps(batch_to_record(b))))
+                for b in batches]
+    for batch, thin in zip(batches, restored):
+        assert thin == dataclasses.replace(batch, duration_seconds=0.0,
+                                           telemetry=None)
+    original = FuzzingCampaign(config).collect(batches)
+    replayed = FuzzingCampaign(config).collect(restored)
+    assert _report_keys(replayed) == _report_keys(original)
+    assert _stat_tuple(replayed) == _stat_tuple(original)
+
+
+class _ClassRecorder(pickle.Unpickler):
+    """Unpickles while recording every ``(module, name)`` it resolves."""
+
+    def __init__(self, data: bytes) -> None:
+        super().__init__(io.BytesIO(data))
+        self.classes = set()
+
+    def find_class(self, module, name):
+        self.classes.add((module, name))
+        return super().find_class(module, name)
+
+
+def test_batches_and_results_keep_no_run(fresh_batches, serial_result):
+    """A fresh batch and a finished result hold cells, never a run."""
+    batch = fresh_batches[0]
+    assert any(diff.fn_candidates for diff in batch.diff_results)
+    for kept in (batch, serial_result):
+        recorder = _ClassRecorder(pickle.dumps(kept))
+        recorder.load()
+        assert ("repro.core.differential", "Cell") in recorder.classes
+        assert ("repro.vm.errors", "ExecutionResult") not in recorder.classes
+        assert ("repro.core.differential", "ConfigOutcome") \
+            not in recorder.classes
 
 
 # ---------------------------------------------------------------------------
 # Corpus store
 # ---------------------------------------------------------------------------
 
-def test_corpus_ingest_is_idempotent(config):
-    batch = FuzzingCampaign(config).run_seed(0)
+def test_corpus_ingest_is_idempotent(fresh_batches):
+    batch = fresh_batches[0]
     store = CorpusStore()
     store.ingest(batch)
     crashes, programs = store.total_crashes, len(store.programs)

@@ -13,8 +13,6 @@ from repro.core.differential import DifferentialTester
 from repro.reduction import (
     HierarchicalReducer,
     make_fn_bug_predicate,
-    make_signature_predicate,
-    bug_signature,
     reduce_fn_candidate,
 )
 from repro.reduction.reducer import token_count
@@ -90,18 +88,6 @@ def test_accepting_predicate_reduces_to_near_nothing():
     assert result.reduced_tokens <= 10
 
 
-def test_signature_predicate_matches_original(figure1_source):
-    program = UBProgram(source=figure1_source,
-                        ub_type=UBType.BUFFER_OVERFLOW_POINTER)
-    tester = DifferentialTester(opt_levels=("-O0", "-O2"))
-    diff = tester.test(program)
-    assert diff.fn_candidates
-    signature = bug_signature(diff.fn_candidates[0])
-    predicate = make_signature_predicate(program, signature, tester=tester)
-    assert predicate(figure1_source)
-    assert not predicate("int main() { return 0; }")
-
-
 def test_reduce_fn_candidate_rebuilds_candidate(figure1_source):
     program = UBProgram(source=figure1_source,
                         ub_type=UBType.BUFFER_OVERFLOW_POINTER)
@@ -113,6 +99,9 @@ def test_reduce_fn_candidate_rebuilds_candidate(figure1_source):
     assert reduced.program.source == result.reduced_source
     assert reduced.verdict.is_bug
     assert reduced.missing.config == candidate.missing.config
+    # The rebuilt candidate holds the cells of the two runs it made.
+    assert reduced.detecting.detected
+    assert reduced.missing.verdict == ("ok", None)
     assert token_count(reduced.program.source) < token_count(program.source)
 
 

@@ -101,14 +101,6 @@ def test_property_every_generated_seed_is_valid(index):
     assert run_program(unit, info).status == "ok"
 
 
-def test_generator_config_clone_with():
-    config = GeneratorConfig(seed=3)
-    clone = config.clone_with(safe_math=False, num_global_arrays=(2, 2))
-    assert clone.safe_math is False
-    assert clone.seed == 3
-    assert config.safe_math is True
-
-
 # -- MUSIC ------------------------------------------------------------------------------
 
 def test_music_mutants_are_syntactically_valid(sample_seed):

@@ -198,13 +198,16 @@ def test_stats_cli_missing_dir_is_error(tmp_path, capsys):
 def test_cli_rejects_bad_trace_combinations(capsys):
     # --trace needs a persistent corpus to put the trace in.
     assert cli_main(["--seeds", "1", "--trace", "--quiet"]) == 2
-    assert "error: trace=True requires a persistent corpus" \
+    assert "error: trace=True (--trace) requires corpus=<dir> (--corpus)" \
         in capsys.readouterr().err
-    # Marker campaigns have no corpus storage, hence no trace persistence.
+    # Marker campaigns have no corpus storage, hence no trace persistence;
+    # asking for --corpus as well would be refused too, so the message
+    # says so instead of asking for it.
     assert cli_main(["--mode", "markers", "--seeds", "1", "--trace",
                      "--quiet"]) == 2
-    assert "error: trace=True requires a persistent corpus" \
-        in capsys.readouterr().err
+    assert ("error: trace=True (--trace) writes its spans into "
+            "corpus=<dir> (--corpus) storage, which marker campaigns do not "
+            "support") in capsys.readouterr().err
 
 
 def test_cli_traced_run_prints_cache_and_telemetry_lines(tmp_path, capsys):
@@ -282,7 +285,7 @@ def test_db_is_not_a_subcommand(capsys):
 
 def test_cli_db_requires_persistent_corpus(capsys):
     assert cli_main(["--seeds", "1", "--db", "x.sqlite", "--quiet"]) == 2
-    assert "error: db_path requires a persistent corpus" \
+    assert "error: db_path (--db) requires corpus=<dir> (--corpus)" \
         in capsys.readouterr().err
 
 

@@ -1,11 +1,13 @@
-"""Static check: ``repro.core`` imports no package that sits above it."""
+"""Static checks: ``repro.core`` imports no package that sits above it,
+and the checkpoint records import no package a run is made of."""
 
 import ast
 from pathlib import Path
 
 import repro
 
-CORE = Path(repro.__file__).resolve().parent / "core"
+ROOT = Path(repro.__file__).resolve().parent
+CORE = ROOT / "core"
 
 #: Packages built on ``repro.core``: the findings database, the
 #: orchestrator, triage, the marker engine, reduction, the paper's
@@ -14,8 +16,9 @@ UPPER_LAYERS = frozenset({"corpusdb", "orchestrator", "triage", "markers",
                           "reduction", "analysis", "coverage"})
 
 
-def _upper_layer_imports(path: Path) -> list:
-    """Every import of an upper-layer package in *path*, lazy ones too."""
+def _imports_of(path: Path, packages: frozenset) -> list:
+    """Every import of one of the ``repro`` *packages* in *path*, lazy ones
+    too."""
     found = []
     for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
         if isinstance(node, ast.ImportFrom) and node.module:
@@ -28,12 +31,19 @@ def _upper_layer_imports(path: Path) -> list:
         for module in modules:
             parts = module.split(".")
             if parts[0] == "repro" and len(parts) > 1 \
-                    and parts[1] in UPPER_LAYERS:
+                    and parts[1] in packages:
                 found.append(f"{path.name}:{node.lineno} {module}")
     return found
 
 
 def test_core_imports_no_upper_layer():
     imports = [entry for path in sorted(CORE.rglob("*.py"))
-               for entry in _upper_layer_imports(path)]
+               for entry in _imports_of(path, UPPER_LAYERS)]
     assert imports == []
+
+
+def test_checkpoint_records_import_no_run_type():
+    """A checkpoint record holds each cell's verdict, so restoring one
+    needs no interpreter result, report or source location."""
+    path = ROOT / "orchestrator" / "records.py"
+    assert _imports_of(path, frozenset({"vm", "cdsl"})) == []

@@ -188,7 +188,7 @@ def test_campaign_auto_suppresses_attributed_buckets(attributed_db,
     candidate, _ = _confirmed_candidate(small_campaign)
     diff = types.SimpleNamespace(program=candidate.program,
                                  fn_candidates=[candidate],
-                                 wrong_report_candidates=[], outcomes=[])
+                                 wrong_report_candidates=[], cells=[])
     batch = SeedBatch(seed_index=0, generated=True, diff_results=[diff])
     store = CorpusStore(db_path=path, campaign_key="camp-rerun")
     try:
