@@ -2,8 +2,9 @@
 
 For each seed index the engine generates a UB-free seed program, plants
 liveness markers (:mod:`repro.markers.instrument`), computes the reference
-liveness and surveys the full (compiler, version, opt-pipeline) matrix
-through the elimination oracle, then diffs the outcomes into findings:
+liveness — the one execution of the seed, which also validates it — and
+surveys the full (compiler, version, opt-pipeline) matrix through the
+elimination oracle, then diffs the outcomes into findings:
 
 * **missed-optimization** — a marker the reference execution never reaches,
   inside a function it *does* enter, retained by the newest surveyed
@@ -52,7 +53,12 @@ from repro.markers.oracle import (
     MarkerOutcome,
 )
 from repro.seedgen.config import GeneratorConfig
-from repro.seedgen.csmith import CsmithGenerator
+from repro.seedgen.csmith import (
+    VALIDATION_MAX_STEPS,
+    AnalyzedUnit,
+    CsmithGenerator,
+    runs_to_completion,
+)
 from repro.telemetry import runtime as telemetry
 from repro.utils.errors import GenerationError
 
@@ -262,7 +268,7 @@ class MarkerEngine:
         classification are :meth:`run_seed`'s own.
         """
         marked = self.planter.plant(source, seed_index=seed_index)
-        reached = self.oracle.liveness(marked)
+        reached, _ = self.oracle.liveness(marked)
         if reached is None:
             return marked, []
         findings, _, _ = self._survey(marked, frozenset(reached))
@@ -278,18 +284,14 @@ class MarkerEngine:
         return batch
 
     def _run_seed(self, seed_index: int) -> MarkerBatch:
+        """Generate and plant the seed (:meth:`_marked_seed`, one
+        execution of it), then survey and classify its marked program."""
         start = time.time()
         try:
-            with telemetry.stage("generate", seed=seed_index):
-                seed = self.seed_generator.generate(seed_index)
+            marked, reached = self._marked_seed(seed_index)
         except GenerationError:
             return MarkerBatch(seed_index=seed_index, generated=False,
                                duration_seconds=time.time() - start)
-        with telemetry.stage("generate", seed=seed_index, kind="markers"):
-            # Plant into the parse the generator validated, not a new one.
-            marked = self.planter.plant(seed.analyzed[0],
-                                        seed_index=seed_index)
-        reached = self.oracle.liveness(marked)
         live = frozenset(reached or ())
         # A reference run that does not finish calls no marker dead, so
         # such a seed is neither surveyed nor classified.
@@ -313,6 +315,47 @@ class MarkerEngine:
                            findings=findings, survival=survival,
                            configs_surveyed=configs_surveyed,
                            duration_seconds=time.time() - start)
+
+    def _marked_seed(self, seed_index: int
+                     ) -> Tuple[MarkedProgram, Optional[Tuple[str, ...]]]:
+        """The marked program of seed *seed_index* and the marker calls of
+        its reference run (``None`` when the run does not finish).
+
+        The generator accepts each attempt through that one run: the
+        attempt's analyzed unit is planted (a clone, never a new parse)
+        and its marked program run by :meth:`EliminationOracle.liveness`.
+        Planting adds prototypes, a marker call at the head of existing
+        blocks and ``else { marker(); }`` where an ``else`` was missing —
+        every arm and loop body the generator emits is a block — and a
+        marker call is a stub call that returns 0 and changes no state.
+        So a planted run that finishes ``ok`` in T steps contains the
+        seed's own run, which finishes ``ok`` in at most T steps: T within
+        :data:`~repro.seedgen.csmith.VALIDATION_MAX_STEPS` accepts the
+        attempt.  Any other outcome (more steps, a timeout under a smaller
+        ``max_steps``, a VM error) falls back to the seed's own run, so the
+        accepted attempt, and its liveness, are those of the plain
+        generator followed by a plant and a liveness run.  Raises
+        :class:`~repro.utils.errors.GenerationError` when no attempt is
+        accepted.
+        """
+        marked: Optional[MarkedProgram] = None
+        reached: Optional[Tuple[str, ...]] = None
+
+        def accept(analyzed: AnalyzedUnit) -> str:
+            nonlocal marked, reached
+            with telemetry.stage("generate", seed=seed_index, kind="markers"):
+                marked = self.planter.plant(analyzed[0],
+                                            seed_index=seed_index)
+            reached, steps = self.oracle.liveness(marked)
+            if reached is not None and steps <= VALIDATION_MAX_STEPS:
+                return ""
+            return runs_to_completion(analyzed)
+
+        with telemetry.stage("generate", seed=seed_index):
+            self.seed_generator.generate(seed_index, accept=accept)
+        # The generator returns right after the attempt it accepts, so the
+        # last planted attempt is the seed's.
+        return marked, reached
 
     def collect(self, batches: Iterable[MarkerBatch]) -> MarkerCampaignResult:
         """Merge per-seed batches (in seed order) into the campaign result."""

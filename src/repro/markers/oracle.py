@@ -86,10 +86,11 @@ class EliminationOracle:
 
     # -- liveness ---------------------------------------------------------------
 
-    def liveness(self, marked: MarkedProgram,
-                 analyzed=None) -> Optional[Tuple[str, ...]]:
+    def liveness(self, marked: MarkedProgram, analyzed=None
+                 ) -> Tuple[Optional[Tuple[str, ...]], int]:
         """The sequence of marker calls the reference execution performs,
-        or ``None`` when that execution does not end with status ``ok``.
+        or ``None`` when that execution does not end with status ``ok``,
+        and the number of steps the execution took.
 
         The un-optimized instrumented program is interpreted directly;
         marker calls are recorded through the VM call hook in execution
@@ -97,7 +98,10 @@ class EliminationOracle:
         compares whole sequences).  A run that hits the step budget (a
         loop that never ends) or fails leaves markers unreached that are
         not dead, so it yields ``None`` and no caller may call any marker
-        dead from it.  The run reads the cache's analyzed frontend master
+        dead from it.  The step count lets the marker engine validate the
+        seed under the markers with this same run (see
+        :meth:`~repro.markers.engine.MarkerEngine._marked_seed`).  The run
+        reads the cache's analyzed frontend master
         (:func:`~repro.compilers.compiler.frontend_master`), shared with
         every build of the source; *analyzed*, that ``(unit, sema)`` pair,
         saves the lookup when the caller already holds it — the reduction
@@ -110,12 +114,13 @@ class EliminationOracle:
             result = run_program(unit, sema, max_steps=self.max_steps,
                                  call_hook=lambda name: reached.append(name)
                                  if name.startswith(marked.prefix) else None)
-        return tuple(reached) if result.status == "ok" else None
+        return (tuple(reached) if result.status == "ok" else None,
+                result.steps)
 
     def live_set(self, marked: MarkedProgram) -> Optional[frozenset]:
         """The set of markers the reference execution reaches (``None``
         when it does not finish)."""
-        reached = self.liveness(marked)
+        reached, _ = self.liveness(marked)
         return frozenset(reached) if reached is not None else None
 
     # -- elimination ------------------------------------------------------------

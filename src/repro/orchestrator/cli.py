@@ -627,7 +627,10 @@ def _stats_main(argv: List[str]) -> int:
     print(f"swallowed errors      : "
           f"{counters.get('compile.errors', 0)} compile errors, "
           f"{counters.get('ubgen.invalid_mutations', 0)} invalid mutations, "
-          f"{counters.get('ubgen.profile_failures', 0)} profile failures")
+          f"{counters.get('ubgen.profile_failures', 0)} profile failures, "
+          f"{counters.get('seedgen.invalid_attempts', 0)} invalid seed "
+          f"attempts, {counters.get('seedgen.dropped_seeds', 0)} dropped "
+          f"seeds")
     return 0
 
 

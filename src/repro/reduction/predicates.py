@@ -202,7 +202,7 @@ def make_marker_predicate(finding, oracle=None) -> Predicate:
             # function-liveness check and the reference execution; the
             # survey below optimizes a clone of the same master.
             unit, sema = frontend_master(oracle.cache, source)
-            reached = oracle.liveness(marked, analyzed=(unit, sema))
+            reached, _ = oracle.liveness(marked, analyzed=(unit, sema))
             if reached is None:
                 return False
             live = frozenset(reached)

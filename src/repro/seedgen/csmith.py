@@ -21,7 +21,7 @@ Generation is deterministic in (config.seed, program index).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional, Tuple
+from typing import Callable, List, Optional, Tuple
 
 from repro.cdsl import ast_nodes as ast
 from repro.cdsl import ctypes_ as ct
@@ -30,6 +30,7 @@ from repro.cdsl.printer import print_program
 from repro.cdsl.sema import SemanticInfo, analyze
 from repro.cdsl.source import UNKNOWN_LOCATION
 from repro.seedgen.config import GeneratorConfig
+from repro.telemetry import runtime as telemetry
 from repro.utils.errors import GenerationError
 from repro.utils.rng import RandomSource, derive_seed
 from repro.vm.interpreter import run_program
@@ -37,6 +38,19 @@ from repro.vm.interpreter import run_program
 
 #: A parsed unit and the semantic information of its analysis.
 AnalyzedUnit = Tuple[ast.TranslationUnit, SemanticInfo]
+
+#: The step budget of a seed's validation run.
+VALIDATION_MAX_STEPS = 100_000
+
+
+def runs_to_completion(analyzed: AnalyzedUnit) -> str:
+    """The default seed check: ``""`` when the analyzed program runs to
+    completion (status ``ok``) within :data:`VALIDATION_MAX_STEPS` steps,
+    otherwise the reason it is not a valid seed."""
+    result = run_program(*analyzed, max_steps=VALIDATION_MAX_STEPS)
+    if result.status != "ok":
+        return f"execution: {result.status} {result.error or ''}"
+    return ""
 
 
 @dataclass
@@ -59,9 +73,6 @@ class SeedProgram:
     metadata: dict = field(default_factory=dict)
     analyzed: Optional[AnalyzedUnit] = field(default=None, compare=False,
                                              repr=False)
-
-    def parse(self) -> ast.TranslationUnit:
-        return parse_program(self.source)
 
 
 @dataclass
@@ -91,13 +102,24 @@ class CsmithGenerator:
 
     # -- public API -------------------------------------------------------------
 
-    def generate(self, index: int = 0, validate: bool = True) -> SeedProgram:
+    def generate(self, index: int = 0, validate: bool = True,
+                 accept: Optional[Callable[[AnalyzedUnit], str]] = None
+                 ) -> SeedProgram:
         """Generate the *index*-th seed program for this configuration.
 
-        With *validate*, the returned seed carries the analyzed parse its
-        validation built (:attr:`SeedProgram.analyzed`).
+        With *validate*, each attempt must parse and analyze, and then pass
+        a check on its analyzed ``(unit, sema)``: *accept* when given,
+        :func:`runs_to_completion` otherwise.  A check returns ``""`` to
+        accept the attempt or the reason it rejects it.  A consumer that
+        runs the seed anyway passes its own run as *accept*, so the seed is
+        not executed twice; its check must accept exactly the attempts the
+        default check accepts.  The returned seed carries the analyzed
+        parse (:attr:`SeedProgram.analyzed`).  A rejected attempt adds to
+        the ``seedgen.invalid_attempts`` counter and an index whose every
+        attempt fails to ``seedgen.dropped_seeds`` before
+        :class:`~repro.utils.errors.GenerationError` is raised.
         """
-        last_error = "unknown"
+        check = accept if accept is not None else runs_to_completion
         for attempt in range(4):
             # The salt folds the retry attempt into the index (attempts < 4,
             # spacing 31 keeps the salts collision-free).
@@ -107,12 +129,19 @@ class CsmithGenerator:
             source = print_program(unit)
             if not validate:
                 return SeedProgram(source, index, metadata={"attempt": attempt})
-            analyzed, reason = self._validate(source)
-            if analyzed is not None:
-                return SeedProgram(source, index,
-                                   metadata={"attempt": attempt},
-                                   analyzed=analyzed)
-            last_error = reason
+            try:
+                parsed = parse_program(source)
+                analyzed = (parsed, analyze(parsed))
+            except Exception as exc:
+                last_error = f"frontend: {exc}"
+            else:
+                last_error = check(analyzed)
+                if not last_error:
+                    return SeedProgram(source, index,
+                                       metadata={"attempt": attempt},
+                                       analyzed=analyzed)
+            telemetry.inc("seedgen.invalid_attempts")
+        telemetry.inc("seedgen.dropped_seeds")
         raise GenerationError(f"could not generate a valid seed for index "
                               f"{index}: {last_error}")
 
@@ -120,25 +149,6 @@ class CsmithGenerator:
                       validate: bool = True) -> List[SeedProgram]:
         return [self.generate(start_index + i, validate=validate)
                 for i in range(count)]
-
-    # -- internal ---------------------------------------------------------------
-
-    @staticmethod
-    def _validate(source: str) -> tuple[Optional[AnalyzedUnit], str]:
-        """Check the program parses, analyses and runs to completion.
-
-        Returns the analyzed ``(unit, sema)`` of a valid program, or
-        ``None`` and the reason it is not valid.
-        """
-        try:
-            unit = parse_program(source)
-            sema = analyze(unit)
-        except Exception as exc:
-            return None, f"frontend: {exc}"
-        result = run_program(unit, sema, max_steps=100_000)
-        if result.status != "ok":
-            return None, f"execution: {result.status} {result.error or ''}"
-        return (unit, sema), ""
 
 
 class CsmithNoSafeGenerator(CsmithGenerator):
@@ -148,10 +158,12 @@ class CsmithNoSafeGenerator(CsmithGenerator):
         seed = config.seed if config is not None else 0
         super().__init__(GeneratorConfig(seed=seed, safe_math=False))
 
-    def generate(self, index: int = 0, validate: bool = True) -> SeedProgram:
+    def generate(self, index: int = 0, validate: bool = True,
+                 accept: Optional[Callable[[AnalyzedUnit], str]] = None
+                 ) -> SeedProgram:
         # NoSafe programs may contain arithmetic UB; they must still parse
         # and terminate, so validation keeps running but ignores UB.
-        seed = super().generate(index, validate=validate)
+        seed = super().generate(index, validate=validate, accept=accept)
         seed.generator = "csmith-nosafe"
         return seed
 

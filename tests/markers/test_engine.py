@@ -125,7 +125,7 @@ int main(void) {
 """
     engine = MarkerEngine(MarkerCampaignConfig(**SMALL))
     marked, findings = engine.analyze_source(source)
-    assert marked.sites and engine.oracle.liveness(marked) is None
+    assert marked.sites and engine.oracle.liveness(marked)[0] is None
     assert findings == []
 
 

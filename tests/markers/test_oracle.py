@@ -38,7 +38,8 @@ def marked():
 
 def test_liveness_records_reached_markers_in_order(marked):
     oracle = EliminationOracle()
-    sequence = oracle.liveness(marked)
+    sequence, steps = oracle.liveness(marked)
+    assert 0 < steps <= oracle.max_steps
     by_context = {site.name: site.context for site in marked.sites}
     assert [by_context[name] for name in sequence] == \
         ["fn-entry", "if-else", "loop-body", "loop-body", "loop-body"]
@@ -157,7 +158,8 @@ def test_liveness_of_a_run_that_never_finishes_is_none():
     oracle = EliminationOracle()
     marked = MarkedProgram(source=NEVER_FINISHES, base_source=NEVER_FINISHES,
                            sites=())
-    assert oracle.liveness(marked) is None
+    reached, steps = oracle.liveness(marked)
+    assert reached is None and steps > oracle.max_steps
     assert oracle.live_set(marked) is None
 
 

@@ -16,6 +16,9 @@ from repro.seedgen import (
     MusicMutator,
     generate_juliet_suite,
 )
+from repro.seedgen import csmith
+from repro.telemetry import runtime as telemetry
+from repro.utils.errors import GenerationError
 from repro.vm import run_program
 
 
@@ -99,6 +102,40 @@ def test_property_every_generated_seed_is_valid(index):
     unit = parse_program(seed.source)
     info = analyze(unit)
     assert run_program(unit, info).status == "ok"
+
+
+def test_generator_counts_a_rejected_attempt(monkeypatch):
+    """An attempt the check rejects is counted, and the next is kept."""
+    judged = []
+
+    def reject_first(analyzed):
+        judged.append(analyzed)
+        return "execution: rejected" if len(judged) == 1 else real(analyzed)
+
+    real = csmith.runs_to_completion
+    monkeypatch.setattr(csmith, "runs_to_completion", reject_first)
+    session = telemetry.enable(campaign="t-seed-attempts")
+    try:
+        seed = CsmithGenerator(GeneratorConfig(seed=5)).generate(3)
+    finally:
+        telemetry.disable()
+    assert seed.metadata["attempt"] == 1 and len(judged) == 2
+    assert session.metrics.counter_value("seedgen.invalid_attempts") == 1
+    assert session.metrics.counter_value("seedgen.dropped_seeds") == 0
+
+
+def test_generator_counts_a_dropped_seed():
+    """An index whose every attempt fails counts each attempt and one
+    dropped seed before the error is raised."""
+    session = telemetry.enable(campaign="t-seed-dropped")
+    try:
+        with pytest.raises(GenerationError, match="execution: rejected"):
+            CsmithGenerator(GeneratorConfig(seed=5)).generate(
+                3, accept=lambda analyzed: "execution: rejected")
+    finally:
+        telemetry.disable()
+    assert session.metrics.counter_value("seedgen.invalid_attempts") == 4
+    assert session.metrics.counter_value("seedgen.dropped_seeds") == 1
 
 
 # -- MUSIC ------------------------------------------------------------------------------

@@ -13,6 +13,7 @@ import pytest
 from repro.core import CampaignConfig, UBType, ubgen
 from repro.orchestrator import OrchestratedCampaign
 from repro.orchestrator.cli import main as cli_main
+from repro.seedgen import csmith
 from repro.telemetry import MetricsRegistry, load_profile, read_trace
 from repro.telemetry import runtime as telemetry
 from repro.telemetry.profile import telemetry_paths
@@ -175,6 +176,23 @@ def test_stats_cli_counts_swallowed_errors(tmp_path, capsys, monkeypatch):
     assert cli_main(["stats", root]) == 0
     assert (f"swallowed errors      : 0 compile errors, {len(attempted)} "
             f"invalid mutations, 0 profile failures"
+            in capsys.readouterr().out)
+
+
+def test_stats_cli_counts_dropped_seeds(tmp_path, capsys, monkeypatch):
+    """A seed index whose every attempt fails validation is dropped,
+    counted with its attempts, and replayed."""
+    monkeypatch.setattr(csmith, "runs_to_completion",
+                        lambda analyzed: "execution: rejected")
+    root = str(tmp_path / "corpus")
+    result = OrchestratedCampaign(
+        CampaignConfig(num_seeds=1, rng_seed=5, max_programs_per_type=1,
+                       opt_levels=("-O0",), ub_types=(UBType.DIVIDE_BY_ZERO,),
+                       triage=False),
+        corpus=root, trace=True).run()
+    assert result.stats.seeds_used == 0
+    assert cli_main(["stats", root]) == 0
+    assert ("0 profile failures, 4 invalid seed attempts, 1 dropped seeds"
             in capsys.readouterr().out)
 
 

@@ -1,5 +1,6 @@
 """Static checks: ``repro.core`` imports no package that sits above it,
-and the checkpoint records import no package a run is made of."""
+the checkpoint records import no package a run is made of, and the seed
+generator imports none of the packages its seeds feed."""
 
 import ast
 from pathlib import Path
@@ -47,3 +48,14 @@ def test_checkpoint_records_import_no_run_type():
     needs no interpreter result, report or source location."""
     path = ROOT / "orchestrator" / "records.py"
     assert _imports_of(path, frozenset({"vm", "cdsl"})) == []
+
+
+def test_seed_generator_imports_none_of_its_consumers():
+    """A consumer hands the generator its acceptance check
+    (``CsmithGenerator.generate(accept=)``), so the dependency points from
+    the consumers to the generator, never back."""
+    consumers = frozenset({"markers", "core", "compilers", "optim",
+                           "reduction", "triage", "orchestrator",
+                           "analysis"})
+    path = ROOT / "seedgen" / "csmith.py"
+    assert _imports_of(path, consumers) == []
