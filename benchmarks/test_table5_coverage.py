@@ -29,8 +29,9 @@ def test_table5_coverage(benchmark):
         seeds = reports[compiler]["seeds"]
         ubfuzz = reports[compiler]["ubfuzz"]
         # All corpora exercise a substantial part of the compiler internals,
-        # and the UBfuzz corpus never covers less than the seeds alone.
+        # the UBfuzz corpus never covers fewer lines than the seeds alone,
+        # and it takes branch directions the seeds do not.
         assert seeds.line_coverage > 0.10
         assert ubfuzz.line_coverage >= seeds.line_coverage - 1e-9
-        assert ubfuzz.branch_coverage >= seeds.branch_coverage - 1e-9
+        assert ubfuzz.branch_coverage > seeds.branch_coverage
         assert 0.0 < ubfuzz.function_coverage <= 1.0

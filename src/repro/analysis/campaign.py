@@ -371,8 +371,10 @@ def measure_corpus_coverage(sources_by_corpus: Dict[str, List[str]],
     results: Dict[str, Dict[str, CoverageReport]] = {name: {} for name in compilers}
     for compiler_name in compilers:
         for corpus, sources in sources_by_corpus.items():
+            # A private cache: a build another compiler made would run
+            # no optimizer code under this tracker.
+            compiler = make_compiler(compiler_name)
             tracker = CoverageTracker()
-            compiler = make_compiler(compiler_name, coverage=tracker)
             with tracker:
                 for source in sources[:max_programs]:
                     for sanitizer in sanitizers_supported_by(compiler_name):

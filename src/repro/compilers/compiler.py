@@ -34,7 +34,7 @@ from repro.compilers.cache import (
 )
 from repro.compilers.options import CompileOptions
 from repro.compilers.versions import trunk_version
-from repro.optim.passes import OptimizationContext, PassPipeline, run_pipelines
+from repro.optim.passes import PassPipeline, run_pipelines
 from repro.optim.pipelines import pipeline_for
 from repro.sanitizers.base import InstrumentationContext
 from repro.sanitizers.registry import build_pass, sanitizers_supported_by
@@ -62,8 +62,8 @@ def frontend_master(cache: CompilationCache, source_text: str,
 
 
 def optimized_masters(cache: CompilationCache, source_text: str,
-                      pipelines: Dict[OptimizedKey, PassPipeline],
-                      coverage=None) -> List[OptimizedArtifact]:
+                      pipelines: Dict[OptimizedKey, PassPipeline]
+                      ) -> List[OptimizedArtifact]:
     """The optimized masters of *source_text* under keyed *pipelines*
     (``{(compiler, opt level, pass names): pipeline}``), one
     :class:`~repro.compilers.cache.OptimizedArtifact` per key, in order.
@@ -73,16 +73,14 @@ def optimized_masters(cache: CompilationCache, source_text: str,
     name): the pipelines that have passes run as one
     :func:`~repro.optim.passes.run_pipelines` walk from a
     :func:`~repro.cdsl.visitor.fast_clone` of the master, so steps their
-    schedules share run once and record their coverage into *coverage*
-    once.  An empty schedule (llvm -O0) changes nothing: its build is the
-    master itself, with the master's sema.
+    schedules share run once.  An empty schedule (llvm -O0) changes
+    nothing: its build is the master itself, with the master's sema.
     """
     def build():
         master, sema = frontend_master(cache, source_text,
                                        next(iter(pipelines))[0])
         walked = [p for p in pipelines.values() if p.passes]
-        walks = iter(run_pipelines(fast_clone(master), sema, walked,
-                                   OptimizationContext(coverage))
+        walks = iter(run_pipelines(fast_clone(master), sema, walked)
                      if walked else ())
         return [(*next(walks), None) if p.passes else (master, (), sema)
                 for p in pipelines.values()]
@@ -99,20 +97,18 @@ class SimulatedCompiler:
     one: the frontend runs once per source text, the optimizer pipeline
     once per (source, opt level, pass list) and the semantic analysis
     after it at most once, when something first needs it; only the
-    sanitizer overlay runs per configuration.  A *coverage* tracker sees
-    what this compiler's cache builds, so a coverage compiler owns its
-    cache: a build another compiler made records nothing.
+    sanitizer overlay runs per configuration.  A coverage measurement
+    still needs a compiler with a private cache: a cached build runs no
+    optimizer code, so a build another compiler made would record nothing.
     """
 
     name = "cc"
 
     def __init__(self, version: Optional[int] = None,
                  defect_registry: Optional[Sequence] = None,
-                 coverage=None,
                  cache: Optional[CompilationCache] = None) -> None:
         self.version = version if version is not None else trunk_version(self.name)
         self.defect_registry = defect_registry
-        self.coverage = coverage
         self.cache = cache if cache is not None else CompilationCache()
 
     # -- public API -------------------------------------------------------------
@@ -149,8 +145,7 @@ class SimulatedCompiler:
 
         pipeline = pipeline_for(self.name, options.opt_level)
         key = (self.name, options.opt_level, tuple(pipeline.pass_names))
-        artifact = optimized_masters(self.cache, source, {key: pipeline},
-                                     self.coverage)[0]
+        artifact = optimized_masters(self.cache, source, {key: pipeline})[0]
         unit, analysis = artifact.unit, artifact
         sanitizer_pass = None
         sanitizer_ctx = None
@@ -163,7 +158,7 @@ class SimulatedCompiler:
             sanitizer_pass = build_pass(options.sanitizer)
             sanitizer_ctx = InstrumentationContext.for_configuration(
                 options.sanitizer, self.name, self.version, options.opt_level,
-                registry=self.defect_registry, coverage=self.coverage)
+                registry=self.defect_registry)
             sanitizer_pass.instrument(unit, analysis, sanitizer_ctx)
 
         return CompiledBinary(unit=unit, analysis=analysis, compiler=self.name,
@@ -178,7 +173,7 @@ class GccCompiler(SimulatedCompiler):
     """The simulated GCC driver: supports ASan and UBSan (no MSan, §4.1).
 
     Constructor arguments match :func:`make_compiler` (``version``,
-    ``defect_registry``, ``coverage``, ``cache``).  ``compile(source,
+    ``defect_registry``, ``cache``).  ``compile(source,
     opt_level=..., sanitizer=...)`` returns a
     :class:`~repro.compilers.binary.CompiledBinary`.
     """
@@ -210,7 +205,6 @@ def compiler_class(name: str) -> Type[SimulatedCompiler]:
 
 def make_compiler(name: str, version: Optional[int] = None,
                   defect_registry: Optional[Sequence] = None,
-                  coverage=None,
                   cache: Optional[CompilationCache] = None) -> SimulatedCompiler:
     """Build a simulated compiler by name.
 
@@ -218,7 +212,6 @@ def make_compiler(name: str, version: Optional[int] = None,
         name: ``"gcc"`` or ``"llvm"`` (raises ``KeyError`` otherwise).
         version: simulated release; defaults to the trunk version.
         defect_registry: seeded sanitizer defects ([] = a correct compiler).
-        coverage: optional coverage tracker (Table 5 experiments).
         cache: a shared :class:`~repro.compilers.cache.CompilationCache`;
             by default the compiler gets a private one.
 
@@ -229,5 +222,4 @@ def make_compiler(name: str, version: Optional[int] = None,
                                   opt_level="-O2", sanitizer="asan").run()
     """
     return compiler_class(name)(version=version,
-                                defect_registry=defect_registry,
-                                coverage=coverage, cache=cache)
+                                defect_registry=defect_registry, cache=cache)

@@ -5,66 +5,66 @@ GCC and LLVM* with Gcov and measures line / function / branch coverage
 achieved by each program corpus.  The analogue here is coverage of this
 repository's own compiler internals — the :mod:`repro.optim`,
 :mod:`repro.sanitizers` and :mod:`repro.compilers` packages — while they
-compile a corpus:
+compile a corpus.  One :func:`sys.settrace` tracer, restricted to the
+module files of those packages, records all three:
 
-* **line coverage** via a :func:`sys.settrace` hook restricted to those
-  packages (denominator: all executable lines, obtained from the compiled
-  code objects of each module file);
 * **function coverage** from call events (denominator: all function code
   objects in those files);
-* **branch coverage** from explicit ``cover_branch(site, taken)`` points the
-  passes and runtimes call on their interesting decisions (denominator: the
-  sites found by scanning the package sources; each site has two directions).
+* **line coverage** from line events (denominator: all executable lines,
+  obtained from the compiled code objects of each module file);
+* **branch coverage** from the line arcs those events show: each frame's
+  previous and current line (denominator: the branch directions of
+  :func:`branch_directions`, one per side of each conditional jump in the
+  files' bytecode).  This is Gcov's unit, one direction per side of a
+  conditional branch, measured the way coverage.py measures branches.
 """
 
 from __future__ import annotations
 
-import re
+import dis
+import importlib
+import os
 import sys
 import types
-from dataclasses import dataclass, field
-from typing import Iterable, List, Set, Tuple
+from typing import Dict, Optional, Set, Tuple
 
-DEFAULT_PACKAGES = ("repro.optim", "repro.sanitizers", "repro.compilers")
+#: The packages whose module files the tracker inventories and traces.
+PACKAGES = ("repro.optim", "repro.sanitizers", "repro.compilers")
 
-_BRANCH_SITE_RE = re.compile(r"cover_branch\(\s*[f]?\"([^\"]+)\"")
-_POINT_SITE_RE = re.compile(r"(?:cover_point|hit_point|_cover)\(\s*[f]?\"([^\"]+)\"")
+#: Instructions after which execution never falls through.
+_TERMINATORS = frozenset({"RETURN_VALUE", "RETURN_CONST", "RAISE_VARARGS",
+                          "RERAISE"})
 
-
-@dataclass
-class CoverageSnapshot:
-    """Counters at one point in time (used to compute per-corpus deltas)."""
-
-    lines: Set[Tuple[str, int]] = field(default_factory=set)
-    functions: Set[Tuple[str, int]] = field(default_factory=set)
-    branch_directions: Set[Tuple[str, bool]] = field(default_factory=set)
-    points: Set[str] = field(default_factory=set)
+#: One branch direction, or one recorded line arc: (file, line, next line).
+Arc = Tuple[str, Optional[int], int]
 
 
 class CoverageTracker:
     """Collects line/function/branch coverage for the compiler packages."""
 
-    def __init__(self, packages: Iterable[str] = DEFAULT_PACKAGES) -> None:
-        self.packages = tuple(packages)
-        self._files = self._package_files()
-        self._all_lines, self._all_functions = self._static_inventory()
-        self._all_branch_sites = self._discover_branch_sites()
-        self.lines: Set[Tuple[str, int]] = set()
+    def __init__(self) -> None:
+        self._files = _package_files()
+        self._all_lines: Set[Tuple[str, int]] = set()
+        self._all_functions: Set[Tuple[str, int]] = set()
+        self._all_directions: Set[Arc] = set()
+        for filename in self._files:
+            with open(filename, "r", encoding="utf-8") as handle:
+                module = compile(handle.read(), filename, "exec")
+            for code in _walk_code(module):
+                if code.co_name != "<module>":
+                    self._all_functions.add((filename, code.co_firstlineno))
+                self._all_lines.update((filename, line)
+                                       for _, _, line in code.co_lines()
+                                       if line is not None)
+            self._all_directions |= branch_directions(module)
         self.functions: Set[Tuple[str, int]] = set()
-        self.branch_directions: Set[Tuple[str, bool]] = set()
-        self.points: Set[str] = set()
+        #: ``(file, previous line, line)`` per line event; the previous
+        #: line of a frame's first event is None.
+        self.arcs: Set[Arc] = set()
         self._tracing = False
         self._previous_trace = None
 
-    # -- explicit instrumentation points ------------------------------------------
-
-    def hit_point(self, point_id: str) -> None:
-        self.points.add(point_id)
-
-    def hit_branch(self, site: str, taken: bool) -> None:
-        self.branch_directions.add((site, bool(taken)))
-
-    # -- line/function tracing ------------------------------------------------------
+    # -- tracing --------------------------------------------------------------
 
     def start(self) -> None:
         if self._tracing:
@@ -91,31 +91,20 @@ class CoverageTracker:
         filename = frame.f_code.co_filename
         if filename not in self._files:
             return None
-        if event == "call":
-            self.functions.add((filename, frame.f_code.co_firstlineno))
-            return self._trace_line
-        return None
+        self.functions.add((filename, frame.f_code.co_firstlineno))
+        arcs = self.arcs
+        previous = None
 
-    def _trace_line(self, frame, event, arg):
-        if event == "line":
-            self.lines.add((frame.f_code.co_filename, frame.f_lineno))
-        return self._trace_line
+        def trace_line(frame, event, arg):
+            nonlocal previous
+            if event == "line":
+                arcs.add((filename, previous, frame.f_lineno))
+                previous = frame.f_lineno
+            return trace_line
 
-    # -- snapshots --------------------------------------------------------------------
+        return trace_line
 
-    def snapshot(self) -> CoverageSnapshot:
-        return CoverageSnapshot(lines=set(self.lines),
-                                functions=set(self.functions),
-                                branch_directions=set(self.branch_directions),
-                                points=set(self.points))
-
-    def reset(self) -> None:
-        self.lines.clear()
-        self.functions.clear()
-        self.branch_directions.clear()
-        self.points.clear()
-
-    # -- totals ------------------------------------------------------------------------
+    # -- totals ---------------------------------------------------------------
 
     @property
     def total_lines(self) -> int:
@@ -127,94 +116,91 @@ class CoverageTracker:
 
     @property
     def total_branch_directions(self) -> int:
-        return 2 * len(self._all_branch_sites)
+        return len(self._all_directions)
 
-    # -- percentages ---------------------------------------------------------------------
+    # -- percentages ----------------------------------------------------------
 
     def line_coverage(self) -> float:
-        return _ratio(len(self.lines & self._all_lines), self.total_lines)
+        lines = {(filename, line) for filename, _, line in self.arcs}
+        return _ratio(len(lines & self._all_lines), self.total_lines)
 
     def function_coverage(self) -> float:
-        return _ratio(len(self.functions & self._all_functions), self.total_functions)
+        return _ratio(len(self.functions & self._all_functions),
+                      self.total_functions)
 
     def branch_coverage(self) -> float:
-        covered = sum(1 for site, _taken in self.branch_directions
-                      if site in self._all_branch_sites)
-        return _ratio(covered, self.total_branch_directions)
+        return _ratio(len(self.arcs & self._all_directions),
+                      self.total_branch_directions)
 
-    # -- static inventory ------------------------------------------------------------------
 
-    def _package_files(self) -> Set[str]:
-        files: Set[str] = set()
-        for package_name in self.packages:
-            module = sys.modules.get(package_name)
-            if module is None:
-                try:
-                    module = __import__(package_name, fromlist=["__name__"])
-                except ImportError:
-                    continue
-            path = getattr(module, "__file__", None)
-            if path is None:
+def branch_directions(code: types.CodeType) -> Set[Arc]:
+    """The branch directions of *code* and of the code objects nested in it.
+
+    Each conditional jump (an instruction whose name contains ``IF``, or a
+    ``FOR_ITER``) on line L gives one direction ``(file, L, M)`` per side,
+    fall-through and target, where M is the first line other than L that
+    the side reaches.  A jump gives none when a side reaches no new line
+    or both sides reach the same one.
+    """
+    directions: Set[Arc] = set()
+    for inner in _walk_code(code):
+        instructions = list(dis.get_instructions(inner))
+        position = {instr.offset: index
+                    for index, instr in enumerate(instructions)}
+        lines: Dict[int, Optional[int]] = {}
+        for start, end, line in inner.co_lines():
+            for offset in range(start, end, 2):
+                lines[offset] = line
+        for index, instr in enumerate(instructions):
+            if "IF" not in instr.opname and instr.opname != "FOR_ITER":
                 continue
-            import os
-            package_dir = os.path.dirname(path)
-            for entry in os.listdir(package_dir):
-                if not entry.endswith(".py"):
-                    continue
-                files.add(os.path.join(package_dir, entry))
-                if entry != "__init__.py":
-                    # Pre-import every submodule so no import happens *during*
-                    # tracing: a lazy mid-trace import would credit the
-                    # module-level lines to whichever corpus compiles first,
-                    # skewing cross-corpus comparisons.
-                    import importlib
-                    try:
-                        importlib.import_module(f"{package_name}.{entry[:-3]}")
-                    except Exception:  # pragma: no cover - best-effort warm-up
-                        pass
-        return files
+            line = lines[instr.offset]
+            sides = {_first_new_line(instructions, position, lines, side, line)
+                     for side in (index + 1, position[instr.argval])}
+            if len(sides) == 2 and None not in sides:
+                directions.update((inner.co_filename, line, target)
+                                  for target in sides)
+    return directions
 
-    def _static_inventory(self) -> tuple[Set[Tuple[str, int]], Set[Tuple[str, int]]]:
-        """Executable lines and function definitions of all package files."""
-        lines: Set[Tuple[str, int]] = set()
-        functions: Set[Tuple[str, int]] = set()
-        for filename in self._files:
-            try:
-                with open(filename, "r", encoding="utf-8") as handle:
-                    code = compile(handle.read(), filename, "exec")
-            except (OSError, SyntaxError):
+
+def _first_new_line(instructions, position, lines, index, line):
+    """The first line other than *line* that execution reaches from
+    ``instructions[index]`` on, following unconditional jumps and the
+    fall-through of conditional ones; None if it reaches none."""
+    seen = set()
+    while index < len(instructions) and index not in seen:
+        seen.add(index)
+        instr = instructions[index]
+        reached = lines[instr.offset]
+        if reached is not None and reached != line:
+            return reached
+        if instr.opname in _TERMINATORS:
+            return None
+        if "JUMP" in instr.opname and "IF" not in instr.opname:
+            index = position[instr.argval]
+        else:
+            index += 1
+    return None
+
+
+def _package_files() -> Set[str]:
+    """The module files of :data:`PACKAGES`, every module imported.
+
+    Importing every module up front means no import happens *during*
+    tracing: a lazy mid-trace import would credit the module-level lines
+    to whichever corpus compiles first, skewing cross-corpus comparisons.
+    """
+    files: Set[str] = set()
+    for package_name in PACKAGES:
+        package_dir = os.path.dirname(
+            importlib.import_module(package_name).__file__)
+        for entry in os.listdir(package_dir):
+            if not entry.endswith(".py"):
                 continue
-            for code_obj in _walk_code(code):
-                if code_obj.co_name != "<module>":
-                    functions.add((filename, code_obj.co_firstlineno))
-                for _start, _end, lineno in code_obj.co_lines():
-                    if lineno is not None:
-                        lines.add((filename, lineno))
-        return lines, functions
-
-    def _discover_branch_sites(self) -> Set[str]:
-        sites: Set[str] = set()
-        for filename in self._files:
-            try:
-                with open(filename, "r", encoding="utf-8") as handle:
-                    text = handle.read()
-            except OSError:
-                continue
-            for match in _BRANCH_SITE_RE.finditer(text):
-                site = match.group(1)
-                for prefix in self._site_prefixes(filename):
-                    sites.add(f"{prefix}.{site}")
-        return sites
-
-    @staticmethod
-    def _site_prefixes(filename: str) -> List[str]:
-        # Branch sites are namespaced at runtime by the caller ("optim." by
-        # OptimizationContext, "<sanitizer>." by InstrumentationContext).
-        if "optim" in filename:
-            return ["optim"]
-        if "sanitizers" in filename:
-            return ["asan", "ubsan", "msan"]
-        return ["optim", "asan", "ubsan", "msan"]
+            files.add(os.path.join(package_dir, entry))
+            if entry != "__init__.py":
+                importlib.import_module(f"{package_name}.{entry[:-3]}")
+    return files
 
 
 def _walk_code(code: types.CodeType):

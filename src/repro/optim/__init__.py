@@ -6,7 +6,6 @@ from repro.optim.dce import DeadCodeEliminationPass
 from repro.optim.dse import DeadStoreEliminationPass
 from repro.optim.loop_opts import LoopOptimizationPass
 from repro.optim.passes import (
-    OptimizationContext,
     OptimizationPass,
     PassPipeline,
     is_pure_expr,
@@ -27,7 +26,6 @@ __all__ = [
     "DeadCodeEliminationPass",
     "DeadStoreEliminationPass",
     "LoopOptimizationPass",
-    "OptimizationContext",
     "OptimizationPass",
     "PassPipeline",
     "is_pure_expr",

@@ -17,19 +17,14 @@ from repro.cdsl import ast_nodes as ast
 from repro.cdsl import ctypes_ as ct
 from repro.cdsl.sema import SemanticInfo
 from repro.cdsl.visitor import NodeTransformer
-from repro.optim.passes import (
-    OptimizationContext,
-    OptimizationPass,
-    typed_literal,
-)
+from repro.optim.passes import OptimizationPass, typed_literal
 
 
 class ConstantFoldPass(OptimizationPass):
     name = "constant-fold"
 
-    def run(self, unit: ast.TranslationUnit, sema: SemanticInfo,
-            ctx: OptimizationContext) -> bool:
-        folder = _Folder(ctx)
+    def run(self, unit: ast.TranslationUnit, sema: SemanticInfo) -> bool:
+        folder = _Folder()
         for fn in unit.functions:
             if fn.body is not None:
                 folder.visit(fn.body)
@@ -37,8 +32,7 @@ class ConstantFoldPass(OptimizationPass):
 
 
 class _Folder(NodeTransformer):
-    def __init__(self, ctx: OptimizationContext) -> None:
-        self.ctx = ctx
+    def __init__(self) -> None:
         self.changed = False
 
     # -- expressions ---------------------------------------------------------
@@ -51,9 +45,7 @@ class _Folder(NodeTransformer):
             return node
         folded = _fold_binary(node.op, lhs, rhs, node.ctype)
         if folded is None:
-            self.ctx.cover_branch("fold.binary_refused", True)
             return node
-        self.ctx.cover_branch("fold.binary_refused", False)
         self.changed = True
         return _literal(folded, node)
 
@@ -91,7 +83,6 @@ class _Folder(NodeTransformer):
         if cond is None:
             return node
         self.changed = True
-        self.ctx.cover_point("fold.ternary")
         return node.then if cond else node.otherwise
 
     # -- statements ----------------------------------------------------------
@@ -102,7 +93,6 @@ class _Folder(NodeTransformer):
         if cond is None:
             return node
         self.changed = True
-        self.ctx.cover_point("fold.if_const")
         if cond:
             return node.then
         if node.otherwise is not None:
@@ -114,7 +104,6 @@ class _Folder(NodeTransformer):
         cond = _literal_value(node.cond)
         if cond == 0:
             self.changed = True
-            self.ctx.cover_point("fold.while_false")
             return None
         return node
 

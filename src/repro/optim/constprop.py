@@ -19,7 +19,6 @@ from repro.cdsl import ctypes_ as ct
 from repro.cdsl.sema import SemanticInfo
 from repro.cdsl.visitor import walk
 from repro.optim.passes import (
-    OptimizationContext,
     OptimizationPass,
     declared_volatile,
     symbols_with_address_taken,
@@ -30,21 +29,19 @@ from repro.optim.passes import (
 class ConstantPropagationPass(OptimizationPass):
     name = "constprop"
 
-    def run(self, unit: ast.TranslationUnit, sema: SemanticInfo,
-            ctx: OptimizationContext) -> bool:
+    def run(self, unit: ast.TranslationUnit, sema: SemanticInfo) -> bool:
         changed = False
         for fn in unit.functions:
             if fn.body is None:
                 continue
-            propagator = _Propagator(ctx, fn.body)
+            propagator = _Propagator(fn.body)
             propagator.process_block(fn.body)
             changed = changed or propagator.changed
         return changed
 
 
 class _Propagator:
-    def __init__(self, ctx: OptimizationContext, body: ast.CompoundStmt) -> None:
-        self.ctx = ctx
+    def __init__(self, body: ast.CompoundStmt) -> None:
         self.body = body
         #: The function's address-taken symbols, computed when a fact could
         #: first be recorded.  Rewrites never reach under ``&``, so the set
@@ -83,7 +80,6 @@ class _Propagator:
                 self.process_stmt(inner, known)
         elif isinstance(stmt, ast.IfStmt):
             stmt.cond = self.rewrite(stmt.cond, known)
-            self.ctx.cover_branch("constprop.if", True)
             self.process_stmt(stmt.then, dict(known))
             if stmt.otherwise is not None:
                 self.process_stmt(stmt.otherwise, dict(known))
@@ -91,7 +87,6 @@ class _Propagator:
         elif isinstance(stmt, (ast.WhileStmt, ast.ForStmt)):
             # Loops: do not propagate into or across; invalidate facts about
             # anything the loop writes.
-            self.ctx.cover_branch("constprop.loop", True)
             self._invalidate_written(stmt, known)
             self._process_loop_children(stmt, known)
         else:
@@ -154,7 +149,6 @@ class _Propagator:
             symbol = expr.symbol
             if symbol is not None and symbol.uid in known:
                 self.changed = True
-                self.ctx.cover_point("constprop.replaced")
                 # Suffixed so the variable's type survives re-analysis.
                 return typed_literal(known[symbol.uid], expr)
             return expr

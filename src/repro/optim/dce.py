@@ -19,15 +19,14 @@ from __future__ import annotations
 from repro.cdsl import ast_nodes as ast
 from repro.cdsl.sema import SemanticInfo
 from repro.cdsl.visitor import NodeTransformer
-from repro.optim.passes import OptimizationContext, OptimizationPass, is_pure_expr
+from repro.optim.passes import OptimizationPass, is_pure_expr
 
 
 class DeadCodeEliminationPass(OptimizationPass):
     name = "dce"
 
-    def run(self, unit: ast.TranslationUnit, sema: SemanticInfo,
-            ctx: OptimizationContext) -> bool:
-        eliminator = _Eliminator(ctx)
+    def run(self, unit: ast.TranslationUnit, sema: SemanticInfo) -> bool:
+        eliminator = _Eliminator()
         for fn in unit.functions:
             if fn.body is not None:
                 eliminator.visit(fn.body)
@@ -38,8 +37,7 @@ _TERMINATORS = (ast.ReturnStmt, ast.BreakStmt, ast.ContinueStmt)
 
 
 class _Eliminator(NodeTransformer):
-    def __init__(self, ctx: OptimizationContext) -> None:
-        self.ctx = ctx
+    def __init__(self) -> None:
         self.changed = False
 
     def visit_CompoundStmt(self, node: ast.CompoundStmt):
@@ -49,7 +47,6 @@ class _Eliminator(NodeTransformer):
         for stmt in node.stmts:
             if terminated:
                 self.changed = True
-                self.ctx.cover_point("dce.unreachable")
                 continue
             if isinstance(stmt, ast.EmptyStmt):
                 self.changed = True
@@ -64,9 +61,7 @@ class _Eliminator(NodeTransformer):
         self.generic_visit(node)
         if is_pure_expr(node.expr):
             self.changed = True
-            self.ctx.cover_branch("dce.pure_exprstmt", True)
             return None
-        self.ctx.cover_branch("dce.pure_exprstmt", False)
         return node
 
     def visit_IfStmt(self, node: ast.IfStmt):
@@ -75,7 +70,6 @@ class _Eliminator(NodeTransformer):
         else_empty = node.otherwise is None or _is_empty(node.otherwise)
         if then_empty and else_empty and is_pure_expr(node.cond):
             self.changed = True
-            self.ctx.cover_point("dce.empty_if")
             return None
         if node.otherwise is not None and _is_empty(node.otherwise):
             node.otherwise = None

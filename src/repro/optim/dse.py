@@ -21,19 +21,14 @@ from repro.cdsl import ast_nodes as ast
 from repro.cdsl import ctypes_ as ct
 from repro.cdsl.sema import SemanticInfo
 from repro.cdsl.visitor import NodeTransformer
-from repro.optim.passes import (
-    OptimizationContext,
-    OptimizationPass,
-    declared_volatile,
-    is_pure_expr,
-)
+from repro.optim.passes import (OptimizationPass, declared_volatile,
+                                is_pure_expr)
 
 
 class DeadStoreEliminationPass(OptimizationPass):
     name = "dse"
 
-    def run(self, unit: ast.TranslationUnit, sema: SemanticInfo,
-            ctx: OptimizationContext) -> bool:
+    def run(self, unit: ast.TranslationUnit, sema: SemanticInfo) -> bool:
         changed = False
         for fn in unit.functions:
             if fn.body is None:
@@ -45,7 +40,7 @@ class DeadStoreEliminationPass(OptimizationPass):
                 dead = _dead_symbols(fn)
                 if not dead:
                     break
-                eliminator = _StoreEliminator(ctx, dead)
+                eliminator = _StoreEliminator(dead)
                 eliminator.visit(fn.body)
                 if not eliminator.changed:
                     break
@@ -132,8 +127,7 @@ def _dead_symbols(fn: ast.FunctionDecl) -> set:
 
 
 class _StoreEliminator(NodeTransformer):
-    def __init__(self, ctx: OptimizationContext, dead: set) -> None:
-        self.ctx = ctx
+    def __init__(self, dead: set) -> None:
         self.dead = dead
         self.changed = False
 
@@ -142,12 +136,10 @@ class _StoreEliminator(NodeTransformer):
         expr = node.expr
         if isinstance(expr, ast.Assignment) and self._targets_dead(expr.target):
             self.changed = True
-            self.ctx.cover_branch("dse.removed_store", True)
             if is_pure_expr(expr.value):
                 return None
             # Keep the side effects of the right-hand side.
             return ast.ExprStmt(expr.value, loc=node.loc)
-        self.ctx.cover_branch("dse.removed_store", False)
         return node
 
     def visit_DeclStmt(self, node: ast.DeclStmt):
@@ -161,7 +153,6 @@ class _StoreEliminator(NodeTransformer):
                 kept.append(decl)
                 continue
             self.changed = True
-            self.ctx.cover_branch("dse.removed_decl", True)
             if decl.init is not None and isinstance(decl.init, ast.Expr) \
                     and not is_pure_expr(decl.init):
                 side_effects.append(ast.ExprStmt(decl.init, loc=decl.loc))

@@ -14,15 +14,14 @@ from __future__ import annotations
 from repro.cdsl import ast_nodes as ast
 from repro.cdsl.sema import SemanticInfo
 from repro.cdsl.visitor import NodeTransformer, walk
-from repro.optim.passes import OptimizationContext, OptimizationPass, is_pure_expr
+from repro.optim.passes import OptimizationPass, is_pure_expr
 
 
 class LoopOptimizationPass(OptimizationPass):
     name = "loop-opts"
 
-    def run(self, unit: ast.TranslationUnit, sema: SemanticInfo,
-            ctx: OptimizationContext) -> bool:
-        optimizer = _LoopOptimizer(ctx)
+    def run(self, unit: ast.TranslationUnit, sema: SemanticInfo) -> bool:
+        optimizer = _LoopOptimizer()
         for fn in unit.functions:
             if fn.body is not None:
                 optimizer.visit(fn.body)
@@ -40,23 +39,19 @@ def _stmt_is_pure(stmt: ast.Stmt) -> bool:
 
 
 class _LoopOptimizer(NodeTransformer):
-    def __init__(self, ctx: OptimizationContext) -> None:
-        self.ctx = ctx
+    def __init__(self) -> None:
         self.changed = False
 
     def visit_WhileStmt(self, node: ast.WhileStmt):
         self.generic_visit(node)
         if isinstance(node.cond, ast.IntLiteral) and node.cond.value == 0:
             self.changed = True
-            self.ctx.cover_point("loop.while_false")
             return None
         if _stmt_is_pure(node.body) and is_pure_expr(node.cond):
             # The loop can only terminate or not; assuming UB-freedom (and
             # that our subset's loops terminate), it is removable.
             self.changed = True
-            self.ctx.cover_point("loop.pure_while_removed")
             return None
-        self.ctx.cover_branch("loop.while_kept", True)
         return node
 
     def visit_ForStmt(self, node: ast.ForStmt):
@@ -64,7 +59,6 @@ class _LoopOptimizer(NodeTransformer):
         cond_false = isinstance(node.cond, ast.IntLiteral) and node.cond.value == 0
         if cond_false:
             self.changed = True
-            self.ctx.cover_point("loop.for_false")
             # The init clause still executes once.
             if isinstance(node.init, ast.Stmt):
                 return node.init
@@ -80,9 +74,7 @@ class _LoopOptimizer(NodeTransformer):
             step_pure = node.step is None or is_pure_expr(node.step)
             if step_pure or _only_writes_induction(node):
                 self.changed = True
-                self.ctx.cover_point("loop.pure_for_removed")
                 return None
-        self.ctx.cover_branch("loop.for_kept", True)
         return node
 
 

@@ -14,7 +14,6 @@ exactly what we are modelling).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.cdsl import ast_nodes as ast
@@ -22,30 +21,15 @@ from repro.cdsl.sema import SemanticInfo
 from repro.cdsl.visitor import fast_clone
 
 
-@dataclass
-class OptimizationContext:
-    """What the passes of one build share: the coverage tracker they
-    record into, if any.  Passes read nothing else, which is what lets
-    one walk share steps across compilers, releases and levels."""
-
-    coverage: object = None
-
-    def cover_branch(self, site: str, taken: bool) -> None:
-        if self.coverage is not None:
-            self.coverage.hit_branch(f"optim.{site}", taken)
-
-    def cover_point(self, site: str) -> None:
-        if self.coverage is not None:
-            self.coverage.hit_point(f"optim.{site}")
-
-
 class OptimizationPass:
-    """Base class for AST-level optimization passes."""
+    """Base class for AST-level optimization passes.
+
+    A pass takes the unit and its sema only: it reads no compiler, release
+    or level, which is what lets one walk share steps across them."""
 
     name = "pass"
 
-    def run(self, unit: ast.TranslationUnit, sema: SemanticInfo,
-            ctx: OptimizationContext) -> bool:
+    def run(self, unit: ast.TranslationUnit, sema: SemanticInfo) -> bool:
         """Transform *unit* in place; return True if anything changed."""
         raise NotImplementedError
 
@@ -61,12 +45,11 @@ class PassPipeline:
     def pass_names(self) -> List[str]:
         return [p.name for p in self.passes]
 
-    def run(self, unit: ast.TranslationUnit, sema: SemanticInfo,
-            ctx: OptimizationContext) -> List[str]:
+    def run(self, unit: ast.TranslationUnit, sema: SemanticInfo) -> List[str]:
         """Run the pipeline on *unit* in place; returns the names of passes
         that changed the AST.  It is the one-pipeline case of
         :func:`run_pipelines`, so it makes no clone."""
-        return list(run_pipelines(unit, sema, [self], ctx)[0][1])
+        return list(run_pipelines(unit, sema, [self])[0][1])
 
 
 #: Next steps of a pipeline that are not passes: start the next round, or
@@ -89,7 +72,7 @@ def _next_step(pipeline: PassPipeline, round_: int, position: int,
 
 
 def run_pipelines(unit: ast.TranslationUnit, sema: SemanticInfo,
-                  pipelines: Sequence[PassPipeline], ctx: OptimizationContext
+                  pipelines: Sequence[PassPipeline]
                   ) -> List[Tuple[ast.TranslationUnit, Tuple[str, ...]]]:
     """Run several pipelines from *unit* as one trie walk; returns
     ``(unit, passes_run)`` per pipeline, in order.
@@ -103,11 +86,8 @@ def run_pipelines(unit: ast.TranslationUnit, sema: SemanticInfo,
     stops while another goes on, each branch but one goes on with a
     :func:`~repro.cdsl.visitor.fast_clone` of the unit.  *unit* itself is
     transformed in place and serves one result, and pipelines that stop
-    at the same step get the same unit.
-
-    All pipelines share *ctx*, which passes read only for its
-    ``coverage``: a step that runs once for several pipelines records its
-    coverage once.
+    at the same step get the same unit.  Sharing a step is sound because
+    a pass reads only the unit and its sema.
     """
     results: list = [None] * len(pipelines)
     # A branch: the pipelines whose executed steps are identical so far,
@@ -142,10 +122,9 @@ def run_pipelines(unit: ast.TranslationUnit, sema: SemanticInfo,
                 round_, position, changed = round_ + 1, 0, False
                 continue
             opt_pass = pipelines[members[0]].passes[position]
-            if opt_pass.run(current, sema, ctx):
+            if opt_pass.run(current, sema):
                 changed = True
                 passes_run += (opt_pass.name,)
-                ctx.cover_point(f"{opt_pass.name}.changed")
             position += 1
     return results
 

@@ -16,20 +16,14 @@ from __future__ import annotations
 from repro.cdsl import ast_nodes as ast
 from repro.cdsl.sema import SemanticInfo
 from repro.cdsl.visitor import NodeTransformer
-from repro.optim.passes import (
-    OptimizationContext,
-    OptimizationPass,
-    is_pure_expr,
-    typed_literal,
-)
+from repro.optim.passes import OptimizationPass, is_pure_expr, typed_literal
 
 
 class AlgebraicSimplifyPass(OptimizationPass):
     name = "simplify"
 
-    def run(self, unit: ast.TranslationUnit, sema: SemanticInfo,
-            ctx: OptimizationContext) -> bool:
-        simplifier = _Simplifier(ctx)
+    def run(self, unit: ast.TranslationUnit, sema: SemanticInfo) -> bool:
+        simplifier = _Simplifier()
         for fn in unit.functions:
             if fn.body is not None:
                 simplifier.visit(fn.body)
@@ -41,13 +35,11 @@ def _const(expr: ast.Expr) -> int | None:
 
 
 class _Simplifier(NodeTransformer):
-    def __init__(self, ctx: OptimizationContext) -> None:
-        self.ctx = ctx
+    def __init__(self) -> None:
         self.changed = False
 
-    def _mark(self, rule: str) -> None:
+    def _mark(self) -> None:
         self.changed = True
-        self.ctx.cover_point(f"simplify.{rule}")
 
     def visit_BinaryOp(self, node: ast.BinaryOp):
         self.generic_visit(node)
@@ -57,79 +49,78 @@ class _Simplifier(NodeTransformer):
 
         if op == "*":
             if rhs_const == 0 and is_pure_expr(node.lhs):
-                self._mark("mul_zero")
+                self._mark()
                 return _zero_like(node)
             if lhs_const == 0 and is_pure_expr(node.rhs):
-                self._mark("mul_zero")
+                self._mark()
                 return _zero_like(node)
             if rhs_const == 1:
-                self._mark("mul_one")
+                self._mark()
                 return node.lhs
             if lhs_const == 1:
-                self._mark("mul_one")
+                self._mark()
                 return node.rhs
         elif op == "+":
             if rhs_const == 0:
-                self._mark("add_zero")
+                self._mark()
                 return node.lhs
             if lhs_const == 0:
-                self._mark("add_zero")
+                self._mark()
                 return node.rhs
         elif op == "-":
             if rhs_const == 0:
-                self._mark("sub_zero")
+                self._mark()
                 return node.lhs
         elif op == "/":
             if rhs_const == 1:
-                self._mark("div_one")
+                self._mark()
                 return node.lhs
             if lhs_const == 0 and is_pure_expr(node.rhs) and rhs_const != 0:
-                self._mark("zero_div")
+                self._mark()
                 return _zero_like(node)
         elif op == "&":
             if (rhs_const == 0 and is_pure_expr(node.lhs)) or \
                     (lhs_const == 0 and is_pure_expr(node.rhs)):
-                self._mark("and_zero")
+                self._mark()
                 return _zero_like(node)
         elif op == "|":
             if rhs_const == 0:
-                self._mark("or_zero")
+                self._mark()
                 return node.lhs
             if lhs_const == 0:
-                self._mark("or_zero")
+                self._mark()
                 return node.rhs
         elif op == "^":
             if rhs_const == 0:
-                self._mark("xor_zero")
+                self._mark()
                 return node.lhs
             if lhs_const == 0:
-                self._mark("xor_zero")
+                self._mark()
                 return node.rhs
         elif op in ("<<", ">>"):
             if rhs_const == 0:
-                self._mark("shift_zero")
+                self._mark()
                 return node.lhs
         elif op == "&&":
             if lhs_const == 0:
-                self._mark("logical_false")
+                self._mark()
                 return _zero_like(node)
         elif op == "||":
             if lhs_const is not None and lhs_const != 0:
-                self._mark("logical_true")
+                self._mark()
                 return _one_like(node)
-        self.ctx.cover_branch("simplify.no_rule", True)
         return node
 
     def visit_UnaryOp(self, node: ast.UnaryOp):
         self.generic_visit(node)
         if node.op == "-" and isinstance(node.operand, ast.UnaryOp) \
                 and node.operand.op == "-":
-            self._mark("double_neg")
+            self._mark()
             return node.operand.operand
         if node.op == "!" and isinstance(node.operand, ast.UnaryOp) \
                 and node.operand.op == "!":
             inner = node.operand.operand
-            self._mark("double_not")
+            self._mark()
             cmp = ast.BinaryOp("!=", inner, ast.IntLiteral(0, loc=inner.loc),
                                loc=node.loc)
             cmp.ctype = node.ctype

@@ -126,9 +126,9 @@ class CorpusStore:
     """Stores tested programs and deduplicates their crashes.
 
     With ``root=None`` everything lives in an in-memory database; with a
-    directory, program sources land under ``<root>/programs/`` and the
-    findings database at ``<root>/corpus.sqlite`` (or the shared
-    ``db_path``, letting many campaigns accumulate into one file).  The
+    directory, the findings database lives at ``<root>/corpus.sqlite`` (or
+    the shared ``db_path``, letting many campaigns accumulate into one
+    file), and it holds the only persisted copy of each program.  The
     in-memory view starts empty and fills only through :meth:`ingest`,
     which is idempotent per seed index; a seed this campaign already
     persisted updates the view without queueing rows, so replaying a
@@ -187,8 +187,8 @@ class CorpusStore:
         """Record one seed batch; returns how many *new* crash buckets opened.
 
         The view (programs, buckets, counters) always updates.  Database
-        rows and ``programs/*.c`` files are queued only for a seed this
-        campaign has not persisted yet, so a flush stays O(delta)."""
+        rows are queued only for a seed this campaign has not persisted
+        yet, so a flush stays O(delta)."""
         if batch.seed_index in self._ingested_seeds:
             return 0
         self._ingested_seeds.add(batch.seed_index)
@@ -210,8 +210,6 @@ class CorpusStore:
             if persist:
                 source = diff.program.source
                 digest = program_digest(source)
-                if self.root is not None:
-                    self._write_program(program_id, source)
                 self._pending_programs.append(
                     {"program_id": program_id, "source": source, **program})
                 # Every surveyed (program, config) cell becomes an
@@ -344,17 +342,6 @@ class CorpusStore:
         return lines
 
     # -- persistence -----------------------------------------------------------
-
-    def _programs_dir(self) -> str:
-        assert self.root is not None
-        return os.path.join(self.root, "programs")
-
-    def _write_program(self, program_id: str, source: str) -> None:
-        directory = self._programs_dir()
-        os.makedirs(directory, exist_ok=True)
-        with open(os.path.join(directory, program_id + ".c"), "w",
-                  encoding="utf-8") as handle:
-            handle.write(source)
 
     def flush(self) -> None:
         """Commit the delta accumulated since the last flush.

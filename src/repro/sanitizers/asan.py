@@ -135,7 +135,6 @@ def _instrument_expr(expr: ast.Expr, ctx: InstrumentationContext,
     if skip_wrap or not _is_memory_access(expr):
         return expr
     detail = _access_detail(expr, is_write)
-    ctx.cover_branch("asan.wrap_access", True)
     return make_check("asan_access", expr, ctx, detail)
 
 
@@ -180,7 +179,6 @@ class AsanRuntime:
     """The run-time half of ASan: shadow poisoning and check evaluation."""
 
     def __init__(self, ctx: InstrumentationContext) -> None:
-        self.ctx = ctx
         overrides = ctx.runtime_overrides()
         self.redzone = int(overrides.get("redzone", ASAN_REDZONE))
         self.skip_scope_poisoning = bool(overrides.get("skip_scope_poisoning", False))
@@ -240,9 +238,7 @@ class AsanRuntime:
         addr = operands.get("addr", 0)
         size = operands.get("size", detail.get("size", 1))
         if not memory.is_poisoned(addr, size):
-            self.ctx.cover_branch("asan.check_clean", True)
             return None
-        self.ctx.cover_branch("asan.check_clean", False)
         report_kind = self._classify(memory, addr)
         access = "WRITE" if operands.get("is_write") else "READ"
         return make_report(rk.ASAN, report_kind, loc,

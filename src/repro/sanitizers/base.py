@@ -43,17 +43,16 @@ class InstrumentationContext:
     version: int = 14
     opt_level: str = "-O0"
     defects: List[Defect] = field(default_factory=list)
-    coverage: object = None  # optional repro.coverage.tracker.CoverageTracker
 
     @classmethod
     def for_configuration(cls, sanitizer: str, compiler: str, version: int,
                           opt_level: str,
-                          registry: Optional[Sequence[Defect]] = None,
-                          coverage=None) -> "InstrumentationContext":
+                          registry: Optional[Sequence[Defect]] = None
+                          ) -> "InstrumentationContext":
         """Build a context with the defects active for this configuration."""
         active = defects_for(compiler, version, sanitizer, opt_level, registry)
         return cls(sanitizer=sanitizer, compiler=compiler, version=version,
-                   opt_level=opt_level, defects=active, coverage=coverage)
+                   opt_level=opt_level, defects=active)
 
     # -- defect hooks ----------------------------------------------------------
 
@@ -62,7 +61,6 @@ class InstrumentationContext:
         """Return the defect that suppresses this check, if any."""
         for defect in self.defects:
             if defect.suppresses(check_kind, expr, detail):
-                self._cover(f"defect.skip.{defect.category}")
                 return defect
         return None
 
@@ -78,16 +76,6 @@ class InstrumentationContext:
                                      or check_kind in defect.check_kinds):
                 return defect.line_skew
         return 0
-
-    # -- coverage hooks --------------------------------------------------------
-
-    def _cover(self, point: str) -> None:
-        if self.coverage is not None:
-            self.coverage.hit_point(f"{self.sanitizer}.{point}")
-
-    def cover_branch(self, site: str, taken: bool) -> None:
-        if self.coverage is not None:
-            self.coverage.hit_branch(f"{self.sanitizer}.{site}", taken)
 
 
 class SanitizerPass:

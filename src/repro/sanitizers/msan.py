@@ -46,7 +46,6 @@ class MsanPass(SanitizerPass):
 
 
 def _wrap_condition(cond: ast.Expr, ctx: InstrumentationContext) -> ast.Expr:
-    ctx.cover_branch("msan.wrap_condition", True)
     return make_check("msan_use", cond, ctx, {"use": "branch"})
 
 
@@ -98,7 +97,6 @@ class MsanRuntime:
     """Evaluates MSan checks against the VM's taint bits."""
 
     def __init__(self, ctx: InstrumentationContext) -> None:
-        self.ctx = ctx
         overrides = ctx.runtime_overrides()
         self.ignore_taint = bool(overrides.get("msan_ignore_taint", False))
 
@@ -122,8 +120,6 @@ class MsanRuntime:
         if kind != "msan_use" or self.ignore_taint:
             return None
         if not operands.get("tainted"):
-            self.ctx.cover_branch("msan.value_defined", True)
             return None
-        self.ctx.cover_branch("msan.value_defined", False)
         return make_report(rk.MSAN, rk.USE_OF_UNINITIALIZED_VALUE, loc,
                            message="conditional depends on uninitialized value")

@@ -48,7 +48,7 @@ class UbsanPass(SanitizerPass):
         return unit
 
     def build_runtime(self, ctx: InstrumentationContext) -> "UbsanRuntime":
-        return UbsanRuntime(ctx)
+        return UbsanRuntime()
 
 
 def _instrument_stmt(stmt: ast.Stmt, ctx: InstrumentationContext) -> None:
@@ -111,23 +111,19 @@ def _instrument_expr(expr: ast.Expr, ctx: InstrumentationContext,
     if isinstance(expr, ast.BinaryOp):
         result_type = expr.ctype
         if expr.op in ("+", "-", "*") and _is_signed_int(result_type):
-            ctx.cover_branch("ubsan.wrap_arith", True)
             detail = {"op": expr.op, "bits": result_type.bits, **flags}
             return make_check("ubsan_arith", expr, ctx, detail)
         if expr.op in ("<<", ">>"):
             lhs_type = ct.integer_promote(expr.lhs.ctype or ct.INT)
             bits = lhs_type.bits if isinstance(lhs_type, ct.IntType) else 32
-            ctx.cover_branch("ubsan.wrap_shift", True)
             detail = {"op": expr.op, "bits": bits, **flags}
             return make_check("ubsan_shift", expr, ctx, detail)
         if expr.op in ("/", "%"):
-            ctx.cover_branch("ubsan.wrap_div", True)
             detail = {"op": expr.op, **flags}
             return make_check("ubsan_div", expr, ctx, detail)
         return expr
 
     if isinstance(expr, ast.Deref):
-        ctx.cover_branch("ubsan.wrap_null", True)
         size = expr.ctype.sizeof() if expr.ctype is not None else 1
         return make_check("ubsan_null", expr, ctx, {"size": size, **flags})
 
@@ -138,7 +134,6 @@ def _instrument_expr(expr: ast.Expr, ctx: InstrumentationContext,
     if isinstance(expr, ast.ArraySubscript):
         base_type = expr.base.ctype
         if isinstance(base_type, ct.ArrayType):
-            ctx.cover_branch("ubsan.wrap_bounds", True)
             detail = {"length": base_type.length,
                       "size": base_type.element.sizeof(), **flags}
             return make_check("ubsan_bounds", expr, ctx, detail)
@@ -146,7 +141,6 @@ def _instrument_expr(expr: ast.Expr, ctx: InstrumentationContext,
             # p[i] dereferences p just like *(p + i): it needs the same null
             # check (-fsanitize=null instruments every access through a
             # pointer base).
-            ctx.cover_branch("ubsan.wrap_null", True)
             size = expr.ctype.sizeof() if expr.ctype is not None else 1
             return make_check("ubsan_null", expr, ctx, {"size": size, **flags})
         return expr
@@ -179,9 +173,6 @@ def _is_signed_int(ctype: Optional[ct.CType]) -> bool:
 
 class UbsanRuntime:
     """Evaluates UBSan checks; keeps no shadow state."""
-
-    def __init__(self, ctx: InstrumentationContext) -> None:
-        self.ctx = ctx
 
     def attach(self, memory: Memory) -> None:
         return None
@@ -222,9 +213,7 @@ class UbsanRuntime:
         if exact is None:
             return None
         if ctype.contains(exact):
-            self.ctx.cover_branch("ubsan.arith_in_range", True)
             return None
-        self.ctx.cover_branch("ubsan.arith_in_range", False)
         return make_report(rk.UBSAN, rk.SIGNED_INTEGER_OVERFLOW, loc,
                            message=f"{lhs} {op} {rhs} cannot be represented "
                                    f"in type {ctype}")
@@ -234,9 +223,7 @@ class UbsanRuntime:
         bits = detail.get("bits", 32)
         rhs = operands.get("rhs", 0)
         if 0 <= rhs < bits:
-            self.ctx.cover_branch("ubsan.shift_in_range", True)
             return None
-        self.ctx.cover_branch("ubsan.shift_in_range", False)
         return make_report(rk.UBSAN, rk.SHIFT_OUT_OF_BOUNDS, loc,
                            message=f"shift amount {rhs} is out of range for "
                                    f"{bits}-bit type")
@@ -245,9 +232,7 @@ class UbsanRuntime:
                    loc: SourceLocation) -> Optional[SanitizerReport]:
         rhs = operands.get("rhs", 1)
         if rhs != 0:
-            self.ctx.cover_branch("ubsan.div_nonzero", True)
             return None
-        self.ctx.cover_branch("ubsan.div_nonzero", False)
         return make_report(rk.UBSAN, rk.DIVISION_BY_ZERO, loc,
                            message="division by zero")
 
@@ -259,9 +244,7 @@ class UbsanRuntime:
         # null p computes 0 + i*size, which is never exactly 0 for i > 0).
         # Every legitimate VM segment starts far above this page.
         if not 0 <= addr < _NULL_PAGE:
-            self.ctx.cover_branch("ubsan.null_nonnull", True)
             return None
-        self.ctx.cover_branch("ubsan.null_nonnull", False)
         return make_report(rk.UBSAN, rk.NULL_POINTER_DEREFERENCE, loc,
                            message="load/store through a null pointer")
 
@@ -272,9 +255,7 @@ class UbsanRuntime:
         if length is None or index is None:
             return None
         if 0 <= index < length:
-            self.ctx.cover_branch("ubsan.index_in_bounds", True)
             return None
-        self.ctx.cover_branch("ubsan.index_in_bounds", False)
         return make_report(rk.UBSAN, rk.ARRAY_INDEX_OUT_OF_BOUNDS, loc,
                            message=f"index {index} out of bounds for array "
                                    f"of {length} elements")

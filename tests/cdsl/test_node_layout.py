@@ -19,7 +19,6 @@ from repro.core import profile as profile_module
 from repro.core.matching import get_matched_exprs
 from repro.core.profile import Profiler
 from repro.core.ub_types import UBType
-from repro.optim.passes import OptimizationContext
 from repro.optim.pipelines import pipeline_for
 
 
@@ -67,9 +66,8 @@ def test_layout_holds_through_frontend_and_every_pass(compiler, sample_ub_progra
     assert_declared_layout(unit)
     sema = analyze(unit)
     assert_declared_layout(unit)
-    ctx = OptimizationContext()
     for opt_pass in pipeline_for(compiler, "-O3").passes:
-        opt_pass.run(unit, sema, ctx)
+        opt_pass.run(unit, sema)
         assert_declared_layout(unit)
         sema = analyze(unit)
 

@@ -15,7 +15,6 @@ from repro.cdsl import analyze, parse_program
 from repro.compilers.binary import CompiledBinary
 from repro.compilers.options import CompileOptions
 from repro.compilers.versions import trunk_version
-from repro.optim.passes import OptimizationContext
 from repro.optim.pipelines import pipeline_for
 from repro.sanitizers.base import InstrumentationContext
 from repro.sanitizers.registry import build_pass
@@ -32,8 +31,7 @@ def reference_compile(source: str, compiler: str, opt_level: str,
     version = version if version is not None else trunk_version(compiler)
     unit = parse_program(source)
     sema = analyze(unit)
-    passes_run = pipeline_for(compiler, opt_level).run(
-        unit, sema, OptimizationContext())
+    passes_run = pipeline_for(compiler, opt_level).run(unit, sema)
     # Passes may have created new nodes (literals, rewritten branches):
     # re-run semantic analysis so types and symbols are consistent.
     analysis = analyze(unit)

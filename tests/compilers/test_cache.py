@@ -347,8 +347,8 @@ def test_ill_typed_pass_output_fails_at_first_demand(monkeypatch):
     pass_cls = type(pipeline_for("gcc", "-O2").passes[0])
     real_run = pass_cls.run
 
-    def ill_typed_run(self, unit, sema, ctx):
-        changed = real_run(self, unit, sema, ctx)
+    def ill_typed_run(self, unit, sema):
+        changed = real_run(self, unit, sema)
         for node in walk(unit):
             if isinstance(node, ast.Identifier):
                 node.name = "undeclared_by_the_pass"

@@ -17,7 +17,6 @@ from repro.markers import (
     MarkerPlanter,
     MarkerSite,
 )
-from repro.optim import OptimizationContext
 from repro.optim.pipelines import effective_pass_names, pipeline_for
 from repro.reduction import make_marker_predicate
 
@@ -91,16 +90,16 @@ def test_survey_runs_each_shared_pass_prefix_once(marked, monkeypatch):
     runs = []
     for cls in {type(p) for pipeline in pipelines.values()
                 for p in pipeline.passes}:
-        def recorded(self, unit, sema, ctx, _run=cls.run):
+        def recorded(self, unit, sema, _run=cls.run):
             runs.append(self.name)
-            return _run(self, unit, sema, ctx)
+            return _run(self, unit, sema)
         monkeypatch.setattr(cls, "run", recorded)
     master = parse_program(marked.source)
     sema = analyze(master)
     prefixes, alone = set(), 0
     for pipeline in pipelines.values():
         del runs[:]
-        pipeline.run(fast_clone(master), sema, OptimizationContext())
+        pipeline.run(fast_clone(master), sema)
         steps = [(index // len(pipeline.passes), name)
                  for index, name in enumerate(runs)]
         prefixes.update(tuple(steps[:end]) for end in range(1, len(steps) + 1))

@@ -11,17 +11,16 @@ from __future__ import annotations
 from typing import List
 
 
-def reference_run(pipeline, unit, sema, ctx) -> List[str]:
+def reference_run(pipeline, unit, sema) -> List[str]:
     """Run *pipeline* on *unit*; returns the names of passes that changed
     the AST, in execution order."""
     changed_passes: List[str] = []
     for _ in range(pipeline.max_iterations):
         changed_this_round = False
         for opt_pass in pipeline.passes:
-            if opt_pass.run(unit, sema, ctx):
+            if opt_pass.run(unit, sema):
                 changed_this_round = True
                 changed_passes.append(opt_pass.name)
-                ctx.cover_point(f"{opt_pass.name}.changed")
         if not changed_this_round:
             break
     return changed_passes

@@ -10,7 +10,6 @@ import pytest
 from repro.cdsl import analyze, ast_nodes as ast, parse_program
 from repro.cdsl.visitor import find_nodes
 from repro.optim import dse
-from repro.optim.passes import OptimizationContext
 from repro.optim.pipelines import pipeline_for
 
 from reference_dse import reference_dead_symbols
@@ -84,7 +83,6 @@ def test_every_fixpoint_step_matches_the_reference(
             for level in ("-O2", "-O3"):
                 unit = parse_program(source)
                 sema = analyze(unit)
-                pipeline_for(compiler, level).run(
-                    unit, sema, OptimizationContext())
+                pipeline_for(compiler, level).run(unit, sema)
     assert len(sources) >= 10
     assert any(steps) and not all(steps)

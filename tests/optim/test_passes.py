@@ -12,7 +12,6 @@ from repro.optim import (
     DeadStoreEliminationPass,
     LoopOptimizationPass,
     OPT_LEVELS,
-    OptimizationContext,
     PassPipeline,
     is_pure_expr,
     pipeline_for,
@@ -23,10 +22,9 @@ from repro.vm import run_program
 def optimize(source, pass_obj, iterations=1):
     unit = parse_program(source)
     info = analyze(unit)
-    ctx = OptimizationContext()
     changed = False
     for _ in range(iterations):
-        changed = pass_obj.run(unit, info, ctx) or changed
+        changed = pass_obj.run(unit, info) or changed
         info = analyze(unit)
     return unit, changed
 
@@ -319,7 +317,7 @@ def test_pipeline_runs_to_fixpoint_and_reports_changes():
     unit = parse_program(source)
     info = analyze(unit)
     pipeline = pipeline_for("gcc", "-O2")
-    changed = pipeline.run(unit, info, OptimizationContext())
+    changed = pipeline.run(unit, info)
     assert "constant-fold" in changed or "constprop" in changed
 
 

@@ -3,12 +3,11 @@
 ``run_pipelines`` runs every pipeline of a set from one unit, and runs a
 step that identical schedule prefixes share once.  Each result must equal
 the reference loop (``reference_pipeline``) running that pipeline alone
-on a fresh clone, and passes must read nothing from their context but
-``coverage``, or shared steps and the optimized cache key (no release,
-no level) would both be wrong.
+on a fresh clone.  Sharing a step is sound because a pass takes the unit
+and its sema only (``tests/test_layering.py`` pins that signature): a
+pass that read a release or level would make shared steps and the
+optimized cache key (no release, no level) both wrong.
 """
-
-import dataclasses
 
 import pytest
 
@@ -20,7 +19,6 @@ from repro.optim import (
     OPT_LEVELS,
     ConstantFoldPass,
     DeadCodeEliminationPass,
-    OptimizationContext,
     PassPipeline,
     pipeline_for,
 )
@@ -64,9 +62,9 @@ def pass_runs(monkeypatch):
         cls = pending.pop()
         pending.extend(cls.__subclasses__())
         if "run" in vars(cls):
-            def recorded(self, unit, sema, ctx, _run=vars(cls)["run"]):
+            def recorded(self, unit, sema, _run=vars(cls)["run"]):
                 runs.append(self.name)
-                return _run(self, unit, sema, ctx)
+                return _run(self, unit, sema)
             monkeypatch.setattr(cls, "run", recorded)
     return runs
 
@@ -94,8 +92,7 @@ def _walk_and_compare(master, pipelines, pass_runs) -> int:
     for pipeline in pipelines:
         work = fast_clone(master)
         del pass_runs[:]
-        passes_run = reference_run(pipeline, work, sema,
-                                   OptimizationContext())
+        passes_run = reference_run(pipeline, work, sema)
         expected.append((print_program(work), passes_run))
         # Alone, every round runs every pass of the pipeline.
         steps = [(index // len(pipeline.passes), name)
@@ -105,7 +102,7 @@ def _walk_and_compare(master, pipelines, pass_runs) -> int:
         alone += len(steps)
     start = fast_clone(master)
     del pass_runs[:]
-    results = run_pipelines(start, sema, pipelines, OptimizationContext())
+    results = run_pipelines(start, sema, pipelines)
     assert len(pass_runs) == len(prefixes)
     assert [(print_program(unit), list(passes_run))
             for unit, passes_run in results] == expected
@@ -148,37 +145,10 @@ def test_pipeline_run_is_the_one_pipeline_walk(sources, pass_runs,
         for pipeline in PIPELINES:
             reference = fast_clone(master)
             del pass_runs[:]
-            expected = reference_run(pipeline, reference, sema,
-                                     OptimizationContext())
+            expected = reference_run(pipeline, reference, sema)
             expected_runs = list(pass_runs)
             unit = fast_clone(master)
             del pass_runs[:]
-            assert pipeline.run(unit, sema, OptimizationContext()) == expected
+            assert pipeline.run(unit, sema) == expected
             assert pass_runs == expected_runs
             assert print_program(unit) == print_program(reference)
-
-
-class _CoverageRecorder:
-    def __init__(self):
-        self.hits = set()
-
-    def hit_point(self, point):
-        self.hits.add(point)
-
-    def hit_branch(self, site, taken):
-        self.hits.add((site, taken))
-
-
-def test_passes_read_only_coverage_from_their_context(sources):
-    """The context carries ``coverage`` and nothing else, so a pass that
-    read a compiler, release or level would raise.  Every pipeline of both
-    compilers runs under it, in one walk, and records coverage.  The walk
-    runs every state each pipeline reaches alone (the test above)."""
-    assert [f.name for f in dataclasses.fields(OptimizationContext)] == \
-        ["coverage"]
-    coverage = _CoverageRecorder()
-    for source in sources:
-        master = parse_program(source)
-        run_pipelines(master, analyze(master), PIPELINES,
-                      OptimizationContext(coverage=coverage))
-    assert coverage.hits

@@ -196,8 +196,6 @@ def test_killed_then_resumed_campaign_matches(tmp_path, monkeypatch, config,
             "SELECT COUNT(*) FROM corpus_campaign_programs "
             "WHERE campaign_id = ?", (store.campaign_id,)).fetchall()
     assert programs == serial_result.stats.programs_tested
-    program_files = os.listdir(os.path.join(corpus_dir, "programs"))
-    assert len(program_files) == serial_result.stats.programs_tested
 
     # Session 3 is a pure replay: every seed restored, same reports again,
     # and triage reads the restored matrix cells instead of running them.

@@ -1,11 +1,14 @@
 """Static checks: ``repro.core`` imports no package that sits above it,
-the checkpoint records import no package a run is made of, and the seed
-generator imports none of the packages its seeds feed."""
+the checkpoint records import no package a run is made of, the seed
+generator imports none of the packages its seeds feed, and an optimizer
+pass takes nothing but the unit and its sema."""
 
 import ast
+import inspect
 from pathlib import Path
 
 import repro
+from repro.optim import OptimizationPass
 
 ROOT = Path(repro.__file__).resolve().parent
 CORE = ROOT / "core"
@@ -59,3 +62,20 @@ def test_seed_generator_imports_none_of_its_consumers():
                            "analysis"})
     path = ROOT / "seedgen" / "csmith.py"
     assert _imports_of(path, consumers) == []
+
+
+def test_passes_take_the_unit_and_its_sema_only():
+    """``run_pipelines`` runs a step that several pipelines share once,
+    across compilers, releases and levels, and the optimized cache key
+    names no release: both hold only while a pass can read none of them.
+    So every pass defines ``run(self, unit, sema)`` and nothing more."""
+    passes, pending = [], list(OptimizationPass.__subclasses__())
+    while pending:
+        cls = pending.pop()
+        pending.extend(cls.__subclasses__())
+        passes.append(cls)
+    assert len(passes) >= 6
+    for cls in [OptimizationPass, *passes]:
+        assert "run" in vars(cls), cls.__name__
+        assert list(inspect.signature(cls.run).parameters) == \
+            ["self", "unit", "sema"], cls.__name__
