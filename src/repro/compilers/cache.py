@@ -48,6 +48,12 @@ of the bench ``fuzz`` campaign (82 of 521 lookups) reuse a build at most
 triage, and the ``markers`` survey never hits (0 of the 640 keys its 80
 requests ask for).  A larger layer
 keeps dead masters alive, and every full garbage collection walks them.
+The same lifetime bounds the optimizer's memo
+(:meth:`CompilationCache.no_op_memo`): the (function state, pass name)
+pairs that changed nothing while optimizing the current source, which
+every later walk of that source skips.  A marker survey's two requests
+and a fuzz program's matrix builds share it; another source starts an
+empty one.
 
 A compiler, tester, triager, oracle or reducer handed no cache keeps a
 private one.  A campaign hands one cache to its generator, compilers,
@@ -180,6 +186,8 @@ class CompilationCache:
         self._optimized_source: Optional[str] = None
         self._optimized: dict = {}
         self._optimized_evictions = 0
+        self._memo_source: Optional[str] = None
+        self._memo: set = set()
         self.hits = 0
         self.misses = 0
 
@@ -272,6 +280,23 @@ class CompilationCache:
         self._note_miss(evicted, len(missing))
         return artifacts
 
+    def no_op_memo(self, fingerprint: str) -> set:
+        """The optimizer's memo for the source *fingerprint*: the
+        (function state, pass name) pairs that changed nothing in the
+        :func:`~repro.optim.passes.run_pipelines` walks of its builds.
+
+        It lives as long as the optimized layer's builds do: it belongs
+        to one source, and a request for another source starts an empty
+        one.  Every build of a source starts from a clone of its one
+        frontend master, so a pair that changed nothing once changes
+        nothing in any later build of that source.
+        """
+        with self._lock:
+            if fingerprint != self._memo_source:
+                self._memo_source = fingerprint
+                self._memo = set()
+            return self._memo
+
     @staticmethod
     def _note_miss(evicted: int, misses: int = 1) -> None:
         registry = telemetry.metrics()
@@ -306,5 +331,7 @@ class CompilationCache:
             self._optimized_source = None
             self._optimized = {}
             self._optimized_evictions = 0
+            self._memo_source = None
+            self._memo = set()
             self.hits = 0
             self.misses = 0

@@ -73,20 +73,25 @@ def optimized_masters(cache: CompilationCache, source_text: str,
     name): the pipelines that have passes run as one
     :func:`~repro.optim.passes.run_pipelines` walk from a
     :func:`~repro.cdsl.visitor.fast_clone` of the master, so steps their
-    schedules share run once.  An empty schedule (llvm -O0) changes
-    nothing: its build is the master itself, with the master's sema.
+    schedules share run once, and the walk skips every pass that an
+    earlier walk of the source saw leave a function unchanged (the
+    cache's :meth:`~repro.compilers.cache.CompilationCache.no_op_memo`).
+    An empty schedule (llvm -O0) changes nothing: its build is the master
+    itself, with the master's sema.
     """
+    fingerprint = source_fingerprint(source_text)
+
     def build():
         master, sema = frontend_master(cache, source_text,
                                        next(iter(pipelines))[0])
         walked = [p for p in pipelines.values() if p.passes]
-        walks = iter(run_pipelines(fast_clone(master), sema, walked)
+        walks = iter(run_pipelines(fast_clone(master), walked,
+                                   cache.no_op_memo(fingerprint))
                      if walked else ())
         return [(*next(walks), None) if p.passes else (master, (), sema)
                 for p in pipelines.values()]
 
-    return cache.optimized(source_fingerprint(source_text), list(pipelines),
-                           build)
+    return cache.optimized(fingerprint, list(pipelines), build)
 
 
 class SimulatedCompiler:

@@ -13,10 +13,14 @@ module files of those packages, records all three:
 * **line coverage** from line events (denominator: all executable lines,
   obtained from the compiled code objects of each module file);
 * **branch coverage** from the line arcs those events show: each frame's
-  previous and current line (denominator: the branch directions of
+  previous and current line, and on a return event its last line and the
+  function's exit (denominator: the branch directions of
   :func:`branch_directions`, one per side of each conditional jump in the
   files' bytecode).  This is Gcov's unit, one direction per side of a
-  conditional branch, measured the way coverage.py measures branches.
+  conditional branch, measured the way coverage.py measures branches,
+  whose arcs also leave a function for the negative exit line
+  ``-co_firstlineno``.  The packages define no generators, whose every
+  yield would also raise a return event.
 """
 
 from __future__ import annotations
@@ -31,11 +35,13 @@ from typing import Dict, Optional, Set, Tuple
 #: The packages whose module files the tracker inventories and traces.
 PACKAGES = ("repro.optim", "repro.sanitizers", "repro.compilers")
 
-#: Instructions after which execution never falls through.
-_TERMINATORS = frozenset({"RETURN_VALUE", "RETURN_CONST", "RAISE_VARARGS",
-                          "RERAISE"})
+#: Instructions that leave the function, returning or raising.
+_RETURNS = frozenset({"RETURN_VALUE", "RETURN_CONST"})
+_RAISES = frozenset({"RAISE_VARARGS", "RERAISE"})
 
-#: One branch direction, or one recorded line arc: (file, line, next line).
+#: One branch direction, or one recorded line arc: (file, line, next
+#: line), where the next line of a return is the function's exit,
+#: ``-co_firstlineno``.
 Arc = Tuple[str, Optional[int], int]
 
 
@@ -93,6 +99,7 @@ class CoverageTracker:
             return None
         self.functions.add((filename, frame.f_code.co_firstlineno))
         arcs = self.arcs
+        exit_line = -frame.f_code.co_firstlineno
         previous = None
 
         def trace_line(frame, event, arg):
@@ -100,6 +107,8 @@ class CoverageTracker:
             if event == "line":
                 arcs.add((filename, previous, frame.f_lineno))
                 previous = frame.f_lineno
+            elif event == "return":
+                arcs.add((filename, previous, exit_line))
             return trace_line
 
         return trace_line
@@ -139,8 +148,11 @@ def branch_directions(code: types.CodeType) -> Set[Arc]:
     Each conditional jump (an instruction whose name contains ``IF``, or a
     ``FOR_ITER``) on line L gives one direction ``(file, L, M)`` per side,
     fall-through and target, where M is the first line other than L that
-    the side reaches.  A jump gives none when a side reaches no new line
-    or both sides reach the same one.
+    the side reaches, or the function's exit ``-co_firstlineno`` when the
+    side returns first (CPython gives the implicit return that ends a
+    function the line of the decision that jumps to it).  A jump gives
+    none when a side raises before it reaches a new line, or both sides
+    reach the same one.
     """
     directions: Set[Arc] = set()
     for inner in _walk_code(code):
@@ -155,7 +167,8 @@ def branch_directions(code: types.CodeType) -> Set[Arc]:
             if "IF" not in instr.opname and instr.opname != "FOR_ITER":
                 continue
             line = lines[instr.offset]
-            sides = {_first_new_line(instructions, position, lines, side, line)
+            sides = {_first_new_line(instructions, position, lines, side, line,
+                                     -inner.co_firstlineno)
                      for side in (index + 1, position[instr.argval])}
             if len(sides) == 2 and None not in sides:
                 directions.update((inner.co_filename, line, target)
@@ -163,10 +176,11 @@ def branch_directions(code: types.CodeType) -> Set[Arc]:
     return directions
 
 
-def _first_new_line(instructions, position, lines, index, line):
+def _first_new_line(instructions, position, lines, index, line, exit_line):
     """The first line other than *line* that execution reaches from
     ``instructions[index]`` on, following unconditional jumps and the
-    fall-through of conditional ones; None if it reaches none."""
+    fall-through of conditional ones: *exit_line* if it returns first,
+    None if it raises first or reaches no new line."""
     seen = set()
     while index < len(instructions) and index not in seen:
         seen.add(index)
@@ -174,7 +188,9 @@ def _first_new_line(instructions, position, lines, index, line):
         reached = lines[instr.offset]
         if reached is not None and reached != line:
             return reached
-        if instr.opname in _TERMINATORS:
+        if instr.opname in _RETURNS:
+            return exit_line
+        if instr.opname in _RAISES:
             return None
         if "JUMP" in instr.opname and "IF" not in instr.opname:
             index = position[instr.argval]

@@ -15,7 +15,6 @@ from typing import Optional
 
 from repro.cdsl import ast_nodes as ast
 from repro.cdsl import ctypes_ as ct
-from repro.cdsl.sema import SemanticInfo
 from repro.cdsl.visitor import NodeTransformer
 from repro.optim.passes import OptimizationPass, typed_literal
 
@@ -23,11 +22,9 @@ from repro.optim.passes import OptimizationPass, typed_literal
 class ConstantFoldPass(OptimizationPass):
     name = "constant-fold"
 
-    def run(self, unit: ast.TranslationUnit, sema: SemanticInfo) -> bool:
+    def run(self, fn: ast.FunctionDecl) -> bool:
         folder = _Folder()
-        for fn in unit.functions:
-            if fn.body is not None:
-                folder.visit(fn.body)
+        folder.visit(fn.body)
         return folder.changed
 
 

@@ -16,7 +16,6 @@ from typing import Dict
 
 from repro.cdsl import ast_nodes as ast
 from repro.cdsl import ctypes_ as ct
-from repro.cdsl.sema import SemanticInfo
 from repro.cdsl.visitor import walk
 from repro.optim.passes import (
     OptimizationPass,
@@ -29,15 +28,10 @@ from repro.optim.passes import (
 class ConstantPropagationPass(OptimizationPass):
     name = "constprop"
 
-    def run(self, unit: ast.TranslationUnit, sema: SemanticInfo) -> bool:
-        changed = False
-        for fn in unit.functions:
-            if fn.body is None:
-                continue
-            propagator = _Propagator(fn.body)
-            propagator.process_block(fn.body)
-            changed = changed or propagator.changed
-        return changed
+    def run(self, fn: ast.FunctionDecl) -> bool:
+        propagator = _Propagator(fn.body)
+        propagator.process_block(fn.body)
+        return propagator.changed
 
 
 class _Propagator:

@@ -17,7 +17,6 @@ pass that runs afterwards never sees the UB.
 from __future__ import annotations
 
 from repro.cdsl import ast_nodes as ast
-from repro.cdsl.sema import SemanticInfo
 from repro.cdsl.visitor import NodeTransformer
 from repro.optim.passes import OptimizationPass, is_pure_expr
 
@@ -25,11 +24,9 @@ from repro.optim.passes import OptimizationPass, is_pure_expr
 class DeadCodeEliminationPass(OptimizationPass):
     name = "dce"
 
-    def run(self, unit: ast.TranslationUnit, sema: SemanticInfo) -> bool:
+    def run(self, fn: ast.FunctionDecl) -> bool:
         eliminator = _Eliminator()
-        for fn in unit.functions:
-            if fn.body is not None:
-                eliminator.visit(fn.body)
+        eliminator.visit(fn.body)
         return eliminator.changed
 
 

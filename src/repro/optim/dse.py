@@ -19,7 +19,6 @@ from __future__ import annotations
 
 from repro.cdsl import ast_nodes as ast
 from repro.cdsl import ctypes_ as ct
-from repro.cdsl.sema import SemanticInfo
 from repro.cdsl.visitor import NodeTransformer
 from repro.optim.passes import (OptimizationPass, declared_volatile,
                                 is_pure_expr)
@@ -28,23 +27,20 @@ from repro.optim.passes import (OptimizationPass, declared_volatile,
 class DeadStoreEliminationPass(OptimizationPass):
     name = "dse"
 
-    def run(self, unit: ast.TranslationUnit, sema: SemanticInfo) -> bool:
+    def run(self, fn: ast.FunctionDecl) -> bool:
         changed = False
-        for fn in unit.functions:
-            if fn.body is None:
-                continue
-            # Iterate to a fixpoint within the function: removing the last
-            # use of a variable (e.g. a dead pointer initialized from an
-            # array) can make further variables dead in turn.
-            for _ in range(5):
-                dead = _dead_symbols(fn)
-                if not dead:
-                    break
-                eliminator = _StoreEliminator(dead)
-                eliminator.visit(fn.body)
-                if not eliminator.changed:
-                    break
-                changed = True
+        # Iterate to a fixpoint within the function: removing the last use
+        # of a variable (e.g. a dead pointer initialized from an array) can
+        # make further variables dead in turn.
+        for _ in range(5):
+            dead = _dead_symbols(fn)
+            if not dead:
+                break
+            eliminator = _StoreEliminator(dead)
+            eliminator.visit(fn.body)
+            if not eliminator.changed:
+                break
+            changed = True
         return changed
 
 

@@ -12,7 +12,6 @@ filter out.
 from __future__ import annotations
 
 from repro.cdsl import ast_nodes as ast
-from repro.cdsl.sema import SemanticInfo
 from repro.cdsl.visitor import NodeTransformer, walk
 from repro.optim.passes import OptimizationPass, is_pure_expr
 
@@ -20,11 +19,9 @@ from repro.optim.passes import OptimizationPass, is_pure_expr
 class LoopOptimizationPass(OptimizationPass):
     name = "loop-opts"
 
-    def run(self, unit: ast.TranslationUnit, sema: SemanticInfo) -> bool:
+    def run(self, fn: ast.FunctionDecl) -> bool:
         optimizer = _LoopOptimizer()
-        for fn in unit.functions:
-            if fn.body is not None:
-                optimizer.visit(fn.body)
+        optimizer.visit(fn.body)
         return optimizer.changed
 
 

@@ -17,20 +17,23 @@ from __future__ import annotations
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.cdsl import ast_nodes as ast
-from repro.cdsl.sema import SemanticInfo
 from repro.cdsl.visitor import fast_clone
+from repro.telemetry import runtime as telemetry
 
 
 class OptimizationPass:
     """Base class for AST-level optimization passes.
 
-    A pass takes the unit and its sema only: it reads no compiler, release
-    or level, which is what lets one walk share steps across them."""
+    A pass transforms one function at a time and reads nothing but that
+    function: no other function, no compiler, release or level.  That is
+    what lets one walk share steps across pipelines, and what makes a
+    pass's result on a function depend on that function's state alone."""
 
     name = "pass"
 
-    def run(self, unit: ast.TranslationUnit, sema: SemanticInfo) -> bool:
-        """Transform *unit* in place; return True if anything changed."""
+    def run(self, fn: ast.FunctionDecl) -> bool:
+        """Transform *fn*, which has a body, in place; return True if
+        anything changed."""
         raise NotImplementedError
 
 
@@ -45,11 +48,11 @@ class PassPipeline:
     def pass_names(self) -> List[str]:
         return [p.name for p in self.passes]
 
-    def run(self, unit: ast.TranslationUnit, sema: SemanticInfo) -> List[str]:
+    def run(self, unit: ast.TranslationUnit) -> List[str]:
         """Run the pipeline on *unit* in place; returns the names of passes
         that changed the AST.  It is the one-pipeline case of
         :func:`run_pipelines`, so it makes no clone."""
-        return list(run_pipelines(unit, sema, [self])[0][1])
+        return list(run_pipelines(unit, [self])[0][1])
 
 
 #: Next steps of a pipeline that are not passes: start the next round, or
@@ -71,8 +74,9 @@ def _next_step(pipeline: PassPipeline, round_: int, position: int,
     return _STOP
 
 
-def run_pipelines(unit: ast.TranslationUnit, sema: SemanticInfo,
-                  pipelines: Sequence[PassPipeline]
+def run_pipelines(unit: ast.TranslationUnit,
+                  pipelines: Sequence[PassPipeline],
+                  no_ops: Optional[set] = None
                   ) -> List[Tuple[ast.TranslationUnit, Tuple[str, ...]]]:
     """Run several pipelines from *unit* as one trie walk; returns
     ``(unit, passes_run)`` per pipeline, in order.
@@ -87,16 +91,36 @@ def run_pipelines(unit: ast.TranslationUnit, sema: SemanticInfo,
     :func:`~repro.cdsl.visitor.fast_clone` of the unit.  *unit* itself is
     transformed in place and serves one result, and pipelines that stop
     at the same step get the same unit.  Sharing a step is sound because
-    a pass reads only the unit and its sema.
+    a pass reads only the function it runs on.
+
+    A step runs its pass on each function that has a body, unless the
+    pass is known to leave it unchanged.  A function's state is its index
+    in ``unit.functions`` followed by the name of each pass that changed
+    it.  *no_ops* holds the ``(state, pass name)`` pairs that changed
+    nothing: the walk skips a pass on a function whose pair is there and
+    adds each such pair it runs.  That is exact while every unit walked
+    with one *no_ops* starts out equal to *unit*, since a pass is
+    deterministic and reads only its function.  By default the walk keeps
+    a memo of its own; :func:`~repro.compilers.compiler.optimized_masters`
+    hands it the one its cache keeps for the source.  The runs and skips
+    are added to the ``optim.function_runs`` and ``optim.function_skips``
+    counters.
     """
+    if no_ops is None:
+        no_ops = set()
     results: list = [None] * len(pipelines)
+    states = [(index,) for index, fn in enumerate(unit.functions)
+              if fn.body is not None]
+    runs = skips = 0
     # A branch: the pipelines whose executed steps are identical so far,
     # their unit, the passes that changed it, the round, the position in
-    # that round, and whether the round has changed the unit.
-    branches = [(list(range(len(pipelines))), unit, (), 0, 0, False)]
+    # that round, whether the round has changed the unit, and the state
+    # of each function that has a body.
+    branches = [(list(range(len(pipelines))), unit, (), 0, 0, False, states)]
     while branches:
-        members, current, passes_run, round_, position, changed = \
+        members, current, passes_run, round_, position, changed, states = \
             branches.pop()
+        bodies = [fn for fn in current.functions if fn.body is not None]
         while True:
             steps: Dict[object, List[int]] = {}
             for index in members:
@@ -115,17 +139,35 @@ def run_pipelines(unit: ast.TranslationUnit, sema: SemanticInfo,
                 step, members = groups.pop()
             for _, group in groups:
                 branches.append((group, fast_clone(current), passes_run,
-                                 round_, position, changed))
+                                 round_, position, changed, list(states)))
             if stopped:
                 break
             if step is _NEXT_ROUND:
                 round_, position, changed = round_ + 1, 0, False
                 continue
             opt_pass = pipelines[members[0]].passes[position]
-            if opt_pass.run(current, sema):
+            name = opt_pass.name
+            keys = [(state, name) for state in states]
+            # A skip has no line of its own, so coverage (Table 5) records
+            # the same arcs whether the memo skips a pass or reruns it.
+            pending = [i for i, key in enumerate(keys) if key not in no_ops]
+            runs += len(pending)
+            skips += len(keys) - len(pending)
+            step_changed = False
+            for index in pending:
+                if opt_pass.run(bodies[index]):
+                    states[index] += (name,)
+                    step_changed = True
+                else:
+                    no_ops.add(keys[index])
+            if step_changed:
                 changed = True
-                passes_run += (opt_pass.name,)
+                passes_run += (name,)
             position += 1
+    registry = telemetry.metrics()
+    if registry is not None:
+        registry.inc("optim.function_runs", runs)
+        registry.inc("optim.function_skips", skips)
     return results
 
 

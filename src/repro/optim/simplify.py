@@ -14,7 +14,6 @@ The operand is only dropped when it is side-effect free.
 from __future__ import annotations
 
 from repro.cdsl import ast_nodes as ast
-from repro.cdsl.sema import SemanticInfo
 from repro.cdsl.visitor import NodeTransformer
 from repro.optim.passes import OptimizationPass, is_pure_expr, typed_literal
 
@@ -22,11 +21,9 @@ from repro.optim.passes import OptimizationPass, is_pure_expr, typed_literal
 class AlgebraicSimplifyPass(OptimizationPass):
     name = "simplify"
 
-    def run(self, unit: ast.TranslationUnit, sema: SemanticInfo) -> bool:
+    def run(self, fn: ast.FunctionDecl) -> bool:
         simplifier = _Simplifier()
-        for fn in unit.functions:
-            if fn.body is not None:
-                simplifier.visit(fn.body)
+        simplifier.visit(fn.body)
         return simplifier.changed
 
 

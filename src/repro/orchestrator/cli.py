@@ -621,6 +621,11 @@ def _stats_main(argv: List[str]) -> int:
                  "misses": counters.get("cache.misses", 0),
                  "evictions": counters.get("cache.evictions", 0)}
         print(f"compilation cache     : {_cache_line(cache)}")
+    if counters.get("optim.function_runs"):
+        print(f"optimizer             : {counters['optim.function_runs']} "
+              f"function-pass runs, "
+              f"{counters.get('optim.function_skips', 0)} skipped as known "
+              f"no-ops")
     if counters.get("vm.runs"):
         print(f"vm                    : {counters['vm.runs']} runs, "
               f"{counters.get('vm.steps', 0)} steps")

@@ -2,9 +2,11 @@
 
 ``reference_compile`` is the compile ``SimulatedCompiler.compile`` ran
 without a compilation cache, before every build read through one: parse,
-analyze, run the level's flat pipeline on the unit in place, analyze the
-optimized unit again, and instrument it with the configuration's
-sanitizer.  Every call builds a fresh unit and shares nothing.
+analyze, run the level's flat pipeline on the unit in place with the
+reference loop (``reference_pipeline.reference_run``, which skips no
+pass), analyze the optimized unit again, and instrument it with the
+configuration's sanitizer.  Every call builds a fresh unit and shares
+nothing.
 """
 
 from __future__ import annotations
@@ -19,6 +21,8 @@ from repro.optim.pipelines import pipeline_for
 from repro.sanitizers.base import InstrumentationContext
 from repro.sanitizers.registry import build_pass
 
+from reference_pipeline import reference_run
+
 
 def reference_compile(source: str, compiler: str, opt_level: str,
                       sanitizer: Optional[str] = None,
@@ -30,8 +34,8 @@ def reference_compile(source: str, compiler: str, opt_level: str,
     *defect_registry* (``None``: the seeded ones)."""
     version = version if version is not None else trunk_version(compiler)
     unit = parse_program(source)
-    sema = analyze(unit)
-    passes_run = pipeline_for(compiler, opt_level).run(unit, sema)
+    analyze(unit)
+    passes_run = reference_run(pipeline_for(compiler, opt_level), unit)
     # Passes may have created new nodes (literals, rewritten branches):
     # re-run semantic analysis so types and symbols are consistent.
     analysis = analyze(unit)

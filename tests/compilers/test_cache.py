@@ -347,9 +347,9 @@ def test_ill_typed_pass_output_fails_at_first_demand(monkeypatch):
     pass_cls = type(pipeline_for("gcc", "-O2").passes[0])
     real_run = pass_cls.run
 
-    def ill_typed_run(self, unit, sema):
-        changed = real_run(self, unit, sema)
-        for node in walk(unit):
+    def ill_typed_run(self, fn):
+        changed = real_run(self, fn)
+        for node in walk(fn):
             if isinstance(node, ast.Identifier):
                 node.name = "undeclared_by_the_pass"
         return changed

@@ -7,6 +7,7 @@ session-scoped so the many tests that inspect them pay for them only once.
 from __future__ import annotations
 
 import os
+import sys
 
 import pytest
 from hypothesis import settings
@@ -22,6 +23,15 @@ if os.environ.get("CI"):
 from repro.compilers import GccCompiler, LlvmCompiler
 from repro.core import CampaignConfig, FuzzingCampaign, UBGenerator
 from repro.seedgen import CsmithGenerator, GeneratorConfig
+
+# The reference implementations the tests compare against live beside the
+# tests that own them (``tests/optim/reference_pipeline.py``,
+# ``tests/compilers/reference_compile.py``); tests elsewhere import them too.
+for _directory in ("optim", "compilers"):
+    _path = os.path.join(os.path.dirname(os.path.abspath(__file__)),
+                         _directory)
+    if _path not in sys.path:
+        sys.path.insert(0, _path)
 
 #: The paper's Figure 1 program (the motivating GCC ASan FN bug).
 FIGURE1_SOURCE = """\

@@ -4,10 +4,14 @@ import importlib
 
 import pytest
 
-from repro.compilers import GccCompiler
+import repro.analysis.campaign as campaign_module
+from repro.analysis import measure_corpus_coverage
+from repro.compilers import CompilationCache, GccCompiler
 from repro.compilers.options import CompileOptions
 from repro.coverage import CoverageReport, CoverageTracker, merge_reports, report_from_tracker
 from repro.coverage.tracker import branch_directions
+
+from reference_pipeline import record_pass_runs
 
 
 def _count_positive(values):
@@ -69,6 +73,32 @@ def test_tracer_records_exactly_the_directions_taken(monkeypatch):
     assert tracker.arcs & inventory == {
         (code.co_filename, first + line, first + target)
         for line, target in ((2, 3), (2, 5), (3, 4))}
+
+
+def _append_positive(value, seen):
+    if value > 0:
+        seen.append(value)
+
+
+def test_a_function_ending_in_an_if_shows_both_directions(monkeypatch):
+    """Relative to the ``def`` line: the ``if`` (1) runs its body (2) or
+    returns on its own line, since CPython gives the implicit return the
+    line of the decision that jumps to it.  That side goes to the exit,
+    ``-co_firstlineno``, which the tracer records on the frame's return
+    event."""
+    code = _append_positive.__code__
+    first = code.co_firstlineno
+    body = (code.co_filename, first + 1, first + 2)
+    leave = (code.co_filename, first + 1, -first)
+    assert branch_directions(code) == {body, leave}
+    tracker = CoverageTracker()
+    monkeypatch.setattr(tracker, "_files", tracker._files | {__file__})
+    with tracker:
+        _append_positive(1, [])
+    assert tracker.arcs & {body, leave} == {body}
+    with tracker:
+        _append_positive(0, [])
+    assert tracker.arcs & {body, leave} == {body, leave}
 
 
 def test_compiling_under_tracker_records_lines_and_functions(simple_source):
@@ -137,3 +167,50 @@ def test_report_from_tracker_and_merge():
     assert rows[0][0] == "seeds"
     assert rows[-1][0] == "ubfuzz"
     assert report.as_row()[2].endswith("%")
+
+
+class _Forgetful(set):
+    """An optimizer memo that keeps no pair, so no pass is ever skipped."""
+
+    def add(self, pair):
+        pass
+
+
+def test_corpus_coverage_is_the_same_whether_the_memo_skips_or_not(
+        monkeypatch, sample_seeds, sample_ub_programs):
+    """The memo skips a pass only on a function state where the pass
+    already ran, changing nothing, through the same cache, and each
+    (compiler, corpus) of Table 5 compiles through a private cache under
+    its own tracker.  So a corpus records exactly the same arcs and
+    functions whether the memo keeps its pairs or forgets them; a memo
+    shared across corpora would skip a later corpus's runs and credit it
+    with less."""
+    corpora = {
+        "seeds": [seed.source for seed in sample_seeds[:2]],
+        "ubfuzz": [program.source for programs in sample_ub_programs.values()
+                   for program in programs][:2],
+    }
+    recorded = []
+
+    def record(tracker, corpus, compiler):
+        recorded.append((compiler, corpus, frozenset(tracker.arcs),
+                         frozenset(tracker.functions)))
+        return report_from_tracker(tracker, corpus, compiler)
+
+    # The wrappers live outside the traced packages, so they add no arc.
+    runs = record_pass_runs(monkeypatch)
+    monkeypatch.setattr(campaign_module, "report_from_tracker", record)
+    measure_corpus_coverage(corpora, max_programs=2)
+    with_memo, runs_with_memo = list(recorded), len(runs)
+    del recorded[:], runs[:]
+    real_memo = CompilationCache.no_op_memo
+
+    def forgetful_memo(self, fingerprint):
+        real_memo(self, fingerprint)      # its lines count in both runs
+        return _Forgetful()
+
+    monkeypatch.setattr(CompilationCache, "no_op_memo", forgetful_memo)
+    measure_corpus_coverage(corpora, max_programs=2)
+    assert runs_with_memo < len(runs)
+    assert len(recorded) == 4
+    assert recorded == with_memo

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from collections import Counter
+
 import pytest
 
 from repro.cdsl import analyze, parse_program
@@ -19,6 +21,8 @@ from repro.markers import (
 )
 from repro.optim.pipelines import effective_pass_names, pipeline_for
 from repro.reduction import make_marker_predicate
+
+from reference_pipeline import record_pass_runs, reference_run, walk_runs
 
 SOURCE = """\
 int main() {
@@ -72,8 +76,10 @@ def test_survey_covers_every_config(marked):
 def test_survey_runs_each_shared_pass_prefix_once(marked, monkeypatch):
     """A survey optimizes its distinct pipelines in one walk: each step
     that their schedules share (the same passes in the same rounds) runs
-    once, nothing compiles through a driver, and every config's outcome
-    equals its own one-config survey."""
+    once, on each function, a (function state, pass) pair that changed
+    nothing runs once (``reference_pipeline.walk_runs``), nothing compiles
+    through a driver, and every config's outcome equals its own
+    one-config survey."""
     configs = [MarkerConfig(compiler, version, level)
                for compiler in ("gcc", "llvm")
                for version in all_versions(compiler)
@@ -87,30 +93,22 @@ def test_survey_runs_each_shared_pass_prefix_once(marked, monkeypatch):
     reference = {config: EliminationOracle(cache=CompilationCache())
                  .compile_one(marked, config) for config in configs}
 
-    runs = []
-    for cls in {type(p) for pipeline in pipelines.values()
-                for p in pipeline.passes}:
-        def recorded(self, unit, sema, _run=cls.run):
-            runs.append(self.name)
-            return _run(self, unit, sema)
-        monkeypatch.setattr(cls, "run", recorded)
+    runs = record_pass_runs(monkeypatch)
     master = parse_program(marked.source)
-    sema = analyze(master)
-    prefixes, alone = set(), 0
+    analyze(master)
+    logs = []
     for pipeline in pipelines.values():
-        del runs[:]
-        pipeline.run(fast_clone(master), sema)
-        steps = [(index // len(pipeline.passes), name)
-                 for index, name in enumerate(runs)]
-        prefixes.update(tuple(steps[:end]) for end in range(1, len(steps) + 1))
-        alone += len(steps)
+        logs.append([])
+        reference_run(pipeline, fast_clone(master), logs[-1])
+    alone = sum(len(functions) for log in logs for _, functions in log)
 
     compiles = []
     monkeypatch.setattr(SimulatedCompiler, "compile",
                         lambda *args, **kwargs: compiles.append(args))
     del runs[:]
     outcomes = EliminationOracle().survey(marked, configs)
-    assert len(runs) == len(prefixes) < alone
+    assert Counter(runs) == walk_runs(logs)
+    assert len(runs) < alone
     assert compiles == []
     assert list(outcomes) == configs
     for config in configs:

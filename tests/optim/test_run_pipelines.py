@@ -1,13 +1,19 @@
 """The trie walk of several pipelines against each pipeline run alone.
 
-``run_pipelines`` runs every pipeline of a set from one unit, and runs a
-step that identical schedule prefixes share once.  Each result must equal
-the reference loop (``reference_pipeline``) running that pipeline alone
-on a fresh clone.  Sharing a step is sound because a pass takes the unit
-and its sema only (``tests/test_layering.py`` pins that signature): a
-pass that read a release or level would make shared steps and the
-optimized cache key (no release, no level) both wrong.
+``run_pipelines`` runs every pipeline of a set from one unit, runs a step
+that identical schedule prefixes share once, and runs a pass on a
+function state only until it has once changed nothing there.  Each result
+must equal the reference loop (``reference_pipeline``) running that
+pipeline alone on a fresh clone, and the function-pass runs must be
+exactly the ones ``reference_pipeline.walk_runs`` derives from those
+reference runs.  Sharing a step and skipping a known no-op are sound
+because a pass takes one function only (``tests/test_layering.py`` pins
+that signature): a pass that read a release, a level or another function
+would make shared steps, the memo and the optimized cache key (no
+release, no level) wrong.
 """
+
+from collections import Counter
 
 import pytest
 
@@ -18,13 +24,15 @@ from repro.markers import MarkerPlanter
 from repro.optim import (
     OPT_LEVELS,
     ConstantFoldPass,
+    ConstantPropagationPass,
     DeadCodeEliminationPass,
     PassPipeline,
     pipeline_for,
 )
-from repro.optim.passes import OptimizationPass, run_pipelines
+from repro.optim.passes import run_pipelines
+from repro.telemetry import runtime as telemetry
 
-from reference_pipeline import reference_run
+from reference_pipeline import record_pass_runs, reference_run, walk_runs
 
 
 def _distinct_pipelines():
@@ -55,18 +63,9 @@ def sources(sample_seeds, sample_ub_programs):
 
 @pytest.fixture()
 def pass_runs(monkeypatch):
-    """The names of the passes run, in order, recorded for every pass."""
-    runs = []
-    pending = list(OptimizationPass.__subclasses__())
-    while pending:
-        cls = pending.pop()
-        pending.extend(cls.__subclasses__())
-        if "run" in vars(cls):
-            def recorded(self, unit, sema, _run=vars(cls)["run"]):
-                runs.append(self.name)
-                return _run(self, unit, sema)
-            monkeypatch.setattr(cls, "run", recorded)
-    return runs
+    """Every function-pass run, in order, as ``(function name, pass name,
+    changed)``."""
+    return record_pass_runs(monkeypatch)
 
 
 def test_the_pipelines_share_prefixes():
@@ -83,27 +82,26 @@ def test_the_pipelines_share_prefixes():
 def _walk_and_compare(master, pipelines, pass_runs) -> int:
     """Walk *pipelines* from a clone of *master* and compare each result
     with the reference run alone on a fresh clone: the same printed unit
-    and passes run, one pass run per distinct executed prefix (the passes
-    and the rounds they ran in), the starting unit serving one result and
-    the master unchanged.  Returns the pass runs the walk saved."""
-    sema = analyze(master)
+    and passes run, exactly the function-pass runs of
+    :func:`walk_runs` (each distinct executed prefix, the passes and the
+    rounds they ran in, runs once on each function, and a (function
+    state, pass) pair that changed nothing runs once), the starting unit
+    serving one result and the master unchanged.  Returns the
+    function-pass runs the walk saved."""
+    analyze(master)
     text = print_program(master)
-    expected, prefixes, alone = [], set(), 0
+    expected, logs = [], []
     for pipeline in pipelines:
         work = fast_clone(master)
-        del pass_runs[:]
-        passes_run = reference_run(pipeline, work, sema)
+        log = []
+        passes_run = reference_run(pipeline, work, log)
         expected.append((print_program(work), passes_run))
-        # Alone, every round runs every pass of the pipeline.
-        steps = [(index // len(pipeline.passes), name)
-                 for index, name in enumerate(pass_runs)]
-        prefixes.update(tuple(steps[:end])
-                        for end in range(1, len(steps) + 1))
-        alone += len(steps)
+        logs.append(log)
+    alone = sum(len(runs) for log in logs for _, runs in log)
     start = fast_clone(master)
     del pass_runs[:]
-    results = run_pipelines(start, sema, pipelines)
-    assert len(pass_runs) == len(prefixes)
+    results = run_pipelines(start, pipelines)
+    assert Counter(pass_runs) == walk_runs(logs)
     assert [(print_program(unit), list(passes_run))
             for unit, passes_run in results] == expected
     assert any(unit is start for unit, _ in results)
@@ -114,25 +112,47 @@ def _walk_and_compare(master, pipelines, pass_runs) -> int:
 def test_walk_equals_each_pipeline_run_alone(sources, pass_runs):
     saved = sum(_walk_and_compare(parse_program(source), PIPELINES, pass_runs)
                 for source in sources)
-    assert saved > 0, "no pass run was shared"
+    assert saved > 0, "no function-pass run was saved"
 
 
 def test_a_round_boundary_ends_sharing(pass_runs):
-    """The third step of both pipelines is constant folding of the same
-    unit, but one starts its second round with it, so it runs twice."""
+    """The third step of both pipelines runs the same pass on the same
+    function state, but one starts its second round with it, so the walk
+    runs that step in each branch.  A pass that changes the function there
+    runs twice; one that changed nothing there before runs once."""
+    two_rounds = PassPipeline([ConstantPropagationPass(), ConstantFoldPass()],
+                              max_iterations=2)
+    one_round = PassPipeline([ConstantPropagationPass(), ConstantFoldPass(),
+                              ConstantPropagationPass()], max_iterations=1)
+    master = parse_program(
+        "int main() { int x = 2 + 3; int y = x; return y; }")
+    # Folding makes x a constant, which the third step propagates.
+    assert _walk_and_compare(master, [two_rounds, one_round], pass_runs) == 2
+    assert sorted(pass_runs) == sorted([
+        ("main", "constprop", False), ("main", "constant-fold", True),
+        ("main", "constprop", True), ("main", "constant-fold", False),
+        ("main", "constprop", True)])
+
     two_rounds = PassPipeline([ConstantFoldPass(), DeadCodeEliminationPass()],
                               max_iterations=2)
     one_round = PassPipeline([ConstantFoldPass(), DeadCodeEliminationPass(),
                               ConstantFoldPass()], max_iterations=1)
     master = parse_program(
         "int main() { int x = 2 + 3; if (x > 9) { x = 1; } return x; }")
-    assert _walk_and_compare(master, [two_rounds, one_round], pass_runs) == 2
+    # The third step's fold changes nothing, so it runs in one branch only,
+    # and the second round's dce, which changed nothing on the same state
+    # in the first round, does not run.
+    assert _walk_and_compare(master, [two_rounds, one_round], pass_runs) == 4
+    assert pass_runs == [("main", "constant-fold", True),
+                         ("main", "dce", False),
+                         ("main", "constant-fold", False)]
 
 
 def test_pipeline_run_is_the_one_pipeline_walk(sources, pass_runs,
                                                monkeypatch):
     """``PassPipeline.run`` transforms its unit in place, clones nothing
-    and runs exactly the reference's passes."""
+    and makes exactly the reference's function-pass runs, less the
+    repeats of a (function state, pass) pair that changed nothing."""
     import repro.optim.passes as passes_module
 
     def no_clone(node):
@@ -141,14 +161,38 @@ def test_pipeline_run_is_the_one_pipeline_walk(sources, pass_runs,
     monkeypatch.setattr(passes_module, "fast_clone", no_clone)
     for source in sources[:3]:
         master = parse_program(source)
-        sema = analyze(master)
+        analyze(master)
         for pipeline in PIPELINES:
-            reference = fast_clone(master)
-            del pass_runs[:]
-            expected = reference_run(pipeline, reference, sema)
-            expected_runs = list(pass_runs)
+            reference, log = fast_clone(master), []
+            expected = reference_run(pipeline, reference, log)
             unit = fast_clone(master)
             del pass_runs[:]
-            assert pipeline.run(unit, sema) == expected
-            assert pass_runs == expected_runs
+            assert pipeline.run(unit) == expected
+            assert Counter(pass_runs) == walk_runs([log])
             assert print_program(unit) == print_program(reference)
+
+
+def test_a_walk_counts_its_runs_and_skips(sources, pass_runs):
+    """Under telemetry, a walk adds the function-pass runs it made to
+    ``optim.function_runs`` and the ones the memo skipped to
+    ``optim.function_skips``: together, one per function at each distinct
+    executed prefix."""
+    master = parse_program(sources[0])
+    analyze(master)
+    functions = sum(fn.body is not None for fn in master.functions)
+    prefixes = set()
+    for pipeline in PIPELINES:
+        log = []
+        reference_run(pipeline, fast_clone(master), log)
+        steps = [step for step, _ in log]
+        prefixes.update(tuple(steps[:end]) for end in range(1, len(steps) + 1))
+    del pass_runs[:]
+    session = telemetry.enable(campaign="t-walk-counts")
+    try:
+        run_pipelines(fast_clone(master), PIPELINES)
+    finally:
+        telemetry.disable()
+    runs = session.metrics.counter_value("optim.function_runs")
+    skips = session.metrics.counter_value("optim.function_skips")
+    assert runs == len(pass_runs)
+    assert skips == len(prefixes) * functions - runs > 0

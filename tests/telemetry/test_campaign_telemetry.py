@@ -144,6 +144,12 @@ def test_stats_cli_renders_profile(traced_runs, capsys):
     assert "stage profile" in out
     assert "generate" in out and "execute" in out
     assert "compilation cache" in out
+    counters = load_profile(root).counters
+    assert counters["optim.function_runs"] > 0
+    assert counters["optim.function_skips"] > 0
+    assert (f"optimizer             : {counters['optim.function_runs']} "
+            f"function-pass runs, {counters['optim.function_skips']} skipped "
+            f"as known no-ops") in out
     assert "vm" in out
 
     assert cli_main(["stats", root, "--json"]) == 0

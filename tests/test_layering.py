@@ -1,7 +1,7 @@
 """Static checks: ``repro.core`` imports no package that sits above it,
 the checkpoint records import no package a run is made of, the seed
 generator imports none of the packages its seeds feed, and an optimizer
-pass takes nothing but the unit and its sema."""
+pass takes nothing but the function it transforms."""
 
 import ast
 import inspect
@@ -64,11 +64,13 @@ def test_seed_generator_imports_none_of_its_consumers():
     assert _imports_of(path, consumers) == []
 
 
-def test_passes_take_the_unit_and_its_sema_only():
+def test_passes_take_one_function_only():
     """``run_pipelines`` runs a step that several pipelines share once,
-    across compilers, releases and levels, and the optimized cache key
-    names no release: both hold only while a pass can read none of them.
-    So every pass defines ``run(self, unit, sema)`` and nothing more."""
+    across compilers, releases and levels, skips a pass on a function
+    state it once left unchanged, and the optimized cache key names no
+    release: all three hold only while a pass can read nothing but the
+    function it transforms.  So every pass defines ``run(self, fn)`` and
+    nothing more."""
     passes, pending = [], list(OptimizationPass.__subclasses__())
     while pending:
         cls = pending.pop()
@@ -78,4 +80,4 @@ def test_passes_take_the_unit_and_its_sema_only():
     for cls in [OptimizationPass, *passes]:
         assert "run" in vars(cls), cls.__name__
         assert list(inspect.signature(cls.run).parameters) == \
-            ["self", "unit", "sema"], cls.__name__
+            ["self", "fn"], cls.__name__
