@@ -7,18 +7,24 @@ UBfuzz / Csmith-NoSafe showing the largest increases.
 
 from bench_common import COMPARISON_SCALE, print_table, run_once
 
-from repro.analysis import measure_corpus_coverage, run_generator_comparison, table5_coverage
+from repro.analysis import (
+    measure_corpus_coverage,
+    round_robin_by_seed,
+    run_generator_comparison,
+    table5_coverage,
+)
 
 
 def test_table5_coverage(benchmark):
     def measure():
         comparison = run_generator_comparison(**COMPARISON_SCALE)
-        corpora = {
-            "seeds": [seed.source for seed in comparison.seeds],
-            "music": [p.source for p in comparison.programs["music"]],
-            "csmith-nosafe": [p.source for p in comparison.programs["csmith-nosafe"]],
-            "ubfuzz": [p.source for p in comparison.programs["ubfuzz"]],
-        }
+        # Each generator's first programs are taken round-robin across the
+        # seeds, so that every corpus, like the seeds row, draws on every
+        # seed and not on the first seed alone.
+        corpora = {"seeds": [seed.source for seed in comparison.seeds]}
+        for generator in ("music", "csmith-nosafe", "ubfuzz"):
+            corpora[generator] = [program.source for program in
+                                  round_robin_by_seed(comparison.programs[generator])]
         return measure_corpus_coverage(corpora, opt_level="-O2", max_programs=10)
 
     reports = run_once(benchmark, measure)

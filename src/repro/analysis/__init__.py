@@ -11,6 +11,7 @@ from repro.analysis.campaign import (
     evaluate_oracle_accuracy,
     juliet_programs,
     measure_corpus_coverage,
+    round_robin_by_seed,
     run_baseline_bug_hunt,
     run_bug_finding_campaign,
     run_generator_comparison,
@@ -44,7 +45,7 @@ __all__ = [
     "BaselineBugHunt", "CampaignCache", "GeneratorComparison", "OracleAccuracy",
     "classify_ub", "clear_campaign_cache",
     "evaluate_oracle_accuracy", "juliet_programs",
-    "measure_corpus_coverage", "run_baseline_bug_hunt",
+    "measure_corpus_coverage", "round_robin_by_seed", "run_baseline_bug_hunt",
     "run_bug_finding_campaign", "run_generator_comparison",
     "ascii_bar_chart", "figure7_bugs_per_ub", "figure9_summary",
     "figure9_tracker_history", "figure10_affected_versions",

@@ -12,6 +12,7 @@ only pay for it once per session.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from itertools import zip_longest
 from typing import Dict, List, Optional, Tuple
 
 from repro.compilers.cache import CompilationCache
@@ -352,6 +353,23 @@ def _ground_truth_is_bug(cache: CompilationCache, program: UBProgram,
 # ---------------------------------------------------------------------------
 # RQ4: coverage (Table 5)
 # ---------------------------------------------------------------------------
+
+def round_robin_by_seed(programs: List[UBProgram]) -> List[UBProgram]:
+    """*programs* taken round-robin across their ``seed_index`` values, in
+    ascending order: the first program of each seed, then the second of
+    each, and so on, each seed's programs in their own order.
+
+    A generator emits each seed's programs together, so the first N of
+    its list may all come from seed 0; the first N of this order draw on
+    every seed, as a corpus of the seeds themselves does (Table 5).
+    """
+    by_seed: Dict[int, List[UBProgram]] = {}
+    for program in programs:
+        by_seed.setdefault(program.seed_index, []).append(program)
+    rounds = zip_longest(*(by_seed[index] for index in sorted(by_seed)))
+    return [program for round_ in rounds for program in round_
+            if program is not None]
+
 
 def measure_corpus_coverage(sources_by_corpus: Dict[str, List[str]],
                             compilers: Tuple[str, ...] = ("gcc", "llvm"),

@@ -55,12 +55,12 @@ from repro.markers.oracle import (
 from repro.seedgen.config import GeneratorConfig
 from repro.seedgen.csmith import (
     VALIDATION_MAX_STEPS,
-    AnalyzedUnit,
+    Attempt,
     CsmithGenerator,
     runs_to_completion,
 )
 from repro.telemetry import runtime as telemetry
-from repro.utils.errors import GenerationError
+from repro.utils.errors import CompilationError, GenerationError
 
 logger = logging.getLogger(__name__)
 
@@ -322,34 +322,45 @@ class MarkerEngine:
         its reference run (``None`` when the run does not finish).
 
         The generator accepts each attempt through that one run: the
-        attempt's analyzed unit is planted (a clone, never a new parse)
-        and its marked program run by :meth:`EliminationOracle.liveness`.
-        Planting adds prototypes, a marker call at the head of existing
-        blocks and ``else { marker(); }`` where an ``else`` was missing —
-        every arm and loop body the generator emits is a block — and a
-        marker call is a stub call that returns 0 and changes no state.
-        So a planted run that finishes ``ok`` in T steps contains the
-        seed's own run, which finishes ``ok`` in at most T steps: T within
+        check plants the generator's own tree in place
+        (:meth:`~repro.markers.instrument.MarkerPlanter.plant`, with the
+        attempt's text as ``base_source``), and
+        :meth:`EliminationOracle.liveness` runs the marked program from
+        its frontend master, the seed's only parse, which the survey
+        reads too.  That plant equals a plant of the validated parse:
+        planting reads only statement structure, and the generator's tree
+        prints the same text as its parse.  Planting adds prototypes, a
+        marker call at the head of existing blocks and
+        ``else { marker(); }`` where an ``else`` was missing — every arm
+        and loop body the generator emits is a block — and a marker call
+        is a stub call that returns 0 and changes no state.  So a planted
+        run that finishes ``ok`` in T steps contains the seed's own run,
+        which finishes ``ok`` in at most T steps: T within
         :data:`~repro.seedgen.csmith.VALIDATION_MAX_STEPS` accepts the
         attempt.  Any other outcome (more steps, a timeout under a smaller
-        ``max_steps``, a VM error) falls back to the seed's own run, so the
-        accepted attempt, and its liveness, are those of the plain
-        generator followed by a plant and a liveness run.  Raises
-        :class:`~repro.utils.errors.GenerationError` when no attempt is
-        accepted.
+        ``max_steps``, a VM error, a marked text that fails to parse or
+        analyze) falls back to the seed's own run, which parses the seed
+        only then, so the accepted attempt, and its liveness, are those of
+        the plain generator followed by a plant and a liveness run.
+        Raises :class:`~repro.utils.errors.GenerationError` when no
+        attempt is accepted.
         """
         marked: Optional[MarkedProgram] = None
         reached: Optional[Tuple[str, ...]] = None
 
-        def accept(analyzed: AnalyzedUnit) -> str:
+        def accept(attempt: Attempt) -> str:
             nonlocal marked, reached
             with telemetry.stage("generate", seed=seed_index, kind="markers"):
-                marked = self.planter.plant(analyzed[0],
-                                            seed_index=seed_index)
-            reached, steps = self.oracle.liveness(marked)
-            if reached is not None and steps <= VALIDATION_MAX_STEPS:
-                return ""
-            return runs_to_completion(analyzed)
+                marked = self.planter.plant(attempt.unit, seed_index,
+                                            base_source=attempt.source)
+            try:
+                reached, steps = self.oracle.liveness(marked)
+            except CompilationError:
+                reached = None
+            else:
+                if reached is not None and steps <= VALIDATION_MAX_STEPS:
+                    return ""
+            return runs_to_completion(attempt)
 
         with telemetry.stage("generate", seed=seed_index):
             self.seed_generator.generate(seed_index, accept=accept)

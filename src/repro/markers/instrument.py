@@ -23,8 +23,9 @@ this).
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
-from typing import List, Optional, Tuple, Union
+from typing import Dict, List, Optional, Tuple, Union
 
 from repro.cdsl import ast_nodes as ast
 from repro.cdsl import ctypes_ as ct
@@ -95,23 +96,31 @@ class MarkerPlanter:
         self.prefix = prefix
 
     def plant(self, source: Union[str, ast.TranslationUnit],
-              seed_index: int = 0) -> MarkedProgram:
+              seed_index: int = 0,
+              base_source: Optional[str] = None) -> MarkedProgram:
         """Instrument *source* and return the marked program.
 
-        String input is parsed fresh.  AST input — such as a validated
-        seed's :attr:`~repro.seedgen.SeedProgram.analyzed` unit — is never
+        String input is parsed fresh and is its own ``base_source``.  A
+        tree given with *base_source*, the text it prints as, is the
+        caller's to give up: markers go into it in place.  The marker
+        engine plants the generator's own tree this way (see
+        :meth:`~repro.markers.engine.MarkerEngine._marked_seed`).  A tree
+        given alone — such as a validated seed's
+        :attr:`~repro.seedgen.SeedProgram.analyzed` unit — is never
         mutated: markers go into a :func:`~repro.cdsl.visitor.fast_clone`
         of it, and ``base_source`` is its printed text.  Planting reads
-        only the tree's structure, never its annotations, and line
-        information is computed against the printed marked text, so a
-        parsed unit plants byte-identically to its source text.
+        only the tree's statement structure, never its annotations or
+        locations, and each site's line is found in the printed marked
+        text, in one pass over it; so every tree that prints as the same
+        text, its parse or the tree it was printed from, plants to the
+        same marked program.
         """
         if isinstance(source, str):
-            base_source = source
-            unit = parse_program(source)
+            unit, base_source = parse_program(source), source
+        elif base_source is None:
+            unit, base_source = fast_clone(source), print_program(source)
         else:
-            base_source = print_program(source)
-            unit = fast_clone(source)
+            unit = source
         planted: List[_PlantedMarker] = []
         for fn in unit.functions:
             if fn.body is not None:
@@ -126,9 +135,10 @@ class MarkerPlanter:
         ]
         unit.decls[0:0] = prototypes
         text = print_program(unit)
+        lines = _lines_of_calls(text, self.prefix)
         sites = tuple(
             MarkerSite(name=p.name, function=p.function, context=p.context,
-                       line=_line_of_call(text, p.name))
+                       line=lines.get(p.name, 0))
             for p in planted)
         return MarkedProgram(source=text, base_source=base_source,
                              sites=sites, prefix=self.prefix,
@@ -195,9 +205,12 @@ def marker_calls(root: ast.Node, prefix: str = DEFAULT_MARKER_PREFIX
             if isinstance(node, ast.Call) and node.name.startswith(prefix)]
 
 
-def _line_of_call(text: str, name: str) -> int:
-    needle = f"{name}();"
+def _lines_of_calls(text: str, prefix: str) -> Dict[str, int]:
+    """The 1-based line of each marker call ``<prefix><N>_();`` in *text*:
+    the first line whose text contains it, found in one pass."""
+    call = re.compile(re.escape(prefix) + r"\d+_(?=\(\);)")
+    lines: Dict[str, int] = {}
     for lineno, line in enumerate(text.splitlines(), start=1):
-        if needle in line:
-            return lineno
-    return 0
+        for match in call.finditer(line):
+            lines.setdefault(match.group(), lineno)
+    return lines

@@ -43,11 +43,46 @@ AnalyzedUnit = Tuple[ast.TranslationUnit, SemanticInfo]
 VALIDATION_MAX_STEPS = 100_000
 
 
-def runs_to_completion(analyzed: AnalyzedUnit) -> str:
-    """The default seed check: ``""`` when the analyzed program runs to
-    completion (status ``ok``) within :data:`VALIDATION_MAX_STEPS` steps,
-    otherwise the reason it is not a valid seed."""
-    result = run_program(*analyzed, max_steps=VALIDATION_MAX_STEPS)
+class _FrontendError(Exception):
+    """An attempt's text failed to parse or analyze; the message is the
+    frontend's."""
+
+
+class Attempt:
+    """One generated attempt, as a seed check judges it.
+
+    ``unit`` is the builder's tree, which the check may take over and
+    change in place: nothing else reads it.  ``source`` is its printed
+    text, and :attr:`analyzed` the analyzed parse of that text, built only
+    when a check first reads it.
+    """
+
+    __slots__ = ("unit", "source", "_analyzed")
+
+    def __init__(self, unit: ast.TranslationUnit, source: str) -> None:
+        self.unit = unit
+        self.source = source
+        self._analyzed: Optional[AnalyzedUnit] = None
+
+    @property
+    def analyzed(self) -> AnalyzedUnit:
+        """The ``(unit, sema)`` pair of a fresh parse of :attr:`source`,
+        built on first read.  A parse or analysis failure rejects the
+        attempt as ``frontend: ...``, whatever check read it."""
+        if self._analyzed is None:
+            try:
+                parsed = parse_program(self.source)
+                self._analyzed = (parsed, analyze(parsed))
+            except Exception as exc:
+                raise _FrontendError(str(exc)) from exc
+        return self._analyzed
+
+
+def runs_to_completion(attempt: Attempt) -> str:
+    """The default seed check: ``""`` when the attempt's analyzed parse
+    runs to completion (status ``ok``) within :data:`VALIDATION_MAX_STEPS`
+    steps, otherwise the reason it is not a valid seed."""
+    result = run_program(*attempt.analyzed, max_steps=VALIDATION_MAX_STEPS)
     if result.status != "ok":
         return f"execution: {result.status} {result.error or ''}"
     return ""
@@ -57,11 +92,14 @@ def runs_to_completion(analyzed: AnalyzedUnit) -> str:
 class SeedProgram:
     """One generated seed: its source text plus generation metadata.
 
-    ``analyzed`` is the ``(unit, sema)`` pair that validation built from
-    ``source`` (``None`` when the seed was generated without validation),
-    so the seed's consumers — :meth:`~repro.markers.MarkerPlanter.plant`
-    and :class:`~repro.core.ubgen.UBGenerator` — need not parse it again.
-    It is shared read-only: consumers work on a
+    ``analyzed`` is the ``(unit, sema)`` pair of the parse the accepting
+    check read (:attr:`Attempt.analyzed`): the default check's validation
+    run reads it, so the seed's consumers —
+    :class:`~repro.core.ubgen.UBGenerator`, or
+    :meth:`~repro.markers.MarkerPlanter.plant` given that unit — need not
+    parse it again.  It is ``None`` when the seed was generated without
+    validation or accepted by a check that read no parse, as the marker
+    engine's does.  It is shared read-only: consumers work on a
     :func:`~repro.cdsl.visitor.fast_clone`.  It takes no part in equality
     or ``repr`` and is never persisted; whatever outlives the seed should
     keep its text, not this pair.
@@ -103,43 +141,44 @@ class CsmithGenerator:
     # -- public API -------------------------------------------------------------
 
     def generate(self, index: int = 0, validate: bool = True,
-                 accept: Optional[Callable[[AnalyzedUnit], str]] = None
+                 accept: Optional[Callable[[Attempt], str]] = None
                  ) -> SeedProgram:
         """Generate the *index*-th seed program for this configuration.
 
-        With *validate*, each attempt must parse and analyze, and then pass
-        a check on its analyzed ``(unit, sema)``: *accept* when given,
+        With *validate*, each attempt must pass a check on the
+        :class:`Attempt` itself: *accept* when given,
         :func:`runs_to_completion` otherwise.  A check returns ``""`` to
-        accept the attempt or the reason it rejects it.  A consumer that
-        runs the seed anyway passes its own run as *accept*, so the seed is
-        not executed twice; its check must accept exactly the attempts the
-        default check accepts.  The returned seed carries the analyzed
-        parse (:attr:`SeedProgram.analyzed`).  A rejected attempt adds to
-        the ``seedgen.invalid_attempts`` counter and an index whose every
+        accept the attempt or the reason it rejects it.  It reads what it
+        needs: the builder's tree, which it may take over, the printed
+        text, or the analyzed parse, which is built only when first read;
+        a parse or analysis failure rejects the attempt as
+        ``frontend: ...``.  A consumer that runs the seed anyway passes
+        its own run as *accept*, so the seed is not executed twice; its
+        check must accept exactly the attempts the default check accepts.
+        The returned seed carries the parse its check read, if any
+        (:attr:`SeedProgram.analyzed`).  A rejected attempt adds to the
+        ``seedgen.invalid_attempts`` counter and an index whose every
         attempt fails to ``seedgen.dropped_seeds`` before
         :class:`~repro.utils.errors.GenerationError` is raised.
         """
         check = accept if accept is not None else runs_to_completion
-        for attempt in range(4):
-            # The salt folds the retry attempt into the index (attempts < 4,
+        for number in range(4):
+            # The salt folds the retry number into the index (numbers < 4,
             # spacing 31 keeps the salts collision-free).
-            rng = RandomSource(derive_seed(self.config.seed, index * 31 + attempt))
+            rng = RandomSource(derive_seed(self.config.seed, index * 31 + number))
             builder = _ProgramBuilder(self.config, rng)
             unit = builder.build()
             source = print_program(unit)
             if not validate:
-                return SeedProgram(source, index, metadata={"attempt": attempt})
+                return SeedProgram(source, index, metadata={"attempt": number})
+            attempt = Attempt(unit, source)
             try:
-                parsed = parse_program(source)
-                analyzed = (parsed, analyze(parsed))
-            except Exception as exc:
+                last_error = check(attempt)
+            except _FrontendError as exc:
                 last_error = f"frontend: {exc}"
-            else:
-                last_error = check(analyzed)
-                if not last_error:
-                    return SeedProgram(source, index,
-                                       metadata={"attempt": attempt},
-                                       analyzed=analyzed)
+            if not last_error:
+                return SeedProgram(source, index, metadata={"attempt": number},
+                                   analyzed=attempt._analyzed)
             telemetry.inc("seedgen.invalid_attempts")
         telemetry.inc("seedgen.dropped_seeds")
         raise GenerationError(f"could not generate a valid seed for index "
@@ -159,7 +198,7 @@ class CsmithNoSafeGenerator(CsmithGenerator):
         super().__init__(GeneratorConfig(seed=seed, safe_math=False))
 
     def generate(self, index: int = 0, validate: bool = True,
-                 accept: Optional[Callable[[AnalyzedUnit], str]] = None
+                 accept: Optional[Callable[[Attempt], str]] = None
                  ) -> SeedProgram:
         # NoSafe programs may contain arithmetic UB; they must still parse
         # and terminate, so validation keeps running but ignores UB.

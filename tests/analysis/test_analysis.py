@@ -14,6 +14,7 @@ from repro.analysis import (
     figure10_affected_versions,
     figure11_affected_opt_levels,
     juliet_programs,
+    round_robin_by_seed,
     table2_sanitizer_support,
     table3_bug_status,
     table4_generator_comparison,
@@ -21,6 +22,7 @@ from repro.analysis import (
     tracker_history,
 )
 from repro.analysis.campaign import GeneratorComparison
+from repro.core.insertion import UBProgram
 from repro.core.ub_types import ALL_UB_TYPES, UBType
 from repro.utils.text import format_table
 
@@ -130,6 +132,15 @@ def test_table4_rendering_from_synthetic_comparison():
     assert rows[1][-1] == 10
     text = format_table(headers, rows)
     assert "ubfuzz" in text
+
+
+def test_round_robin_by_seed_draws_on_every_seed_in_turn():
+    programs = [UBProgram(source=f"s{seed}p{n}", ub_type=UBType.DIVIDE_BY_ZERO,
+                          seed_index=seed)
+                for seed, count in ((2, 1), (0, 3), (1, 2)) for n in range(count)]
+    assert [p.source for p in round_robin_by_seed(programs)] == [
+        "s0p0", "s1p0", "s2p0", "s0p1", "s1p1", "s0p2"]
+    assert round_robin_by_seed([]) == []
 
 
 def test_oracle_accuracy_on_small_campaign(small_campaign):

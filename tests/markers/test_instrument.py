@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import pytest
+
 from repro.cdsl import analyze, parse_program
 from repro.markers import MarkerPlanter, marker_calls
 from repro.markers.instrument import (
@@ -10,6 +12,7 @@ from repro.markers.instrument import (
     CONTEXT_IF_THEN,
     CONTEXT_LOOP_BODY,
 )
+from repro.seedgen import CsmithGenerator, GeneratorConfig
 
 SOURCE = """\
 int helper(int x) { if (x) { return 1; } return 2; }
@@ -89,3 +92,39 @@ def test_base_source_and_prefix_are_recorded():
     assert marked.prefix == "__probe_"
     assert marked.seed_index == 7
     assert all(site.name.startswith("__probe_") for site in marked.sites)
+
+
+@pytest.mark.parametrize("prefix", ["__ubfm_", "__probe_"])
+def test_each_sites_line_is_the_first_line_calling_its_marker(prefix):
+    """On generated seeds, whose markers run past ten (so ``__ubfm_1_``
+    and ``__ubfm_11_`` both exist), each site's line is the first line
+    whose text contains ``<name>();``."""
+    generator = CsmithGenerator(GeneratorConfig(seed=11))
+    planter = MarkerPlanter(prefix=prefix)
+    planted = []
+    for index in range(6):
+        marked = planter.plant(generator.generate(index).source)
+        planted.append(len(marked.sites))
+        lines = marked.source.splitlines()
+        for site in marked.sites:
+            first = next(number for number, line in enumerate(lines, start=1)
+                         if f"{site.name}();" in line)
+            assert site.line == first
+    assert max(planted) > 11
+
+
+def test_planting_a_tree_in_place_equals_planting_a_parse_of_its_text():
+    """The generator's own tree, given with its text, plants to the marked
+    program a parse of that text plants to, and is the tree that carries
+    the markers."""
+    generator = CsmithGenerator(GeneratorConfig(seed=11))
+    planter = MarkerPlanter()
+    for index in range(4):
+        captured = []
+        seed = generator.generate(
+            index, accept=lambda attempt: captured.append(attempt) or "")
+        unit = captured[-1].unit
+        marked = planter.plant(unit, index, base_source=seed.source)
+        assert marked == planter.plant(seed.source, seed_index=index)
+        assert marked.base_source == seed.source
+        assert set(marker_calls(unit)) == set(marked.marker_names)

@@ -8,7 +8,8 @@ from __future__ import annotations
 
 import pytest
 
-from repro.cdsl import analyze, parse_program
+from repro.cdsl import analyze, ast_nodes as ast, parse_program
+from repro.cdsl.visitor import walk
 from repro.markers import (
     EliminationOracle,
     MarkerCampaignConfig,
@@ -66,10 +67,9 @@ def vm_runs(monkeypatch):
     return runs
 
 
-@pytest.fixture()
-def reject_first_attempt(monkeypatch):
-    """Attempt 0 of every seed index builds a program without ``main``,
-    which the VM refuses to run, planted or not."""
+def _spoil_attempt_zero(monkeypatch, spoil):
+    """Make attempt 0 of every seed index build the program *spoil* makes
+    of the builder's tree."""
     salts = []
     real_derive, real_build = csmith.derive_seed, csmith._ProgramBuilder.build
 
@@ -80,11 +80,32 @@ def reject_first_attempt(monkeypatch):
     def build(self):
         unit = real_build(self)
         if salts[-1] % 31 == 0:
-            unit.function_named("main").name = "not_main"
+            spoil(unit)
         return unit
 
     monkeypatch.setattr(csmith, "derive_seed", recording_derive)
     monkeypatch.setattr(csmith._ProgramBuilder, "build", build)
+
+
+@pytest.fixture()
+def reject_first_attempt(monkeypatch):
+    """Attempt 0 of every seed index builds a program without ``main``,
+    which the VM refuses to run, planted or not."""
+    def rename_main(unit):
+        unit.function_named("main").name = "not_main"
+
+    _spoil_attempt_zero(monkeypatch, rename_main)
+
+
+@pytest.fixture()
+def undeclared_first_attempt(monkeypatch):
+    """Attempt 0 of every seed index uses an undeclared identifier in
+    ``main``, so its text, planted or not, fails analysis."""
+    def rename_identifier(unit):
+        next(node for node in walk(unit.function_named("main"))
+             if isinstance(node, ast.Identifier)).name = "undeclared_0"
+
+    _spoil_attempt_zero(monkeypatch, rename_identifier)
 
 
 def test_run_seed_executes_each_seed_once(vm_runs):
@@ -145,6 +166,27 @@ def test_engine_and_generator_pick_the_same_attempt(reject_first_attempt):
     assert (marked, reached) == (reference_marked, reference_reached)
     assert marked.base_source == seed.source
     assert session.metrics.counter_value("seedgen.invalid_attempts") == 1
+
+
+def test_engine_rejects_an_attempt_whose_text_fails_analysis(
+        undeclared_first_attempt, vm_runs):
+    """The marked text of attempt 0 fails analysis, so the liveness run
+    never starts and the seed's own check rejects the attempt as a
+    frontend failure, as the plain generator does; attempt 1 is the
+    seed, validated by its one planted run."""
+    config = MarkerCampaignConfig(**SMALL)
+    engine = MarkerEngine(config)
+    session = telemetry.enable(campaign="t-engine-rejects-analysis")
+    try:
+        marked, reached = engine._marked_seed(0)
+    finally:
+        telemetry.disable()
+    assert len(vm_runs) == 1
+    assert session.metrics.counter_value("seedgen.invalid_attempts") == 1
+    seed, reference_marked, reference_reached = _reference(config, 0)
+    assert seed.metadata["attempt"] == 1
+    assert (marked, reached) == (reference_marked, reference_reached)
+    assert marked.base_source == seed.source
 
 
 @pytest.mark.slow

@@ -5,7 +5,8 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.cdsl import analyze, ast_nodes as ast, parse_program
-from repro.cdsl.visitor import find_nodes
+from repro.cdsl.printer import print_program
+from repro.cdsl.visitor import find_nodes, walk
 from repro.compilers import GccCompiler, LlvmCompiler
 from repro.core.matching import get_matched_exprs
 from repro.core.ub_types import ALL_UB_TYPES, UBType
@@ -108,9 +109,9 @@ def test_generator_counts_a_rejected_attempt(monkeypatch):
     """An attempt the check rejects is counted, and the next is kept."""
     judged = []
 
-    def reject_first(analyzed):
-        judged.append(analyzed)
-        return "execution: rejected" if len(judged) == 1 else real(analyzed)
+    def reject_first(attempt):
+        judged.append(attempt)
+        return "execution: rejected" if len(judged) == 1 else real(attempt)
 
     real = csmith.runs_to_completion
     monkeypatch.setattr(csmith, "runs_to_completion", reject_first)
@@ -131,11 +132,62 @@ def test_generator_counts_a_dropped_seed():
     try:
         with pytest.raises(GenerationError, match="execution: rejected"):
             CsmithGenerator(GeneratorConfig(seed=5)).generate(
-                3, accept=lambda analyzed: "execution: rejected")
+                3, accept=lambda attempt: "execution: rejected")
     finally:
         telemetry.disable()
     assert session.metrics.counter_value("seedgen.invalid_attempts") == 4
     assert session.metrics.counter_value("seedgen.dropped_seeds") == 1
+
+
+def test_a_check_judges_the_attempt_and_builds_its_parse_only_by_reading_it(
+        monkeypatch):
+    """A check receives the builder's tree and its printed text; the
+    analyzed parse is built on its first read, once, and the seed carries
+    it only when the accepting check read it."""
+    parses = []
+    real_parse = csmith.parse_program
+    monkeypatch.setattr(csmith, "parse_program",
+                        lambda source: parses.append(source)
+                        or real_parse(source))
+    generator = CsmithGenerator(GeneratorConfig(seed=5))
+    attempts = []
+
+    def read_nothing(attempt):
+        attempts.append(attempt)
+        return ""
+
+    seed = generator.generate(3, accept=read_nothing)
+    assert parses == [] and seed.analyzed is None
+    assert print_program(attempts[0].unit) == attempts[0].source == seed.source
+
+    def read_twice(attempt):
+        assert attempt.analyzed is attempt.analyzed
+        return ""
+
+    assert generator.generate(3, accept=read_twice).analyzed is not None
+    assert parses == [seed.source]
+
+
+def test_a_frontend_failure_a_check_reads_rejects_the_attempt(monkeypatch):
+    """Reading the parse of an attempt whose text fails analysis rejects
+    the attempt as ``frontend: ...``, whatever check read it."""
+    real_build = csmith._ProgramBuilder.build
+
+    def undeclared(self):
+        unit = real_build(self)
+        next(node for node in walk(unit.function_named("main"))
+             if isinstance(node, ast.Identifier)).name = "undeclared_0"
+        return unit
+
+    monkeypatch.setattr(csmith._ProgramBuilder, "build", undeclared)
+    session = telemetry.enable(campaign="t-seed-frontend")
+    try:
+        with pytest.raises(GenerationError, match="frontend: .*undeclared_0"):
+            CsmithGenerator(GeneratorConfig(seed=5)).generate(
+                3, accept=lambda attempt: attempt.analyzed and "")
+    finally:
+        telemetry.disable()
+    assert session.metrics.counter_value("seedgen.invalid_attempts") == 4
 
 
 # -- MUSIC ------------------------------------------------------------------------------

@@ -189,7 +189,7 @@ def test_stats_cli_counts_dropped_seeds(tmp_path, capsys, monkeypatch):
     """A seed index whose every attempt fails validation is dropped,
     counted with its attempts, and replayed."""
     monkeypatch.setattr(csmith, "runs_to_completion",
-                        lambda analyzed: "execution: rejected")
+                        lambda attempt: "execution: rejected")
     root = str(tmp_path / "corpus")
     result = OrchestratedCampaign(
         CampaignConfig(num_seeds=1, rng_seed=5, max_programs_per_type=1,
